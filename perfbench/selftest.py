@@ -1,8 +1,8 @@
 """Self-test of the benchmark's traced run.
 
-    python3 perfbench/selftest.py [--seed N] [--workload NAME ...]
+    python3 perfbench/selftest.py
 
-For each workload it makes two traced runs with the same seed.  Each traced
+For each workload it makes two traced runs with seed SEED.  Each traced
 run already fails a case whose traced output or verdict differs from the
 untraced one, and fails when a function predicted to run on the workload
 (``tracer.EXPECTED_CALLS``) recorded no calls.  This script checks that both
@@ -12,7 +12,6 @@ them.  Exit status 0 means every check held.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -22,6 +21,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 from run import WORKLOADS  # noqa: E402
+
+SEED = 1
 
 
 def traced_run(workload, seed):
@@ -34,14 +35,10 @@ def traced_run(workload, seed):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    args = parser.parse_args(argv)
+def main():
     ok = True
-    for workload in args.workload or WORKLOADS:
-        a, b = traced_run(workload, args.seed), traced_run(workload, args.seed)
+    for workload in WORKLOADS:
+        a, b = traced_run(workload, SEED), traced_run(workload, SEED)
         counts = [{k: v["value"] for k, v in r["metrics"].items()
                    if k.endswith(".calls")} for r in (a, b)]
         differ = sorted(k for k in counts[0] if counts[0][k] != counts[1][k])

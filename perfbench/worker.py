@@ -4,7 +4,8 @@ run.py starts one worker at a time and reads the JSON object it prints as its
 last line.  Modes:
 
 * ``setup``: time from the start of ``import twistr`` until the first case is
-  ready (family specs and seed reps built);
+  ready (family specs and seed reps built), and the time of the reference
+  kernel slices run just before and just after it;
 * ``measure SECONDS``: repeat passes over the cases until SECONDS have gone,
   timing slices of a reference kernel while they run, untraced;
 * ``trace SPANS_PATH``: one untraced pass, then one traced pass; compare the
@@ -41,6 +42,14 @@ WINDOW = 1.0
 # add up to it, so that cases of a few milliseconds get a median of many.
 MIN_CASE_S = 0.05
 
+# A setup worker runs the same SETUP_SLICES kernel slices just before and just
+# after the set-up it times, so that the set-up can be put in kernel units too.
+SETUP_SLICES = 4
+
+# A traced run times this many whole kernels before its passes and as many
+# after them.
+TRACE_KERNELS = 2
+
 
 def _import_twistr():
     sys.path.insert(0, SRC)
@@ -52,20 +61,40 @@ def _import_twistr():
 
 
 def setup(workload, seed):
+    import refkernel
+    slices = refkernel.Slices()
+    for _ in range(SETUP_SLICES):
+        slices.run()
     t0 = time.perf_counter()
     _import_twistr()
     import workloads
     workloads.prepare(workloads.make_cases(workload, seed))
-    return {"setup_s": time.perf_counter() - t0}
+    setup_s = time.perf_counter() - t0
+    slices.rewind()
+    for _ in range(SETUP_SLICES):
+        slices.run()
+    kernel_s = slices.kernel_s()
+    return {"setup_s": setup_s, "kernel_s": kernel_s,
+            "setup_ref": setup_s / kernel_s}
+
+
+def _max_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def measure(workload, seed, seconds):
-    _import_twistr()
     import refkernel
+    slices = refkernel.Slices()
+    for _ in range(slices.SLICES_PER_RUN):  # a warm-up, left out of the log
+        slices.run()
+    slices.log.clear()
+    # The kernel's own memory is in the worker before twistr is imported.
+    rss_before_mb = _max_rss_mb()
+    _import_twistr()
     import workloads
     cases = workloads.make_cases(workload, seed)
     workloads.prepare(cases)
-    slices = refkernel.Slices()
+    min_passes = workloads.MIN_PASSES.get(workload, 1)
     signal.signal(signal.SIGALRM, lambda signum, frame: slices.run())
     spans = []                        # (case, start, end) of every execution
     digests = [None] * len(cases)
@@ -92,7 +121,7 @@ def measure(workload, seed, seconds):
                         failed += 1
                         problems.append({"case": case.label,
                                          "problems": wrong})
-                done = (passes or i == len(cases) - 1) and \
+                done = passes + (i == len(cases) - 1) >= min_passes and \
                     time.perf_counter() - t_start >= seconds
                 if done:
                     break
@@ -105,8 +134,7 @@ def measure(workload, seed, seconds):
     for i, t0, t1 in spans:
         inside = sum(e for s, e in slices.log if t0 <= s < t1)
         near = [e for s, e in slices.log if t0 - WINDOW <= s < t1 + WINDOW]
-        ref = statistics.fmean(near or [e for _, e in slices.log]) \
-            * slices.SLICES_PER_RUN
+        ref = slices.kernel_s(near or None)
         times[i].append((t1 - t0 - inside, (t1 - t0 - inside) / ref))
     case_s = [statistics.median(s for s, _ in t) for t in times]
     case_ref = [statistics.median(r for _, r in t) for t in times]
@@ -115,11 +143,11 @@ def measure(workload, seed, seconds):
         "pass_ref": sum(case_ref), "pass_s": sum(case_s),
         "case_geomean_ref": math.exp(statistics.fmean(
             math.log(r) for r in case_ref)),
-        "ref_kernel_s": statistics.fmean(e for _, e in slices.log)
-        * slices.SLICES_PER_RUN,
+        "ref_kernel_s": slices.kernel_s(),
         "kernel_slices": len(slices.log),
         "measured_s": time.perf_counter() - t_start,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _max_rss_mb() - rss_before_mb,
+        "rss_before_twistr_mb": rss_before_mb,
         "cases": [{"case": c.label, "times_s": [s for s, _ in t],
                    "median_ref": r}
                   for c, t, r in zip(cases, times, case_ref)],
@@ -138,19 +166,23 @@ def _pass(cases, run_case, digest, tracer=None):
 
 
 def trace(workload, seed, spans_path):
-    _import_twistr()
     import refkernel
+    slices = refkernel.Slices()
+    rss_before_mb = _max_rss_mb()
+    _import_twistr()
     import tracer as tracing
     import workloads
     cases = workloads.make_cases(workload, seed)
     workloads.prepare(cases)
-    kernels = [refkernel.run() for _ in range(3)]
+    for _ in range(TRACE_KERNELS * slices.SLICES_PER_RUN):
+        slices.run()
     plain, plain_s = _pass(cases, workloads.run_case, workloads.digest)
     tracer = tracing.Tracer()
     tracer.install()
     traced, traced_s = _pass(cases, workloads.run_case, workloads.digest,
                              tracer)
-    kernels += [refkernel.run() for _ in range(3)]
+    for _ in range(TRACE_KERNELS * slices.SLICES_PER_RUN):
+        slices.run()
     tracer.write(spans_path)
 
     problems = []
@@ -176,12 +208,12 @@ def trace(workload, seed, spans_path):
         tracer.retry_successes / attempts if attempts else 1.0, "ratio")
     metrics["trace.overhead_ratio"] = (traced_s / plain_s, "ratio")
     metrics["pass_s"] = (plain_s, "s")
-    metrics["ref_kernel_s"] = (statistics.median(kernels), "s")
+    metrics["ref_kernel_s"] = (slices.kernel_s(), "s")
     return {
         "attempted": len(cases) + 1, "failed": len(problems),
         "problems": problems, "metrics": metrics, "spans": len(tracer.spans),
         "traced_pass_s": traced_s,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": _max_rss_mb() - rss_before_mb,
     }
 
 

@@ -61,6 +61,10 @@ EXPORTS = (
     ("rep", "d2", 4, None),
 )
 
+# Passes a measuring run makes at least, whatever its length: two, where each
+# output must be byte-identical across the passes of a run.
+MIN_PASSES = {"export-cold": 2}
+
 
 @dataclass(frozen=True)
 class Case:
