@@ -69,7 +69,9 @@ def weight_multiset(l0type, l, nu):
                             acc += m * inner(up, beta)
                         k += 1
                 m = 2 * acc / denom
-                assert m.denominator == 1
+                if m.denominator != 1:
+                    raise BranchingError(
+                        f"non-integral multiplicity {m} at weight {cand}")
                 m = int(m)
                 if m > 0:
                     mult[cand] = m
@@ -302,14 +304,6 @@ def _factor_dims(spec, params):
     spinor = fundamental_weight("B", l, l)
     return (weyl_dim("B", l, wscale(spinor, Q(k))),
             weyl_dim("B", l, wscale(spinor, Q(r))))
-
-
-def l_parent_of(spec: FamilySpec, params, nu):
-    table = decompose_tensor_closed_form(spec, params)
-    for c in table.components:
-        if c.nu == tuple(nu):
-            return c.parent
-    raise BranchingError(f"{nu} not in the decomposition")
 
 
 def input_weight(spec: FamilySpec, p):

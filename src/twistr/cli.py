@@ -38,10 +38,6 @@ def _sparse_triplets(m):
     return out
 
 
-def _weight_str(nu):
-    return tpg._weight_str(nu)
-
-
 def _params(args, spec):
     if args.family == "d2":
         k = args.a if args.a is not None else args.k
@@ -124,7 +120,7 @@ def cmd_verify(args) -> int:
             dec = tensor.decompose(T, QSample(w))
             found = sorted((c.nu for c in dec.components), reverse=True)
         return {"ok": found == expected,
-                "components": [_weight_str(nu) for nu in found]}
+                "components": [tpg._weight_str(nu) for nu in found]}
 
     def run_graph():
         graph = tpg.build_graph(spec, params)
@@ -143,12 +139,12 @@ def cmd_verify(args) -> int:
             closed = tpg.eigenvalues_closed_form(spec, params, qs)
         except tpg.UnsupportedRegimeError as exc:
             return {"ok": True, "closed_form": f"skipped: {exc}",
-                    "eigenvalues": {_weight_str(nu): format_scalar(v)
+                    "eigenvalues": {tpg._weight_str(nu): format_scalar(v)
                                     for nu, v in sorted(rho.items(), reverse=True)}}
         agree = set(rho) == set(closed) and all(rho[nu] == closed[nu]
                                                 for nu in rho)
         return {"ok": agree, "closed_form": "agrees" if agree else "mismatch",
-                "eigenvalues": {_weight_str(nu): format_scalar(v)
+                "eigenvalues": {tpg._weight_str(nu): format_scalar(v)
                                 for nu, v in sorted(rho.items(), reverse=True)}}
 
     def run_solve():
@@ -191,7 +187,7 @@ def cmd_verify(args) -> int:
         classical = tensor.classical_parity_signs(T)
         ok = spectrum == graph_parities == classical
         return {"ok": ok,
-                "spectrum": {_weight_str(nu): s
+                "spectrum": {tpg._weight_str(nu): s
                              for nu, s in sorted(spectrum.items(), reverse=True)}}
 
     def run_spectral():
@@ -220,7 +216,7 @@ def cmd_verify(args) -> int:
         "command": "verify",
         "config": {
             "family": args.family, "l": args.l,
-            "params": list(params), "mode": args.mode,
+            "params": list(params),
             "seed": args.seed, "samples": args.samples,
         },
         "stages": stages,
@@ -263,7 +259,7 @@ def cmd_export(args) -> int:
         else:
             rho, _ = tpg.eigenvalues_by_recursion(graph, qs)
             u_repr = "u"
-        table = {_weight_str(nu): format_scalar(v)
+        table = {tpg._weight_str(nu): format_scalar(v)
                  for nu, v in sorted(rho.items(), reverse=True)}
         if args.format == "text":
             lines = [f"eigenvalues {args.family} l={args.l} "
@@ -309,8 +305,8 @@ def cmd_export(args) -> int:
             "schema": SCHEMA, "object": "rep",
             "family": args.family, "l": args.l,
             "dim": rep.dim,
-            "highest_weight": _weight_str(rep.lam),
-            "weights": [_weight_str(wt) for wt in rep.weights],
+            "highest_weight": tpg._weight_str(rep.lam),
+            "weights": [tpg._weight_str(wt) for wt in rep.weights],
             "e": [_sparse_triplets(m) for m in rep.e],
             "f": [_sparse_triplets(m) for m in rep.f],
         }, indent=2, sort_keys=True) + "\n", args.out)
@@ -323,6 +319,13 @@ def cmd_export(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--family", required=True, choices=liealg.FAMILIES)
     p.add_argument("--l", type=int, required=True)
@@ -330,10 +333,8 @@ def _add_common(p):
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--mode", choices=["numeric", "symbolic-u"],
-                   default="symbolic-u")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_positive_int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
 
@@ -347,6 +348,8 @@ def build_parser():
     _add_common(pv)
     pe = sub.add_parser("export", help="export one object")
     pe.add_argument("what", choices=["graph", "eigenvalues", "rmatrix", "rep"])
+    pe.add_argument("--mode", choices=["numeric", "symbolic-u"],
+                    default="symbolic-u")
     _add_common(pe)
     return parser
 

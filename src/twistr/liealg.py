@@ -160,7 +160,8 @@ def weyl_dim(l0type, l, nu) -> int:
         num *= inner(shifted, alpha)
         den *= inner(rho, alpha)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise ValueError(f"Weyl dimension {d} of {nu} is not a positive integer")
     return int(d)
 
 

@@ -51,7 +51,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
+    """a . v, skipping the zero entries of v."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nz), Q(0)) for row in a]
 
 
 def commutator(a, b):
@@ -64,14 +66,6 @@ def is_zero(a):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def mat_pow_apply(a, k, b):
-    """a applied k times by left multiplication: a^k . b (k >= 0)."""
-    out = b
-    for _ in range(k):
-        out = mat_mul(a, out)
-    return out
 
 
 def rref(mat):

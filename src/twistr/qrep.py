@@ -220,7 +220,9 @@ def check_quantum_relations(rep: Representation, qs: QSample):
             if i == j:
                 continue
             aij = spec.cartan(i, j)
-            assert aij.denominator == 1
+            if aij.denominator != 1:
+                raise RepresentationError(
+                    f"Cartan entry a[{i}][{j}] = {aij} is not an integer")
             m = 1 - int(aij)
             qi = qs.q_pow(Q(inner(spec.alpha[i], spec.alpha[i]), 2))
             for x, tag in ((rep.e, "e"), (rep.f, "f")):

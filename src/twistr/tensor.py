@@ -1,6 +1,14 @@
 """Tensor products of seed representations: coproduct actions, isotypic
-decomposition into fixed-subalgebra components, projectors and the classical
-parity oracle.
+decomposition into fixed-subalgebra components, component scalars and the
+classical parity oracle.
+
+Each component V0(nu) is encoded only by its adapted basis: the highest
+weight vector followed by its independent lowerings.  All components grow
+their bases in one shared row space, so reaching rank T.dim certifies that
+the bases together form a basis of V (x) V.  An operator M then equals
+sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
+every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
+checks without forming a projector or an inverse.
 
 Basis convention: index p = i * dim2 + j for v_i (x) w_j; the weight of a
 product vector is the sum of the factor weights.
@@ -49,77 +57,47 @@ class TensorModule:
 
 
 def _kron(a, b):
-    da, db = len(a), len(b)
-    out = linalg.zeros(da * db, da * db) if da == len(a[0]) else None
-    n1, n2 = len(a), len(b)
-    out = linalg.zeros(n1 * n2, len(a[0]) * len(b[0]))
+    n1, n2, m2 = len(a), len(b), len(b[0])
+    out = linalg.zeros(n1 * n2, len(a[0]) * m2)
     for i in range(n1):
         for k in range(len(a[0])):
             c = a[i][k]
             if not c:
                 continue
             for j in range(n2):
-                for t in range(len(b[0])):
+                for t in range(m2):
                     if b[j][t]:
-                        out[i * n2 + j][k * n2 + t] = c * b[j][t]
+                        out[i * n2 + j][k * m2 + t] = c * b[j][t]
     return out
 
 
-def _diag_kron(d1, d2):
-    """Kronecker product of two diagonals, as a diagonal list."""
-    return [a * b for a in d1 for b in d2]
-
-
-def _mul_diag_left(d, m):
-    return [[d[i] * x for x in row] for i, row in enumerate(m)]
-
-
-def _mul_diag_right(m, d):
-    return [[x * d[j] for j, x in enumerate(row)] for row in m]
+def _diag(d):
+    m = linalg.zeros(len(d), len(d))
+    for p, x in enumerate(d):
+        m[p][p] = x
+    return m
 
 
 def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
                      u=None, transpose=False):
     """Matrix of Delta^u (or the opposite coproduct Delta^{T,u}) on the
-    product basis.
+    product basis, for kind "e" or "f":
 
-    kind is one of "e", "f", "qh+", "qh-".  The spectral parameter u enters
-    only for i == 0 (factor u on e0, 1/u on f0, acting on the first leg).
+        Delta(x)   = q^{-h/2} (x) x + x (x) q^{h/2}
+        Delta^T(x) = x (x) q^{-h/2} + q^{h/2} (x) x
+
+    The spectral parameter u enters only for i == 0 (factor u on e0, 1/u on
+    f0, acting on the first leg).
     """
     r1, r2 = T.rep1, T.rep2
-    if kind in ("qh+", "qh-"):
-        sign = 1 if kind == "qh+" else -1
-        diag = _diag_kron(r1.qh_half_diag(i, qs, sign), r2.qh_half_diag(i, qs, sign))
-        m = linalg.zeros(T.dim, T.dim)
-        for p in range(T.dim):
-            m[p][p] = diag[p]
-        return m
     x1 = r1.e[i] if kind == "e" else r1.f[i]
     x2 = r2.e[i] if kind == "e" else r2.f[i]
     scale = Q(1)
     if i == 0 and u is not None:
         scale = u if kind == "e" else 1 / u
-    d1p = r1.qh_half_diag(i, qs, +1)
-    d1m = r1.qh_half_diag(i, qs, -1)
-    d2p = r2.qh_half_diag(i, qs, +1)
-    d2m = r2.qh_half_diag(i, qs, -1)
-    id1 = linalg.identity(r1.dim)
-    id2 = linalg.identity(r2.dim)
-
-    def diag_mat(d):
-        m = linalg.zeros(len(d), len(d))
-        for p in range(len(d)):
-            m[p][p] = d[p]
-        return m
-
-    if not transpose:
-        # Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2}, first-leg term scaled by u
-        t1 = _kron(linalg.mat_scale(x1, scale), diag_mat(d2p))
-        t2 = _kron(diag_mat(d1m), x2)
-    else:
-        # Delta^T(x) = x (x) q^{-h/2} + q^{h/2} (x) x
-        t1 = _kron(linalg.mat_scale(x1, scale), diag_mat(d2m))
-        t2 = _kron(diag_mat(d1p), x2)
+    s = -1 if transpose else 1
+    t1 = _kron(linalg.mat_scale(x1, scale), _diag(r2.qh_half_diag(i, qs, s)))
+    t2 = _kron(_diag(r1.qh_half_diag(i, qs, -s)), x2)
     return linalg.mat_add(t1, t2)
 
 
@@ -146,33 +124,21 @@ def permutation_operator(T: TensorModule):
 @dataclass
 class IsotypicComponent:
     nu: tuple
-    basis: list          # list of coordinate vectors spanning V0(nu)
-    projector: list | None = None
-
-    @property
-    def dim(self):
-        return len(self.basis)
+    basis: list          # adapted basis of V0(nu), highest weight vector first
 
 
 @dataclass
 class IsotypicDecomposition:
     module: TensorModule
-    components: list     # IsotypicComponent, sorted by (casimir, weight) desc
-
-    def component(self, nu):
-        for c in self.components:
-            if c.nu == nu:
-                return c
-        raise KeyError(nu)
-
-    def projectors(self):
-        return {c.nu: c.projector for c in self.components}
+    components: list     # IsotypicComponent, sorted by weight desc
 
 
 def _decompose_with(T: TensorModule, raising, lowering):
-    """Shared decomposition engine given the l raising/lowering actions."""
+    """Shared decomposition engine given the l raising/lowering actions.
+
+    Raises DecompositionError unless the adapted bases of the components
+    together form a basis of V (x) V (rank T.dim in the shared row space)."""
     spec = T.spec
-    l = spec.l
     blocks = T.weight_blocks()
     components = []
     for eta, idxs in sorted(blocks.items(), reverse=True):
@@ -195,47 +161,31 @@ def _decompose_with(T: TensorModule, raising, lowering):
             for p, c in zip(idxs, vec):
                 full[p] = c
             components.append(IsotypicComponent(eta, [full]))
-    seen = {}
+    seen = set()
     for c in components:
         if c.nu in seen:
             raise DecompositionError(f"multiplicity >= 2 at component {c.nu}")
-        seen[c.nu] = c
-    # generate each component by lowering from its highest weight vector
-    total = 0
+        seen.add(c.nu)
+    # generate each component by lowering from its highest weight vector,
+    # keeping the vectors that enlarge the row space shared by all components
+    space = linalg.RowSpace(T.dim)
     for c in components:
-        space = linalg.RowSpace(T.dim)
-        space.add(c.basis[0])
-        frontier = [c.basis[0]]
-        vectors = [c.basis[0]]
+        if not space.add(c.basis[0]):
+            raise DecompositionError(
+                f"highest weight vector of {c.nu} lies in other components")
+        frontier = c.basis[:]
         while frontier:
             nxt = []
             for v in frontier:
                 for m in lowering:
                     w = linalg.mat_vec(m, v)
-                    if any(w) and space.add(w):
+                    if space.add(w):
                         nxt.append(w)
-                        vectors.append(w)
+            c.basis.extend(nxt)
             frontier = nxt
-        c.basis = vectors
-        total += len(vectors)
-    if total != T.dim:
+    if space.dim != T.dim:
         raise DecompositionError(
-            f"component dimensions sum to {total}, expected {T.dim}")
-    # projectors from the adapted basis
-    cols = []
-    spans = []
-    for c in components:
-        start = len(cols)
-        cols.extend(c.basis)
-        spans.append((c, start, len(cols)))
-    B = linalg.transpose(cols)
-    Binv = linalg.invert(B)
-    for c, start, stop in spans:
-        proj = linalg.zeros(T.dim, T.dim)
-        for i in range(T.dim):
-            for j in range(T.dim):
-                proj[i][j] = sum(B[i][t] * Binv[t][j] for t in range(start, stop))
-        c.projector = proj
+            f"adapted bases span dimension {space.dim}, expected {T.dim}")
     return IsotypicDecomposition(T, components)
 
 
@@ -254,28 +204,31 @@ def decompose_classical(T: TensorModule) -> IsotypicDecomposition:
     return _decompose_with(T, raising, lowering)
 
 
+def component_scalars(dec: IsotypicDecomposition, M):
+    """{nu: c} where M acts on every adapted basis vector of V0(nu) as the
+    scalar c; raises DecompositionError if M is not scalar on a component."""
+    out = {}
+    for comp in dec.components:
+        c = None
+        for v in comp.basis:
+            image = linalg.mat_vec(M, v)
+            if c is None:
+                p = next(i for i, x in enumerate(v) if x)
+                c = image[p] / v[p]
+            if any(x != c * y for x, y in zip(image, v)):
+                raise DecompositionError(
+                    f"operator is not scalar on component {comp.nu}")
+        out[comp.nu] = c
+    return out
+
+
 def classical_parity_signs(T: TensorModule):
     """Parity (symmetric / antisymmetric square membership) of each component
     for lambda = mu, read off from the permutation operator at q = 1."""
     if T.rep1.lam != T.rep2.lam:
         raise ValueError("parity oracle needs lambda = mu")
-    dec = decompose_classical(T)
-    P = permutation_operator(T)
-    signs = {}
-    for c in dec.components:
-        eig = None
-        for v in c.basis:
-            pv = linalg.mat_vec(P, v)
-            for s in (1, -1):
-                if all(x == s * y for x, y in zip(pv, v)):
-                    break
-            else:
-                raise DecompositionError(
-                    f"component {c.nu} mixes symmetry classes")
-            if eig is None:
-                eig = s
-            elif eig != s:
-                raise DecompositionError(
-                    f"component {c.nu} mixes symmetry classes")
-        signs[c.nu] = eig
-    return signs
+    signs = component_scalars(decompose_classical(T), permutation_operator(T))
+    for nu, s in signs.items():
+        if s not in (1, -1):
+            raise DecompositionError(f"component {nu} mixes symmetry classes")
+    return {nu: int(s) for nu, s in signs.items()}

@@ -41,6 +41,22 @@ class TestVerify:
         assert main(["verify", "--family", "a2odd", "--l", "2"]) == 2
         assert "l >= 3" in capsys.readouterr().err
 
+    def test_verify_has_no_mode(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "a2even", "--l", "1",
+                  "--mode", "numeric"])
+        assert exc.value.code == 2
+        _, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
+                     "--samples", "1")
+        assert "mode" not in json.loads(out.read_text())["config"]
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "a2even", "--l", "1",
+                  "--samples", samples])
+        assert exc.value.code == 2
+
     def test_parameter_validation(self, capsys):
         assert main(["verify", "--family", "a2even", "--l", "2",
                      "--k", "2", "--r", "5"]) == 2

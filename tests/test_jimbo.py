@@ -43,11 +43,17 @@ class TestSolve:
             rhs = linalg.mat_mul(B, res.R)
             assert lhs == rhs, (kind, i)
 
-    def test_rcheck_at_one_is_identity(self, qs):
+    def test_rcheck_at_one_is_identity(self, ybe_case, qs):
         """With the symmetric coproduct, P itself intertwines at u = 1."""
-        rep = seed_rep("a2even", 2)
+        rep = seed_rep(*ybe_case)
         res = jimbo.solve_rmatrix(rep, qs, Q(1))
         assert res.Rcheck == linalg.identity(len(res.Rcheck))
+
+    def test_kernel_needs_exactly_one_free_column(self):
+        space = linalg.RowSpace(3)
+        space.add([Q(1), Q(2), Q(3)])
+        with pytest.raises(jimbo.SolveError):
+            jimbo._kernel_from_rowspace(space)
 
     def test_generator_rescaling_invariance(self, qs):
         """e0 -> 2 e0, f0 -> f0/2 leaves the solved R unchanged."""
@@ -93,6 +99,20 @@ class TestChecks:
     def test_spectral_agreement(self, ybe_case, qs):
         rep = seed_rep(*ybe_case)
         assert jimbo.spectral_compare(rep, qs, Q(3, 7))["ok"]
+
+    def test_spectral_agreement_detects_wrong_eigenvalue(self, qs,
+                                                         monkeypatch):
+        """Negative control: doubling one rho_nu must fail the check."""
+        recursion = tpg.eigenvalues_by_recursion
+
+        def perturbed(graph, qs, **kwargs):
+            rho, certificates = recursion(graph, qs, **kwargs)
+            top = max(rho)
+            return {**rho, top: rho[top] * 2}, certificates
+
+        monkeypatch.setattr(tpg, "eigenvalues_by_recursion", perturbed)
+        rep = seed_rep("a2even", 2)
+        assert not jimbo.spectral_compare(rep, qs, Q(3, 7))["ok"]
 
     def test_parity_matches_graph_and_classical(self, ybe_case, qs):
         rep = seed_rep(*ybe_case)

@@ -35,6 +35,15 @@ class TestBasics:
     def test_commutator_with_self_vanishes(self, m):
         assert linalg.is_zero(linalg.commutator(m, m))
 
+    @given(m=matrices())
+    @settings(max_examples=30)
+    def test_mat_vec_matches_mat_mul(self, m):
+        v = [row[0] for row in m]
+        want = [row[0] for row in linalg.mat_mul(m, [[x] for x in v])]
+        got = linalg.mat_vec(m, v)
+        assert got == want
+        assert all(isinstance(x, Fraction) for x in got)
+
 
 class TestKernelAndInverse:
     def test_kernel_of_rank_one(self):

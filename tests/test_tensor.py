@@ -38,6 +38,14 @@ class TestTensorModule:
         assert linalg.mat_mul(P, P) == linalg.identity(T.dim)
 
 
+class TestKron:
+    def test_non_square_factors(self):
+        a = [[Q(1), Q(2)]]
+        b = [[Q(3), Q(5)], [Q(7), Q(0)]]
+        assert tensor._kron(a, b) == [[Q(3), Q(5), Q(6), Q(10)],
+                                      [Q(7), Q(0), Q(14), Q(0)]]
+
+
 class TestCoproduct:
     def test_cartan_weight_conservation(self, qs):
         """Delta(e_i) raises the total weight by alpha_i."""
@@ -86,20 +94,24 @@ class TestDecomposition:
         for c in dec.components:
             assert len(c.basis) == dims[c.nu]
 
-    def test_projectors_resolve_identity(self, qs):
+    @pytest.mark.parametrize("family,l", [("a2even", 2), ("d2", 2)],
+                             ids=["a2even-l2", "d2-l2"])
+    def test_adapted_bases_span(self, family, l, qs):
+        """The concatenated adapted bases form a basis of V (x) V."""
+        T = module(family, l)
+        dec = tensor.decompose(T, qs)
+        vectors = [v for c in dec.components for v in c.basis]
+        assert len(vectors) == T.dim
+        assert len(linalg.rref(vectors)[1]) == T.dim
+
+    def test_component_scalars_rejects_non_scalar(self, qs):
+        """A raising coproduct kills each highest weight vector but not the
+        lowerings below it, so it is not scalar on any component."""
         T = module("a2even", 2)
         dec = tensor.decompose(T, qs)
-        total = linalg.zeros(T.dim, T.dim)
-        for c in dec.components:
-            p = c.projector
-            assert linalg.mat_mul(p, p) == p
-            total = linalg.mat_add(total, p)
-        assert total == linalg.identity(T.dim)
-        for a in dec.components:
-            for b in dec.components:
-                if a.nu != b.nu:
-                    assert linalg.is_zero(linalg.mat_mul(a.projector,
-                                                         b.projector))
+        raising = tensor.coproduct_action(T, "e", 1, qs)
+        with pytest.raises(tensor.DecompositionError):
+            tensor.component_scalars(dec, raising)
 
     def test_classical_agrees_with_quantum_components(self, qs):
         T = module("d2", 2)
