@@ -172,9 +172,10 @@ def klimyk_tensor_with(l0type, l, weights, nu):
     """Signed Klimyk accumulation: multiplicities of components of
     M (x) V0(nu) where M has the given weight multiset."""
     rho = weyl_vector(l0type, l)
+    shifted = wadd(nu, rho)
     out = {}
     for phi, m in weights.items():
-        x = wadd(wadd(nu, phi), rho)
+        x = wadd(shifted, phi)
         ref = _dominant_reflection(x)
         if ref is None:
             continue
@@ -184,13 +185,14 @@ def klimyk_tensor_with(l0type, l, weights, nu):
     return {w: m for w, m in out.items() if m}
 
 
-def contains_in_theta_tensor(spec: FamilySpec, nu, nup) -> bool:
-    """True iff V0(nup) occurs in V0(theta0) (x) V0(nu)."""
-    mults = klimyk_tensor_with(spec.l0type, spec.l, theta0_weights(spec), nu)
-    m = mults.get(tuple(nup), 0)
-    if m < 0:
+def contains_in_theta_tensor(spec: FamilySpec, weights, nu) -> set:
+    """The set of nu' with V0(nu') in V0(theta0) (x) V0(nu), where
+    ``weights`` is ``theta0_weights(spec)``: one Klimyk sum serves every
+    nu'."""
+    mults = klimyk_tensor_with(spec.l0type, spec.l, weights, nu)
+    if any(m < 0 for m in mults.values()):
         raise BranchingError("negative Klimyk multiplicity")
-    return m > 0
+    return set(mults)
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
-    samples = []
-    for _ in range(args.samples):
-        samples.append((jimbo.sample_w(rng), jimbo.sample_u(rng),
-                        jimbo.sample_u(rng)))
+
+    def draw(r):
+        return jimbo.sample_w(r), jimbo.sample_u(r), jimbo.sample_u(r)
+
+    samples = [draw(rng) for _ in range(args.samples)]
     is_seed = tuple(params) == spec.seed_params()
     stages = []
 
@@ -95,6 +96,18 @@ def cmd_verify(args) -> int:
         return detail
 
     rep_box = {}
+
+    def retried(check, sample):
+        """jimbo.with_retries over check(w, u, v): the first attempt uses the
+        pre-drawn sample, each retry draws a fresh one from the retry rng.
+        Returns (result, the sample used)."""
+        pending = [sample]
+
+        def attempt(r):
+            s = pending.pop() if pending else draw(r)
+            return check(*s), s
+
+        return jimbo.with_retries(attempt, rng)
 
     def run_relations():
         gens = liealg.kac_generators(spec)
@@ -124,8 +137,7 @@ def cmd_verify(args) -> int:
 
     def run_graph():
         graph = tpg.build_graph(spec, params)
-        qs = QSample(samples[0][0])
-        _, certificates = tpg.eigenvalues_by_recursion(graph, qs)
+        _, certificates = tpg.factored_recursion(graph)
         rep_box["graph"] = graph
         return {"ok": all(c["consistent"] for c in certificates),
                 "nodes": len(graph.nodes), "edges": len(graph.edges),
@@ -150,9 +162,9 @@ def cmd_verify(args) -> int:
     def run_solve():
         rep = rep_box["rep"]
         records = []
-        for w, u, _ in samples:
-            res = jimbo.with_retries(
-                lambda r: jimbo.solve_rmatrix(rep, QSample(w), u), rng)
+        for sample in samples:
+            res, (w, u, _) = retried(
+                lambda w, u, v: jimbo.solve_rmatrix(rep, QSample(w), u), sample)
             records.append({"w": str(w), "u": str(u),
                             "nullity": res.nullity})
         return {"ok": True, "solves": records}
@@ -160,9 +172,9 @@ def cmd_verify(args) -> int:
     def run_ybe():
         rep = rep_box["rep"]
         records = []
-        for w, u, v in samples:
-            rec = jimbo.with_retries(
-                lambda r: jimbo.check_ybe(rep, QSample(w), u, v), rng)
+        for sample in samples:
+            rec, (w, u, v) = retried(
+                lambda w, u, v: jimbo.check_ybe(rep, QSample(w), u, v), sample)
             records.append({"w": str(w), "u": str(u), "v": str(v),
                             "ok": rec["ok"]})
         return {"ok": all(r["ok"] for r in records), "certificates": records}
@@ -170,18 +182,18 @@ def cmd_verify(args) -> int:
     def run_unitarity():
         rep = rep_box["rep"]
         records = []
-        for w, u, _ in samples:
-            rec = jimbo.with_retries(
-                lambda r: jimbo.check_unitarity(rep, QSample(w), u), rng)
+        for sample in samples:
+            rec, (w, u, _) = retried(
+                lambda w, u, v: jimbo.check_unitarity(rep, QSample(w), u),
+                sample)
             records.append({"w": str(w), "u": str(u), "ok": rec["ok"]})
         return {"ok": all(r["ok"] for r in records), "certificates": records}
 
     def run_parity():
         rep = rep_box["rep"]
         graph = rep_box["graph"]
-        qs = QSample(samples[0][0])
-        spectrum = jimbo.with_retries(
-            lambda r: jimbo.parity_spectrum(rep, qs), rng)
+        spectrum, _ = retried(
+            lambda w, u, v: jimbo.parity_spectrum(rep, QSample(w)), samples[0])
         graph_parities = {n.nu: n.parity for n in graph.nodes}
         T = tensor.TensorModule.of(rep, rep)
         classical = tensor.classical_parity_signs(T)
@@ -193,9 +205,10 @@ def cmd_verify(args) -> int:
     def run_spectral():
         rep = rep_box["rep"]
         records = []
-        for w, u, _ in samples:
-            rec = jimbo.with_retries(
-                lambda r: jimbo.spectral_compare(rep, QSample(w), u), rng)
+        for sample in samples:
+            rec, (w, u, _) = retried(
+                lambda w, u, v: jimbo.spectral_compare(rep, QSample(w), u),
+                sample)
             records.append({"w": str(w), "u": str(u), "ok": rec["ok"]})
         return {"ok": all(r["ok"] for r in records), "certificates": records}
 
@@ -334,7 +347,6 @@ def _add_common(p):
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
 
@@ -346,6 +358,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("verify", help="run the verification pipeline")
     _add_common(pv)
+    pv.add_argument("--samples", type=_positive_int, default=3)
     pe = sub.add_parser("export", help="export one object")
     pe.add_argument("what", choices=["graph", "eigenvalues", "rmatrix", "rep"])
     pe.add_argument("--mode", choices=["numeric", "symbolic-u"],

@@ -153,13 +153,19 @@ def casimir_eigenvalue(spec: FamilySpec, nu) -> Fraction:
 
 
 def weyl_dim(l0type, l, nu) -> int:
+    """Weyl's product prod_alpha (nu + rho, alpha) / (rho, alpha) over the
+    positive roots e_i -+ e_j (i < j) and e_i (B) or 2 e_i (C), taken on the
+    coordinates directly."""
+    def root_product(x):
+        out = Q(1)
+        for i in range(l):
+            out *= x[i] if l0type == "B" else 2 * x[i]
+            for j in range(i + 1, l):
+                out *= (x[i] - x[j]) * (x[i] + x[j])
+        return out
+
     rho = weyl_vector(l0type, l)
-    shifted = wadd(nu, rho)
-    num = den = Q(1)
-    for alpha in positive_roots(l0type, l):
-        num *= inner(shifted, alpha)
-        den *= inner(rho, alpha)
-    d = num / den
+    d = root_product(wadd(nu, rho)) / root_product(rho)
     if d.denominator != 1 or d <= 0:
         raise ValueError(f"Weyl dimension {d} of {nu} is not a positive integer")
     return int(d)

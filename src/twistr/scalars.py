@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, the rational-function field Q(u), q-integers
-and the elementary bracket factor.
+"""Exact scalar arithmetic: rationals, the rational-function field Q(u), q-integers,
+the elementary bracket factor and signed products of brackets.
 
 Everything downstream works over one of two scalar modes:
 
@@ -10,6 +10,11 @@ Everything downstream works over one of two scalar modes:
 
 The w**4 convention keeps every fractional power of q that shows up on short
 roots and spinor weight spaces (q**(1/2), q**(1/4)) inside Q.
+
+Spectral eigenvalues are products of brackets <a>_s.  ``BracketProduct``
+stores one as a sign times the exponent vector {(a, s): k} over a > 0; it
+lives in neither mode, since it is an identity in both q and u, and
+``BracketProduct.evaluate`` expands it into the mode of a given u.
 """
 
 from __future__ import annotations
@@ -84,6 +89,88 @@ def bracket(a, sign: int, u, qs: QSample):
     if not den:
         raise PoleError(a, sign)
     return (1 + sign * u * qa) / den
+
+
+class BracketProduct:
+    """A signed product of brackets, sign * prod <a>_s ** k over a > 0.
+
+    ``exps`` maps (a, s) to k != 0; the rules <-a>_s = <a>_s ** -1,
+    <0>_+ = 1 and <0>_- = -1 bring every bracket to this form.  The factors
+    1 + s*u*q**a and u + s*q**a (a > 0) are pairwise distinct irreducibles
+    in Q[q**(1/4), u], so two products are equal identically in (q, u) iff
+    their signs and exponent vectors are equal; multiplication and equality
+    are dict arithmetic.
+    """
+
+    __slots__ = ("sign", "exps")
+
+    def __init__(self, sign=1, exps=None):
+        self.sign = sign
+        self.exps = exps or {}
+
+    @classmethod
+    def bracket(cls, a, sign: int):
+        """<a>_sign as a product."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        a = Fraction(a)
+        if a == 0:
+            return cls(sign)
+        if a < 0:
+            return cls(1, {(-a, sign): -1})
+        return cls(1, {(a, sign): 1})
+
+    def __mul__(self, other):
+        exps = dict(self.exps)
+        for key, k in other.exps.items():
+            k += exps.get(key, 0)
+            if k:
+                exps[key] = k
+            else:
+                del exps[key]
+        return BracketProduct(self.sign * other.sign, exps)
+
+    def __eq__(self, other):
+        if not isinstance(other, BracketProduct):
+            return NotImplemented
+        return self.sign == other.sign and self.exps == other.exps
+
+    def __repr__(self):
+        return f"BracketProduct({self.sign}, {self.exps})"
+
+    def evaluate(self, u, qs: QSample, memo=None):
+        """The product in the scalar mode of u: a RatFun for u in Q(u), a
+        Fraction for rational u.
+
+        Each factor is taken from ``bracket`` as <a>_s for k > 0 and as
+        <-a>_s = <a>_s ** -1 for k < 0; ``memo`` (a dict shared by calls with
+        the same u and qs) keeps each one evaluated once.  At a rational u a
+        PoleError is raised exactly when a factor that remains in the product
+        has a pole there; a factor whose exponent cancelled to zero is not
+        evaluated.  In Q(u) the numerators and denominators are multiplied
+        separately with no gcd: at a nondegenerate w the linear factors
+        u + s*q**(+-a) are pairwise distinct, so the product is already
+        reduced, and its denominator is monic because each factor's is.
+        """
+        if memo is None:
+            memo = {}
+        factors = []
+        for (a, s), k in sorted(self.exps.items()):
+            key = (a if k > 0 else -a, s)
+            if key not in memo:
+                memo[key] = bracket(key[0], s, u, qs)
+            factors.append((memo[key], abs(k)))
+        if not isinstance(u, RatFun):
+            out = Q(self.sign)
+            for f, k in factors:
+                out *= f ** k
+            return out
+        num, den = (Q(self.sign),), (Q(1),)
+        for f, k in factors:
+            for _ in range(k):
+                num = poly_mul(num, f.num)
+                den = poly_mul(den, f.den)
+        return RatFun.reduced(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +293,14 @@ class RatFun:
             den = poly_scale(den, 1 / lead)
         self.num = num
         self.den = den
+
+    @classmethod
+    def reduced(cls, num, den):
+        """num/den from coprime polynomials with den monic, without a gcd."""
+        out = cls.__new__(cls)
+        out.num = _trim(num)
+        out.den = _trim(den)
+        return out
 
     @classmethod
     def const(cls, c):

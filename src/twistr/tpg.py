@@ -17,9 +17,15 @@ Eigenvalues rho_nu(u) follow from the edge recursion
     rho_nu = <(C(nu') - C(nu)) / 2>_{eps_nu * eps_nu'} * rho_nu'
 
 propagated over a spanning tree from the top node; every non-tree edge yields
-a loop-consistency certificate which is verified exactly in Q(u).  The
-per-family closed-form products are provided as independent regression
-targets.
+a loop-consistency certificate.  The per-family closed-form products are
+provided as independent regression targets.
+
+Both routes work on factored eigenvalues (``scalars.BracketProduct``), so
+the recursion is dict arithmetic and every loop certificate, like the
+agreement of the closed forms with the recursion, holds identically in
+(q, u), not only at a sampled w.  ``eigenvalues_by_recursion`` and
+``eigenvalues_closed_form`` expand the products once per node, into Q(u) or
+at a rational u.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from fractions import Fraction
 
 from . import branching
 from .branching import (BranchingError, contains_in_theta_tensor,
-                        decompose_tensor_closed_form)
+                        decompose_tensor_closed_form, theta0_weights)
 from .liealg import FamilySpec, casimir_eigenvalue
-from .scalars import QSample, RatFun, bracket, format_scalar
+from .scalars import BracketProduct, QSample, RatFun, format_scalar
 
 Q = Fraction
 
@@ -61,19 +67,12 @@ class TPGraph:
     edges: tuple          # ((nu_a, nu_b), sign) with nu_a > nu_b
     top: tuple            # nu of the top (anchor) node
 
-    def node(self, nu):
-        for n in self.nodes:
-            if n.nu == tuple(nu):
-                return n
-        raise KeyError(nu)
-
-    def neighbours(self, nu):
-        out = []
-        for (a, b), sign in self.edges:
-            if a == nu:
-                out.append((b, sign))
-            elif b == nu:
-                out.append((a, sign))
+    def adjacency(self):
+        """{nu: [nu' joined to nu]}, each list in edge order."""
+        out = {n.nu: [] for n in self.nodes}
+        for (a, b), _ in self.edges:
+            out[a].append(b)
+            out[b].append(a)
         return out
 
 
@@ -85,12 +84,7 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
     if top not in parents:
         raise GraphError(f"top weight {top} missing from the decomposition")
 
-    contained = []
-    for i, nu in enumerate(nus):
-        for nup in nus[i + 1:]:
-            if contains_in_theta_tensor(spec, nu, nup):
-                contained.append((nu, nup))
-
+    contained = _contained_pairs(spec, nus)
     parity = _color_parent_classes(parents, contained, parents[top])
 
     edges = []
@@ -112,6 +106,18 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
     graph = TPGraph(spec, tuple(params), nodes, tuple(edges), top)
     _check_connected(graph)
     return graph
+
+
+def _contained_pairs(spec: FamilySpec, nus):
+    """The pairs (nu, nu') with nu before nu' in ``nus`` and V0(nu') in
+    V0(theta0) (x) V0(nu), from one Klimyk sum per node.  theta0 is self-dual,
+    so the relation is symmetric and each pair is listed once."""
+    weights = theta0_weights(spec)
+    pairs = []
+    for i, nu in enumerate(nus):
+        inside = contains_in_theta_tensor(spec, weights, nu)
+        pairs += [(nu, nup) for nup in nus[i + 1:] if nup in inside]
+    return pairs
 
 
 def _color_parent_classes(parents, contained, top_parent):
@@ -143,12 +149,13 @@ def _color_parent_classes(parents, contained, top_parent):
 
 
 def _check_connected(graph: TPGraph):
+    adjacent = graph.adjacency()
     seen = {graph.top}
     frontier = [graph.top]
     while frontier:
         nxt = []
         for nu in frontier:
-            for other, _ in graph.neighbours(nu):
+            for other in adjacent[nu]:
                 if other not in seen:
                     seen.add(other)
                     nxt.append(other)
@@ -161,33 +168,33 @@ def _check_connected(graph: TPGraph):
 # Eigenvalues by recursion over the graph
 # ---------------------------------------------------------------------------
 
-def edge_bracket(graph: TPGraph, nu_from, nu_to, qs: QSample, u):
+def edge_factor(node_from: TPGNode, node_to: TPGNode) -> BracketProduct:
     """The factor relating rho_{nu_to} = factor * rho_{nu_from}."""
-    sign = graph.node(nu_from).parity * graph.node(nu_to).parity
-    a = (graph.node(nu_from).casimir - graph.node(nu_to).casimir) / 2
-    return bracket(a, sign, u, qs)
+    return BracketProduct.bracket((node_from.casimir - node_to.casimir) / 2,
+                                  node_from.parity * node_to.parity)
 
 
-def eigenvalues_by_recursion(graph: TPGraph, qs: QSample, u=None):
-    """Propagate the recursion from the top node over a spanning tree.
+def factored_recursion(graph: TPGraph):
+    """Propagate the recursion from the top node over a spanning tree, in
+    factored form.
 
-    With u omitted the result lives in Q(u) (RatFun); otherwise u must be a
-    rational sample.  Returns (rho, certificates): rho maps nu -> eigenvalue,
-    and certificates lists one consistency record per non-tree edge.
+    Returns (rho, certificates): rho maps nu -> BracketProduct, and
+    certificates lists one consistency record per non-tree edge.  Raises
+    GraphError if a certificate fails, i.e. if the recursion is
+    path-dependent; a certificate is an identity in (q, u).
     """
-    if u is None:
-        u = RatFun.var()
-    one = RatFun.const(1) if isinstance(u, RatFun) else Q(1)
-    rho = {graph.top: one}
+    nodes = {n.nu: n for n in graph.nodes}
+    adjacent = graph.adjacency()
+    rho = {graph.top: BracketProduct()}
     tree_edges = set()
     frontier = [graph.top]
     while frontier:
         nxt = []
         for nu in frontier:
-            for other, _ in graph.neighbours(nu):
+            for other in adjacent[nu]:
                 if other in rho:
                     continue
-                rho[other] = edge_bracket(graph, nu, other, qs, u) * rho[nu]
+                rho[other] = edge_factor(nodes[nu], nodes[other]) * rho[nu]
                 tree_edges.add(frozenset((nu, other)))
                 nxt.append(other)
         frontier = nxt
@@ -197,7 +204,7 @@ def eigenvalues_by_recursion(graph: TPGraph, qs: QSample, u=None):
     for (a, b), _ in graph.edges:
         if frozenset((a, b)) in tree_edges:
             continue
-        implied = edge_bracket(graph, a, b, qs, u) * rho[a]
+        implied = edge_factor(nodes[a], nodes[b]) * rho[a]
         certificates.append({
             "edge": (a, b),
             "consistent": implied == rho[b],
@@ -208,19 +215,45 @@ def eigenvalues_by_recursion(graph: TPGraph, qs: QSample, u=None):
     return rho, certificates
 
 
+def evaluate(products, qs: QSample, u=None):
+    """{nu: BracketProduct} -> {nu: value}: in Q(u) (RatFun) with u omitted,
+    otherwise at the rational sample u.  Each distinct bracket is evaluated
+    once."""
+    if u is None:
+        u = RatFun.var()
+    memo = {}
+    return {nu: p.evaluate(u, qs, memo) for nu, p in products.items()}
+
+
+def eigenvalues_by_recursion(graph: TPGraph, qs: QSample, u=None):
+    """The recursion's eigenvalues, expanded by ``evaluate``.
+
+    With u omitted the result lives in Q(u) (RatFun); otherwise u must be a
+    rational sample.  Returns (rho, certificates) as ``factored_recursion``.
+    """
+    rho, certificates = factored_recursion(graph)
+    return evaluate(rho, qs, u), certificates
+
+
 # ---------------------------------------------------------------------------
 # Closed-form eigenvalue products
 # ---------------------------------------------------------------------------
 
-def eigenvalues_closed_form(spec: FamilySpec, params, qs: QSample, u=None):
-    """Family closed forms for rho_nu(u); raises UnsupportedRegimeError where
-    no closed form applies (the so(2l+1)-in-sl(2l+1) family with k + r > l)."""
-    if u is None:
-        u = RatFun.var()
+def factored_closed_form(spec: FamilySpec, params):
+    """Family closed forms for rho_nu(u) as {nu: BracketProduct}; raises
+    UnsupportedRegimeError where no closed form applies (the
+    so(2l+1)-in-sl(2l+1) family with k + r > l)."""
     k, r = params
     l, n = spec.l, spec.n
     if not spec.admissible(params) or k > r:
         raise BranchingError(f"inadmissible weights {params}")
+
+    def product(brackets):
+        out = BracketProduct()
+        for a, sign in brackets:
+            out = out * BracketProduct.bracket(a, sign)
+        return out
+
     out = {}
     if spec.family == "a2even":
         if k + r > l:
@@ -229,36 +262,32 @@ def eigenvalues_closed_form(spec: FamilySpec, params, qs: QSample, u=None):
         for a in range(k + 1):
             for c in range(a + 1):
                 nu = branching._lam_cd(l, c, k + r - 2 * a + c)
-                val = 1 if not isinstance(u, RatFun) else RatFun.const(1)
-                for i in range(a, k):
-                    val = val * bracket(Q(k + r - 2 * i), -1, u, qs)
-                for j in range(1, a - c + 1):
-                    val = val * bracket(Q(n - r - k + 2 * j), +1, u, qs)
-                out[nu] = val
+                out[nu] = product(
+                    [(k + r - 2 * i, -1) for i in range(a, k)]
+                    + [(n - r - k + 2 * j, +1) for j in range(1, a - c + 1)])
     elif spec.family == "a2odd":
         for a in range(k + 1):
             b = k + r - 2 * a
             for c in range(a + 1):
                 nu = tuple(Q(b + c) if i == 0 else (Q(c) if i == 1 else Q(0))
                            for i in range(l))
-                val = 1 if not isinstance(u, RatFun) else RatFun.const(1)
-                for i in range(1, a - c + 1):
-                    val = val * bracket(Q(n + k + r - 2 * i), +1, u, qs)
-                for j in range(1, a + 1):
-                    val = val * bracket(Q(k + r + 2 - 2 * j), -1, u, qs)
-                out[nu] = val
+                out[nu] = product(
+                    [(n + k + r - 2 * i, +1) for i in range(1, a - c + 1)]
+                    + [(k + r + 2 - 2 * j, -1) for j in range(1, a + 1)])
     else:
         a, b = k, r
         shift = Q(b - a, 2)
         for Lam in branching._ladders(l, a):
             nu = tuple(Q(x) + shift for x in Lam)
-            val = 1 if not isinstance(u, RatFun) else RatFun.const(1)
-            for i in range(1, l + 1):
-                for kk in range(Lam[i - 1], a):
-                    sign = -1 if (l + i) % 2 == 0 else 1
-                    val = val * bracket(Q(kk - i + l + 1) + shift, sign, u, qs)
-            out[nu] = val
+            out[nu] = product(
+                [(Q(kk - i + l + 1) + shift, -1 if (l + i) % 2 == 0 else 1)
+                 for i in range(1, l + 1) for kk in range(Lam[i - 1], a)])
     return out
+
+
+def eigenvalues_closed_form(spec: FamilySpec, params, qs: QSample, u=None):
+    """The closed forms, expanded by ``evaluate`` (in Q(u) with u omitted)."""
+    return evaluate(factored_closed_form(spec, params), qs, u)
 
 
 # ---------------------------------------------------------------------------

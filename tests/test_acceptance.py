@@ -131,6 +131,9 @@ def test_criterion_5_closed_form_equals_recursion():
         closed = tpg.eigenvalues_closed_form(spec, params, qs)
         assert rho == closed, (family, l, params)
         assert isinstance(rho[graph.top], RatFun)   # identity in Q(u), not samples
+        # and identically in (q, u): the factored forms are equal
+        assert tpg.factored_closed_form(spec, params) == \
+            tpg.factored_recursion(graph)[0], (family, l, params)
     assert len(cases) >= 70 and total_loops > 0
 
 

@@ -87,8 +87,19 @@ class TestKlimyk:
         spec = family_spec("a2even", 2)
         # 2*lambda1 (x) theta0 = 2*lambda1 contains lambda2 and 0-component? no:
         # V0(2l1) x V0(2l1) contains V0(l1+l2) etc.; spot-check both answers
-        assert contains_in_theta_tensor(spec, (Q(2), Q(0)), (Q(1), Q(1)))
-        assert not contains_in_theta_tensor(spec, (Q(2), Q(0)), (Q(1), Q(0)))
+        inside = contains_in_theta_tensor(spec, theta0_weights(spec),
+                                          (Q(2), Q(0)))
+        assert (Q(1), Q(1)) in inside
+        assert (Q(1), Q(0)) not in inside
+        assert inside == set(brute_force_tensor(spec.l0type, 2, spec.theta0,
+                                                (Q(2), Q(0))))
+
+    def test_negative_multiplicity_raises(self, monkeypatch):
+        spec = family_spec("a2even", 2)
+        monkeypatch.setattr(branching, "klimyk_tensor_with",
+                            lambda *args: {(Q(1), Q(1)): 1, (Q(0), Q(0)): -1})
+        with pytest.raises(BranchingError):
+            contains_in_theta_tensor(spec, theta0_weights(spec), (Q(2), Q(0)))
 
 
 class TestClosedFormTables:

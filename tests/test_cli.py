@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from twistr import jimbo
 from twistr.cli import SCHEMA, main
+from twistr.scalars import PoleError
 
 
 def run(tmp_path, *argv):
@@ -74,6 +76,31 @@ class TestVerify:
         _, b = run(tmp_path / "b", *args)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_retry_draws_a_new_sample(self, tmp_path, monkeypatch):
+        args = ("verify", "--family", "a2even", "--l", "1", "--seed", "3",
+                "--samples", "2")
+        _, plain = run(tmp_path / "a", *args)
+        real = jimbo.check_unitarity
+        seen = []
+
+        def pole_on_first_sample(rep, qs, u):
+            seen.append((qs.w, u))
+            if len(seen) == 1:
+                raise PoleError(1, 1)
+            return real(rep, qs, u)
+
+        monkeypatch.setattr(jimbo, "check_unitarity", pole_on_first_sample)
+        code, retried = run(tmp_path / "b", *args)
+        assert code == 0
+        stages = [{s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+                  for out in (plain, retried)]
+        before, after = (s["unitarity"]["certificates"] for s in stages)
+        assert stages[1]["unitarity"]["ok"] and len(seen) == 3
+        assert seen[1] != seen[0]
+        assert (after[0]["w"], after[0]["u"]) == tuple(map(str, seen[1]))
+        assert after[0]["u"] != before[0]["u"]
+        assert after[1] == before[1]
+
     def test_seed_changes_samples(self, tmp_path):
         _, a = run(tmp_path / "a", "verify", "--family", "a2even", "--l", "1",
                    "--seed", "1", "--samples", "1")
@@ -133,6 +160,12 @@ class TestExport:
         r = json.loads(out.read_text())
         assert r["dim"] == 4 and len(r["e"]) == 3
         assert r["highest_weight"] == "(1/2,1/2)"
+
+    def test_samples_refused(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "graph", "--family", "a2even", "--l", "2",
+                  "--samples", "3"])
+        assert exc.value.code == 2
 
     def test_unsupported_format(self, capsys):
         assert main(["export", "eigenvalues", "--family", "a2even", "--l", "2",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from twistr import liealg
+from twistr.branching import decompose_tensor_closed_form
 from twistr.liealg import (FamilyError, casimir_eigenvalue, eps, family_spec,
                            fundamental_weight, weyl_dim, wscale)
 
@@ -144,3 +145,31 @@ class TestDimensionFormulas:
         # sl(6): dim V(2*lambda1) = 21; sp(6): dim V0(2*lambda1) = 21
         assert liealg.dim_a2odd_L(6, 2, 0) == 21
         assert liealg.dim_a2odd_L0(6, 2, 0) == 21
+
+    def test_weyl_dim_against_root_product(self):
+        """The coordinate formula equals prod over positive roots of
+        (nu + rho, alpha) / (rho, alpha) on every node of the closed-form
+        grid."""
+        def root_product_dim(l0type, l, nu):
+            rho = liealg.weyl_vector(l0type, l)
+            shifted = liealg.wadd(nu, rho)
+            num = den = Q(1)
+            for alpha in liealg.positive_roots(l0type, l):
+                num *= liealg.inner(shifted, alpha)
+                den *= liealg.inner(rho, alpha)
+            return num / den
+
+        grid = [("a2even", l, (k, r)) for l in range(2, 7)
+                for k in range(1, l + 1) for r in range(k, l - k + 1)]
+        grid += [(family, l, (k, r)) for family, ls in (("a2odd", range(3, 7)),
+                                                         ("d2", range(2, 7)))
+                 for l in ls for k in range(1, 4) for r in range(k, 4)]
+        assert len(grid) == 76
+        checked = 0
+        for family, l, params in grid:
+            spec = liealg.family_spec(family, l)
+            for c in decompose_tensor_closed_form(spec, params).components:
+                assert weyl_dim(spec.l0type, l, c.nu) == \
+                    root_product_dim(spec.l0type, l, c.nu)
+                checked += 1
+        assert checked == 655

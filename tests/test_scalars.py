@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistr.scalars import (DegenerateParameterError, PoleError, QSample,
-                            RatFun, bracket, format_scalar, poly_divmod,
-                            poly_gcd, poly_mul, qfactorial, qint)
+from twistr.scalars import (BracketProduct, DegenerateParameterError,
+                            PoleError, QSample, RatFun, bracket, format_scalar,
+                            poly_divmod, poly_gcd, poly_mul, qfactorial, qint)
 
 Q = Fraction
 
@@ -96,6 +96,77 @@ class TestBracket:
         sym = bracket(2, -1, RatFun.var(), qs)
         for u in (Q(2, 7), Q(-3), Q(5, 4)):
             assert sym.subs(u) == bracket(2, -1, u, qs)
+
+
+class TestBracketProduct:
+    B = staticmethod(BracketProduct.bracket)
+
+    def test_negative_argument_is_inverse(self):
+        assert self.B(-3, 1).exps == {(Q(3), 1): -1}
+        assert self.B(-3, 1) * self.B(3, 1) == BracketProduct()
+        assert (self.B(Q(-1, 2), -1) * self.B(2, 1) * self.B(Q(1, 2), -1)
+                == self.B(2, 1))
+
+    def test_zero_argument_is_a_sign(self):
+        assert self.B(0, 1) == BracketProduct(1)
+        assert self.B(0, -1) == BracketProduct(-1)
+        assert self.B(0, -1) * self.B(0, -1) == BracketProduct()
+        qs = QSample(Q(3, 2))
+        for sign in (1, -1):
+            assert self.B(0, sign).evaluate(RatFun.var(), qs) == sign
+            assert self.B(0, sign).evaluate(Q(2, 7), qs) == sign
+
+    def test_cancellation_to_the_empty_vector(self):
+        p = self.B(1, 1) * self.B(Q(3, 4), -1) * self.B(2, 1)
+        q = self.B(-2, 1) * self.B(Q(-3, 4), -1) * self.B(-1, 1)
+        assert (p * q).exps == {} and (p * q).sign == 1
+        assert p * q == BracketProduct()
+        assert p != self.B(1, 1) and p != BracketProduct(-1, p.exps)
+
+    # half- and quarter-integer arguments, as d2 shifts produce
+    PRODUCTS = [
+        (1, {(Q(1), 1): 1}),
+        (-1, {(Q(1, 2), -1): 2, (Q(3, 2), 1): -1}),
+        (1, {(Q(1, 4), 1): 1, (Q(3, 4), -1): -2, (Q(5, 2), -1): 1}),
+        (-1, {(Q(2), 1): -3, (Q(2), -1): 1, (Q(7, 4), 1): 2}),
+        (1, {(Q(1, 2), 1): 1, (Q(1, 2), -1): 1, (Q(1), 1): -1,
+             (Q(1), -1): -1, (Q(9, 4), 1): 1}),
+    ]
+
+    @pytest.mark.parametrize("w", [Q(3, 2), Q(-3, 2), Q(2, 3), Q(-5, 3)])
+    @pytest.mark.parametrize("sign,exps", PRODUCTS)
+    def test_expansion_is_the_reduced_product(self, w, sign, exps):
+        """The gcd-free expansion equals the product of brackets reduced
+        by RatFun's gcd: the factors are pairwise coprime."""
+        qs = QSample(w)
+        u = RatFun.var()
+        want = RatFun.const(sign)
+        for (a, s), k in exps.items():
+            want = want * bracket(a, s, u, qs) ** k
+        got = BracketProduct(sign, dict(exps)).evaluate(u, qs)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert poly_gcd(got.num, got.den) == (Q(1),)
+        for x in (Q(2, 7), Q(-4, 5)):
+            assert BracketProduct(sign, dict(exps)).evaluate(x, qs) == \
+                want.subs(x)
+
+    def test_memo_is_shared(self):
+        qs = QSample(Q(3, 2))
+        memo = {}
+        self.B(2, 1).evaluate(Q(1, 3), qs, memo)
+        (self.B(2, 1) * self.B(-1, -1)).evaluate(Q(1, 3), qs, memo)
+        assert set(memo) == {(Q(2), 1), (Q(-1), -1)}
+
+    def test_pole_only_where_a_factor_remains(self):
+        qs = QSample(Q(2))
+        with pytest.raises(PoleError):           # u + q = 0
+            self.B(1, 1).evaluate(-qs.q, qs)
+        with pytest.raises(PoleError):           # 1 + u*q = 0
+            self.B(-1, 1).evaluate(-1 / qs.q, qs)
+        assert self.B(-1, 1).evaluate(-qs.q, qs) == 0
+        # the factor cancelled to exponent zero is not evaluated
+        p = self.B(1, 1) * self.B(2, -1) * self.B(-1, 1)
+        assert p.evaluate(-qs.q, qs) == bracket(2, -1, -qs.q, qs)
 
 
 class TestRatFun:

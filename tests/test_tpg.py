@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from twistr import tpg
-from twistr.branching import decompose_tensor_closed_form
+from twistr.branching import (decompose_tensor_closed_form, klimyk_tensor_with,
+                              theta0_weights)
 from twistr.liealg import family_spec
 from twistr.scalars import QSample, RatFun, bracket
 
@@ -99,6 +101,33 @@ class TestGraphRegressions:
             assert parity[c.nu] == (-1) ** a
 
 
+class TestContainment:
+    @pytest.mark.parametrize("family,l,params", [
+        ("a2even", 2, (1, 1)), ("a2even", 4, (2, 2)), ("a2even", 5, (2, 3)),
+        ("a2odd", 3, (2, 3)), ("a2odd", 5, (3, 3)),
+        ("d2", 2, (2, 3)), ("d2", 4, (1, 3)),
+    ])
+    def test_per_node_equals_pairwise(self, family, l, params, monkeypatch):
+        """One Klimyk sum per node gives the nodes and edges that the
+        pairwise containment test gives."""
+        spec = family_spec(family, l)
+        fast = tpg.build_graph(spec, params)
+
+        def pairwise(spec, nus):
+            out = []
+            for i, nu in enumerate(nus):
+                for nup in nus[i + 1:]:
+                    mults = klimyk_tensor_with(spec.l0type, spec.l,
+                                               theta0_weights(spec), nu)
+                    if mults.get(nup, 0) > 0:
+                        out.append((nu, nup))
+            return out
+
+        monkeypatch.setattr(tpg, "_contained_pairs", pairwise)
+        slow = tpg.build_graph(spec, params)
+        assert fast.nodes == slow.nodes and fast.edges == slow.edges
+
+
 class TestRecursion:
     def test_symbolic_eigenvalues_vector_square(self):
         # so(5) vector square: rho = {1, <2>_-, <5>_+}
@@ -140,6 +169,21 @@ class TestRecursion:
         qs = QSample(Q(5, 3))
         _, certs = tpg.eigenvalues_by_recursion(g, qs)
         assert certs and all(c["consistent"] for c in certs)
+
+    def test_corrupted_edge_parity_is_caught(self, monkeypatch):
+        g = build("a2even", 5, (2, 3))
+        _, certs = tpg.eigenvalues_by_recursion(g, QSample(Q(5, 3)))
+        loop_edge = set(certs[0]["edge"])
+        real = tpg.edge_factor
+
+        def corrupted(node_from, node_to):
+            if {node_from.nu, node_to.nu} == loop_edge:
+                node_to = dataclasses.replace(node_to, parity=-node_to.parity)
+            return real(node_from, node_to)
+
+        monkeypatch.setattr(tpg, "edge_factor", corrupted)
+        with pytest.raises(tpg.GraphError):
+            tpg.eigenvalues_by_recursion(g, QSample(Q(5, 3)))
 
     def test_numeric_matches_symbolic(self):
         g = build("a2odd", 3, (2, 2))
