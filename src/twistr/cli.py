@@ -95,7 +95,9 @@ def cmd_verify(args) -> int:
                        **detail})
         return detail
 
-    rep_box = {}
+    # every stage reads the seed rep, the graph, the solves, decompositions
+    # and recursions from this one object, so each is computed once per run
+    shared = jimbo.Shared(spec, params)
 
     def retried(check, sample):
         """jimbo.with_retries over check(w, u, v): the first attempt uses the
@@ -112,8 +114,7 @@ def cmd_verify(args) -> int:
     def run_relations():
         gens = liealg.kac_generators(spec)
         classical = liealg.check_classical_relations(gens, spec)
-        rep = qrep.build_seed_rep(spec)
-        rep_box["rep"] = rep
+        rep = shared.rep
         failures = [r["relation"] for r in classical if not r["ok"]]
         checked = len(classical)
         for w, _, _ in samples:
@@ -124,29 +125,25 @@ def cmd_verify(args) -> int:
                 "failures": failures[:5]}
 
     def run_decomposition():
-        rep = rep_box["rep"]
-        T = tensor.TensorModule.of(rep, rep)
         table = branching.decompose_tensor_closed_form(spec, params)
         expected = sorted(table.nus(), reverse=True)
         found = []
         for w, _, _ in samples[:1]:
-            dec = tensor.decompose(T, QSample(w))
+            dec = shared.decomposition(QSample(w))
             found = sorted((c.nu for c in dec.components), reverse=True)
         return {"ok": found == expected,
                 "components": [tpg._weight_str(nu) for nu in found]}
 
     def run_graph():
-        graph = tpg.build_graph(spec, params)
+        graph = shared.graph
         _, certificates = tpg.factored_recursion(graph)
-        rep_box["graph"] = graph
         return {"ok": all(c["consistent"] for c in certificates),
                 "nodes": len(graph.nodes), "edges": len(graph.edges),
                 "loop_certificates": len(certificates)}
 
     def run_eigenvalues():
-        graph = rep_box["graph"]
         qs = QSample(samples[0][0])
-        rho, _ = tpg.eigenvalues_by_recursion(graph, qs)
+        rho = shared.recursion(qs)
         try:
             closed = tpg.eigenvalues_closed_form(spec, params, qs)
         except tpg.UnsupportedRegimeError as exc:
@@ -160,54 +157,49 @@ def cmd_verify(args) -> int:
                                 for nu, v in sorted(rho.items(), reverse=True)}}
 
     def run_solve():
-        rep = rep_box["rep"]
         records = []
         for sample in samples:
             res, (w, u, _) = retried(
-                lambda w, u, v: jimbo.solve_rmatrix(rep, QSample(w), u), sample)
+                lambda w, u, v: shared.solve(QSample(w), u), sample)
             records.append({"w": str(w), "u": str(u),
                             "nullity": res.nullity})
         return {"ok": True, "solves": records}
 
     def run_ybe():
-        rep = rep_box["rep"]
         records = []
         for sample in samples:
             rec, (w, u, v) = retried(
-                lambda w, u, v: jimbo.check_ybe(rep, QSample(w), u, v), sample)
+                lambda w, u, v: jimbo.check_ybe(shared, QSample(w), u, v),
+                sample)
             records.append({"w": str(w), "u": str(u), "v": str(v),
                             "ok": rec["ok"]})
         return {"ok": all(r["ok"] for r in records), "certificates": records}
 
     def run_unitarity():
-        rep = rep_box["rep"]
         records = []
         for sample in samples:
             rec, (w, u, _) = retried(
-                lambda w, u, v: jimbo.check_unitarity(rep, QSample(w), u),
+                lambda w, u, v: jimbo.check_unitarity(shared, QSample(w), u),
                 sample)
             records.append({"w": str(w), "u": str(u), "ok": rec["ok"]})
         return {"ok": all(r["ok"] for r in records), "certificates": records}
 
     def run_parity():
-        rep = rep_box["rep"]
-        graph = rep_box["graph"]
         spectrum, _ = retried(
-            lambda w, u, v: jimbo.parity_spectrum(rep, QSample(w)), samples[0])
-        graph_parities = {n.nu: n.parity for n in graph.nodes}
-        T = tensor.TensorModule.of(rep, rep)
-        classical = tensor.classical_parity_signs(T)
+            lambda w, u, v: jimbo.parity_spectrum(shared, QSample(w)),
+            samples[0])
+        graph_parities = {n.nu: n.parity for n in shared.graph.nodes}
+        classical = tensor.classical_parity_signs(shared.module)
         ok = spectrum == graph_parities == classical
         return {"ok": ok,
                 "spectrum": {tpg._weight_str(nu): s
                              for nu, s in sorted(spectrum.items(), reverse=True)}}
 
     def run_spectral():
-        rep = rep_box["rep"]
         records = []
         for sample in samples:
             rec, (w, u, _) = retried(
-                lambda w, u, v: jimbo.spectral_compare(rep, QSample(w), u),
+                lambda w, u, v: jimbo.spectral_compare(shared, QSample(w), u),
                 sample)
             records.append({"w": str(w), "u": str(u), "ok": rec["ok"]})
         return {"ok": all(r["ok"] for r in records), "certificates": records}

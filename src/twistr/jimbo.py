@@ -11,7 +11,9 @@ so that the braided matrix acts as the identity on the (one-dimensional) top
 weight space.
 
 All checks run in exact rational arithmetic at rational samples; "pass" means
-the residual is identically zero.
+the residual is identically zero.  A ``Shared`` carries what the checks of
+one run have in common, so each R(w, u) is solved once however many checks
+read it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, tpg
+from . import linalg, qrep, tpg
 from .qrep import Representation
 from .scalars import PoleError, QSample
 from .tensor import (DecompositionError, TensorModule, component_scalars,
@@ -77,18 +79,16 @@ def solve_rmatrix(rep: Representation, qs: QSample, u: Fraction) -> RMatrixResul
         B = coproduct_action(T, kind, i, qs, u=uu, transpose=True)
         # equation (s, t): sum_p R[s][p] A[p][t] - sum_p B[s][p] R[p][t] = 0,
         # with R[x][y] an unknown only for weight(x) == weight(y)
-        for p in range(T.dim):
-            for t in range(T.dim):
-                if A[p][t]:
-                    for s in block_of[p]:
-                        eq = equations.setdefault((kind, i, s, t), {})
-                        eq[(s, p)] = eq.get((s, p), Q(0)) + A[p][t]
-        for s in range(T.dim):
-            for p in range(T.dim):
-                if B[s][p]:
-                    for t in block_of[p]:
-                        eq = equations.setdefault((kind, i, s, t), {})
-                        eq[(p, t)] = eq.get((p, t), Q(0)) - B[s][p]
+        for p, row in A.items():
+            for t, x in row.items():
+                for s in block_of[p]:
+                    eq = equations.setdefault((kind, i, s, t), {})
+                    eq[(s, p)] = eq.get((s, p), 0) + x
+        for s, row in B.items():
+            for p, x in row.items():
+                for t in block_of[p]:
+                    eq = equations.setdefault((kind, i, s, t), {})
+                    eq[(p, t)] = eq.get((p, t), 0) - x
 
     sol = _solve_nullity_one(equations, var_index)
     R = linalg.zeros(T.dim, T.dim)
@@ -129,10 +129,7 @@ def _solve_nullity_one(equations, var_index):
     deferred = []
     for coeffs in sparse_rows:
         if kernel is None:
-            dense = [Q(0)] * nvars
-            for j, c in coeffs.items():
-                dense[j] = c
-            space.add(dense)
+            space.add(coeffs)
             if space.dim == nvars:
                 raise SolveError("null space is trivial (degenerate sample)")
             if space.dim == nvars - 1:
@@ -156,44 +153,75 @@ def _kernel_from_rowspace(space):
     fc = free[0]
     v = [Q(0)] * space.ncols
     v[fc] = Q(1)
-    for row, piv in zip(space.rows, space.pivots):
-        v[piv] = -row[fc]
+    for piv, row in space.rows.items():
+        if fc in row:
+            v[piv] = -row[fc]
     return v
 
 
 # ---------------------------------------------------------------------------
-# Sparse helpers for the three-site Yang-Baxter products
+# Work shared by the checks
 # ---------------------------------------------------------------------------
 
-def _sparse(m):
-    out = {}
-    for i, row in enumerate(m):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            out[i] = r
-    return out
+class Shared:
+    """The work the checks of one verification run share, each piece built
+    on first use and kept for the life of the object: the seed rep, the
+    graph of ``params`` (the seed pair unless given), each R(w, u) solved
+    once, and the decomposition and the Q(u) recursion once per w.
+
+    Every check below takes a Shared in place of its representation; given
+    a bare representation it makes a fresh Shared, so nothing is kept beyond
+    the call unless the caller keeps the Shared."""
+
+    def __init__(self, spec, params=None, rep=None):
+        self.spec = spec
+        self.params = spec.seed_params() if params is None else tuple(params)
+        self._memo = {} if rep is None else {"rep": rep}
+
+    def _get(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    @property
+    def rep(self) -> Representation:
+        return self._get("rep", lambda: qrep.build_seed_rep(self.spec))
+
+    @property
+    def module(self) -> TensorModule:
+        return self._get("module", lambda: TensorModule.of(self.rep, self.rep))
+
+    @property
+    def graph(self):
+        return self._get("graph",
+                         lambda: tpg.build_graph(self.spec, self.params))
+
+    def solve(self, qs: QSample, u: Fraction) -> RMatrixResult:
+        return self._get(("solve", qs.w, u),
+                         lambda: solve_rmatrix(self.rep, qs, u))
+
+    def decomposition(self, qs: QSample):
+        return self._get(("decomposition", qs.w),
+                         lambda: decompose(self.module, qs))
+
+    def recursion(self, qs: QSample):
+        """The graph recursion's eigenvalues in Q(u) at w."""
+        return self._get(("recursion", qs.w),
+                         lambda: tpg.eigenvalues_by_recursion(self.graph, qs)[0])
 
 
-def _sparse_mul(a, b):
-    out = {}
-    for i, ra in a.items():
-        acc = {}
-        for k, v in ra.items():
-            rb = b.get(k)
-            if rb:
-                for j, w in rb.items():
-                    acc[j] = acc.get(j, Q(0)) + v * w
-        acc = {j: v for j, v in acc.items() if v}
-        if acc:
-            out[i] = acc
-    return out
+def _shared(rep):
+    return rep if isinstance(rep, Shared) else Shared(rep.spec, rep=rep)
 
+
+# ---------------------------------------------------------------------------
+# Three-site Yang-Baxter products
+# ---------------------------------------------------------------------------
 
 def _embed_three(R, d, legs):
     """Embed a two-site operator into site pair ``legs`` of a three-site space."""
     out = {}
-    Rs = _sparse(R)
-    for i, ri in Rs.items():
+    for i, ri in linalg.sparse(R).items():
         a, b = divmod(i, d)
         for j, v in ri.items():
             ap, bp = divmod(j, d)
@@ -208,17 +236,18 @@ def _embed_three(R, d, legs):
     return out
 
 
-def check_ybe(rep: Representation, qs: QSample, u: Fraction, v: Fraction):
+def check_ybe(rep, qs: QSample, u: Fraction, v: Fraction):
     """Exact residual test of R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u)."""
-    d = rep.dim
-    Ru = solve_rmatrix(rep, qs, u).R
-    Rv = solve_rmatrix(rep, qs, v).R
-    Ruv = solve_rmatrix(rep, qs, u * v).R
+    shared = _shared(rep)
+    d = shared.rep.dim
+    Ru = shared.solve(qs, u).R
+    Rv = shared.solve(qs, v).R
+    Ruv = shared.solve(qs, u * v).R
     r12 = _embed_three(Ru, d, (0, 1))
     r13 = _embed_three(Ruv, d, (0, 2))
     r23 = _embed_three(Rv, d, (1, 2))
-    lhs = _sparse_mul(_sparse_mul(r12, r13), r23)
-    rhs = _sparse_mul(_sparse_mul(r23, r13), r12)
+    lhs = linalg.sparse_mul(linalg.sparse_mul(r12, r13), r23)
+    rhs = linalg.sparse_mul(linalg.sparse_mul(r23, r13), r12)
     residual_entries = 0
     for i in set(lhs) | set(rhs):
         li, ri = lhs.get(i, {}), rhs.get(i, {})
@@ -229,16 +258,17 @@ def check_ybe(rep: Representation, qs: QSample, u: Fraction, v: Fraction):
             "ok": residual_entries == 0, "residual_entries": residual_entries}
 
 
-def check_unitarity(rep: Representation, qs: QSample, u: Fraction):
+def check_unitarity(rep, qs: QSample, u: Fraction):
     """Rcheck(u) * Rcheck(1/u) = identity."""
-    a = solve_rmatrix(rep, qs, u).Rcheck
-    b = solve_rmatrix(rep, qs, 1 / u).Rcheck
+    shared = _shared(rep)
+    a = shared.solve(qs, u).Rcheck
+    b = shared.solve(qs, 1 / u).Rcheck
     prod = linalg.mat_mul(a, b)
     ok = prod == linalg.identity(len(prod))
     return {"check": "unitarity", "u": u, "ok": ok}
 
 
-def parity_spectrum(rep: Representation, qs: QSample):
+def parity_spectrum(rep, qs: QSample):
     """Parity of each isotypic component as read off the solved R-matrix.
 
     With the symmetric coproduct used here the permutation operator is itself
@@ -252,18 +282,18 @@ def parity_spectrum(rep: Representation, qs: QSample):
     sign of the eigenvalue is the parity.  The parity theorem says these signs
     equal the graph parities and, classically, the symmetric / antisymmetric
     square membership."""
+    shared = _shared(rep)
     qs = QSample(abs(qs.w))
-    T = TensorModule.of(rep, rep)
-    R0 = solve_rmatrix(rep, qs, Q(0)).Rcheck
+    R0 = linalg.sparse(shared.solve(qs, Q(0)).Rcheck)
     out = {}
-    for nu, c in component_scalars(decompose(T, qs), R0).items():
+    for nu, c in component_scalars(shared.decomposition(qs), R0).items():
         if not c:
             raise SolveError(f"Rcheck(0) vanishes on {nu}")
         out[nu] = 1 if c > 0 else -1
     return out
 
 
-def spectral_compare(rep: Representation, qs: QSample, u: Fraction):
+def spectral_compare(rep, qs: QSample, u: Fraction):
     """Exact agreement of Rcheck(u) with the graph-recursion spectral
     decomposition sum(rho_nu(u) * P_nu), normalised by Rcheck(1).
 
@@ -273,22 +303,20 @@ def spectral_compare(rep: Representation, qs: QSample, u: Fraction):
     V0(nu) and zero on the others, so this is exactly
     Rcheck(u) * Rcheck(1)**-1 == sum(rho_nu(u) * P_nu), with no projector or
     inverse formed."""
-    T = TensorModule.of(rep, rep)
-    spec = rep.spec
-    graph = tpg.build_graph(spec, spec.seed_params())
-    rho_sym, _ = tpg.eigenvalues_by_recursion(graph, qs)
+    shared = _shared(rep)
+    rho_sym = shared.recursion(qs)
     try:
         rho = {nu: val.subs(u) for nu, val in rho_sym.items()}
     except ZeroDivisionError:
         raise PoleError(0, 1)
-    dec = decompose(T, qs)
+    dec = shared.decomposition(qs)
     for comp in dec.components:
         if comp.nu not in rho:
             raise SolveError(f"component {comp.nu} missing from the graph")
-    a = solve_rmatrix(rep, qs, u).Rcheck
-    b = solve_rmatrix(rep, qs, Q(1)).Rcheck
+    a = linalg.sparse(shared.solve(qs, u).Rcheck)
+    b = shared.solve(qs, Q(1)).Rcheck
     try:
-        ok = b == linalg.identity(T.dim) and all(
+        ok = b == linalg.identity(len(b)) and all(
             c == rho[nu] for nu, c in component_scalars(dec, a).items())
     except DecompositionError:  # Rcheck(u) is not scalar on a component
         ok = False

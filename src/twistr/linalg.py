@@ -1,7 +1,12 @@
-"""Dense exact linear algebra over Q (list-of-lists of Fraction).
+"""Exact linear algebra over Q.
 
-Sizes here are small (representation spaces up to a few dozen dimensions), so
-plain fraction-free-less Gaussian elimination is entirely adequate.
+Two matrix types.  Dense list-of-lists of Fraction serve the representation
+matrices (a few dozen rows), the R-matrices and the small eliminations of
+``rref`` / ``kernel_basis``.  Operators on tensor products, which are almost
+all zeros, are sparse: ``{row: {col: Fraction}}`` holding only the nonzero
+entries (a sparse vector is one such ``{col: Fraction}``).  ``RowSpace``
+eliminates sparse rows incrementally, so its cost follows the nonzeros, not
+the number of columns.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def mat_sub(a, b):
 
 
 def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
+    return [[x * c if x else x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -122,38 +127,90 @@ def invert(mat):
     return [row[n:] for row in red]
 
 
+# ---------------------------------------------------------------------------
+# Sparse matrices {row: {col: x}} and vectors {col: x}, nonzero entries only
+# ---------------------------------------------------------------------------
+
+def sparse_vector(v):
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def sparse(m):
+    return {i: r for i, r in enumerate(map(sparse_vector, m)) if r}
+
+
+def sparse_mul(a, b):
+    out = {}
+    for i, ra in a.items():
+        acc = {}
+        for k, v in ra.items():
+            rb = b.get(k)
+            if rb:
+                for j, w in rb.items():
+                    acc[j] = acc.get(j, 0) + v * w
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def sparse_mat_vec(a, v):
+    """a . v for a sparse matrix a and a sparse vector v."""
+    out = {}
+    for i, row in a.items():
+        s = sum(x * v[j] for j, x in row.items() if j in v)
+        if s:
+            out[i] = s
+    return out
+
+
 class RowSpace:
-    """Incrementally maintained row space for linear-independence tests."""
+    """Incrementally maintained row space of sparse rows.
+
+    The rows are kept fully reduced: each is keyed by its pivot (its first
+    nonzero column), is 1 there and 0 at every other pivot, so the pivots
+    are those of ``rref`` of the rows added."""
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []       # reduced rows
-        self.pivots = []     # pivot column of each reduced row
+        self.rows = {}       # pivot column -> reduced sparse row
+
+    @property
+    def pivots(self):
+        return self.rows.keys()
 
     def reduce(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(self.ncols):
-                    v[j] -= f * row[j]
-        return v
+        """The sparse vector v minus its part along the stored rows."""
+        out = dict(v)
+        for p in [p for p in v if p in self.rows]:
+            f = v[p]
+            for j, x in self.rows[p].items():
+                y = out.get(j, 0) - f * x
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
+        return out
 
     def add(self, v):
-        """Add vector if independent; returns True if it enlarged the space."""
+        """Add the sparse vector v if independent; returns True if it
+        enlarged the space."""
         v = self.reduce(v)
-        piv = next((j for j in range(self.ncols) if v[j]), None)
-        if piv is None:
+        if not v:
             return False
+        piv = min(v)
         inv = 1 / v[piv]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if row[piv]:
-                f = row[piv]
-                for j in range(self.ncols):
-                    row[j] -= f * v[j]
-        self.rows.append(v)
-        self.pivots.append(piv)
+        v = {j: x * inv for j, x in v.items()}
+        for row in self.rows.values():
+            f = row.get(piv)
+            if f:
+                for j, x in v.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        self.rows[piv] = v
         return True
 
     @property

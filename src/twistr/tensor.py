@@ -10,6 +10,9 @@ sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
 checks without forming a projector or an inverse.
 
+Operators on V (x) V (the coproduct actions) are sparse matrices in the
+``linalg`` form {row: {col: x}}, built from the nonzeros of the factors.
+
 Basis convention: index p = i * dim2 + j for v_i (x) w_j; the weight of a
 product vector is the sum of the factor weights.
 """
@@ -56,32 +59,31 @@ class TensorModule:
         return blocks
 
 
-def _kron(a, b):
-    n1, n2, m2 = len(a), len(b), len(b[0])
-    out = linalg.zeros(n1 * n2, len(a[0]) * m2)
-    for i in range(n1):
-        for k in range(len(a[0])):
-            c = a[i][k]
-            if not c:
-                continue
-            for j in range(n2):
-                for t in range(m2):
-                    if b[j][t]:
-                        out[i * n2 + j][k * m2 + t] = c * b[j][t]
-    return out
-
-
-def _diag(d):
-    m = linalg.zeros(len(d), len(d))
-    for p, x in enumerate(d):
-        m[p][p] = x
-    return m
+def _coproduct(T: TensorModule, x1, d2, d1, x2):
+    """The sparse matrix x1 (x) diag(d2) + diag(d1) (x) x2, built from the
+    nonzeros of the factor matrices x1, x2."""
+    n2 = T.rep2.dim
+    out = {}
+    for a, row in linalg.sparse(x1).items():
+        for a2, x in row.items():
+            for b, d in enumerate(d2):
+                out.setdefault(a * n2 + b, {})[a2 * n2 + b] = x * d
+    sx2 = linalg.sparse(x2)
+    for a, d in enumerate(d1):
+        for b, row in sx2.items():
+            r = out.setdefault(a * n2 + b, {})
+            for b2, x in row.items():
+                r[a * n2 + b2] = r.get(a * n2 + b2, 0) + d * x
+    for r in out.values():
+        for j in [j for j, x in r.items() if not x]:
+            del r[j]
+    return {i: r for i, r in out.items() if r}
 
 
 def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
                      u=None, transpose=False):
-    """Matrix of Delta^u (or the opposite coproduct Delta^{T,u}) on the
-    product basis, for kind "e" or "f":
+    """Sparse matrix of Delta^u (or the opposite coproduct Delta^{T,u}) on
+    the product basis, for kind "e" or "f":
 
         Delta(x)   = q^{-h/2} (x) x + x (x) q^{h/2}
         Delta^T(x) = x (x) q^{-h/2} + q^{h/2} (x) x
@@ -96,18 +98,18 @@ def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
     if i == 0 and u is not None:
         scale = u if kind == "e" else 1 / u
     s = -1 if transpose else 1
-    t1 = _kron(linalg.mat_scale(x1, scale), _diag(r2.qh_half_diag(i, qs, s)))
-    t2 = _kron(_diag(r1.qh_half_diag(i, qs, -s)), x2)
-    return linalg.mat_add(t1, t2)
+    return _coproduct(T, linalg.mat_scale(x1, scale),
+                      r2.qh_half_diag(i, qs, s),
+                      r1.qh_half_diag(i, qs, -s), x2)
 
 
 def classical_coproduct(T: TensorModule, kind: str, i: int):
-    """x (x) 1 + 1 (x) x with the classical (= undeformed) generator matrices."""
+    """Sparse x (x) 1 + 1 (x) x with the classical (= undeformed) generator
+    matrices."""
     r1, r2 = T.rep1, T.rep2
     x1 = r1.e[i] if kind == "e" else r1.f[i]
     x2 = r2.e[i] if kind == "e" else r2.f[i]
-    return linalg.mat_add(_kron(x1, linalg.identity(r2.dim)),
-                          _kron(linalg.identity(r1.dim), x2))
+    return _coproduct(T, x1, [Q(1)] * r2.dim, [Q(1)] * r1.dim, x2)
 
 
 def permutation_operator(T: TensorModule):
@@ -140,27 +142,25 @@ def _decompose_with(T: TensorModule, raising, lowering):
     together form a basis of V (x) V (rank T.dim in the shared row space)."""
     spec = T.spec
     blocks = T.weight_blocks()
+    # the nonzero columns of each stacked raising row, grouped by the weight
+    # of the column: a weight block's kernel is read from its own group
+    block_rows = {}
+    for k, m in enumerate(raising):
+        for r, row in m.items():
+            for p, x in row.items():
+                block_rows.setdefault(T.weights[p], {}).setdefault(
+                    (k, r), {})[p] = x
     components = []
     for eta, idxs in sorted(blocks.items(), reverse=True):
-        # rows of the stacked raising maps restricted to this weight space
-        rows = []
-        for m in raising:
-            cols = {}
-            for p in idxs:
-                for r in range(T.dim):
-                    if m[r][p]:
-                        cols.setdefault(r, {})[p] = m[r][p]
-            for r, entries in sorted(cols.items()):
-                rows.append([entries.get(p, Q(0)) for p in idxs])
+        rows = [[entries.get(p, Q(0)) for p in idxs]
+                for _, entries in sorted(block_rows.get(eta, {}).items())]
         kern = linalg.kernel_basis(rows or [[Q(0)] * len(idxs)], ncols=len(idxs))
         for vec in kern:
             if not is_dominant(spec.l0type, eta):
                 raise DecompositionError(
                     f"highest weight vector at non-dominant weight {eta}")
-            full = [Q(0)] * T.dim
-            for p, c in zip(idxs, vec):
-                full[p] = c
-            components.append(IsotypicComponent(eta, [full]))
+            components.append(IsotypicComponent(
+                eta, [{p: c for p, c in zip(idxs, vec) if c}]))
     seen = set()
     for c in components:
         if c.nu in seen:
@@ -178,7 +178,7 @@ def _decompose_with(T: TensorModule, raising, lowering):
             nxt = []
             for v in frontier:
                 for m in lowering:
-                    w = linalg.mat_vec(m, v)
+                    w = linalg.sparse_mat_vec(m, v)
                     if space.add(w):
                         nxt.append(w)
             c.basis.extend(nxt)
@@ -186,6 +186,9 @@ def _decompose_with(T: TensorModule, raising, lowering):
     if space.dim != T.dim:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {T.dim}")
+    zero = Q(0)
+    for c in components:
+        c.basis = [[v.get(p, zero) for p in range(T.dim)] for v in c.basis]
     return IsotypicDecomposition(T, components)
 
 
@@ -205,17 +208,18 @@ def decompose_classical(T: TensorModule) -> IsotypicDecomposition:
 
 
 def component_scalars(dec: IsotypicDecomposition, M):
-    """{nu: c} where M acts on every adapted basis vector of V0(nu) as the
-    scalar c; raises DecompositionError if M is not scalar on a component."""
+    """{nu: c} where the sparse operator M acts on every adapted basis vector
+    of V0(nu) as the scalar c; raises DecompositionError if M is not scalar
+    on a component."""
     out = {}
     for comp in dec.components:
         c = None
-        for v in comp.basis:
-            image = linalg.mat_vec(M, v)
+        for v in map(linalg.sparse_vector, comp.basis):
+            image = linalg.sparse_mat_vec(M, v)
             if c is None:
-                p = next(i for i, x in enumerate(v) if x)
-                c = image[p] / v[p]
-            if any(x != c * y for x, y in zip(image, v)):
+                p = min(v)
+                c = image.get(p, 0) / v[p]
+            if image != ({j: c * x for j, x in v.items()} if c else {}):
                 raise DecompositionError(
                     f"operator is not scalar on component {comp.nu}")
         out[comp.nu] = c
@@ -227,7 +231,8 @@ def classical_parity_signs(T: TensorModule):
     for lambda = mu, read off from the permutation operator at q = 1."""
     if T.rep1.lam != T.rep2.lam:
         raise ValueError("parity oracle needs lambda = mu")
-    signs = component_scalars(decompose_classical(T), permutation_operator(T))
+    signs = component_scalars(decompose_classical(T),
+                              linalg.sparse(permutation_operator(T)))
     for nu, s in signs.items():
         if s not in (1, -1):
             raise DecompositionError(f"component {nu} mixes symmetry classes")

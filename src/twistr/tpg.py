@@ -57,6 +57,7 @@ class TPGNode:
     casimir: Fraction
     parity: int
     parent: tuple
+    dim: int              # dimension of V0(nu)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class TPGraph:
 def build_graph(spec: FamilySpec, params) -> TPGraph:
     table = decompose_tensor_closed_form(spec, params)
     parents = {c.nu: c.parent for c in table.components}
+    dims = {c.nu: c.dim for c in table.components}
     nus = [c.nu for c in table.components]
     top = branching.top_weight(spec, params)
     if top not in parents:
@@ -101,7 +103,8 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
         # different parent with equal parity: containment without an edge
     edges.sort(key=lambda e: e[0])
 
-    nodes = tuple(TPGNode(nu, casimir_eigenvalue(spec, nu), parity[nu], parents[nu])
+    nodes = tuple(TPGNode(nu, casimir_eigenvalue(spec, nu), parity[nu],
+                          parents[nu], dims[nu])
                   for nu in nus)
     graph = TPGraph(spec, tuple(params), nodes, tuple(edges), top)
     _check_connected(graph)
@@ -310,9 +313,9 @@ def graph_as_dict(graph: TPGraph):
                 "casimir": format_scalar(n.casimir),
                 "parity": n.parity,
                 "parent": _weight_str(n.parent[1:]),
-                "dim": d,
+                "dim": n.dim,
             }
-            for n, d in zip(graph.nodes, _node_dims(graph))
+            for n in graph.nodes
         ],
         "edges": [
             {"a": _weight_str(a), "b": _weight_str(b), "sign": sign}
@@ -321,22 +324,16 @@ def graph_as_dict(graph: TPGraph):
     }
 
 
-def _node_dims(graph: TPGraph):
-    table = decompose_tensor_closed_form(graph.spec, graph.params)
-    dims = {c.nu: c.dim for c in table.components}
-    return [dims[n.nu] for n in graph.nodes]
-
-
 def export_graph(graph: TPGraph, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(graph_as_dict(graph), indent=2, sort_keys=True) + "\n"
     if fmt == "dot":
         lines = ["graph tpg {"]
-        for n, d in zip(graph.nodes, _node_dims(graph)):
+        for n in graph.nodes:
             sign = "+" if n.parity > 0 else "-"
             lines.append(
                 f'  "{_weight_str(n.nu)}" '
-                f'[label="{_weight_str(n.nu)}\\n{sign} dim={d} C={n.casimir}"];')
+                f'[label="{_weight_str(n.nu)}\\n{sign} dim={n.dim} C={n.casimir}"];')
         for (a, b), sign in graph.edges:
             style = "solid" if sign > 0 else "dashed"
             lines.append(
@@ -346,9 +343,9 @@ def export_graph(graph: TPGraph, fmt: str) -> str:
     if fmt == "text":
         lines = [f"extended twisted TPG {graph.spec.family} l={graph.spec.l} "
                  f"params={list(graph.params)}"]
-        for n, d in zip(graph.nodes, _node_dims(graph)):
+        for n in graph.nodes:
             sign = "+" if n.parity > 0 else "-"
-            lines.append(f"  node {_weight_str(n.nu)} parity={sign} dim={d} "
+            lines.append(f"  node {_weight_str(n.nu)} parity={sign} dim={n.dim} "
                          f"C={n.casimir} parent={_weight_str(n.parent[1:])}")
         for (a, b), sign in graph.edges:
             lines.append(f"  edge {_weight_str(a)} -- {_weight_str(b)} "

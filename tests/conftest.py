@@ -17,7 +17,8 @@ GRID = [
 ]
 
 # seed (x) seed cases small enough for the three-site Yang-Baxter products
-YBE_CASES = [("a2even", 1), ("a2even", 2), ("a2odd", 3), ("d2", 2)]
+YBE_CASES = [("a2even", 1), ("a2even", 2), ("a2even", 3), ("a2odd", 3),
+             ("d2", 2), ("d2", 3)]
 
 _REP_CACHE = {}
 

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from twistr import jimbo
+from twistr import jimbo, tpg
 from twistr.cli import SCHEMA, main
 from twistr.scalars import PoleError
 
@@ -100,6 +101,50 @@ class TestVerify:
         assert (after[0]["w"], after[0]["u"]) == tuple(map(str, seen[1]))
         assert after[0]["u"] != before[0]["u"]
         assert after[1] == before[1]
+
+    def test_shared_work_runs_once_per_call(self, tmp_path, monkeypatch):
+        """One verify solves each distinct (w, u) once, builds one graph and
+        decomposes and recurses once per distinct w; a second identical
+        verify does all of it again, so nothing outlives the call."""
+        calls = {"solve": [], "decompose": [], "graph": [], "recursion": []}
+
+        def counted(name, module, attr, key):
+            real = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(key(*args))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, attr, wrapper)
+
+        counted("solve", jimbo, "solve_rmatrix", lambda rep, qs, u: (qs.w, u))
+        counted("decompose", jimbo, "decompose", lambda T, qs: qs.w)
+        counted("graph", tpg, "build_graph", lambda spec, params: params)
+        counted("recursion", tpg, "eigenvalues_by_recursion",
+                lambda graph, qs: qs.w)
+        args = ("verify", "--family", "a2even", "--l", "2", "--seed", "7",
+                "--samples", "3")
+        code, out = run(tmp_path / "a", *args)
+        assert code == 0
+        first = {k: list(v) for k, v in calls.items()}
+        code, again = run(tmp_path / "b", *args)
+        assert code == 0 and again.read_bytes() == out.read_bytes()
+        assert {k: v[len(first[k]):] for k, v in calls.items()} == first
+
+        stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+        samples = [tuple(Fraction(r[k]) for k in ("w", "u", "v"))
+                   for r in stages["yang-baxter"]["certificates"]]
+        assert samples[0][:2] == tuple(
+            Fraction(stages["solve"]["solves"][0][k]) for k in ("w", "u"))
+        ws = {w for w, _, _ in samples}
+        w0 = samples[0][0]
+        wanted = {(w, x) for w, u, v in samples
+                  for x in (u, v, u * v, 1 / u, Fraction(1))}
+        wanted.add((abs(w0), Fraction(0)))
+        assert len(first["solve"]) == len(set(first["solve"])) == 16
+        assert set(first["solve"]) == wanted
+        assert len(first["graph"]) == 1
+        assert sorted(first["decompose"]) == sorted(ws | {abs(w0)})
+        assert sorted(first["recursion"]) == sorted(ws)
 
     def test_seed_changes_samples(self, tmp_path):
         _, a = run(tmp_path / "a", "verify", "--family", "a2even", "--l", "1",

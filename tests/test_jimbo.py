@@ -39,8 +39,9 @@ class TestSolve:
             uu = u if i == 0 else None
             A = tensor.coproduct_action(T, kind, i, qs, u=uu)
             B = tensor.coproduct_action(T, kind, i, qs, u=uu, transpose=True)
-            lhs = linalg.mat_mul(res.R, A)
-            rhs = linalg.mat_mul(B, res.R)
+            R = linalg.sparse(res.R)
+            lhs = linalg.sparse_mul(R, A)
+            rhs = linalg.sparse_mul(B, R)
             assert lhs == rhs, (kind, i)
 
     def test_rcheck_at_one_is_identity(self, ybe_case, qs):
@@ -51,7 +52,7 @@ class TestSolve:
 
     def test_kernel_needs_exactly_one_free_column(self):
         space = linalg.RowSpace(3)
-        space.add([Q(1), Q(2), Q(3)])
+        space.add({0: Q(1), 1: Q(2), 2: Q(3)})
         with pytest.raises(jimbo.SolveError):
             jimbo._kernel_from_rowspace(space)
 
@@ -88,8 +89,8 @@ class TestChecks:
         r12 = jimbo._embed_three(Ru, d, (0, 1))
         r13 = jimbo._embed_three(bad, d, (0, 2))
         r23 = jimbo._embed_three(Rv, d, (1, 2))
-        lhs = jimbo._sparse_mul(jimbo._sparse_mul(r12, r13), r23)
-        rhs = jimbo._sparse_mul(jimbo._sparse_mul(r23, r13), r12)
+        lhs = linalg.sparse_mul(linalg.sparse_mul(r12, r13), r23)
+        rhs = linalg.sparse_mul(linalg.sparse_mul(r23, r13), r12)
         assert lhs != rhs
 
     def test_unitarity(self, ybe_case, qs):

@@ -73,12 +73,20 @@ class TestKernelAndInverse:
             linalg.invert([[Q(1), Q(2)], [Q(2), Q(4)]])
 
 
+def rectangular(max_rows=5, max_cols=5):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda mn: st.lists(
+            st.lists(st.sampled_from([Q(0), Q(0), Q(1), Q(-2), Q(1, 3)]),
+                     min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0], max_size=mn[0]))
+
+
 class TestRowSpace:
     def test_incremental_rank(self):
         rs = linalg.RowSpace(3)
-        assert rs.add([Q(1), Q(0), Q(1)])
-        assert not rs.add([Q(2), Q(0), Q(2)])   # dependent
-        assert rs.add([Q(0), Q(1), Q(0)])
+        assert rs.add({0: Q(1), 2: Q(1)})
+        assert not rs.add({0: Q(2), 2: Q(2)})   # dependent
+        assert rs.add({1: Q(1)})
         assert rs.dim == 2
 
     @given(m=matrices())
@@ -86,6 +94,48 @@ class TestRowSpace:
     def test_matches_batch_rank(self, m):
         rs = linalg.RowSpace(len(m))
         for row in m:
-            rs.add(list(row))
+            rs.add(linalg.sparse_vector(row))
         assert rs.dim == len(m) - len(linalg.kernel_basis(
             linalg.transpose(m), ncols=len(m)))
+
+    @given(m=rectangular())
+    @settings(max_examples=60)
+    def test_matches_rref(self, m):
+        """The sparse rows, sorted by pivot, are the nonzero rows of rref."""
+        ncols = len(m[0])
+        rs = linalg.RowSpace(ncols)
+        for row in m:
+            rs.add(linalg.sparse_vector(row))
+        red, pivots = linalg.rref(m)
+        assert rs.dim == len(pivots)
+        assert sorted(rs.pivots) == pivots
+        assert [[rs.rows[p].get(j, 0) for j in range(ncols)]
+                for p in sorted(rs.rows)] == red[:len(pivots)]
+
+
+class TestSparse:
+    @given(m=matrices())
+    @settings(max_examples=30)
+    def test_round_trip_drops_zeros(self, m):
+        s = linalg.sparse(m)
+        assert all(x for row in s.values() for x in row.values())
+        assert [[s.get(i, {}).get(j, 0) for j in range(len(m))]
+                for i in range(len(m))] == m
+
+    @given(m=matrices(3, 3), n=matrices(3, 3))
+    @settings(max_examples=30)
+    def test_mul_matches_dense(self, m, n):
+        assert linalg.sparse_mul(linalg.sparse(m), linalg.sparse(n)) == \
+            linalg.sparse(linalg.mat_mul(m, n))
+
+    @given(m=matrices())
+    @settings(max_examples=30)
+    def test_mat_vec_matches_dense(self, m):
+        v = [row[-1] for row in m]
+        assert linalg.sparse_mat_vec(linalg.sparse(m), linalg.sparse_vector(v)) \
+            == linalg.sparse_vector(linalg.mat_vec(m, v))
+
+    def test_mat_scale_keeps_zero_entries(self):
+        zero = Q(0)
+        scaled = linalg.mat_scale([[zero, Q(2)]], Q(3, 2))
+        assert scaled == [[0, Q(3)]] and scaled[0][0] is zero
