@@ -20,7 +20,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import branching, jimbo, liealg, qrep, tensor, tpg
+from . import branching, jimbo, liealg, linalg, qrep, tensor, tpg
 from .liealg import FamilyError, family_spec
 from .scalars import QSample, format_scalar
 
@@ -30,12 +30,9 @@ SCHEMA = "twistr-report/1"
 
 
 def _sparse_triplets(m):
-    out = []
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v:
-                out.append([i, j, format_scalar(v)])
-    return out
+    """[row, col, value] of the sparse matrix m, in row-major order."""
+    return [[i, j, format_scalar(v)]
+            for i in sorted(m) for j, v in sorted(m[i].items())]
 
 
 def _params(args, spec):
@@ -50,6 +47,16 @@ def _params(args, spec):
     return (k, r)
 
 
+def _spec_and_params(args):
+    """The family spec and weight parameters of args; raises FamilyError if
+    they are invalid."""
+    spec = family_spec(args.family, args.l)
+    params = _params(args, spec)
+    if not spec.admissible(params) or params[0] > params[1]:
+        raise FamilyError(f"inadmissible weight parameters {params}")
+    return spec, params
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -62,15 +69,7 @@ def _emit(text, out):
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
-    try:
-        spec = family_spec(args.family, args.l)
-        params = _params(args, spec)
-        if not spec.admissible(params) or params[0] > params[1]:
-            raise FamilyError(f"inadmissible weight parameters {params}")
-    except FamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_verify(args, spec, params) -> int:
     rng = random.Random(args.seed)
 
     def draw(r):
@@ -95,8 +94,8 @@ def cmd_verify(args) -> int:
                        **detail})
         return detail
 
-    # every stage reads the seed rep, the graph, the solves, decompositions
-    # and recursions from this one object, so each is computed once per run
+    # every stage reads the seed rep, the graph, the solves and the
+    # decompositions from this one object, so each is computed once per run
     shared = jimbo.Shared(spec, params)
 
     def retried(check, sample):
@@ -110,6 +109,17 @@ def cmd_verify(args) -> int:
             return check(*s), s
 
         return jimbo.with_retries(attempt, rng)
+
+    def certified(check, keys):
+        """One certificate per sample: check(w, u, v) run through
+        ``retried``, recorded with the first len(keys) coordinates of the
+        sample it used."""
+        records = []
+        for sample in samples:
+            rec, used = retried(check, sample)
+            records.append({**dict(zip(keys, map(str, used))),
+                            "ok": rec["ok"]})
+        return {"ok": all(r["ok"] for r in records), "certificates": records}
 
     def run_relations():
         gens = liealg.kac_generators(spec)
@@ -143,46 +153,35 @@ def cmd_verify(args) -> int:
 
     def run_eigenvalues():
         qs = QSample(samples[0][0])
-        rho = shared.recursion(qs)
+        rho, _ = tpg.eigenvalues_by_recursion(shared.graph, qs)
+        table = {tpg._weight_str(nu): format_scalar(v)
+                 for nu, v in sorted(rho.items(), reverse=True)}
         try:
             closed = tpg.eigenvalues_closed_form(spec, params, qs)
         except tpg.UnsupportedRegimeError as exc:
             return {"ok": True, "closed_form": f"skipped: {exc}",
-                    "eigenvalues": {tpg._weight_str(nu): format_scalar(v)
-                                    for nu, v in sorted(rho.items(), reverse=True)}}
+                    "eigenvalues": table}
         agree = set(rho) == set(closed) and all(rho[nu] == closed[nu]
                                                 for nu in rho)
         return {"ok": agree, "closed_form": "agrees" if agree else "mismatch",
-                "eigenvalues": {tpg._weight_str(nu): format_scalar(v)
-                                for nu, v in sorted(rho.items(), reverse=True)}}
+                "eigenvalues": table}
 
     def run_solve():
         records = []
         for sample in samples:
-            res, (w, u, _) = retried(
+            _, (w, u, _) = retried(
                 lambda w, u, v: shared.solve(QSample(w), u), sample)
-            records.append({"w": str(w), "u": str(u),
-                            "nullity": res.nullity})
+            # the solve certifies a one-dimensional null space or raises
+            records.append({"w": str(w), "u": str(u), "nullity": 1})
         return {"ok": True, "solves": records}
 
     def run_ybe():
-        records = []
-        for sample in samples:
-            rec, (w, u, v) = retried(
-                lambda w, u, v: jimbo.check_ybe(shared, QSample(w), u, v),
-                sample)
-            records.append({"w": str(w), "u": str(u), "v": str(v),
-                            "ok": rec["ok"]})
-        return {"ok": all(r["ok"] for r in records), "certificates": records}
+        return certified(
+            lambda w, u, v: jimbo.check_ybe(shared, QSample(w), u, v), "wuv")
 
     def run_unitarity():
-        records = []
-        for sample in samples:
-            rec, (w, u, _) = retried(
-                lambda w, u, v: jimbo.check_unitarity(shared, QSample(w), u),
-                sample)
-            records.append({"w": str(w), "u": str(u), "ok": rec["ok"]})
-        return {"ok": all(r["ok"] for r in records), "certificates": records}
+        return certified(
+            lambda w, u, v: jimbo.check_unitarity(shared, QSample(w), u), "wu")
 
     def run_parity():
         spectrum, _ = retried(
@@ -196,13 +195,8 @@ def cmd_verify(args) -> int:
                              for nu, s in sorted(spectrum.items(), reverse=True)}}
 
     def run_spectral():
-        records = []
-        for sample in samples:
-            rec, (w, u, _) = retried(
-                lambda w, u, v: jimbo.spectral_compare(shared, QSample(w), u),
-                sample)
-            records.append({"w": str(w), "u": str(u), "ok": rec["ok"]})
-        return {"ok": all(r["ok"] for r in records), "certificates": records}
+        return certified(
+            lambda w, u, v: jimbo.spectral_compare(shared, QSample(w), u), "wu")
 
     skip = None if is_seed else "non-seed pair"
     stage("relations", run_relations)
@@ -235,15 +229,7 @@ def cmd_verify(args) -> int:
 # export
 # ---------------------------------------------------------------------------
 
-def cmd_export(args) -> int:
-    try:
-        spec = family_spec(args.family, args.l)
-        params = _params(args, spec)
-        if not spec.admissible(params) or params[0] > params[1]:
-            raise FamilyError(f"inadmissible weight parameters {params}")
-    except FamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_export(args, spec, params) -> int:
     rng = random.Random(args.seed)
     what = args.what
     if what == "graph":
@@ -296,7 +282,7 @@ def cmd_export(args) -> int:
             "schema": SCHEMA, "object": "rmatrix",
             "family": args.family, "l": args.l,
             "w": str(w), "u": str(u),
-            "dim": len(res.R), "nullity": res.nullity,
+            "dim": rep.dim ** 2, "nullity": 1,
             "R": _sparse_triplets(res.R),
             "Rcheck": _sparse_triplets(res.Rcheck),
         }, indent=2, sort_keys=True) + "\n", args.out)
@@ -312,8 +298,8 @@ def cmd_export(args) -> int:
             "dim": rep.dim,
             "highest_weight": tpg._weight_str(rep.lam),
             "weights": [tpg._weight_str(wt) for wt in rep.weights],
-            "e": [_sparse_triplets(m) for m in rep.e],
-            "f": [_sparse_triplets(m) for m in rep.f],
+            "e": [_sparse_triplets(linalg.sparse(m)) for m in rep.e],
+            "f": [_sparse_triplets(linalg.sparse(m)) for m in rep.f],
         }, indent=2, sort_keys=True) + "\n", args.out)
         return 0
     print(f"error: unknown export object {what!r}", file=sys.stderr)
@@ -361,9 +347,13 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_export(args)
+    try:
+        spec, params = _spec_and_params(args)
+    except FamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    command = cmd_verify if args.command == "verify" else cmd_export
+    return command(args, spec, params)
 
 
 if __name__ == "__main__":

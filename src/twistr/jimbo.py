@@ -13,7 +13,7 @@ weight space.
 All checks run in exact rational arithmetic at rational samples; "pass" means
 the residual is identically zero.  A ``Shared`` carries what the checks of
 one run have in common, so each R(w, u) is solved once however many checks
-read it.
+read it.  R and Rcheck are sparse ``linalg`` matrices {row: {col: x}}.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class RMatrixResult:
     rep: Representation
     qs: QSample
     u: Fraction
-    R: list            # intertwiner, weight-block matrix
-    Rcheck: list       # P * R, normalized to 1 on the top weight vector
-    nullity: int
+    R: dict            # sparse intertwiner, normalized to 1 on the top
+                       # weight vector; its null space is certified 1-dim
+    Rcheck: dict       # sparse P * R
 
 
 def _top_index(T: TensorModule):
@@ -91,20 +91,21 @@ def solve_rmatrix(rep: Representation, qs: QSample, u: Fraction) -> RMatrixResul
                     eq[(p, t)] = eq.get((p, t), 0) - x
 
     sol = _solve_nullity_one(equations, var_index)
-    R = linalg.zeros(T.dim, T.dim)
-    for (p, r), v in var_index.items():
-        R[p][r] = sol[v]
-
     p0 = _top_index(T)
-    if not R[p0][p0]:
+    top = sol.get(var_index[(p0, p0)])
+    if not top:
         raise SolveError("solution vanishes on the top weight vector")
-    R = linalg.mat_scale(R, 1 / R[p0][p0])
-    Rcheck = linalg.mat_mul(permutation_operator(T), R)
-    return RMatrixResult(rep, qs, u, R, Rcheck, 1)
+    R = {}
+    for (p, r), v in var_index.items():
+        if v in sol:
+            R.setdefault(p, {})[r] = sol[v] / top
+    Rcheck = linalg.sparse_mul(permutation_operator(T), R)
+    return RMatrixResult(rep, qs, u, R, Rcheck)
 
 
 def _solve_nullity_one(equations, var_index):
-    """Null vector of the sparse system, certifying the nullity is exactly 1.
+    """Sparse null vector {var: x} of the sparse system, certifying the
+    nullity is exactly 1.
 
     Rows are accumulated into an incremental row space until its rank reaches
     nvars - 1; the remaining rows are then only verified against the extracted
@@ -141,7 +142,7 @@ def _solve_nullity_one(equations, var_index):
             f"null space dimension {nvars - space.dim}, expected 1 "
             f"(sample may be degenerate)")
     for coeffs in deferred:
-        if sum(c * kernel[j] for j, c in coeffs.items()):
+        if sum(c * kernel[j] for j, c in coeffs.items() if j in kernel):
             raise SolveError("null space is trivial (degenerate sample)")
     return kernel
 
@@ -151,11 +152,8 @@ def _kernel_from_rowspace(space):
     if len(free) != 1:
         raise SolveError(f"row space leaves {len(free)} free columns, expected 1")
     fc = free[0]
-    v = [Q(0)] * space.ncols
+    v = {piv: -row[fc] for piv, row in space.rows.items() if fc in row}
     v[fc] = Q(1)
-    for piv, row in space.rows.items():
-        if fc in row:
-            v[piv] = -row[fc]
     return v
 
 
@@ -167,7 +165,8 @@ class Shared:
     """The work the checks of one verification run share, each piece built
     on first use and kept for the life of the object: the seed rep, the
     graph of ``params`` (the seed pair unless given), each R(w, u) solved
-    once, and the decomposition and the Q(u) recursion once per w.
+    once, and the decomposition once per w.  The recursion is not kept: each
+    caller evaluates it on the shared graph where it needs it.
 
     Every check below takes a Shared in place of its representation; given
     a bare representation it makes a fresh Shared, so nothing is kept beyond
@@ -204,11 +203,6 @@ class Shared:
         return self._get(("decomposition", qs.w),
                          lambda: decompose(self.module, qs))
 
-    def recursion(self, qs: QSample):
-        """The graph recursion's eigenvalues in Q(u) at w."""
-        return self._get(("recursion", qs.w),
-                         lambda: tpg.eigenvalues_by_recursion(self.graph, qs)[0])
-
 
 def _shared(rep):
     return rep if isinstance(rep, Shared) else Shared(rep.spec, rep=rep)
@@ -221,7 +215,7 @@ def _shared(rep):
 def _embed_three(R, d, legs):
     """Embed a two-site operator into site pair ``legs`` of a three-site space."""
     out = {}
-    for i, ri in linalg.sparse(R).items():
+    for i, ri in R.items():
         a, b = divmod(i, d)
         for j, v in ri.items():
             ap, bp = divmod(j, d)
@@ -263,8 +257,7 @@ def check_unitarity(rep, qs: QSample, u: Fraction):
     shared = _shared(rep)
     a = shared.solve(qs, u).Rcheck
     b = shared.solve(qs, 1 / u).Rcheck
-    prod = linalg.mat_mul(a, b)
-    ok = prod == linalg.identity(len(prod))
+    ok = linalg.sparse_mul(a, b) == linalg.sparse_identity(shared.module.dim)
     return {"check": "unitarity", "u": u, "ok": ok}
 
 
@@ -284,7 +277,7 @@ def parity_spectrum(rep, qs: QSample):
     square membership."""
     shared = _shared(rep)
     qs = QSample(abs(qs.w))
-    R0 = linalg.sparse(shared.solve(qs, Q(0)).Rcheck)
+    R0 = shared.solve(qs, Q(0)).Rcheck
     out = {}
     for nu, c in component_scalars(shared.decomposition(qs), R0).items():
         if not c:
@@ -304,19 +297,15 @@ def spectral_compare(rep, qs: QSample, u: Fraction):
     Rcheck(u) * Rcheck(1)**-1 == sum(rho_nu(u) * P_nu), with no projector or
     inverse formed."""
     shared = _shared(rep)
-    rho_sym = shared.recursion(qs)
-    try:
-        rho = {nu: val.subs(u) for nu, val in rho_sym.items()}
-    except ZeroDivisionError:
-        raise PoleError(0, 1)
+    rho, _ = tpg.eigenvalues_by_recursion(shared.graph, qs, u=u)
     dec = shared.decomposition(qs)
     for comp in dec.components:
         if comp.nu not in rho:
             raise SolveError(f"component {comp.nu} missing from the graph")
-    a = linalg.sparse(shared.solve(qs, u).Rcheck)
+    a = shared.solve(qs, u).Rcheck
     b = shared.solve(qs, Q(1)).Rcheck
     try:
-        ok = b == linalg.identity(len(b)) and all(
+        ok = b == linalg.sparse_identity(shared.module.dim) and all(
             c == rho[nu] for nu, c in component_scalars(dec, a).items())
     except DecompositionError:  # Rcheck(u) is not scalar on a component
         ok = False

@@ -248,6 +248,13 @@ def trace_pairing(x, y):
     return sum(x[i][j] * y[j][i] for i in range(n) for j in range(n)) / 2
 
 
+def relation_entry(name, residual):
+    """The report entry {relation, ok, residual} of one defining relation
+    from its residual matrix; the residual is kept only when nonzero."""
+    ok = is_zero(residual)
+    return {"relation": name, "ok": ok, "residual": None if ok else residual}
+
+
 def check_classical_relations(gens, spec: FamilySpec):
     """Verify every defining relation of the classical generator set.
 
@@ -256,24 +263,19 @@ def check_classical_relations(gens, spec: FamilySpec):
     E, F, H = gens["E"], gens["F"], gens["H"]
     l = spec.l
     report = []
-
-    def record(name, residual):
-        report.append({
-            "relation": name,
-            "ok": is_zero(residual),
-            "residual": None if is_zero(residual) else residual,
-        })
-
     for i in range(l + 1):
         for j in range(l + 1):
             aij = inner(spec.alpha[i], spec.alpha[j])
-            record(f"[H{i},E{j}]=(a{i},a{j})E{j}",
-                   mat_sub(commutator(H[i], E[j]), mat_scale(E[j], aij)))
-            record(f"[H{i},F{j}]=-(a{i},a{j})F{j}",
-                   mat_sub(commutator(H[i], F[j]), mat_scale(F[j], -aij)))
             target = H[i] if i == j else zeros(spec.n, spec.n)
-            record(f"[E{i},F{j}]=delta*H{i}",
-                   mat_sub(commutator(E[i], F[j]), target))
+            report += [
+                relation_entry(f"[H{i},E{j}]=(a{i},a{j})E{j}",
+                               mat_sub(commutator(H[i], E[j]),
+                                       mat_scale(E[j], aij))),
+                relation_entry(f"[H{i},F{j}]=-(a{i},a{j})F{j}",
+                               mat_sub(commutator(H[i], F[j]),
+                                       mat_scale(F[j], -aij))),
+                relation_entry(f"[E{i},F{j}]=delta*H{i}",
+                               mat_sub(commutator(E[i], F[j]), target))]
     for i in range(l + 1):
         for j in range(l + 1):
             if i == j:
@@ -282,11 +284,11 @@ def check_classical_relations(gens, spec: FamilySpec):
             x = E[j]
             for _ in range(m):
                 x = commutator(E[i], x)
-            record(f"(ad E{i})^{m} E{j}=0", x)
+            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x))
             y = F[j]
             for _ in range(m):
                 y = commutator(F[i], y)
-            record(f"(ad F{i})^{m} F{j}=0", y)
+            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y))
     return report
 
 

@@ -1,12 +1,12 @@
 """Exact linear algebra over Q.
 
-Two matrix types.  Dense list-of-lists of Fraction serve the representation
-matrices (a few dozen rows), the R-matrices and the small eliminations of
-``rref`` / ``kernel_basis``.  Operators on tensor products, which are almost
-all zeros, are sparse: ``{row: {col: Fraction}}`` holding only the nonzero
-entries (a sparse vector is one such ``{col: Fraction}``).  ``RowSpace``
-eliminates sparse rows incrementally, so its cost follows the nonzeros, not
-the number of columns.
+Dense list-of-lists of Fraction serve only representation-sized d x d
+matrices and the small per-weight-block eliminations of ``rref`` /
+``kernel_basis``.  Every operator on V (x) V -- the coproduct actions, the
+swap, R and its braided form -- is sparse: ``{row: {col: Fraction}}`` holding
+only the nonzero entries (a sparse vector, such as an adapted basis vector,
+is one such ``{col: Fraction}``).  ``RowSpace`` eliminates sparse rows
+incrementally, so its cost follows the nonzeros, not the number of columns.
 """
 
 from __future__ import annotations
@@ -137,6 +137,10 @@ def sparse_vector(v):
 
 def sparse(m):
     return {i: r for i, r in enumerate(map(sparse_vector, m)) if r}
+
+
+def sparse_identity(n):
+    return {i: {i: Q(1)} for i in range(n)}
 
 
 def sparse_mul(a, b):

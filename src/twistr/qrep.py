@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import liealg, linalg
-from .liealg import FamilySpec, inner
+from .liealg import FamilySpec, inner, relation_entry
 from .scalars import QSample, qfactorial, qint
 
 Q = Fraction
@@ -175,12 +175,6 @@ def check_quantum_relations(rep: Representation, qs: QSample):
     l, dim = spec.l, rep.dim
     q = qs.q
     report = []
-
-    def record(name, residual):
-        ok = linalg.is_zero(residual)
-        report.append({"relation": name, "ok": ok,
-                       "residual": None if ok else residual})
-
     hdiag = [[rep.h_eig(i, p) for p in range(dim)] for i in range(l + 1)]
     for i in range(l + 1):
         for x, tag in ((rep.e, "e"), (rep.f, "f")):
@@ -189,7 +183,7 @@ def check_quantum_relations(rep: Representation, qs: QSample):
                 shift = aij if tag == "e" else -aij
                 m = [[x[j][p][r] * (hdiag[i][p] - hdiag[i][r] - shift)
                       for r in range(dim)] for p in range(dim)]
-                record(f"[h{i},{tag}{j}] weight shift", m)
+                report.append(relation_entry(f"[h{i},{tag}{j}] weight shift", m))
 
     for i in range(l + 1):
         for j in range(l + 1):
@@ -213,7 +207,7 @@ def check_quantum_relations(rep: Representation, qs: QSample):
             else:
                 tgt = linalg.zeros(dim, dim)
                 name = f"[e{i},f{j}]"
-            record(name, linalg.mat_sub(comm, tgt))
+            report.append(relation_entry(name, linalg.mat_sub(comm, tgt)))
 
     for i in range(l + 1):
         for j in range(l + 1):
@@ -234,5 +228,5 @@ def check_quantum_relations(rep: Representation, qs: QSample):
                     coeff = Q((-1) ** k) / (qfactorial(m - k, qi) * qfactorial(k, qi))
                     term = linalg.mat_mul(powers[m - k], linalg.mat_mul(x[j], powers[k]))
                     total = linalg.mat_add(total, linalg.mat_scale(term, coeff))
-                record(f"q-Serre {tag}{i},{tag}{j}", total)
+                report.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}", total))
     return report

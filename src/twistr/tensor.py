@@ -10,8 +10,9 @@ sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
 checks without forming a projector or an inverse.
 
-Operators on V (x) V (the coproduct actions) are sparse matrices in the
-``linalg`` form {row: {col: x}}, built from the nonzeros of the factors.
+Operators on V (x) V (the coproduct actions and the swap) are sparse
+matrices in the ``linalg`` form {row: {col: x}}, built from the nonzeros of
+the factors; adapted basis vectors are sparse vectors {col: x}.
 
 Basis convention: index p = i * dim2 + j for v_i (x) w_j; the weight of a
 product vector is the sum of the factor weights.
@@ -113,20 +114,18 @@ def classical_coproduct(T: TensorModule, kind: str, i: int):
 
 
 def permutation_operator(T: TensorModule):
+    """The sparse swap v_i (x) v_j -> v_j (x) v_i."""
     if T.rep1.dim != T.rep2.dim:
         raise ValueError("swap needs equal factor dimensions")
     d = T.rep1.dim
-    m = linalg.zeros(T.dim, T.dim)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j][j * d + i] = Q(1)
-    return m
+    return {i * d + j: {j * d + i: Q(1)} for i in range(d) for j in range(d)}
 
 
 @dataclass
 class IsotypicComponent:
     nu: tuple
-    basis: list          # adapted basis of V0(nu), highest weight vector first
+    basis: list          # adapted basis of V0(nu) as sparse vectors,
+                         # highest weight vector first
 
 
 @dataclass
@@ -186,9 +185,6 @@ def _decompose_with(T: TensorModule, raising, lowering):
     if space.dim != T.dim:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {T.dim}")
-    zero = Q(0)
-    for c in components:
-        c.basis = [[v.get(p, zero) for p in range(T.dim)] for v in c.basis]
     return IsotypicDecomposition(T, components)
 
 
@@ -214,7 +210,7 @@ def component_scalars(dec: IsotypicDecomposition, M):
     out = {}
     for comp in dec.components:
         c = None
-        for v in map(linalg.sparse_vector, comp.basis):
+        for v in comp.basis:
             image = linalg.sparse_mat_vec(M, v)
             if c is None:
                 p = min(v)
@@ -231,8 +227,7 @@ def classical_parity_signs(T: TensorModule):
     for lambda = mu, read off from the permutation operator at q = 1."""
     if T.rep1.lam != T.rep2.lam:
         raise ValueError("parity oracle needs lambda = mu")
-    signs = component_scalars(decompose_classical(T),
-                              linalg.sparse(permutation_operator(T)))
+    signs = component_scalars(decompose_classical(T), permutation_operator(T))
     for nu, s in signs.items():
         if s not in (1, -1):
             raise DecompositionError(f"component {nu} mixes symmetry classes")

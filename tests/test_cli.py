@@ -103,9 +103,11 @@ class TestVerify:
         assert after[1] == before[1]
 
     def test_shared_work_runs_once_per_call(self, tmp_path, monkeypatch):
-        """One verify solves each distinct (w, u) once, builds one graph and
-        decomposes and recurses once per distinct w; a second identical
-        verify does all of it again, so nothing outlives the call."""
+        """One verify solves each distinct (w, u) once, builds one graph,
+        decomposes once per distinct w and evaluates the recursion once for
+        the eigenvalue stage and once per spectral sample; a second
+        identical verify does all of it again, so nothing outlives the
+        call."""
         calls = {"solve": [], "decompose": [], "graph": [], "recursion": []}
 
         def counted(name, module, attr, key):
@@ -144,7 +146,9 @@ class TestVerify:
         assert set(first["solve"]) == wanted
         assert len(first["graph"]) == 1
         assert sorted(first["decompose"]) == sorted(ws | {abs(w0)})
-        assert sorted(first["recursion"]) == sorted(ws)
+        spectral = [Fraction(r["w"])
+                    for r in stages["spectral-agreement"]["certificates"]]
+        assert sorted(first["recursion"]) == sorted([w0] + spectral)
 
     def test_seed_changes_samples(self, tmp_path):
         _, a = run(tmp_path / "a", "verify", "--family", "a2even", "--l", "1",

@@ -35,7 +35,7 @@ class TestTensorModule:
     def test_permutation_squares_to_identity(self):
         T = module("a2odd", 3)
         P = permutation_operator(T)
-        assert linalg.mat_mul(P, P) == linalg.identity(T.dim)
+        assert linalg.sparse_mul(P, P) == linalg.sparse_identity(T.dim)
 
 
 def _dense_kron(a, b):
@@ -109,7 +109,7 @@ class TestCoproduct:
     def test_transpose_is_swap_conjugate(self, qs):
         """Delta^T(a) = P Delta(a) P for the non-affine generators."""
         T = module("d2", 2)
-        P = linalg.sparse(permutation_operator(T))
+        P = permutation_operator(T)
         for i in range(1, 3):
             for kind in ("e", "f"):
                 d = tensor.coproduct_action(T, kind, i, qs)
@@ -135,7 +135,8 @@ class TestDecomposition:
         """The concatenated adapted bases form a basis of V (x) V."""
         T = module(family, l)
         dec = tensor.decompose(T, qs)
-        vectors = [v for c in dec.components for v in c.basis]
+        vectors = [[v.get(p, Q(0)) for p in range(T.dim)]
+                   for c in dec.components for v in c.basis]
         assert len(vectors) == T.dim
         assert len(linalg.rref(vectors)[1]) == T.dim
 
