@@ -2,13 +2,17 @@
 plus the independent consistency checks (Yang-Baxter, unitarity, parity
 spectrum, spectral agreement with the graph recursion).
 
-The R-matrix preserves weights, so the unknowns are grouped into weight
-blocks.  The linear system collects R * D(a) - D^T(a) * R = 0 for the
-fixed-subalgebra raising/lowering generators and for the affine generator
-(the only place the spectral parameter u enters).  For generic rational
-samples (w, u) the null space is one-dimensional; the solution is normalized
-so that the braided matrix acts as the identity on the (one-dimensional) top
-weight space.
+R solves R * D(x) = D^T(x) * R for the fixed-subalgebra generators e_i, f_i
+(i >= 1) and the affine generator e0 (the only place u enters).  As
+P * D^T(x) * P = D(x) for i >= 1, Rcheck = P * R = sum(c_nu * P_nu) on the
+certified multiplicity-free decomposition.  With D^u(e0) = u X + Y, the e0
+equation on each highest weight vector v_nu, in adapted-basis coordinates
+(x_k of X v_nu, y_k of Y v_nu, k in component mu), is the small system
+c_mu * (u x_k + y_k) = c_nu * (x_k + u y_k).  Every solution of the full
+equations solves it, so its nullity 1, a nonzero top coefficient (normalized
+to 1: Rcheck is the identity on the top weight space) and the exact
+substitution of R into the full equations certify that R spans their null
+space.
 
 All checks run in exact rational arithmetic at rational samples; "pass" means
 the residual is identically zero.  A ``Shared`` carries what the checks of
@@ -18,6 +22,7 @@ read it.  R and Rcheck are sparse ``linalg`` matrices {row: {col: x}}.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,120 +46,137 @@ class RMatrixResult:
     qs: QSample
     u: Fraction
     R: dict            # sparse intertwiner, normalized to 1 on the top
-                       # weight vector; its null space is certified 1-dim
+                       # weight vector; certified to span the null space
     Rcheck: dict       # sparse P * R
 
 
-def _top_index(T: TensorModule):
-    """Index of the unique basis vector of maximal weight (v_top (x) v_top)."""
-    top = max(T.weights)
-    idxs = [p for p, w in enumerate(T.weights) if w == top]
-    if len(idxs) != 1:
-        raise SolveError("top weight space is not one-dimensional")
-    return idxs[0]
+@dataclass
+class ComponentSystem:
+    """The u-independent part of the solves at one w, with the adapted basis
+    b_k and its dual basis d_k (b_k . d_j = delta_kj) scaled to integers:
+    P_nu is the sum of b_k d_k^T over the k in component nu, divided by
+    ``scale``."""
+    ncomp: int         # number of components
+    scale: int
+    terms: list        # (component of k, b_k, d_k), integer
+    e0_rows: list      # (mu, nu, x_k, y_k) of each small-system row
+    equations: list    # integer-scaled (D(x), D^T(x)), x = e_i, f_i, i >= 1
 
 
-def solve_rmatrix(rep: Representation, qs: QSample, u: Fraction) -> RMatrixResult:
-    T = TensorModule.of(rep, rep)
-    l = rep.spec.l
-    blocks = T.weight_blocks()
-    var_index = {}
-    for _, idxs in sorted(blocks.items()):
-        for p in idxs:
-            for r in idxs:
-                var_index[(p, r)] = len(var_index)
-    nvars = len(var_index)
+def _denominator(*vs):
+    """The lcm of the denominators of the sparse vectors vs."""
+    return math.lcm(*(x.denominator for v in vs for x in v.values()))
 
-    block_of = {}
-    for w, idxs in blocks.items():
-        for p in idxs:
-            block_of[p] = idxs
 
-    generators = [("e", i) for i in range(1, l + 1)] + \
-                 [("f", i) for i in range(1, l + 1)] + [("e", 0)]
-    equations = {}
-    for kind, i in generators:
-        uu = u if i == 0 else None
-        A = coproduct_action(T, kind, i, qs, u=uu)
-        B = coproduct_action(T, kind, i, qs, u=uu, transpose=True)
-        # equation (s, t): sum_p R[s][p] A[p][t] - sum_p B[s][p] R[p][t] = 0,
-        # with R[x][y] an unknown only for weight(x) == weight(y)
-        for p, row in A.items():
-            for t, x in row.items():
-                for s in block_of[p]:
-                    eq = equations.setdefault((kind, i, s, t), {})
-                    eq[(s, p)] = eq.get((s, p), 0) + x
-        for s, row in B.items():
-            for p, x in row.items():
-                for t in block_of[p]:
-                    eq = equations.setdefault((kind, i, s, t), {})
-                    eq[(p, t)] = eq.get((p, t), 0) - x
+def _scaled(v, d):
+    """d * v for a multiple d of every denominator of the sparse vector v."""
+    return {j: x.numerator * (d // x.denominator) for j, x in v.items()}
 
-    sol = _solve_nullity_one(equations, var_index)
-    p0 = _top_index(T)
-    top = sol.get(var_index[(p0, p0)])
-    if not top:
+
+def _integral(*ms):
+    """[d * m for m in ms] for d the lcm of all the denominators of the
+    sparse matrices ms."""
+    d = _denominator(*(row for m in ms for row in m.values()))
+    return [{i: _scaled(row, d) for i, row in m.items()} for m in ms]
+
+
+def component_system(shared, qs: QSample) -> ComponentSystem:
+    """Invert the adapted basis of ``shared.decomposition(qs)`` per weight
+    block (it is a basis of weight vectors, so each block is square) for
+    the dual basis and the coordinates of X v_nu and Y v_nu."""
+    dec = shared.decomposition(qs)
+    T = dec.module
+    basis = [v for comp in dec.components for v in comp.basis]
+    comp_of = [n for n, comp in enumerate(dec.components) for _ in comp.basis]
+    in_block = {}
+    for k, v in enumerate(basis):
+        in_block.setdefault(T.weights[min(v)], []).append(k)
+    dual = [None] * len(basis)
+    for eta, idxs in T.weight_blocks().items():
+        ks = in_block[eta]
+        inv = linalg.invert([[basis[k].get(p, Q(0)) for k in ks] for p in idxs])
+        for k, row in zip(ks, inv):
+            dual[k] = {p: y for p, y in zip(idxs, row) if y}
+    scale = math.lcm(*(_denominator(b) * _denominator(d)
+                       for b, d in zip(basis, dual)))
+    terms = [(n, _scaled(b, scale // _denominator(d)),
+              _scaled(d, _denominator(d)))
+             for n, b, d in zip(comp_of, basis, dual)]
+
+    def coords(cols, v):
+        z = linalg.sparse_mat_vec(cols, v)
+        ks = in_block[T.weights[min(z)]] if z else []
+        return {k: x for k in ks
+                if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
+
+    # D^u(e0) = u X + Y: Y = D^0(e0), and X v = D^1(e0) v - Y v
+    one, zero = (linalg.sparse_transpose(coproduct_action(T, "e", 0, qs, u=Q(t)))
+                 for t in (1, 0))
+    e0_rows = []
+    for nu, comp in enumerate(dec.components):
+        xys, ys = coords(one, comp.basis[0]), coords(zero, comp.basis[0])
+        e0_rows += [(comp_of[k], nu, xys.get(k, 0) - ys.get(k, 0), ys.get(k, 0))
+                    for k in sorted(xys.keys() | ys.keys())]
+    return ComponentSystem(
+        len(dec.components), scale, terms, e0_rows,
+        [_integral(a, coproduct_action(T, kind, i, qs, transpose=True))
+         for kind, acts in (("e", dec.raising), ("f", dec.lowering))
+         for i, a in enumerate(acts, 1)])
+
+
+def _solve_scalars(system: ComponentSystem, u: Fraction):
+    """The c_nu, normalized to c_top = 1, from the small system's null
+    space, certified one-dimensional."""
+    n = system.ncomp
+    rows = []
+    for mu, nu, x, y in system.e0_rows:
+        row = [Q(0)] * n
+        row[mu] += u * x + y
+        row[nu] -= x + u * y
+        rows.append(row)
+    kern = linalg.kernel_basis(rows or [[Q(0)] * n], ncols=n)
+    if len(kern) != 1:
+        raise SolveError(f"component system has nullity {len(kern)}, "
+                         f"expected 1 (sample may be degenerate)")
+    c = kern[0]
+    if not c[0]:   # components[0] is spanned by v_top (x) v_top
         raise SolveError("solution vanishes on the top weight vector")
-    R = {}
-    for (p, r), v in var_index.items():
-        if v in sol:
-            R.setdefault(p, {})[r] = sol[v] / top
-    Rcheck = linalg.sparse_mul(permutation_operator(T), R)
-    return RMatrixResult(rep, qs, u, R, Rcheck)
+    return [x / c[0] for x in c]
 
 
-def _solve_nullity_one(equations, var_index):
-    """Sparse null vector {var: x} of the sparse system, certifying the
-    nullity is exactly 1.
+def solve_rmatrix(rep, qs: QSample, u: Fraction) -> RMatrixResult:
+    """R(w, u) for the seed rep of ``rep``, a Representation or a Shared.
 
-    Rows are accumulated into an incremental row space until its rank reaches
-    nvars - 1; the remaining rows are then only verified against the extracted
-    kernel vector, which keeps the elimination cost bounded.
-    """
-    nvars = len(var_index)
-    sparse_rows = []
-    seen = set()
-    for key in sorted(equations):
-        coeffs = {var_index[var]: c for var, c in equations[key].items() if c}
-        if not coeffs:
-            continue
-        lead = coeffs[min(coeffs)]
-        canon = tuple(sorted((j, c / lead) for j, c in coeffs.items()))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        sparse_rows.append(coeffs)
-
-    space = linalg.RowSpace(nvars)
-    kernel = None
-    deferred = []
-    for coeffs in sparse_rows:
-        if kernel is None:
-            space.add(coeffs)
-            if space.dim == nvars:
-                raise SolveError("null space is trivial (degenerate sample)")
-            if space.dim == nvars - 1:
-                kernel = _kernel_from_rowspace(space)
-        else:
-            deferred.append(coeffs)
-    if kernel is None:
-        raise SolveError(
-            f"null space dimension {nvars - space.dim}, expected 1 "
-            f"(sample may be degenerate)")
-    for coeffs in deferred:
-        if sum(c * kernel[j] for j, c in coeffs.items() if j in kernel):
-            raise SolveError("null space is trivial (degenerate sample)")
-    return kernel
-
-
-def _kernel_from_rowspace(space):
-    free = [j for j in range(space.ncols) if j not in space.pivots]
-    if len(free) != 1:
-        raise SolveError(f"row space leaves {len(free)} free columns, expected 1")
-    fc = free[0]
-    v = {piv: -row[fc] for piv, row in space.rows.items() if fc in row}
-    v[fc] = Q(1)
-    return v
+    Raises SolveError unless R * D(x) == D^T(x) * R for e_i, f_i (i >= 1)
+    and for e0 at u, checked in integers: R and each equation are scaled by
+    a common denominator of their entries."""
+    shared = _shared(rep)
+    system = shared.components(qs)
+    T = shared.module
+    c = dict(enumerate(_solve_scalars(system, u)))
+    cd = _denominator(c)
+    c = _scaled(c, cd)
+    acc = {}      # cd * scale * Rcheck = sum of c_nu(k) * b_k d_k^T
+    for n, b, dk in system.terms:
+        for p, x in b.items():
+            a, xc = acc.setdefault(p, {}), x * c[n]
+            for j, y in dk.items():
+                a[j] = a.get(j, 0) + xc * y
+    rcheck = {p: row for p, a in acc.items()
+              if (row := {j: y for j, y in a.items() if y})}
+    swap = permutation_operator(T)     # R = P * Rcheck
+    r = {p: rcheck[q] for p, row in swap.items() for q in row if q in rcheck}
+    e0 = _integral(coproduct_action(T, "e", 0, qs, u=u),
+                   coproduct_action(T, "e", 0, qs, u=u, transpose=True))
+    for a, b in system.equations + [e0]:
+        if linalg.sparse_mul(r, a) != linalg.sparse_mul(b, r):
+            raise SolveError("R fails the intertwining equations")
+    d = cd * system.scale
+    Rcheck = {p: {j: Q(y, d) for j, y in row.items()}
+              for p, row in rcheck.items()}
+    R = {p: dict(Rcheck[q]) for p, row in swap.items() for q in row
+         if q in Rcheck}
+    return RMatrixResult(shared.rep, qs, u, R, Rcheck)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +187,9 @@ class Shared:
     """The work the checks of one verification run share, each piece built
     on first use and kept for the life of the object: the seed rep, the
     graph of ``params`` (the seed pair unless given), each R(w, u) solved
-    once, and the decomposition once per w.  The recursion is not kept: each
-    caller evaluates it on the shared graph where it needs it.
+    once, and the decomposition and the solves' ``ComponentSystem`` once
+    per w.  The recursion is not kept: each caller evaluates it on the
+    shared graph where it needs it.
 
     Every check below takes a Shared in place of its representation; given
     a bare representation it makes a fresh Shared, so nothing is kept beyond
@@ -197,11 +220,15 @@ class Shared:
 
     def solve(self, qs: QSample, u: Fraction) -> RMatrixResult:
         return self._get(("solve", qs.w, u),
-                         lambda: solve_rmatrix(self.rep, qs, u))
+                         lambda: solve_rmatrix(self, qs, u))
 
     def decomposition(self, qs: QSample):
         return self._get(("decomposition", qs.w),
                          lambda: decompose(self.module, qs))
+
+    def components(self, qs: QSample) -> ComponentSystem:
+        return self._get(("components", qs.w),
+                         lambda: component_system(self, qs))
 
 
 def _shared(rep):

@@ -1,11 +1,11 @@
 """Exact linear algebra over Q.
 
 Dense list-of-lists of Fraction serve only representation-sized d x d
-matrices and the small per-weight-block eliminations of ``rref`` /
-``kernel_basis``.  Every operator on V (x) V -- the coproduct actions, the
-swap, R and its braided form -- is sparse: ``{row: {col: Fraction}}`` holding
-only the nonzero entries (a sparse vector, such as an adapted basis vector,
-is one such ``{col: Fraction}``).  ``RowSpace`` eliminates sparse rows
+matrices and the small per-weight-block or per-component eliminations.
+Every operator on V (x) V -- the coproduct actions, the swap, R and its
+braided form -- is sparse: ``{row: {col: Fraction}}`` holding only the
+nonzero entries (a sparse vector, such as an adapted basis vector, is one
+such ``{col: Fraction}``).  ``RowSpace`` eliminates sparse rows
 incrementally, so its cost follows the nonzeros, not the number of columns.
 """
 
@@ -86,11 +86,11 @@ def rref(mat):
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         for i in range(m):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -158,14 +158,24 @@ def sparse_mul(a, b):
     return out
 
 
-def sparse_mat_vec(a, v):
-    """a . v for a sparse matrix a and a sparse vector v."""
+def sparse_transpose(a):
+    """The columns {col: {row: x}} of the sparse matrix a."""
     out = {}
     for i, row in a.items():
-        s = sum(x * v[j] for j, x in row.items() if j in v)
-        if s:
-            out[i] = s
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
     return out
+
+
+def sparse_mat_vec(cols, v):
+    """a . v for the sparse vector v and the sparse matrix a given by its
+    columns ``sparse_transpose(a)``, at a cost that follows the columns v
+    touches: transpose a once to apply it to many vectors."""
+    out = {}
+    for j, y in v.items():
+        for i, x in cols.get(j, {}).items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: x for i, x in out.items() if x}
 
 
 class RowSpace:

@@ -8,7 +8,8 @@ their bases in one shared row space, so reaching rank T.dim certifies that
 the bases together form a basis of V (x) V.  An operator M then equals
 sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
-checks without forming a projector or an inverse.
+checks without forming a projector or an inverse.  The decomposition keeps
+the raising and lowering actions it was built from, for the solve to reuse.
 
 Operators on V (x) V (the coproduct actions and the swap) are sparse
 matrices in the ``linalg`` form {row: {col: x}}, built from the nonzeros of
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .liealg import inner, is_dominant, wadd
+from .liealg import is_dominant, wadd
 from .qrep import Representation
 from .scalars import QSample
 
@@ -132,6 +133,8 @@ class IsotypicComponent:
 class IsotypicDecomposition:
     module: TensorModule
     components: list     # IsotypicComponent, sorted by weight desc
+    raising: list        # the actions of e_1..e_l and f_1..f_l the
+    lowering: list       # decomposition was built from
 
 
 def _decompose_with(T: TensorModule, raising, lowering):
@@ -168,6 +171,7 @@ def _decompose_with(T: TensorModule, raising, lowering):
     # generate each component by lowering from its highest weight vector,
     # keeping the vectors that enlarge the row space shared by all components
     space = linalg.RowSpace(T.dim)
+    lowering_cols = [linalg.sparse_transpose(m) for m in lowering]
     for c in components:
         if not space.add(c.basis[0]):
             raise DecompositionError(
@@ -176,8 +180,8 @@ def _decompose_with(T: TensorModule, raising, lowering):
         while frontier:
             nxt = []
             for v in frontier:
-                for m in lowering:
-                    w = linalg.sparse_mat_vec(m, v)
+                for cols in lowering_cols:
+                    w = linalg.sparse_mat_vec(cols, v)
                     if space.add(w):
                         nxt.append(w)
             c.basis.extend(nxt)
@@ -185,7 +189,7 @@ def _decompose_with(T: TensorModule, raising, lowering):
     if space.dim != T.dim:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {T.dim}")
-    return IsotypicDecomposition(T, components)
+    return IsotypicDecomposition(T, components, raising, lowering)
 
 
 def decompose(T: TensorModule, qs: QSample) -> IsotypicDecomposition:
@@ -207,11 +211,12 @@ def component_scalars(dec: IsotypicDecomposition, M):
     """{nu: c} where the sparse operator M acts on every adapted basis vector
     of V0(nu) as the scalar c; raises DecompositionError if M is not scalar
     on a component."""
+    cols = linalg.sparse_transpose(M)
     out = {}
     for comp in dec.components:
         c = None
         for v in comp.basis:
-            image = linalg.sparse_mat_vec(M, v)
+            image = linalg.sparse_mat_vec(cols, v)
             if c is None:
                 p = min(v)
                 c = image.get(p, 0) / v[p]

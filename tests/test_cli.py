@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import jimbo, tpg
+from twistr import jimbo, liealg, tpg
 from twistr.cli import SCHEMA, main
-from twistr.scalars import PoleError
+from twistr.scalars import PoleError, QSample
 
 
 def run(tmp_path, *argv):
@@ -101,6 +101,37 @@ class TestVerify:
         assert (after[0]["w"], after[0]["u"]) == tuple(map(str, seen[1]))
         assert after[0]["u"] != before[0]["u"]
         assert after[1] == before[1]
+
+    def test_degenerate_component_system_is_retried(self, tmp_path,
+                                                    monkeypatch):
+        """With no e0 rows at the first sample's w, the small system there
+        has nullity >= 2, so every solve at that w raises SolveError; each
+        retry draws a fresh sample, which the report records."""
+        args = ("verify", "--family", "a2even", "--l", "1", "--seed", "3",
+                "--samples", "1")
+        _, plain = run(tmp_path / "a", *args)
+        first = next(s for s in json.loads(plain.read_text())["stages"]
+                     if s["stage"] == "solve")["solves"][0]
+        w0, u0 = (Fraction(first[k]) for k in ("w", "u"))
+        real = jimbo.component_system
+
+        def no_e0_rows_at_w0(shared, qs):
+            system = real(shared, qs)
+            if qs.w == w0:
+                system.e0_rows = []
+            return system
+
+        monkeypatch.setattr(jimbo, "component_system", no_e0_rows_at_w0)
+        rep = jimbo.Shared(liealg.family_spec("a2even", 1)).rep
+        with pytest.raises(jimbo.SolveError, match="nullity"):
+            jimbo.solve_rmatrix(rep, QSample(w0), u0)
+        code, retried = run(tmp_path / "b", *args)
+        assert code == 0
+        after = {s["stage"]: s for s in json.loads(retried.read_text())["stages"]}
+        record = after["solve"]["solves"][0]
+        assert Fraction(record["w"]) != w0 and record["nullity"] == 1
+        assert all(Fraction(c["w"]) != w0
+                   for c in after["yang-baxter"]["certificates"])
 
     def test_shared_work_runs_once_per_call(self, tmp_path, monkeypatch):
         """One verify solves each distinct (w, u) once, builds one graph,

@@ -5,9 +5,10 @@ import pytest
 
 from twistr import jimbo, linalg, tensor, tpg
 from twistr.scalars import QSample
-from twistr.tensor import TensorModule, permutation_operator
+from twistr.tensor import TensorModule
 
 from conftest import seed_rep
+from full_solve import full_solve, kernel_from_rowspace, top_index
 
 Q = Fraction
 
@@ -16,7 +17,7 @@ class TestSolve:
     def test_unique_solution_small_case(self, qs):
         rep = seed_rep("a2even", 1)
         res = jimbo.solve_rmatrix(rep, qs, Q(3, 5))
-        p0 = jimbo._top_index(TensorModule.of(rep, rep))
+        p0 = top_index(TensorModule.of(rep, rep))
         assert res.R[p0] == {p0: 1}
         assert len(res.R) == 9
 
@@ -44,6 +45,14 @@ class TestSolve:
             rhs = linalg.sparse_mul(B, res.R)
             assert lhs == rhs, (kind, i)
 
+    @pytest.mark.parametrize("u", [Q(-8, 9), Q(0)], ids=["generic", "zero"])
+    def test_matches_full_solve(self, ybe_case, qs, u):
+        """The component solve returns the R and Rcheck of the elimination
+        over every entry of R, at a generic u and at the parity sample."""
+        rep = seed_rep(*ybe_case)
+        res = jimbo.solve_rmatrix(rep, qs, u)
+        assert (res.R, res.Rcheck) == full_solve(rep, qs, u)
+
     def test_rcheck_at_one_is_identity(self, ybe_case, qs):
         """With the symmetric coproduct, P itself intertwines at u = 1."""
         rep = seed_rep(*ybe_case)
@@ -54,7 +63,7 @@ class TestSolve:
         space = linalg.RowSpace(3)
         space.add({0: Q(1), 1: Q(2), 2: Q(3)})
         with pytest.raises(jimbo.SolveError):
-            jimbo._kernel_from_rowspace(space)
+            kernel_from_rowspace(space)
 
     def test_generator_rescaling_invariance(self, qs):
         """e0 -> 2 e0, f0 -> f0/2 leaves the solved R unchanged."""
@@ -69,6 +78,38 @@ class TestSolve:
         u = Q(5, 3)
         assert jimbo.solve_rmatrix(rep, qs, u).R == \
             jimbo.solve_rmatrix(scaled, qs, u).R
+
+
+class TestCertificates:
+    """Each certificate of the component solve raises SolveError."""
+
+    def test_small_system_nullity_two_raises(self):
+        # two components and no e0 rows: nothing ties c_1 to c_0
+        system = jimbo.ComponentSystem(2, 1, [], [], [])
+        with pytest.raises(jimbo.SolveError, match="nullity 2"):
+            jimbo._solve_scalars(system, Q(2, 3))
+
+    def test_zero_top_coefficient_raises(self):
+        # X v_top = b_0, Y v_top = 0: (u - 1) c_0 = 0 leaves only c_1 free
+        system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))], [])
+        with pytest.raises(jimbo.SolveError, match="top weight vector"):
+            jimbo._solve_scalars(system, Q(2, 3))
+
+    def test_substitution_detects_corrupted_coefficient(self, qs,
+                                                       monkeypatch):
+        """Mutation: one wrong c_nu still gives an Rcheck that commutes with
+        the fixed subalgebra, and the e0 substitution must refuse it."""
+        real = jimbo._solve_scalars
+
+        def corrupted(system, u):
+            c = real(system, u)
+            return c[:-1] + [c[-1] + 1]
+
+        rep = seed_rep("a2even", 2)
+        jimbo.solve_rmatrix(rep, qs, Q(3, 5))     # passes unmutated
+        monkeypatch.setattr(jimbo, "_solve_scalars", corrupted)
+        with pytest.raises(jimbo.SolveError, match="intertwining equations"):
+            jimbo.solve_rmatrix(rep, qs, Q(3, 5))
 
 
 class TestChecks:

@@ -132,7 +132,8 @@ class TestSparse:
     @settings(max_examples=30)
     def test_mat_vec_matches_dense(self, m):
         v = [row[-1] for row in m]
-        assert linalg.sparse_mat_vec(linalg.sparse(m), linalg.sparse_vector(v)) \
+        cols = linalg.sparse_transpose(linalg.sparse(m))
+        assert linalg.sparse_mat_vec(cols, linalg.sparse_vector(v)) \
             == linalg.sparse_vector(linalg.mat_vec(m, v))
 
     def test_mat_scale_keeps_zero_entries(self):
