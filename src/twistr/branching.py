@@ -1,10 +1,10 @@
 """Closed-form tensor decompositions, L-parent bookkeeping and the
 theta0-tensor containment test.
 
-The closed forms follow the family-by-family branching rules; every table can
-be cross-checked against an independent brute-force oracle built from weight
-multisets (Freudenthal recursion + character convolution + highest-weight
-stripping).
+The closed forms follow the family-by-family branching rules; the tests
+cross-check every table against an independent brute-force oracle built from
+weight multisets (Freudenthal recursion + character convolution +
+highest-weight stripping).
 
 L-parent identifiers group the fixed-subalgebra components that sit inside one
 irreducible module of the big algebra L; relative parities on the tensor
@@ -16,98 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import (FamilySpec, eps, fundamental_weight, inner, is_dominant,
-                     positive_roots, wadd, weyl_dim, weyl_vector, wscale, wsub)
+from .liealg import (FamilySpec, eps, fundamental_weight, wadd, weyl_dim,
+                     weyl_vector, wscale, wsub)
 
 Q = Fraction
 
 
 class BranchingError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Weight multisets (Freudenthal) and the brute-force tensor oracle
-# ---------------------------------------------------------------------------
-
-def simple_roots(l0type, l):
-    out = [wsub(eps(i, l), eps(i + 1, l)) for i in range(1, l)]
-    out.append(eps(l, l) if l0type == "B" else wscale(eps(l, l), Q(2)))
-    return out
-
-
-def weight_multiset(l0type, l, nu):
-    """{weight: multiplicity} for the irreducible module V0(nu)."""
-    if not is_dominant(l0type, nu):
-        raise BranchingError(f"{nu} not dominant")
-    rho = weyl_vector(l0type, l)
-    pos = positive_roots(l0type, l)
-    simple = simple_roots(l0type, l)
-    top_c = inner(wadd(nu, rho), wadd(nu, rho))
-    mult = {nu: 1}
-    frontier = [nu]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha in simple:
-                cand = wsub(mu, alpha)
-                if cand in mult:
-                    continue
-                shifted = wadd(cand, rho)
-                denom = top_c - inner(shifted, shifted)
-                if denom <= 0:
-                    continue
-                acc = Q(0)
-                for beta in pos:
-                    k = 1
-                    while True:
-                        up = wadd(cand, wscale(beta, Q(k)))
-                        m = mult.get(up, 0)
-                        if m == 0 and inner(wadd(up, rho), wadd(up, rho)) > top_c:
-                            break
-                        if m:
-                            acc += m * inner(up, beta)
-                        k += 1
-                m = 2 * acc / denom
-                if m.denominator != 1:
-                    raise BranchingError(
-                        f"non-integral multiplicity {m} at weight {cand}")
-                m = int(m)
-                if m > 0:
-                    mult[cand] = m
-                    nxt.append(cand)
-        frontier = nxt
-    return mult
-
-
-def brute_force_tensor(l0type, l, lam, mu):
-    """{nu: multiplicity} of V0(lam) (x) V0(mu) by character convolution and
-    repeated stripping of maximal dominant weights."""
-    wl = weight_multiset(l0type, l, lam)
-    wm = weight_multiset(l0type, l, mu)
-    prod = {}
-    for a, ma in wl.items():
-        for b, mb in wm.items():
-            w = wadd(a, b)
-            prod[w] = prod.get(w, 0) + ma * mb
-    rho = weyl_vector(l0type, l)
-    out = {}
-    while True:
-        best = None
-        for w, m in prod.items():
-            if m == 0:
-                continue
-            key = (inner(w, rho), w)
-            if best is None or key > best[0]:
-                best = (key, w, m)
-        if best is None:
-            return out
-        _, top, m = best
-        if not is_dominant(l0type, top) or m < 0:
-            raise BranchingError(f"stripping failed at {top} (mult {m})")
-        out[top] = m
-        for w, mw in weight_multiset(l0type, l, top).items():
-            prod[w] = prod.get(w, 0) - m * mw
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +128,6 @@ class BranchingTable:
     l: int
     params: tuple      # (k, r) or (a, b)
     components: tuple  # Component, deterministic order
-
-    def parent_classes(self):
-        classes = {}
-        for c in self.components:
-            classes.setdefault(c.parent, []).append(c.nu)
-        return classes
 
     def nus(self):
         return [c.nu for c in self.components]

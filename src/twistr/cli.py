@@ -36,15 +36,13 @@ def _sparse_triplets(m):
 
 
 def _params(args, spec):
-    if args.family == "d2":
-        k = args.a if args.a is not None else args.k
-        r = args.b if args.b is not None else args.r
-    else:
-        k = args.k if args.k is not None else args.a
-        r = args.r if args.r is not None else args.b
-    if k is None or r is None:
-        k, r = spec.seed_params()
-    return (k, r)
+    """(--k, --r), or the seed pair when neither is given; raises FamilyError
+    when only one is."""
+    if args.k is None and args.r is None:
+        return spec.seed_params()
+    if args.k is None or args.r is None:
+        raise FamilyError("--k and --r must be given together")
+    return (args.k, args.r)
 
 
 def _spec_and_params(args):
@@ -137,10 +135,8 @@ def cmd_verify(args, spec, params) -> int:
     def run_decomposition():
         table = branching.decompose_tensor_closed_form(spec, params)
         expected = sorted(table.nus(), reverse=True)
-        found = []
-        for w, _, _ in samples[:1]:
-            dec = shared.decomposition(QSample(w))
-            found = sorted((c.nu for c in dec.components), reverse=True)
+        dec = shared.decomposition(QSample(samples[0][0]))
+        found = sorted((c.nu for c in dec.components), reverse=True)
         return {"ok": found == expected,
                 "components": [tpg._weight_str(nu) for nu in found]}
 
@@ -271,18 +267,19 @@ def cmd_export(args, spec, params) -> int:
         if args.format != "json":
             print("error: rmatrix export supports json", file=sys.stderr)
             return 2
-        rep = qrep.build_seed_rep(spec)
+        shared = jimbo.Shared(spec)
+
         def attempt(r):
             w = jimbo.sample_w(r)
             u = jimbo.sample_u(r)
-            return w, u, jimbo.solve_rmatrix(rep, QSample(w), u)
+            return w, u, shared.solve(QSample(w), u)
 
         w, u, res = jimbo.with_retries(attempt, rng)
         _emit(json.dumps({
             "schema": SCHEMA, "object": "rmatrix",
             "family": args.family, "l": args.l,
             "w": str(w), "u": str(u),
-            "dim": rep.dim ** 2, "nullity": 1,
+            "dim": shared.module.dim, "nullity": 1,
             "R": _sparse_triplets(res.R),
             "Rcheck": _sparse_triplets(res.Rcheck),
         }, indent=2, sort_keys=True) + "\n", args.out)
@@ -322,8 +319,6 @@ def _add_common(p):
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")

@@ -1,6 +1,7 @@
 """Direct solution of the intertwining equations for the spectral R-matrix,
 plus the independent consistency checks (Yang-Baxter, unitarity, parity
-spectrum, spectral agreement with the graph recursion).
+spectrum, spectral agreement with the graph recursion), all of which read
+Rcheck alone.
 
 R solves R * D(x) = D^T(x) * R for the fixed-subalgebra generators e_i, f_i
 (i >= 1) and the affine generator e0 (the only place u enters).  As
@@ -14,10 +15,22 @@ to 1: Rcheck is the identity on the top weight space) and the exact
 substitution of R into the full equations certify that R spans their null
 space.
 
+Yang-Baxter is checked in its braid form on Rcheck, which touches only
+adjacent legs of V (x) V (x) V:
+
+    Rcheck12(v) Rcheck23(uv) Rcheck12(u) = Rcheck23(u) Rcheck12(uv) Rcheck23(v).
+
+Writing Rcheck = P R and moving each swap to the left turns the right side
+into P13 R12(u) R13(uv) R23(v) and the left side into
+P13 R23(v) R13(uv) R12(u), so the braid relation is the R-form
+R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides permuted by
+P13: the two hold together, and their sides differ in as many entries.
+
 All checks run in exact rational arithmetic at rational samples; "pass" means
-the residual is identically zero.  A ``Shared`` carries what the checks of
-one run have in common, so each R(w, u) is solved once however many checks
-read it.  R and Rcheck are sparse ``linalg`` matrices {row: {col: x}}.
+the residual is identically zero.  Every check and solve takes a ``Shared``,
+which carries what the checks of one run have in common, so each R(w, u) is
+solved once however many checks read it.  R and Rcheck are sparse ``linalg``
+matrices {row: {col: x}}.
 """
 
 from __future__ import annotations
@@ -42,9 +55,6 @@ class SolveError(RuntimeError):
 
 @dataclass
 class RMatrixResult:
-    rep: Representation
-    qs: QSample
-    u: Fraction
     R: dict            # sparse intertwiner, normalized to 1 on the top
                        # weight vector; certified to span the null space
     Rcheck: dict       # sparse P * R
@@ -134,7 +144,7 @@ def _solve_scalars(system: ComponentSystem, u: Fraction):
         row[mu] += u * x + y
         row[nu] -= x + u * y
         rows.append(row)
-    kern = linalg.kernel_basis(rows or [[Q(0)] * n], ncols=n)
+    kern = linalg.kernel_basis(rows, ncols=n)
     if len(kern) != 1:
         raise SolveError(f"component system has nullity {len(kern)}, "
                          f"expected 1 (sample may be degenerate)")
@@ -144,13 +154,12 @@ def _solve_scalars(system: ComponentSystem, u: Fraction):
     return [x / c[0] for x in c]
 
 
-def solve_rmatrix(rep, qs: QSample, u: Fraction) -> RMatrixResult:
-    """R(w, u) for the seed rep of ``rep``, a Representation or a Shared.
+def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
+    """R(w, u) for the seed rep of the Shared ``shared``.
 
     Raises SolveError unless R * D(x) == D^T(x) * R for e_i, f_i (i >= 1)
     and for e0 at u, checked in integers: R and each equation are scaled by
     a common denominator of their entries."""
-    shared = _shared(rep)
     system = shared.components(qs)
     T = shared.module
     c = dict(enumerate(_solve_scalars(system, u)))
@@ -176,7 +185,7 @@ def solve_rmatrix(rep, qs: QSample, u: Fraction) -> RMatrixResult:
               for p, row in rcheck.items()}
     R = {p: dict(Rcheck[q]) for p, row in swap.items() for q in row
          if q in Rcheck}
-    return RMatrixResult(shared.rep, qs, u, R, Rcheck)
+    return RMatrixResult(R, Rcheck)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +198,7 @@ class Shared:
     graph of ``params`` (the seed pair unless given), each R(w, u) solved
     once, and the decomposition and the solves' ``ComponentSystem`` once
     per w.  The recursion is not kept: each caller evaluates it on the
-    shared graph where it needs it.
-
-    Every check below takes a Shared in place of its representation; given
-    a bare representation it makes a fresh Shared, so nothing is kept beyond
-    the call unless the caller keeps the Shared."""
+    shared graph where it needs it."""
 
     def __init__(self, spec, params=None, rep=None):
         self.spec = spec
@@ -231,64 +236,52 @@ class Shared:
                          lambda: component_system(self, qs))
 
 
-def _shared(rep):
-    return rep if isinstance(rep, Shared) else Shared(rep.spec, rep=rep)
-
-
 # ---------------------------------------------------------------------------
 # Three-site Yang-Baxter products
 # ---------------------------------------------------------------------------
 
-def _embed_three(R, d, legs):
-    """Embed a two-site operator into site pair ``legs`` of a three-site space."""
-    out = {}
-    for i, ri in R.items():
-        a, b = divmod(i, d)
-        for j, v in ri.items():
-            ap, bp = divmod(j, d)
-            for c in range(d):
-                if legs == (0, 1):
-                    s, t = (a * d + b) * d + c, (ap * d + bp) * d + c
-                elif legs == (1, 2):
-                    s, t = (c * d + a) * d + b, (c * d + ap) * d + bp
-                else:  # (0, 2)
-                    s, t = (a * d + c) * d + b, (ap * d + c) * d + bp
-                out.setdefault(s, {})[t] = v
-    return out
+def _on_legs(m, d, first):
+    """The two-site operator m on legs 1, 2 (``first``) or legs 2, 3 of the
+    three-site space, whose index (a, b, c) is (a * d + b) * d + c."""
+    if first:
+        return {i * d + c: {j * d + c: x for j, x in row.items()}
+                for i, row in m.items() for c in range(d)}
+    return {c * d * d + i: {c * d * d + j: x for j, x in row.items()}
+            for c in range(d) for i, row in m.items()}
 
 
-def check_ybe(rep, qs: QSample, u: Fraction, v: Fraction):
-    """Exact residual test of R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u)."""
-    shared = _shared(rep)
+def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
+    """Exact test of the braid relation
+    Rcheck12(v) Rcheck23(uv) Rcheck12(u) = Rcheck23(u) Rcheck12(uv) Rcheck23(v),
+    the R-form R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides
+    permuted by P13 (module docstring), so ``residual_entries`` counts the
+    entries where the R-form sides differ too."""
     d = shared.rep.dim
-    Ru = shared.solve(qs, u).R
-    Rv = shared.solve(qs, v).R
-    Ruv = shared.solve(qs, u * v).R
-    r12 = _embed_three(Ru, d, (0, 1))
-    r13 = _embed_three(Ruv, d, (0, 2))
-    r23 = _embed_three(Rv, d, (1, 2))
-    lhs = linalg.sparse_mul(linalg.sparse_mul(r12, r13), r23)
-    rhs = linalg.sparse_mul(linalg.sparse_mul(r23, r13), r12)
+    ru, ruv, rv = (shared.solve(qs, x).Rcheck for x in (u, u * v, v))
+    mul = linalg.sparse_mul
+    lhs = mul(mul(_on_legs(rv, d, True), _on_legs(ruv, d, False)),
+              _on_legs(ru, d, True))
+    rhs = mul(mul(_on_legs(ru, d, False), _on_legs(ruv, d, True)),
+              _on_legs(rv, d, False))
     residual_entries = 0
-    for i in set(lhs) | set(rhs):
-        li, ri = lhs.get(i, {}), rhs.get(i, {})
-        for j in set(li) | set(ri):
-            if li.get(j, Q(0)) != ri.get(j, Q(0)):
-                residual_entries += 1
+    if lhs != rhs:
+        for i in lhs.keys() | rhs.keys():
+            li, ri = lhs.get(i, {}), rhs.get(i, {})
+            residual_entries += sum(li.get(j) != ri.get(j)
+                                    for j in li.keys() | ri.keys())
     return {"check": "yang-baxter", "u": u, "v": v,
             "ok": residual_entries == 0, "residual_entries": residual_entries}
 
 
-def check_unitarity(rep, qs: QSample, u: Fraction):
+def check_unitarity(shared: Shared, qs: QSample, u: Fraction):
     """Rcheck(u) * Rcheck(1/u) = identity."""
-    shared = _shared(rep)
     a = shared.solve(qs, u).Rcheck
     b = shared.solve(qs, 1 / u).Rcheck
     ok = linalg.sparse_mul(a, b) == linalg.sparse_identity(shared.module.dim)
     return {"check": "unitarity", "u": u, "ok": ok}
 
 
-def parity_spectrum(rep, qs: QSample):
+def parity_spectrum(shared: Shared, qs: QSample):
     """Parity of each isotypic component as read off the solved R-matrix.
 
     With the symmetric coproduct used here the permutation operator is itself
@@ -302,7 +295,6 @@ def parity_spectrum(rep, qs: QSample):
     sign of the eigenvalue is the parity.  The parity theorem says these signs
     equal the graph parities and, classically, the symmetric / antisymmetric
     square membership."""
-    shared = _shared(rep)
     qs = QSample(abs(qs.w))
     R0 = shared.solve(qs, Q(0)).Rcheck
     out = {}
@@ -313,7 +305,7 @@ def parity_spectrum(rep, qs: QSample):
     return out
 
 
-def spectral_compare(rep, qs: QSample, u: Fraction):
+def spectral_compare(shared: Shared, qs: QSample, u: Fraction):
     """Exact agreement of Rcheck(u) with the graph-recursion spectral
     decomposition sum(rho_nu(u) * P_nu), normalised by Rcheck(1).
 
@@ -323,7 +315,6 @@ def spectral_compare(rep, qs: QSample, u: Fraction):
     V0(nu) and zero on the others, so this is exactly
     Rcheck(u) * Rcheck(1)**-1 == sum(rho_nu(u) * P_nu), with no projector or
     inverse formed."""
-    shared = _shared(rep)
     rho, _ = tpg.eigenvalues_by_recursion(shared.graph, qs, u=u)
     dec = shared.decomposition(qs)
     for comp in dec.components:

@@ -18,7 +18,6 @@ rescaling of each (E, F) pair; this preserves [E, F] = H and the trace pairing
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,17 +127,6 @@ def weyl_vector(l0type, l):
     return tuple(Q(l - i) for i in range(l))
 
 
-def positive_roots(l0type, l):
-    roots = []
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            roots.append(wsub(eps(i, l), eps(j, l)))
-            roots.append(wadd(eps(i, l), eps(j, l)))
-    for i in range(1, l + 1):
-        roots.append(eps(i, l) if l0type == "B" else wscale(eps(i, l), Q(2)))
-    return roots
-
-
 def fundamental_weight(l0type, l, k):
     """lambda_k in the eps basis (B_l: lambda_l is the spinor weight)."""
     if l0type == "B" and k == l:
@@ -242,12 +230,6 @@ def kac_generators(spec: FamilySpec):
     return {"E": E, "F": F, "H": H}
 
 
-def trace_pairing(x, y):
-    """(X, Y) = tr(XY)/2, the gl(n) invariant form used throughout."""
-    n = len(x)
-    return sum(x[i][j] * y[j][i] for i in range(n) for j in range(n)) / 2
-
-
 def relation_entry(name, residual):
     """The report entry {relation, ok, residual} of one defining relation
     from its residual matrix; the residual is kept only when nonzero."""
@@ -290,55 +272,3 @@ def check_classical_relations(gens, spec: FamilySpec):
                 y = commutator(F[i], y)
             report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Family Casimir closed forms (regression targets for casimir_eigenvalue)
-# ---------------------------------------------------------------------------
-
-def casimir_a2even_cd(l, c, d):
-    """C on V0(lambda_c + lambda_d) for B_l inside sl(2l+1)."""
-    return Q((c + d) * (2 * l + 2 - c) - (d + 1) * (d - c))
-
-
-def casimir_a2odd_cd(l, c, d):
-    """C on V0(c*lambda1 + d*lambda2) for C_l inside sl(2l)."""
-    n = 2 * l
-    return Q((c + d) * (n + c + d) + (n - 2 + d) * d)
-
-
-def casimir_d2_ladder(l, Lam, b_minus_a):
-    """C on V0(Lam + (b-a)*lambda_l) for B_l inside so(2l+2); n = 2l+1."""
-    n = 2 * l + 1
-    s = sum(L * (L + b_minus_a + n - 2 * (i + 1)) for i, L in enumerate(Lam))
-    return Q(s) + Q(l * b_minus_a * (b_minus_a + n - 1), 4)
-
-
-def binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def dim_a2even_L(n, a, b):
-    """dim V(lambda_a + lambda_b) of sl(n)."""
-    return Q((b - a + 1) * binomial(n + 1, a) * binomial(n + 1, b + 1), n + 1)
-
-
-def dim_a2even_L0(n, c, d):
-    """dim V0(lambda_c + lambda_d) of so(n), n odd."""
-    return Q((1 + d - c) * (n + 1 - c - d) * binomial(n + 2, c) * binomial(n + 2, d + 1),
-             (n + 1) * (n + 2))
-
-
-def dim_a2odd_L(n, b, a):
-    """dim V(b*lambda1 + a*lambda2) of sl(n)."""
-    return Q((b + 1) * binomial(a + b + n - 1, n - 2) * binomial(a + n - 2, n - 2),
-             n - 1)
-
-
-def dim_a2odd_L0(n, d, c):
-    """dim V0(d*lambda1 + c*lambda2) of sp(n)."""
-    return Q((1 + d) * (2 * c + d + n - 1)
-             * binomial(c + d + n - 2, n - 3) * binomial(c + n - 3, n - 3),
-             (n - 1) * (n - 2))

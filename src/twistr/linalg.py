@@ -98,11 +98,10 @@ def rref(mat):
     return a, pivots
 
 
-def kernel_basis(mat, ncols=None):
-    """Basis of the right null space of mat (rows may be a generator of rows)."""
+def kernel_basis(mat, ncols):
+    """Basis of the right null space of mat, whose rows (there may be none,
+    and they may come from a generator) have ncols entries."""
     rows = [row for row in mat if any(row)]
-    if ncols is None:
-        ncols = len(mat[0])
     if not rows:
         return [[Q(1) if j == i else Q(0) for j in range(ncols)]
                 for i in range(ncols)]

@@ -19,6 +19,7 @@ lives in neither mode, since it is an identity in both q and u, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -407,9 +408,7 @@ def format_scalar(x) -> str:
     "num(u)/den(u)" with integer coefficients.
     """
     if isinstance(x, RatFun):
-        den_lcm = 1
-        for c in x.num + x.den:
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+        den_lcm = math.lcm(*(c.denominator for c in x.num + x.den))
         num = poly_scale(x.num, den_lcm)
         den = poly_scale(x.den, den_lcm)
         num_s = _poly_str(num)
@@ -418,8 +417,3 @@ def format_scalar(x) -> str:
         return f"({num_s})/({_poly_str(den)})"
     return str(Fraction(x))
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

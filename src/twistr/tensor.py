@@ -156,7 +156,7 @@ def _decompose_with(T: TensorModule, raising, lowering):
     for eta, idxs in sorted(blocks.items(), reverse=True):
         rows = [[entries.get(p, Q(0)) for p in idxs]
                 for _, entries in sorted(block_rows.get(eta, {}).items())]
-        kern = linalg.kernel_basis(rows or [[Q(0)] * len(idxs)], ncols=len(idxs))
+        kern = linalg.kernel_basis(rows, ncols=len(idxs))
         for vec in kern:
             if not is_dominant(spec.l0type, eta):
                 raise DecompositionError(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import liealg, qrep
+from twistr import jimbo, liealg, qrep
 from twistr.scalars import QSample
 
 Q = Fraction
@@ -28,6 +28,13 @@ def seed_rep(family, l):
     if key not in _REP_CACHE:
         _REP_CACHE[key] = qrep.build_seed_rep(liealg.family_spec(family, l))
     return _REP_CACHE[key]
+
+
+def seed_shared(family, l):
+    """A fresh Shared around the cached seed rep, so no solve or
+    decomposition carries over from one test to another."""
+    rep = seed_rep(family, l)
+    return jimbo.Shared(rep.spec, rep=rep)
 
 
 @pytest.fixture(params=GRID, ids=lambda c: f"{c[0]}-l{c[1]}")

@@ -1,0 +1,214 @@
+"""Independent oracles the tests check the library against: the Casimir and
+dimension closed forms, the trace pairing, the Freudenthal weight multisets
+with the brute-force tensor decomposition, the L-parent classes of a
+branching table, and the R-form three-site Yang-Baxter product."""
+
+import math
+from fractions import Fraction
+
+from twistr import linalg
+from twistr.branching import BranchingError
+from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
+                           wsub)
+
+Q = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Roots, the trace pairing, Casimir and dimension closed forms
+# ---------------------------------------------------------------------------
+
+def positive_roots(l0type, l):
+    roots = []
+    for i in range(1, l + 1):
+        for j in range(i + 1, l + 1):
+            roots.append(wsub(eps(i, l), eps(j, l)))
+            roots.append(wadd(eps(i, l), eps(j, l)))
+    for i in range(1, l + 1):
+        roots.append(eps(i, l) if l0type == "B" else wscale(eps(i, l), Q(2)))
+    return roots
+
+
+def simple_roots(l0type, l):
+    out = [wsub(eps(i, l), eps(i + 1, l)) for i in range(1, l)]
+    out.append(eps(l, l) if l0type == "B" else wscale(eps(l, l), Q(2)))
+    return out
+
+
+def trace_pairing(x, y):
+    """(X, Y) = tr(XY)/2, the gl(n) invariant form used throughout."""
+    n = len(x)
+    return sum(x[i][j] * y[j][i] for i in range(n) for j in range(n)) / 2
+
+
+def casimir_a2even_cd(l, c, d):
+    """C on V0(lambda_c + lambda_d) for B_l inside sl(2l+1)."""
+    return Q((c + d) * (2 * l + 2 - c) - (d + 1) * (d - c))
+
+
+def casimir_a2odd_cd(l, c, d):
+    """C on V0(c*lambda1 + d*lambda2) for C_l inside sl(2l)."""
+    n = 2 * l
+    return Q((c + d) * (n + c + d) + (n - 2 + d) * d)
+
+
+def casimir_d2_ladder(l, Lam, b_minus_a):
+    """C on V0(Lam + (b-a)*lambda_l) for B_l inside so(2l+2); n = 2l+1."""
+    n = 2 * l + 1
+    s = sum(L * (L + b_minus_a + n - 2 * (i + 1)) for i, L in enumerate(Lam))
+    return Q(s) + Q(l * b_minus_a * (b_minus_a + n - 1), 4)
+
+
+def binomial(n, k):
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def dim_a2even_L(n, a, b):
+    """dim V(lambda_a + lambda_b) of sl(n)."""
+    return Q((b - a + 1) * binomial(n + 1, a) * binomial(n + 1, b + 1), n + 1)
+
+
+def dim_a2even_L0(n, c, d):
+    """dim V0(lambda_c + lambda_d) of so(n), n odd."""
+    return Q((1 + d - c) * (n + 1 - c - d) * binomial(n + 2, c) * binomial(n + 2, d + 1),
+             (n + 1) * (n + 2))
+
+
+def dim_a2odd_L(n, b, a):
+    """dim V(b*lambda1 + a*lambda2) of sl(n)."""
+    return Q((b + 1) * binomial(a + b + n - 1, n - 2) * binomial(a + n - 2, n - 2),
+             n - 1)
+
+
+def dim_a2odd_L0(n, d, c):
+    """dim V0(d*lambda1 + c*lambda2) of sp(n)."""
+    return Q((1 + d) * (2 * c + d + n - 1)
+             * binomial(c + d + n - 2, n - 3) * binomial(c + n - 3, n - 3),
+             (n - 1) * (n - 2))
+
+
+# ---------------------------------------------------------------------------
+# Weight multisets (Freudenthal) and the brute-force tensor oracle
+# ---------------------------------------------------------------------------
+
+def weight_multiset(l0type, l, nu):
+    """{weight: multiplicity} for the irreducible module V0(nu)."""
+    if not is_dominant(l0type, nu):
+        raise BranchingError(f"{nu} not dominant")
+    rho = weyl_vector(l0type, l)
+    pos = positive_roots(l0type, l)
+    simple = simple_roots(l0type, l)
+    top_c = inner(wadd(nu, rho), wadd(nu, rho))
+    mult = {nu: 1}
+    frontier = [nu]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for alpha in simple:
+                cand = wsub(mu, alpha)
+                if cand in mult:
+                    continue
+                shifted = wadd(cand, rho)
+                denom = top_c - inner(shifted, shifted)
+                if denom <= 0:
+                    continue
+                acc = Q(0)
+                for beta in pos:
+                    k = 1
+                    while True:
+                        up = wadd(cand, wscale(beta, Q(k)))
+                        m = mult.get(up, 0)
+                        if m == 0 and inner(wadd(up, rho), wadd(up, rho)) > top_c:
+                            break
+                        if m:
+                            acc += m * inner(up, beta)
+                        k += 1
+                m = 2 * acc / denom
+                if m.denominator != 1:
+                    raise BranchingError(
+                        f"non-integral multiplicity {m} at weight {cand}")
+                m = int(m)
+                if m > 0:
+                    mult[cand] = m
+                    nxt.append(cand)
+        frontier = nxt
+    return mult
+
+
+def brute_force_tensor(l0type, l, lam, mu):
+    """{nu: multiplicity} of V0(lam) (x) V0(mu) by character convolution and
+    repeated stripping of maximal dominant weights."""
+    wl = weight_multiset(l0type, l, lam)
+    wm = weight_multiset(l0type, l, mu)
+    prod = {}
+    for a, ma in wl.items():
+        for b, mb in wm.items():
+            w = wadd(a, b)
+            prod[w] = prod.get(w, 0) + ma * mb
+    rho = weyl_vector(l0type, l)
+    out = {}
+    while True:
+        best = None
+        for w, m in prod.items():
+            if m == 0:
+                continue
+            key = (inner(w, rho), w)
+            if best is None or key > best[0]:
+                best = (key, w, m)
+        if best is None:
+            return out
+        _, top, m = best
+        if not is_dominant(l0type, top) or m < 0:
+            raise BranchingError(f"stripping failed at {top} (mult {m})")
+        out[top] = m
+        for w, mw in weight_multiset(l0type, l, top).items():
+            prod[w] = prod.get(w, 0) - m * mw
+
+
+def parent_classes(table):
+    """{L-parent: [nu, ...]} of the components of a BranchingTable."""
+    classes = {}
+    for c in table.components:
+        classes.setdefault(c.parent, []).append(c.nu)
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# R-form three-site Yang-Baxter product
+# ---------------------------------------------------------------------------
+
+def embed_three(R, d, legs):
+    """Embed a two-site operator into site pair ``legs`` of a three-site space."""
+    out = {}
+    for i, ri in R.items():
+        a, b = divmod(i, d)
+        for j, v in ri.items():
+            ap, bp = divmod(j, d)
+            for c in range(d):
+                if legs == (0, 1):
+                    s, t = (a * d + b) * d + c, (ap * d + bp) * d + c
+                elif legs == (1, 2):
+                    s, t = (c * d + a) * d + b, (c * d + ap) * d + bp
+                else:  # (0, 2)
+                    s, t = (a * d + c) * d + b, (ap * d + c) * d + bp
+                out.setdefault(s, {})[t] = v
+    return out
+
+
+def ybe_residual_entries(Ru, Ruv, Rv, d):
+    """The number of entries where R12(u) R13(uv) R23(v) and
+    R23(v) R13(uv) R12(u) differ."""
+    r12 = embed_three(Ru, d, (0, 1))
+    r13 = embed_three(Ruv, d, (0, 2))
+    r23 = embed_three(Rv, d, (1, 2))
+    lhs = linalg.sparse_mul(linalg.sparse_mul(r12, r13), r23)
+    rhs = linalg.sparse_mul(linalg.sparse_mul(r23, r13), r12)
+    residual_entries = 0
+    for i in set(lhs) | set(rhs):
+        li, ri = lhs.get(i, {}), rhs.get(i, {})
+        for j in set(li) | set(ri):
+            if li.get(j, Q(0)) != ri.get(j, Q(0)):
+                residual_entries += 1
+    return residual_entries

@@ -26,7 +26,8 @@ from twistr.cli import main
 from twistr.liealg import family_spec
 from twistr.scalars import QSample, RatFun
 
-from conftest import GRID, YBE_CASES, seed_rep
+from conftest import GRID, YBE_CASES, seed_rep, seed_shared
+from oracles import brute_force_tensor
 
 Q = Fraction
 
@@ -57,13 +58,13 @@ def test_criterion_1_relation_suites(family, l):
 @pytest.mark.parametrize("family,l", YBE_CASES,
                          ids=[f"{f}-l{l}" for f, l in YBE_CASES])
 def test_criterion_2_yang_baxter(family, l):
-    rep = seed_rep(family, l)
+    shared = seed_shared(family, l)
     rng = rational_stream(202)
     done = 0
     while done < 3:
         w, u, v = jimbo.sample_w(rng), jimbo.sample_u(rng), jimbo.sample_u(rng)
         try:
-            out = jimbo.check_ybe(rep, QSample(w), u, v)
+            out = jimbo.check_ybe(shared, QSample(w), u, v)
         except (jimbo.SolveError, tensor.DecompositionError):
             continue
         assert out["ok"] and out["residual_entries"] == 0, (w, u, v)
@@ -75,13 +76,13 @@ def test_criterion_2_yang_baxter(family, l):
 @pytest.mark.parametrize("family,l", YBE_CASES,
                          ids=[f"{f}-l{l}" for f, l in YBE_CASES])
 def test_criterion_3_unitarity(family, l):
-    rep = seed_rep(family, l)
+    shared = seed_shared(family, l)
     rng = rational_stream(303)
     done = 0
     while done < 3:
         w, u = jimbo.sample_w(rng), jimbo.sample_u(rng)
         try:
-            out = jimbo.check_unitarity(rep, QSample(w), u)
+            out = jimbo.check_unitarity(shared, QSample(w), u)
         except jimbo.SolveError:
             continue
         assert out["ok"], (w, u)
@@ -93,11 +94,11 @@ def test_criterion_3_unitarity(family, l):
 @pytest.mark.parametrize("family,l", YBE_CASES,
                          ids=[f"{f}-l{l}" for f, l in YBE_CASES])
 def test_criterion_4_spectral_equivalence(family, l):
-    rep = seed_rep(family, l)
+    shared = seed_shared(family, l)
     rng = rational_stream(404)
     out = jimbo.with_retries(
         lambda r: jimbo.spectral_compare(
-            rep, QSample(jimbo.sample_w(r)), jimbo.sample_u(r)), rng)
+            shared, QSample(jimbo.sample_w(r)), jimbo.sample_u(r)), rng)
     assert out["ok"]
 
 
@@ -216,7 +217,7 @@ def test_criterion_7_branching_oracle(family, l, params):
     table = branching.decompose_tensor_closed_form(spec, params)
     lam = branching.input_weight(spec, params[0])
     mu = branching.input_weight(spec, params[1])
-    oracle = branching.brute_force_tensor(spec.l0type, l, lam, mu)
+    oracle = brute_force_tensor(spec.l0type, l, lam, mu)
     assert {c.nu: 1 for c in table.components} == oracle
     for c in table.components:
         assert c.dim == liealg.weyl_dim(spec.l0type, l, c.nu)
@@ -230,7 +231,7 @@ def test_criterion_7_branching_oracle(family, l, params):
                          ids=[f"{f}-l{l}" for f, l in YBE_CASES])
 def test_criterion_8_parity_theorem(family, l):
     rep = seed_rep(family, l)
-    spectrum = jimbo.parity_spectrum(rep, QSample(Q(5, 4)))
+    spectrum = jimbo.parity_spectrum(seed_shared(family, l), QSample(Q(5, 4)))
     graph = tpg.build_graph(rep.spec, rep.spec.seed_params())
     coloring = {n.nu: n.parity for n in graph.nodes}
     classical = tensor.classical_parity_signs(tensor.TensorModule.of(rep, rep))

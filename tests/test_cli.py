@@ -31,7 +31,7 @@ class TestVerify:
 
     def test_non_seed_pair_skips_solve(self, tmp_path):
         code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
-                        "--a", "1", "--b", "2", "--samples", "1")
+                        "--k", "1", "--r", "2", "--samples", "1")
         assert code == 0
         report = json.loads(out.read_text())
         stages = {s["stage"]: s for s in report["stages"]}
@@ -63,6 +63,23 @@ class TestVerify:
     def test_parameter_validation(self, capsys):
         assert main(["verify", "--family", "a2even", "--l", "2",
                      "--k", "2", "--r", "5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "a2even", "--l", "3", "--k", "2"],
+        ["verify", "--family", "d2", "--l", "2", "--r", "2"],
+        ["export", "graph", "--family", "d2", "--l", "2", "--r", "3"],
+    ], ids=["verify-k", "verify-r", "export-r"])
+    def test_lone_weight_parameter_refused(self, argv, capsys):
+        """One of --k, --r without the other is refused, not replaced by
+        the seed pair."""
+        assert main(argv) == 2
+        assert "--k and --r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_no_a_b_aliases(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "d2", "--l", "2", flag, "1"])
+        assert exc.value.code == 2
 
     def test_default_params_are_seed(self, tmp_path):
         code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
@@ -122,9 +139,9 @@ class TestVerify:
             return system
 
         monkeypatch.setattr(jimbo, "component_system", no_e0_rows_at_w0)
-        rep = jimbo.Shared(liealg.family_spec("a2even", 1)).rep
+        shared = jimbo.Shared(liealg.family_spec("a2even", 1))
         with pytest.raises(jimbo.SolveError, match="nullity"):
-            jimbo.solve_rmatrix(rep, QSample(w0), u0)
+            jimbo.solve_rmatrix(shared, QSample(w0), u0)
         code, retried = run(tmp_path / "b", *args)
         assert code == 0
         after = {s["stage"]: s for s in json.loads(retried.read_text())["stages"]}
@@ -149,7 +166,7 @@ class TestVerify:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, attr, wrapper)
 
-        counted("solve", jimbo, "solve_rmatrix", lambda rep, qs, u: (qs.w, u))
+        counted("solve", jimbo, "solve_rmatrix", lambda shared, qs, u: (qs.w, u))
         counted("decompose", jimbo, "decompose", lambda T, qs: qs.w)
         counted("graph", tpg, "build_graph", lambda spec, params: params)
         counted("recursion", tpg, "eigenvalues_by_recursion",
@@ -232,7 +249,7 @@ class TestExport:
 
     def test_rmatrix_requires_seed_pair(self, capsys):
         assert main(["export", "rmatrix", "--family", "d2", "--l", "2",
-                     "--a", "1", "--b", "2"]) == 2
+                     "--k", "1", "--r", "2"]) == 2
 
     def test_rep_json(self, tmp_path):
         code, out = run(tmp_path, "export", "rep", "--family", "d2", "--l", "2")

@@ -15,6 +15,8 @@ GOLDEN = {
         "d1cbbe6c49547c8a4188b23c42093046a693df82784941cdcf6985f1c84c3b2f",
     "verify --family a2even --l 2 --samples 2":
         "1c9f63d2fa0de2d58c88547af3d9aad7c081b807e9226f749f89e820f97b3318",
+    "verify --family a2odd --l 3 --samples 2":
+        "04dce9cb88e91e16022ea8f7fdadc37c4b9e699be8fe359f376ceaf8eccae318",
     "verify --family d2 --l 2 --samples 2":
         "aaa0c85703a367baafcd2e06c3c2a04fc2b1da54960ce844328c92b2396e3ccf",
 }

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from twistr import jimbo, linalg, tensor, tpg
-from twistr.scalars import QSample
-from twistr.tensor import TensorModule
+from twistr.scalars import PoleError, QSample
+from twistr.tensor import DecompositionError, TensorModule
 
-from conftest import seed_rep
+from conftest import YBE_CASES, seed_rep, seed_shared
 from full_solve import full_solve, kernel_from_rowspace, top_index
+from oracles import ybe_residual_entries
 
 Q = Fraction
 
@@ -16,14 +17,14 @@ Q = Fraction
 class TestSolve:
     def test_unique_solution_small_case(self, qs):
         rep = seed_rep("a2even", 1)
-        res = jimbo.solve_rmatrix(rep, qs, Q(3, 5))
+        res = jimbo.solve_rmatrix(seed_shared("a2even", 1), qs, Q(3, 5))
         p0 = top_index(TensorModule.of(rep, rep))
         assert res.R[p0] == {p0: 1}
         assert len(res.R) == 9
 
     def test_weight_block_structure(self, qs):
         rep = seed_rep("a2odd", 3)
-        res = jimbo.solve_rmatrix(rep, qs, Q(2, 7))
+        res = jimbo.solve_rmatrix(seed_shared("a2odd", 3), qs, Q(2, 7))
         T = TensorModule.of(rep, rep)
         for p, row in res.R.items():
             for r, x in row.items():
@@ -33,7 +34,7 @@ class TestSolve:
     def test_intertwines_all_generators(self, qs):
         rep = seed_rep("d2", 2)
         u = Q(3, 4)
-        res = jimbo.solve_rmatrix(rep, qs, u)
+        res = jimbo.solve_rmatrix(seed_shared("d2", 2), qs, u)
         T = TensorModule.of(rep, rep)
         gens = [("e", i) for i in range(1, 3)] + \
                [("f", i) for i in range(1, 3)] + [("e", 0), ("f", 0)]
@@ -49,15 +50,14 @@ class TestSolve:
     def test_matches_full_solve(self, ybe_case, qs, u):
         """The component solve returns the R and Rcheck of the elimination
         over every entry of R, at a generic u and at the parity sample."""
-        rep = seed_rep(*ybe_case)
-        res = jimbo.solve_rmatrix(rep, qs, u)
-        assert (res.R, res.Rcheck) == full_solve(rep, qs, u)
+        res = jimbo.solve_rmatrix(seed_shared(*ybe_case), qs, u)
+        assert (res.R, res.Rcheck) == full_solve(seed_rep(*ybe_case), qs, u)
 
     def test_rcheck_at_one_is_identity(self, ybe_case, qs):
         """With the symmetric coproduct, P itself intertwines at u = 1."""
-        rep = seed_rep(*ybe_case)
-        res = jimbo.solve_rmatrix(rep, qs, Q(1))
-        assert res.Rcheck == linalg.sparse_identity(rep.dim ** 2)
+        shared = seed_shared(*ybe_case)
+        res = jimbo.solve_rmatrix(shared, qs, Q(1))
+        assert res.Rcheck == linalg.sparse_identity(shared.module.dim)
 
     def test_kernel_needs_exactly_one_free_column(self):
         space = linalg.RowSpace(3)
@@ -76,8 +76,8 @@ class TestSolve:
         scaled = qrep.Representation(rep.spec, rep.lam, rep.dim,
                                      tuple(e), tuple(f), rep.weights)
         u = Q(5, 3)
-        assert jimbo.solve_rmatrix(rep, qs, u).R == \
-            jimbo.solve_rmatrix(scaled, qs, u).R
+        assert jimbo.solve_rmatrix(seed_shared("d2", 2), qs, u).R == \
+            jimbo.solve_rmatrix(jimbo.Shared(rep.spec, rep=scaled), qs, u).R
 
 
 class TestCertificates:
@@ -105,43 +105,30 @@ class TestCertificates:
             c = real(system, u)
             return c[:-1] + [c[-1] + 1]
 
-        rep = seed_rep("a2even", 2)
-        jimbo.solve_rmatrix(rep, qs, Q(3, 5))     # passes unmutated
+        jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))  # unmutated
         monkeypatch.setattr(jimbo, "_solve_scalars", corrupted)
         with pytest.raises(jimbo.SolveError, match="intertwining equations"):
-            jimbo.solve_rmatrix(rep, qs, Q(3, 5))
+            jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))
 
 
 class TestChecks:
     def test_ybe_exact(self, ybe_case, qs):
-        rep = seed_rep(*ybe_case)
-        out = jimbo.check_ybe(rep, qs, Q(3, 5), Q(-2, 7))
+        out = jimbo.check_ybe(seed_shared(*ybe_case), qs, Q(3, 5), Q(-2, 7))
         assert out["ok"] and out["residual_entries"] == 0
 
     def test_ybe_detects_corruption(self, qs):
         """Negative control: a corrupted R-matrix must fail the triple test."""
-        rep = seed_rep("a2even", 1)
+        shared = seed_shared("a2even", 1)
         u, v = Q(3, 5), Q(-2, 7)
-        Ru = jimbo.solve_rmatrix(rep, qs, u).R
-        Rv = jimbo.solve_rmatrix(rep, qs, v).R
-        bad = {p: dict(row)
-               for p, row in jimbo.solve_rmatrix(rep, qs, u * v).R.items()}
-        bad[0][0] = bad[0].get(0, 0) + 1
-        d = rep.dim
-        r12 = jimbo._embed_three(Ru, d, (0, 1))
-        r13 = jimbo._embed_three(bad, d, (0, 2))
-        r23 = jimbo._embed_three(Rv, d, (1, 2))
-        lhs = linalg.sparse_mul(linalg.sparse_mul(r12, r13), r23)
-        rhs = linalg.sparse_mul(linalg.sparse_mul(r23, r13), r12)
-        assert lhs != rhs
+        corrupt_solve(shared, qs, u * v)
+        out = jimbo.check_ybe(shared, qs, u, v)
+        assert not out["ok"] and out["residual_entries"] > 0
 
     def test_unitarity(self, ybe_case, qs):
-        rep = seed_rep(*ybe_case)
-        assert jimbo.check_unitarity(rep, qs, Q(4, 9))["ok"]
+        assert jimbo.check_unitarity(seed_shared(*ybe_case), qs, Q(4, 9))["ok"]
 
     def test_spectral_agreement(self, ybe_case, qs):
-        rep = seed_rep(*ybe_case)
-        assert jimbo.spectral_compare(rep, qs, Q(3, 7))["ok"]
+        assert jimbo.spectral_compare(seed_shared(*ybe_case), qs, Q(3, 7))["ok"]
 
     def test_spectral_agreement_detects_wrong_eigenvalue(self, qs,
                                                          monkeypatch):
@@ -154,22 +141,72 @@ class TestChecks:
             return {**rho, top: rho[top] * 2}, certificates
 
         monkeypatch.setattr(tpg, "eigenvalues_by_recursion", perturbed)
-        rep = seed_rep("a2even", 2)
-        assert not jimbo.spectral_compare(rep, qs, Q(3, 7))["ok"]
+        assert not jimbo.spectral_compare(seed_shared("a2even", 2), qs,
+                                          Q(3, 7))["ok"]
 
     def test_parity_matches_graph_and_classical(self, ybe_case, qs):
         rep = seed_rep(*ybe_case)
-        spectrum = jimbo.parity_spectrum(rep, qs)
+        spectrum = jimbo.parity_spectrum(seed_shared(*ybe_case), qs)
         graph = tpg.build_graph(rep.spec, rep.spec.seed_params())
         assert spectrum == {n.nu: n.parity for n in graph.nodes}
         T = TensorModule.of(rep, rep)
         assert spectrum == tensor.classical_parity_signs(T)
 
     def test_parity_independent_of_w_sign(self):
-        rep = seed_rep("a2odd", 3)
-        a = jimbo.parity_spectrum(rep, QSample(Q(3, 2)))
-        b = jimbo.parity_spectrum(rep, QSample(Q(-3, 2)))
+        shared = seed_shared("a2odd", 3)
+        a = jimbo.parity_spectrum(shared, QSample(Q(3, 2)))
+        b = jimbo.parity_spectrum(shared, QSample(Q(-3, 2)))
         assert a == b
+
+
+def corrupt_solve(shared, qs, x):
+    """Replace R(w, x) in the memo of ``shared`` by a copy whose top row has
+    1 added to its diagonal entry and a 1 in the first column where it was
+    zero, in R and Rcheck alike (the swap fixes the top index, so
+    R = P * Rcheck still holds)."""
+    res = shared.solve(qs, x)
+    p0 = top_index(shared.module)
+    R, Rcheck = ({p: dict(row) for p, row in m.items()}
+                 for m in (res.R, res.Rcheck))
+    q = min(set(range(shared.module.dim)) - set(Rcheck[p0]))
+    for m in (R, Rcheck):
+        m[p0][p0] += 1
+        m[p0][q] = Q(1)
+    shared._memo[("solve", qs.w, x)] = jimbo.RMatrixResult(R, Rcheck)
+
+
+class TestYangBaxterOracle:
+    """check_ybe (the braid relation on Rcheck) against the R-form product
+    R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) of ``oracles``."""
+
+    @pytest.mark.parametrize("corrupt", [None, 0, 1, 2],
+                             ids=["clean", "u", "uv", "v"])
+    @pytest.mark.parametrize("family,l", YBE_CASES,
+                             ids=[f"{f}-l{l}" for f, l in YBE_CASES])
+    def test_matches_r_form(self, family, l, corrupt):
+        """Same ``ok`` and ``residual_entries`` on 3 samples; with one of
+        R(u), R(uv), R(v) corrupted, both must fail."""
+        rng = random.Random(505)
+        done = 0
+        while done < 3:
+            w, u, v = jimbo.sample_w(rng), jimbo.sample_u(rng), jimbo.sample_u(rng)
+            qs, xs = QSample(w), (u, u * v, v)
+            if len(set(xs)) < 3:      # a corruption must hit one factor only
+                continue
+            shared = seed_shared(family, l)
+            try:
+                Rs = [shared.solve(qs, x).R for x in xs]
+            except (jimbo.SolveError, DecompositionError, PoleError,
+                    ZeroDivisionError):
+                continue
+            if corrupt is not None:
+                corrupt_solve(shared, qs, xs[corrupt])
+                Rs[corrupt] = shared.solve(qs, xs[corrupt]).R
+            out = jimbo.check_ybe(shared, qs, u, v)
+            want = ybe_residual_entries(*Rs, shared.rep.dim)
+            assert (out["ok"], out["residual_entries"]) == (want == 0, want)
+            assert out["ok"] == (corrupt is None), (w, u, v)
+            done += 1
 
 
 class TestSampling:

@@ -7,6 +7,8 @@ from twistr.branching import decompose_tensor_closed_form
 from twistr.liealg import (FamilyError, casimir_eigenvalue, eps, family_spec,
                            fundamental_weight, weyl_dim, wscale)
 
+import oracles
+
 Q = Fraction
 
 
@@ -55,7 +57,7 @@ class TestWeylData:
     @pytest.mark.parametrize("l0type,l,count", [("B", 2, 4), ("B", 3, 9),
                                                 ("C", 3, 9), ("C", 4, 16)])
     def test_positive_root_count(self, l0type, l, count):
-        assert len(liealg.positive_roots(l0type, l)) == count
+        assert len(oracles.positive_roots(l0type, l)) == count
 
     @pytest.mark.parametrize("l0type,l,nu,dim", [
         ("B", 2, (1, 0), 5),             # vector of so(5)
@@ -86,7 +88,7 @@ class TestCasimir:
             nu = tuple(Q(2) if i < c else (Q(1) if i < d else Q(0))
                        for i in range(4))
             assert casimir_eigenvalue(spec, nu) == \
-                liealg.casimir_a2even_cd(4, c, d)
+                oracles.casimir_a2even_cd(4, c, d)
 
     def test_matches_a2odd_closed_form(self):
         spec = family_spec("a2odd", 3)
@@ -94,7 +96,7 @@ class TestCasimir:
             # c*lambda1 + d*lambda2 -> eps tuple (c + d, d, 0)
             nu = (Q(c + d), Q(d), Q(0))
             assert casimir_eigenvalue(spec, nu) == \
-                liealg.casimir_a2odd_cd(3, c, d)
+                oracles.casimir_a2odd_cd(3, c, d)
 
     def test_matches_d2_closed_form(self):
         spec = family_spec("d2", 3)
@@ -102,7 +104,7 @@ class TestCasimir:
                          ((2, 0, 0), 1)]:
             nu = tuple(Q(x) + Q(bma, 2) for x in Lam)
             assert casimir_eigenvalue(spec, nu) == \
-                liealg.casimir_d2_ladder(3, Lam, bma)
+                oracles.casimir_d2_ladder(3, Lam, bma)
 
     def test_rejects_non_dominant(self):
         spec = family_spec("a2even", 2)
@@ -125,13 +127,13 @@ class TestKacGenerators:
         for i in range(spec.l + 1):
             for j in range(spec.l + 1):
                 want = Q(1 if i == j else 0)
-                assert liealg.trace_pairing(gens["E"][i], gens["F"][j]) == want
+                assert oracles.trace_pairing(gens["E"][i], gens["F"][j]) == want
 
 
 class TestDimensionFormulas:
     def test_a2even_pair(self):
         # sl(5): dim V(lambda1 + lambda2) = 40
-        assert liealg.dim_a2even_L(5, 1, 2) == 40
+        assert oracles.dim_a2even_L(5, 1, 2) == 40
         # so(n) closed form against the Weyl dimension formula
         for l in (2, 3):
             n = 2 * l + 1
@@ -139,12 +141,12 @@ class TestDimensionFormulas:
                 for d in range(c, l + 1):
                     nu = tuple(Q(2) if i < c else (Q(1) if i < d else Q(0))
                                for i in range(l))
-                    assert liealg.dim_a2even_L0(n, c, d) == weyl_dim("B", l, nu)
+                    assert oracles.dim_a2even_L0(n, c, d) == weyl_dim("B", l, nu)
 
     def test_a2odd_pair(self):
         # sl(6): dim V(2*lambda1) = 21; sp(6): dim V0(2*lambda1) = 21
-        assert liealg.dim_a2odd_L(6, 2, 0) == 21
-        assert liealg.dim_a2odd_L0(6, 2, 0) == 21
+        assert oracles.dim_a2odd_L(6, 2, 0) == 21
+        assert oracles.dim_a2odd_L0(6, 2, 0) == 21
 
     def test_weyl_dim_against_root_product(self):
         """The coordinate formula equals prod over positive roots of
@@ -154,7 +156,7 @@ class TestDimensionFormulas:
             rho = liealg.weyl_vector(l0type, l)
             shifted = liealg.wadd(nu, rho)
             num = den = Q(1)
-            for alpha in liealg.positive_roots(l0type, l):
+            for alpha in oracles.positive_roots(l0type, l):
                 num *= liealg.inner(shifted, alpha)
                 den *= liealg.inner(rho, alpha)
             return num / den
