@@ -1,7 +1,7 @@
 """Direct solution of the intertwining equations for the spectral R-matrix,
 plus the independent consistency checks (Yang-Baxter, unitarity, parity
 spectrum, spectral agreement with the graph recursion), all of which read
-Rcheck alone.
+Rcheck alone, as the integer N / D below.
 
 R solves R * D(x) = D^T(x) * R for the fixed-subalgebra generators e_i, f_i
 (i >= 1) and the affine generator e0 (the only place u enters).  As
@@ -26,11 +26,23 @@ P13 R23(v) R13(uv) R12(u), so the braid relation is the R-form
 R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides permuted by
 P13: the two hold together, and their sides differ in as many entries.
 
-All checks run in exact rational arithmetic at rational samples; "pass" means
-the residual is identically zero.  Every check and solve takes a ``Shared``,
-which carries what the checks of one run have in common, so each R(w, u) is
-solved once however many checks read it.  R and Rcheck are sparse ``linalg``
-matrices {row: {col: x}}.
+Each solve returns Rcheck as N / D: a sparse integer numerator N = D * Rcheck
+and a positive integer D, both divided by their content gcd.  The checks read
+N and D only.  Each side of the braid relation is a product of one each of
+Rcheck(u), Rcheck(uv) and Rcheck(v), so it is homogeneous of degree 1 in
+each: the integer sides N12(v) N23(uv) N12(u) and N23(u) N12(uv) N23(v) are
+both D_u * D_uv * D_v times the rational sides, and as that factor is
+nonzero they agree (and differ in the same entries) exactly when the
+rational sides do.  In the same way unitarity is N(u) N(1/u) = D_u D_{1/u} I,
+spectral agreement is N(1) = D_1 I with N(u) acting as D_u * rho_nu(u) on
+V0(nu), and as D > 0 the parity signs of N(0) are those of Rcheck(0).
+
+All checks are exact at rational samples; "pass" means the residual is
+identically zero.  Every check and solve takes a ``Shared``, which carries
+what the checks of one run have in common, so each R(w, u) is solved once
+however many checks read it.  N and the Fraction forms of Rcheck and R,
+built from N on first read for the rmatrix export and the tests, are sparse
+``linalg`` matrices {row: {col: x}}.
 """
 
 from __future__ import annotations
@@ -39,12 +51,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, qrep, tpg
 from .qrep import Representation
 from .scalars import PoleError, QSample
 from .tensor import (DecompositionError, TensorModule, component_scalars,
-                     coproduct_action, decompose, permutation_operator)
+                     coproduct_action, decompose)
 
 Q = Fraction
 
@@ -55,9 +68,27 @@ class SolveError(RuntimeError):
 
 @dataclass
 class RMatrixResult:
-    R: dict            # sparse intertwiner, normalized to 1 on the top
-                       # weight vector; certified to span the null space
-    Rcheck: dict       # sparse P * R
+    """Rcheck = P * R = N / D, where R is the intertwiner normalized to 1 on
+    the top weight vector and certified to span the null space.  The
+    Fraction forms of Rcheck and R are built from N on first read and kept."""
+    N: dict            # sparse integer numerator, D * Rcheck
+    D: int             # positive denominator
+    dim: int           # dim V: P sends index a * dim + b to b * dim + a
+
+    @cached_property
+    def Rcheck(self):
+        return {p: {j: Q(y, self.D) for j, y in row.items()}
+                for p, row in self.N.items()}
+
+    @cached_property
+    def R(self):
+        return _swapped(self.Rcheck, self.dim)
+
+
+def _swapped(m, d):
+    """P * m for the sparse m and the swap P on V (x) V, d = dim V: row
+    a * d + b of P * m is row b * d + a of m (the same dict)."""
+    return {p: m[q] for p in range(d * d) if (q := (p % d) * d + p // d) in m}
 
 
 @dataclass
@@ -171,21 +202,17 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
             a, xc = acc.setdefault(p, {}), x * c[n]
             for j, y in dk.items():
                 a[j] = a.get(j, 0) + xc * y
-    rcheck = {p: row for p, a in acc.items()
-              if (row := {j: y for j, y in a.items() if y})}
-    swap = permutation_operator(T)     # R = P * Rcheck
-    r = {p: rcheck[q] for p, row in swap.items() for q in row if q in rcheck}
+    d = cd * system.scale
+    g = math.gcd(d, *(y for a in acc.values() for y in a.values()))
+    num = {p: row for p, a in acc.items()
+           if (row := {j: y // g for j, y in a.items() if y})}
+    r = _swapped(num, shared.rep.dim)     # D * R = P * N
     e0 = _integral(coproduct_action(T, "e", 0, qs, u=u),
                    coproduct_action(T, "e", 0, qs, u=u, transpose=True))
     for a, b in system.equations + [e0]:
         if linalg.sparse_mul(r, a) != linalg.sparse_mul(b, r):
             raise SolveError("R fails the intertwining equations")
-    d = cd * system.scale
-    Rcheck = {p: {j: Q(y, d) for j, y in row.items()}
-              for p, row in rcheck.items()}
-    R = {p: dict(Rcheck[q]) for p, row in swap.items() for q in row
-         if q in Rcheck}
-    return RMatrixResult(R, Rcheck)
+    return RMatrixResult(num, d // g, shared.rep.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +281,40 @@ def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
     """Exact test of the braid relation
     Rcheck12(v) Rcheck23(uv) Rcheck12(u) = Rcheck23(u) Rcheck12(uv) Rcheck23(v),
     the R-form R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides
-    permuted by P13 (module docstring), so ``residual_entries`` counts the
-    entries where the R-form sides differ too."""
+    permuted by P13, on the integer numerators N (module docstring), so
+    ``residual_entries`` counts the entries where the R-form sides differ
+    too.  The sides are built and compared one row at a time, so neither
+    three-site product is held whole."""
     d = shared.rep.dim
-    ru, ruv, rv = (shared.solve(qs, x).Rcheck for x in (u, u * v, v))
-    mul = linalg.sparse_mul
-    lhs = mul(mul(_on_legs(rv, d, True), _on_legs(ruv, d, False)),
-              _on_legs(ru, d, True))
-    rhs = mul(mul(_on_legs(ru, d, False), _on_legs(ruv, d, True)),
-              _on_legs(rv, d, False))
+    n_u, n_uv, n_v = (shared.solve(qs, x).N for x in (u, u * v, v))
+    lhs = (_on_legs(n_v, d, True), _on_legs(n_uv, d, False),
+           _on_legs(n_u, d, True))
+    rhs = (_on_legs(n_u, d, False), _on_legs(n_uv, d, True),
+           _on_legs(n_v, d, False))
     residual_entries = 0
-    if lhs != rhs:
-        for i in lhs.keys() | rhs.keys():
-            li, ri = lhs.get(i, {}), rhs.get(i, {})
+    for i in range(d ** 3):
+        li, ri = _product_row(lhs, i), _product_row(rhs, i)
+        if li != ri:
             residual_entries += sum(li.get(j) != ri.get(j)
                                     for j in li.keys() | ri.keys())
     return {"check": "yang-baxter", "u": u, "v": v,
             "ok": residual_entries == 0, "residual_entries": residual_entries}
 
 
+def _product_row(factors, i):
+    """Row i of the product of the sparse matrices ``factors``."""
+    row = factors[0].get(i, {})
+    for m in factors[1:]:
+        row = linalg.sparse_vec_mul(row, m)
+    return row
+
+
 def check_unitarity(shared: Shared, qs: QSample, u: Fraction):
-    """Rcheck(u) * Rcheck(1/u) = identity."""
-    a = shared.solve(qs, u).Rcheck
-    b = shared.solve(qs, 1 / u).Rcheck
-    ok = linalg.sparse_mul(a, b) == linalg.sparse_identity(shared.module.dim)
+    """Rcheck(u) * Rcheck(1/u) = identity, as N(u) N(1/u) = D_u D_{1/u} I."""
+    a = shared.solve(qs, u)
+    b = shared.solve(qs, 1 / u)
+    ok = linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(
+        shared.module.dim, a.D * b.D)
     return {"check": "unitarity", "u": u, "ok": ok}
 
 
@@ -294,11 +331,14 @@ def parity_spectrum(shared: Shared, qs: QSample):
     so for a positive sample of w (where every power of q is positive) the
     sign of the eigenvalue is the parity.  The parity theorem says these signs
     equal the graph parities and, classically, the symmetric / antisymmetric
-    square membership."""
+    square membership.  The signs are read from N(0) = D * Rcheck(0), which
+    has the same signs because D > 0."""
     qs = QSample(abs(qs.w))
-    R0 = shared.solve(qs, Q(0)).Rcheck
+    r0 = shared.solve(qs, Q(0))
+    if r0.D <= 0:
+        raise SolveError(f"Rcheck(0) has denominator {r0.D}, expected > 0")
     out = {}
-    for nu, c in component_scalars(shared.decomposition(qs), R0).items():
+    for nu, c in component_scalars(shared.decomposition(qs), r0.N).items():
         if not c:
             raise SolveError(f"Rcheck(0) vanishes on {nu}")
         out[nu] = 1 if c > 0 else -1
@@ -310,9 +350,10 @@ def spectral_compare(shared: Shared, qs: QSample, u: Fraction):
     decomposition sum(rho_nu(u) * P_nu), normalised by Rcheck(1).
 
     Certifies Rcheck(1) == identity and Rcheck(u) v == rho_nu(u) v for every
-    adapted basis vector v of each component V0(nu).  The adapted bases
-    together form a basis of V (x) V and P_nu is the identity on the basis of
-    V0(nu) and zero on the others, so this is exactly
+    adapted basis vector v of each component V0(nu), on the integer forms:
+    N(1) == D_1 * identity and N(u) v == D_u * rho_nu(u) v.  The adapted
+    bases together form a basis of V (x) V and P_nu is the identity on the
+    basis of V0(nu) and zero on the others, so this is exactly
     Rcheck(u) * Rcheck(1)**-1 == sum(rho_nu(u) * P_nu), with no projector or
     inverse formed."""
     rho, _ = tpg.eigenvalues_by_recursion(shared.graph, qs, u=u)
@@ -320,11 +361,11 @@ def spectral_compare(shared: Shared, qs: QSample, u: Fraction):
     for comp in dec.components:
         if comp.nu not in rho:
             raise SolveError(f"component {comp.nu} missing from the graph")
-    a = shared.solve(qs, u).Rcheck
-    b = shared.solve(qs, Q(1)).Rcheck
+    a = shared.solve(qs, u)
+    b = shared.solve(qs, Q(1))
     try:
-        ok = b == linalg.sparse_identity(shared.module.dim) and all(
-            c == rho[nu] for nu, c in component_scalars(dec, a).items())
+        ok = b.N == linalg.sparse_identity(shared.module.dim, b.D) and all(
+            c == a.D * rho[nu] for nu, c in component_scalars(dec, a.N).items())
     except DecompositionError:  # Rcheck(u) is not scalar on a component
         ok = False
     return {"check": "spectral-agreement", "u": u, "ok": ok}

@@ -138,23 +138,24 @@ def sparse(m):
     return {i: r for i, r in enumerate(map(sparse_vector, m)) if r}
 
 
-def sparse_identity(n):
-    return {i: {i: Q(1)} for i in range(n)}
+def sparse_identity(n, c=Q(1)):
+    """c times the n x n identity."""
+    return {i: {i: c} for i in range(n)}
+
+
+def sparse_vec_mul(v, b):
+    """The sparse row vector v times the sparse matrix b."""
+    acc = {}
+    for k, x in v.items():
+        rb = b.get(k)
+        if rb:
+            for j, y in rb.items():
+                acc[j] = acc.get(j, 0) + x * y
+    return {j: x for j, x in acc.items() if x}
 
 
 def sparse_mul(a, b):
-    out = {}
-    for i, ra in a.items():
-        acc = {}
-        for k, v in ra.items():
-            rb = b.get(k)
-            if rb:
-                for j, w in rb.items():
-                    acc[j] = acc.get(j, 0) + v * w
-        acc = {j: v for j, v in acc.items() if v}
-        if acc:
-            out[i] = acc
-    return out
+    return {i: row for i, ra in a.items() if (row := sparse_vec_mul(ra, b))}
 
 
 def sparse_transpose(a):

@@ -91,7 +91,8 @@ def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
         Delta^T(x) = x (x) q^{-h/2} + q^{h/2} (x) x
 
     The spectral parameter u enters only for i == 0 (factor u on e0, 1/u on
-    f0, acting on the first leg).
+    f0, acting on the first leg).  For V (x) V the q^{-h/2} diagonal is
+    the entrywise reciprocal of the q^{h/2} one.
     """
     r1, r2 = T.rep1, T.rep2
     x1 = r1.e[i] if kind == "e" else r1.f[i]
@@ -100,9 +101,9 @@ def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
     if i == 0 and u is not None:
         scale = u if kind == "e" else 1 / u
     s = -1 if transpose else 1
-    return _coproduct(T, linalg.mat_scale(x1, scale),
-                      r2.qh_half_diag(i, qs, s),
-                      r1.qh_half_diag(i, qs, -s), x2)
+    d2 = r2.qh_half_diag(i, qs, s)
+    d1 = [1 / x for x in d2] if r1 is r2 else r1.qh_half_diag(i, qs, -s)
+    return _coproduct(T, linalg.mat_scale(x1, scale), d2, d1, x2)
 
 
 def classical_coproduct(T: TensorModule, kind: str, i: int):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import jimbo, liealg, tpg
+from twistr import cli, jimbo, liealg, tpg
 from twistr.cli import SCHEMA, main
 from twistr.scalars import PoleError, QSample
 
@@ -204,6 +204,39 @@ class TestVerify:
         _, b = run(tmp_path / "b", "verify", "--family", "a2even", "--l", "1",
                    "--seed", "2", "--samples", "1")
         assert a.read_bytes() != b.read_bytes()
+
+    def test_verify_builds_no_fraction_rmatrix(self, tmp_path, monkeypatch):
+        """The checks read the integer N / D only: a verify passes with the
+        Fraction forms of R and Rcheck made unreadable."""
+        def unreadable(self):
+            raise AssertionError("Fraction R-matrix built in verify")
+
+        for name in ("R", "Rcheck"):
+            monkeypatch.setattr(jimbo.RMatrixResult, name,
+                                property(unreadable))
+        code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
+                        "--seed", "7", "--samples", "2")
+        assert code == 0 and json.loads(out.read_text())["ok"]
+
+    def test_oversized_seed_verify_refused_before_any_work(self, capsys,
+                                                           monkeypatch):
+        """d2 l=6 (three-site dimension 64**3) exits 2 with its size
+        estimate before a Shared, which every stage reads, is built."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(jimbo, "Shared", no_work)
+        assert main(["verify", "--family", "d2", "--l", "6"]) == 2
+        err = capsys.readouterr().err
+        assert "d^3 = 262,144 (d = 64), T = d^2 = 4,096, 7 components" in err
+
+    def test_size_guard_bounds(self):
+        """The largest size measured to pass is accepted, and a non-seed
+        pair, which skips the three-site stages, is never refused."""
+        d2_5, d2_6 = (liealg.family_spec("d2", l) for l in (5, 6))
+        assert cli._size_refusal(d2_5, (1, 1)) is None
+        assert cli._size_refusal(d2_6, (1, 2)) is None
+        assert cli._size_refusal(d2_6, (1, 1)) is not None
 
 
 class TestExport:

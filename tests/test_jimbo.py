@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -52,6 +54,10 @@ class TestSolve:
         over every entry of R, at a generic u and at the parity sample."""
         res = jimbo.solve_rmatrix(seed_shared(*ybe_case), qs, u)
         assert (res.R, res.Rcheck) == full_solve(seed_rep(*ybe_case), qs, u)
+        # N / D is in lowest terms with D > 0
+        assert res.D > 0
+        assert math.gcd(res.D, *(y for row in res.N.values()
+                                 for y in row.values())) == 1
 
     def test_rcheck_at_one_is_identity(self, ybe_case, qs):
         """With the symmetric coproduct, P itself intertwines at u = 1."""
@@ -160,19 +166,85 @@ class TestChecks:
 
 
 def corrupt_solve(shared, qs, x):
-    """Replace R(w, x) in the memo of ``shared`` by a copy whose top row has
-    1 added to its diagonal entry and a 1 in the first column where it was
-    zero, in R and Rcheck alike (the swap fixes the top index, so
-    R = P * Rcheck still holds)."""
+    """Replace R(w, x) in the memo of ``shared`` by a copy whose numerator N
+    has D added to its top diagonal entry and an entry D in the first column
+    where the top row was zero, so that Rcheck and R alike gain 1 at both
+    (the swap fixes the top index, so R = P * Rcheck still holds)."""
     res = shared.solve(qs, x)
     p0 = top_index(shared.module)
-    R, Rcheck = ({p: dict(row) for p, row in m.items()}
-                 for m in (res.R, res.Rcheck))
-    q = min(set(range(shared.module.dim)) - set(Rcheck[p0]))
-    for m in (R, Rcheck):
-        m[p0][p0] += 1
-        m[p0][q] = Q(1)
-    shared._memo[("solve", qs.w, x)] = jimbo.RMatrixResult(R, Rcheck)
+    N = {p: dict(row) for p, row in res.N.items()}
+    q = min(set(range(shared.module.dim)) - set(N[p0]))
+    N[p0][p0] += res.D
+    N[p0][q] = res.D
+    shared._memo[("solve", qs.w, x)] = dataclasses.replace(res, N=N)
+
+
+def rescale_solve(shared, qs, x, k):
+    """Replace R(w, x) in the memo of ``shared`` by k N / k D, the same
+    Rcheck over another denominator."""
+    res = shared.solve(qs, x)
+    shared._memo[("solve", qs.w, x)] = dataclasses.replace(
+        res, N={p: {j: k * y for j, y in row.items()}
+                for p, row in res.N.items()}, D=k * res.D)
+
+
+class TestIntegerForm:
+    """The checks read Rcheck as N / D: negative controls on N and D."""
+
+    U, V = Q(3, 5), Q(-2, 7)
+
+    def verdicts(self, shared, qs):
+        u, v = self.U, self.V
+        return (jimbo.check_ybe(shared, qs, u, v),
+                jimbo.check_unitarity(shared, qs, u),
+                jimbo.spectral_compare(shared, qs, u),
+                jimbo.parity_spectrum(shared, qs))
+
+    @pytest.mark.parametrize("corrupt", [False, True],
+                             ids=["clean", "corrupt"])
+    def test_common_factor_leaves_verdicts(self, qs, corrupt):
+        """k N / k D for every solve a check reads gives the same verdicts
+        and residual counts as N / D, with R(u) corrupted or not."""
+        u, v = self.U, self.V
+        results = []
+        for k in (1, 6):
+            shared = seed_shared("a2even", 2)
+            if corrupt:
+                corrupt_solve(shared, qs, u)
+            for x in (u, u * v, v, 1 / u, Q(1), Q(0)):
+                rescale_solve(shared, qs, x, k)
+            results.append(self.verdicts(shared, qs))
+        assert results[0] == results[1]
+        assert results[0][0]["ok"] == results[0][1]["ok"] == \
+            results[0][2]["ok"] == (not corrupt)
+
+    def test_unitarity_detects_corruption(self, qs):
+        """Negative control: a corrupted Rcheck(1/u) must fail unitarity."""
+        shared = seed_shared("a2even", 2)
+        assert jimbo.check_unitarity(shared, qs, self.U)["ok"]
+        corrupt_solve(shared, qs, 1 / self.U)
+        assert not jimbo.check_unitarity(shared, qs, self.U)["ok"]
+
+    def test_parity_refuses_nonpositive_denominator(self, qs):
+        """-N / -D is the same Rcheck(0), but its signs would be flipped."""
+        shared = seed_shared("a2even", 2)
+        rescale_solve(shared, qs, Q(0), -1)
+        with pytest.raises(jimbo.SolveError, match="denominator"):
+            jimbo.parity_spectrum(shared, qs)
+
+    def test_d2_l4_yang_baxter(self, qs):
+        """The braid relation at d = 16 (4,096 three-site dimensions),
+        clean and with R(uv) corrupted."""
+        shared = seed_shared("d2", 4)
+        u, v = self.U, self.V
+        out = jimbo.check_ybe(shared, qs, u, v)
+        assert out["ok"] and out["residual_entries"] == 0
+        corrupt_solve(shared, qs, u * v)
+        out = jimbo.check_ybe(shared, qs, u, v)
+        assert not out["ok"] and out["residual_entries"] > 0
+
+    def test_d2_l4_unitarity(self, qs):
+        assert jimbo.check_unitarity(seed_shared("d2", 4), qs, self.U)["ok"]
 
 
 class TestYangBaxterOracle:
