@@ -176,7 +176,7 @@ def decompose_tensor_closed_form(spec: FamilySpec, params) -> BranchingTable:
         seen.add(c.nu)
     comps.sort(key=lambda c: c.nu, reverse=True)
     table = BranchingTable(spec.family, l, tuple(params), tuple(comps))
-    d1, d2 = _factor_dims(spec, params)
+    d1, d2 = (weyl_dim(spec.l0type, l, input_weight(spec, p)) for p in params)
     if sum(c.dim for c in comps) != d1 * d2:
         raise BranchingError("dimension sum mismatch")
     return table
@@ -202,20 +202,6 @@ def _d2_parent(l, a, Lam):
     for i in range(1, l + 2):
         hat.append(padded[i - 1] if (i + l) % 2 == 1 else padded[min(i, l)])
     return ("L",) + tuple(hat)
-
-
-def _factor_dims(spec, params):
-    k, r = params
-    l = spec.l
-    if spec.family == "a2even":
-        return (weyl_dim("B", l, _lam_cd(l, 0, k)),
-                weyl_dim("B", l, _lam_cd(l, 0, r)))
-    if spec.family == "a2odd":
-        return (weyl_dim("C", l, tuple(Q(k if i == 0 else 0) for i in range(l))),
-                weyl_dim("C", l, tuple(Q(r if i == 0 else 0) for i in range(l))))
-    spinor = fundamental_weight("B", l, l)
-    return (weyl_dim("B", l, wscale(spinor, Q(k))),
-            weyl_dim("B", l, wscale(spinor, Q(r))))
 
 
 def input_weight(spec: FamilySpec, p):

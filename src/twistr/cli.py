@@ -20,7 +20,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import branching, jimbo, liealg, linalg, qrep, tensor, tpg
+from . import branching, jimbo, liealg, qrep, tensor, tpg
 from .liealg import FamilyError, family_spec
 from .scalars import QSample, format_scalar
 
@@ -321,8 +321,8 @@ def cmd_export(args, spec, params) -> int:
             "dim": rep.dim,
             "highest_weight": tpg._weight_str(rep.lam),
             "weights": [tpg._weight_str(wt) for wt in rep.weights],
-            "e": [_sparse_triplets(linalg.sparse(m)) for m in rep.e],
-            "f": [_sparse_triplets(linalg.sparse(m)) for m in rep.f],
+            "e": [_sparse_triplets(m) for m in rep.e],
+            "f": [_sparse_triplets(m) for m in rep.f],
         }, indent=2, sort_keys=True) + "\n", args.out)
         return 0
     print(f"error: unknown export object {what!r}", file=sys.stderr)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import commutator, is_zero, mat_scale, mat_sub, zeros
+from .linalg import (mat_scale, mat_sub, sparse_commutator, sparse_lincomb,
+                     zeros)
 
 Q = Fraction
 
@@ -232,32 +233,34 @@ def kac_generators(spec: FamilySpec):
 
 def relation_entry(name, residual):
     """The report entry {relation, ok, residual} of one defining relation
-    from its residual matrix; the residual is kept only when nonzero."""
-    ok = is_zero(residual)
+    from its sparse residual matrix, which holds nonzero entries only: the
+    relation holds exactly when the residual is empty, and the residual is
+    kept only when it is not."""
+    ok = not residual
     return {"relation": name, "ok": ok, "residual": None if ok else residual}
 
 
 def check_classical_relations(gens, spec: FamilySpec):
     """Verify every defining relation of the classical generator set.
 
-    Returns a list of report entries {"relation": str, "ok": bool, "residual"}.
+    The n x n matrices of ``gens`` are converted to sparse once and every
+    relation is checked on the sparse forms.  Returns a list of report
+    entries {"relation": str, "ok": bool, "residual"}.
     """
-    E, F, H = gens["E"], gens["F"], gens["H"]
+    E, F, H = ([linalg.sparse(m) for m in gens[k]] for k in "EFH")
     l = spec.l
     report = []
     for i in range(l + 1):
         for j in range(l + 1):
             aij = inner(spec.alpha[i], spec.alpha[j])
-            target = H[i] if i == j else zeros(spec.n, spec.n)
+            target = H[i] if i == j else {}
             report += [
-                relation_entry(f"[H{i},E{j}]=(a{i},a{j})E{j}",
-                               mat_sub(commutator(H[i], E[j]),
-                                       mat_scale(E[j], aij))),
-                relation_entry(f"[H{i},F{j}]=-(a{i},a{j})F{j}",
-                               mat_sub(commutator(H[i], F[j]),
-                                       mat_scale(F[j], -aij))),
-                relation_entry(f"[E{i},F{j}]=delta*H{i}",
-                               mat_sub(commutator(E[i], F[j]), target))]
+                relation_entry(f"[H{i},E{j}]=(a{i},a{j})E{j}", sparse_lincomb(
+                    ((1, sparse_commutator(H[i], E[j])), (-aij, E[j])))),
+                relation_entry(f"[H{i},F{j}]=-(a{i},a{j})F{j}", sparse_lincomb(
+                    ((1, sparse_commutator(H[i], F[j])), (aij, F[j])))),
+                relation_entry(f"[E{i},F{j}]=delta*H{i}", sparse_lincomb(
+                    ((1, sparse_commutator(E[i], F[j])), (-1, target))))]
     for i in range(l + 1):
         for j in range(l + 1):
             if i == j:
@@ -265,10 +268,10 @@ def check_classical_relations(gens, spec: FamilySpec):
             m = 1 - int(spec.cartan(i, j))
             x = E[j]
             for _ in range(m):
-                x = commutator(E[i], x)
+                x = sparse_commutator(E[i], x)
             report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x))
             y = F[j]
             for _ in range(m):
-                y = commutator(F[i], y)
+                y = sparse_commutator(F[i], y)
             report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y))
     return report

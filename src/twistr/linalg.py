@@ -1,12 +1,15 @@
 """Exact linear algebra over Q.
 
-Dense list-of-lists of Fraction serve only representation-sized d x d
-matrices and the small per-weight-block or per-component eliminations.
-Every operator on V (x) V -- the coproduct actions, the swap, R and its
-braided form -- is sparse: ``{row: {col: Fraction}}`` holding only the
-nonzero entries (a sparse vector, such as an adapted basis vector, is one
-such ``{col: Fraction}``).  ``RowSpace`` eliminates sparse rows
-incrementally, so its cost follows the nonzeros, not the number of columns.
+Dense list-of-lists of Fraction serve only the construction of a seed
+representation (the Kac matrices, the Jordan-Wigner products and the
+constraint solve for the spinor's affine pair) and the small per-weight-block
+or per-component eliminations.  Everything else is sparse:
+``{row: {col: Fraction}}`` holding only the nonzero entries (a sparse vector,
+such as an adapted basis vector, is one such ``{col: Fraction}``).  That
+covers the stored seed generators, the relation checks on them, and every
+operator on V (x) V -- the coproduct actions, the swap, R and its braided
+form.  ``RowSpace`` eliminates sparse rows incrementally, so its cost
+follows the nonzeros, not the number of columns.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ def mat_vec(a, v):
 
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def is_zero(a):
-    return all(not x for row in a for x in row)
 
 
 def transpose(a):
@@ -156,6 +155,23 @@ def sparse_vec_mul(v, b):
 
 def sparse_mul(a, b):
     return {i: row for i, ra in a.items() if (row := sparse_vec_mul(ra, b))}
+
+
+def sparse_lincomb(terms):
+    """The sparse matrix sum(c * m) over the (c, m) pairs of terms, with the
+    entries that cancel dropped: it is empty exactly when the sum is 0."""
+    out = {}
+    for c, m in terms:
+        for i, row in m.items():
+            acc = out.setdefault(i, {})
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    out = {i: {j: x for j, x in acc.items() if x} for i, acc in out.items()}
+    return {i: row for i, row in out.items() if row}
+
+
+def sparse_commutator(a, b):
+    return sparse_lincomb(((1, sparse_mul(a, b)), (-1, sparse_mul(b, a))))
 
 
 def sparse_transpose(a):

@@ -7,6 +7,10 @@ action.  The spinor is built on the sign-vector basis {0,1}^l via
 Jordan-Wigner fermions; the affine pair (e0, f0) is found by constraint
 propagation and certified by the quantum relation checker.
 
+The construction works on dense matrices; the finished generators are
+stored once as ``linalg`` sparse matrices, which is the only form the
+relation checker, the coproducts and the rep export read.
+
 Undeformedness is a claim under test: build_seed_rep runs the checker at a
 sample w and aborts if any relation fails.
 """
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from . import liealg, linalg
 from .liealg import FamilySpec, inner, relation_entry
-from .scalars import QSample, qfactorial, qint
+from .scalars import QSample, qfactorial
 
 Q = Fraction
 
@@ -33,8 +37,8 @@ class Representation:
     spec: FamilySpec
     lam: tuple                     # highest weight (eps basis, length l)
     dim: int
-    e: tuple                       # matrices for e_0..e_l
-    f: tuple
+    e: tuple                       # sparse {row: {col: x}} e_0..e_l
+    f: tuple                       # sparse f_0..f_l
     weights: tuple                 # weight of each basis vector
 
     def h_eig(self, i, p):
@@ -71,11 +75,12 @@ def build_seed_rep(spec: FamilySpec) -> Representation:
         gens = liealg.kac_generators(spec)
         hdiags = [_diag_of(h) for h in gens["H"]]
         weights = _weights_from_h_diagonals(spec, hdiags)
-        lam = liealg.eps(1, spec.l)
-        rep = Representation(spec, lam, spec.n,
-                             tuple(gens["E"]), tuple(gens["F"]), weights)
+        lam, e, f = liealg.eps(1, spec.l), gens["E"], gens["F"]
     else:
-        rep = _build_spinor(spec)
+        lam, e, f, weights = _build_spinor(spec)
+    rep = Representation(spec, lam, len(weights),
+                         tuple(linalg.sparse(m) for m in e),
+                         tuple(linalg.sparse(m) for m in f), weights)
     report = check_quantum_relations(rep, QSample(Q(2)))
     bad = [r["relation"] for r in report if not r["ok"]]
     if bad:
@@ -108,7 +113,9 @@ def _fermion_ops(l):
     return cs
 
 
-def _build_spinor(spec: FamilySpec) -> Representation:
+def _build_spinor(spec: FamilySpec):
+    """Highest weight, dense e_0..e_l and f_0..f_l, and weights of the
+    spinor."""
     l, dim = spec.l, 2 ** spec.l
     basis = _spinor_basis(l)
     cs = _fermion_ops(l)
@@ -157,19 +164,31 @@ def _build_spinor(spec: FamilySpec) -> Representation:
         raise RepresentationError("spinor [e0,f0] degenerate")
     f[0] = linalg.mat_scale(f0_raw, want / comm[p][p])
 
-    return Representation(spec, weights[index[(1,) * l]], dim,
-                          tuple(e), tuple(f), weights)
+    return weights[index[(1,) * l]], e, f, weights
 
 
 # ---------------------------------------------------------------------------
 # Quantum relation checker
 # ---------------------------------------------------------------------------
 
+def _weight_shift_residual(x, hdiag, shift):
+    """The entries x[p][r] * (h(p) - h(r) - shift) of [h, x] - shift * x for
+    the diagonal h and the sparse x, over the nonzeros of x."""
+    out = {}
+    for p, row in x.items():
+        r = {c: y * t for c, y in row.items()
+             if (t := hdiag[p] - hdiag[c] - shift)}
+        if r:
+            out[p] = r
+    return out
+
+
 def check_quantum_relations(rep: Representation, qs: QSample):
     """Exact check of all defining relations of U_q at the sample q = w**4.
 
     Covers Cartan commutators (as weight shifts), the [e_i, f_j] relation and
-    the quantum Serre relations with q-divided powers.
+    the quantum Serre relations with q-divided powers, each as a sparse
+    residual that is empty exactly when the relation holds.
     """
     spec = rep.spec
     l, dim = spec.l, rep.dim
@@ -181,13 +200,14 @@ def check_quantum_relations(rep: Representation, qs: QSample):
             for j in range(l + 1):
                 aij = inner(spec.alpha[i], spec.alpha[j])
                 shift = aij if tag == "e" else -aij
-                m = [[x[j][p][r] * (hdiag[i][p] - hdiag[i][r] - shift)
-                      for r in range(dim)] for p in range(dim)]
-                report.append(relation_entry(f"[h{i},{tag}{j}] weight shift", m))
+                report.append(relation_entry(
+                    f"[h{i},{tag}{j}] weight shift",
+                    _weight_shift_residual(x[j], hdiag[i], shift)))
 
     for i in range(l + 1):
         for j in range(l + 1):
-            comm = linalg.commutator(rep.e[i], rep.f[j])
+            ef = linalg.sparse_mul(rep.e[i], rep.f[j])
+            fe = linalg.sparse_mul(rep.f[j], rep.e[i])
             if i == j:
                 # The stored matrices are the classical (q-independent) ones;
                 # they realize the quantum relation after the reciprocal gauge
@@ -198,18 +218,21 @@ def check_quantum_relations(rep: Representation, qs: QSample):
                 mags = {abs(hdiag[i][p]) for p in range(dim)} - {0}
                 m = max(mags) if len(mags) == 1 else Q(1)
                 gauge = ((qs.q_pow(m) - qs.q_pow(-m)) / (q - 1 / q)) / m
-                tgt = linalg.zeros(dim, dim)
-                for p in range(dim):
-                    tgt[p][p] = (qs.q_pow(hdiag[i][p])
-                                 - qs.q_pow(-hdiag[i][p])) / (q - 1 / q)
-                comm = linalg.mat_scale(comm, gauge)
+                tgt = {p: {p: (qs.q_pow(h) - qs.q_pow(-h)) / (q - 1 / q)}
+                       for p, h in enumerate(hdiag[i]) if h}
+                residual = linalg.sparse_lincomb(
+                    ((gauge, ef), (-gauge, fe), (-1, tgt)))
                 name = f"[e{i},f{i}] (gauge [{m}]/{m})"
             else:
-                tgt = linalg.zeros(dim, dim)
+                residual = linalg.sparse_lincomb(((1, ef), (-1, fe)))
                 name = f"[e{i},f{j}]"
-            report.append(relation_entry(name, linalg.mat_sub(comm, tgt)))
+            report.append(relation_entry(name, residual))
 
+    coeffs = {}
     for i in range(l + 1):
+        qi = qs.q_pow(Q(inner(spec.alpha[i], spec.alpha[i]), 2))
+        powers = {tag: [linalg.sparse_identity(dim), x[i]]
+                  for x, tag in ((rep.e, "e"), (rep.f, "f"))}
         for j in range(l + 1):
             if i == j:
                 continue
@@ -218,15 +241,17 @@ def check_quantum_relations(rep: Representation, qs: QSample):
                 raise RepresentationError(
                     f"Cartan entry a[{i}][{j}] = {aij} is not an integer")
             m = 1 - int(aij)
-            qi = qs.q_pow(Q(inner(spec.alpha[i], spec.alpha[i]), 2))
+            if (m, qi) not in coeffs:
+                coeffs[m, qi] = [
+                    Q((-1) ** k) / (qfactorial(m - k, qi) * qfactorial(k, qi))
+                    for k in range(m + 1)]
             for x, tag in ((rep.e, "e"), (rep.f, "f")):
-                powers = [linalg.identity(dim)]
-                for _ in range(m):
-                    powers.append(linalg.mat_mul(x[i], powers[-1]))
-                total = linalg.zeros(dim, dim)
-                for k in range(m + 1):
-                    coeff = Q((-1) ** k) / (qfactorial(m - k, qi) * qfactorial(k, qi))
-                    term = linalg.mat_mul(powers[m - k], linalg.mat_mul(x[j], powers[k]))
-                    total = linalg.mat_add(total, linalg.mat_scale(term, coeff))
+                pw = powers[tag]
+                while len(pw) <= m:
+                    pw.append(linalg.sparse_mul(x[i], pw[-1]))
+                total = linalg.sparse_lincomb(
+                    (c, linalg.sparse_mul(pw[m - k],
+                                          linalg.sparse_mul(x[j], pw[k])))
+                    for k, c in enumerate(coeffs[m, qi]))
                 report.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}", total))
     return report

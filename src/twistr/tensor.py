@@ -62,17 +62,16 @@ class TensorModule:
 
 
 def _coproduct(T: TensorModule, x1, d2, d1, x2):
-    """The sparse matrix x1 (x) diag(d2) + diag(d1) (x) x2, built from the
-    nonzeros of the factor matrices x1, x2."""
+    """The sparse matrix x1 (x) diag(d2) + diag(d1) (x) x2 of the sparse
+    factor matrices x1, x2."""
     n2 = T.rep2.dim
     out = {}
-    for a, row in linalg.sparse(x1).items():
+    for a, row in x1.items():
         for a2, x in row.items():
             for b, d in enumerate(d2):
                 out.setdefault(a * n2 + b, {})[a2 * n2 + b] = x * d
-    sx2 = linalg.sparse(x2)
     for a, d in enumerate(d1):
-        for b, row in sx2.items():
+        for b, row in x2.items():
             r = out.setdefault(a * n2 + b, {})
             for b2, x in row.items():
                 r[a * n2 + b2] = r.get(a * n2 + b2, 0) + d * x
@@ -97,13 +96,14 @@ def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
     r1, r2 = T.rep1, T.rep2
     x1 = r1.e[i] if kind == "e" else r1.f[i]
     x2 = r2.e[i] if kind == "e" else r2.f[i]
-    scale = Q(1)
-    if i == 0 and u is not None:
-        scale = u if kind == "e" else 1 / u
     s = -1 if transpose else 1
     d2 = r2.qh_half_diag(i, qs, s)
     d1 = [1 / x for x in d2] if r1 is r2 else r1.qh_half_diag(i, qs, -s)
-    return _coproduct(T, linalg.mat_scale(x1, scale), d2, d1, x2)
+    if i == 0 and u is not None:
+        # (c x1) (x) diag(d2) = x1 (x) diag(c d2)
+        c = u if kind == "e" else 1 / u
+        d2 = [c * d for d in d2]
+    return _coproduct(T, x1, d2, d1, x2)
 
 
 def classical_coproduct(T: TensorModule, kind: str, i: int):

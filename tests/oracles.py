@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against: the Casimir and
 dimension closed forms, the trace pairing, the Freudenthal weight multisets
 with the brute-force tensor decomposition, the L-parent classes of a
-branching table, and the R-form three-site Yang-Baxter product."""
+branching table, the R-form three-site Yang-Baxter product, and the dense
+classical and quantum relation checkers."""
 
 import math
 from fractions import Fraction
@@ -10,6 +11,9 @@ from twistr import linalg
 from twistr.branching import BranchingError
 from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
                            wsub)
+from twistr.linalg import (commutator, identity, mat_add, mat_mul, mat_scale,
+                           mat_sub, zeros)
+from twistr.scalars import qfactorial
 
 Q = Fraction
 
@@ -212,3 +216,121 @@ def ybe_residual_entries(Ru, Ruv, Rv, d):
             if li.get(j, Q(0)) != ri.get(j, Q(0)):
                 residual_entries += 1
     return residual_entries
+
+
+# ---------------------------------------------------------------------------
+# Dense relation checkers: every product a full matrix product
+# ---------------------------------------------------------------------------
+
+def is_zero(a):
+    return all(not x for row in a for x in row)
+
+
+def dense(m, n):
+    """The n x n dense form of the sparse matrix m."""
+    return [[m.get(i, {}).get(j, Q(0)) for j in range(n)] for i in range(n)]
+
+
+def bump(m, i, j, c=1):
+    """A copy of the sparse matrix m with c added to its entry (i, j)."""
+    out = {r: dict(row) for r, row in m.items()}
+    row = out.setdefault(i, {})
+    row[j] = row.get(j, 0) + c
+    if not row[j]:
+        del row[j]
+    return {r: row for r, row in out.items() if row}
+
+
+def relation_entry(name, residual):
+    ok = is_zero(residual)
+    return {"relation": name, "ok": ok, "residual": None if ok else residual}
+
+
+def check_classical_relations(gens, spec):
+    """Dense reference for ``liealg.check_classical_relations``."""
+    E, F, H = gens["E"], gens["F"], gens["H"]
+    l = spec.l
+    report = []
+    for i in range(l + 1):
+        for j in range(l + 1):
+            aij = inner(spec.alpha[i], spec.alpha[j])
+            target = H[i] if i == j else zeros(spec.n, spec.n)
+            report += [
+                relation_entry(f"[H{i},E{j}]=(a{i},a{j})E{j}",
+                               mat_sub(commutator(H[i], E[j]),
+                                       mat_scale(E[j], aij))),
+                relation_entry(f"[H{i},F{j}]=-(a{i},a{j})F{j}",
+                               mat_sub(commutator(H[i], F[j]),
+                                       mat_scale(F[j], -aij))),
+                relation_entry(f"[E{i},F{j}]=delta*H{i}",
+                               mat_sub(commutator(E[i], F[j]), target))]
+    for i in range(l + 1):
+        for j in range(l + 1):
+            if i == j:
+                continue
+            m = 1 - int(spec.cartan(i, j))
+            x = E[j]
+            for _ in range(m):
+                x = commutator(E[i], x)
+            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x))
+            y = F[j]
+            for _ in range(m):
+                y = commutator(F[i], y)
+            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y))
+    return report
+
+
+def check_quantum_relations(rep, qs):
+    """Dense reference for ``qrep.check_quantum_relations``, on the dense
+    forms of the representation's sparse generators."""
+    spec = rep.spec
+    l, dim = spec.l, rep.dim
+    q = qs.q
+    e = [dense(m, dim) for m in rep.e]
+    f = [dense(m, dim) for m in rep.f]
+    report = []
+    hdiag = [[rep.h_eig(i, p) for p in range(dim)] for i in range(l + 1)]
+    for i in range(l + 1):
+        for x, tag in ((e, "e"), (f, "f")):
+            for j in range(l + 1):
+                aij = inner(spec.alpha[i], spec.alpha[j])
+                shift = aij if tag == "e" else -aij
+                m = [[x[j][p][r] * (hdiag[i][p] - hdiag[i][r] - shift)
+                      for r in range(dim)] for p in range(dim)]
+                report.append(relation_entry(f"[h{i},{tag}{j}] weight shift", m))
+
+    for i in range(l + 1):
+        for j in range(l + 1):
+            comm = commutator(e[i], f[j])
+            if i == j:
+                mags = {abs(hdiag[i][p]) for p in range(dim)} - {0}
+                m = max(mags) if len(mags) == 1 else Q(1)
+                gauge = ((qs.q_pow(m) - qs.q_pow(-m)) / (q - 1 / q)) / m
+                tgt = zeros(dim, dim)
+                for p in range(dim):
+                    tgt[p][p] = (qs.q_pow(hdiag[i][p])
+                                 - qs.q_pow(-hdiag[i][p])) / (q - 1 / q)
+                comm = mat_scale(comm, gauge)
+                name = f"[e{i},f{i}] (gauge [{m}]/{m})"
+            else:
+                tgt = zeros(dim, dim)
+                name = f"[e{i},f{j}]"
+            report.append(relation_entry(name, mat_sub(comm, tgt)))
+
+    for i in range(l + 1):
+        for j in range(l + 1):
+            if i == j:
+                continue
+            m = 1 - int(spec.cartan(i, j))
+            qi = qs.q_pow(Q(inner(spec.alpha[i], spec.alpha[i]), 2))
+            for x, tag in ((e, "e"), (f, "f")):
+                powers = [identity(dim)]
+                for _ in range(m):
+                    powers.append(mat_mul(x[i], powers[-1]))
+                total = zeros(dim, dim)
+                for k in range(m + 1):
+                    coeff = Q((-1) ** k) / (qfactorial(m - k, qi) * qfactorial(k, qi))
+                    term = mat_mul(powers[m - k], mat_mul(x[j], powers[k]))
+                    total = mat_add(total, mat_scale(term, coeff))
+                report.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}", total))
+    return report

@@ -75,10 +75,9 @@ class TestSolve:
         """e0 -> 2 e0, f0 -> f0/2 leaves the solved R unchanged."""
         from twistr import qrep
         rep = seed_rep("d2", 2)
-        e = [list(map(list, m)) for m in rep.e]
-        f = [list(map(list, m)) for m in rep.f]
-        e[0] = linalg.mat_scale(e[0], Q(2))
-        f[0] = linalg.mat_scale(f[0], Q(1, 2))
+        e, f = list(rep.e), list(rep.f)
+        e[0] = linalg.sparse_lincomb(((Q(2), e[0]),))
+        f[0] = linalg.sparse_lincomb(((Q(1, 2), f[0]),))
         scaled = qrep.Representation(rep.spec, rep.lam, rep.dim,
                                      tuple(e), tuple(f), rep.weights)
         u = Q(5, 3)

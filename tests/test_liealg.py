@@ -8,6 +8,7 @@ from twistr.liealg import (FamilyError, casimir_eigenvalue, eps, family_spec,
                            fundamental_weight, weyl_dim, wscale)
 
 import oracles
+from conftest import GRID
 
 Q = Fraction
 
@@ -121,6 +122,35 @@ class TestKacGenerators:
         bad = [r["relation"] for r in report if not r["ok"]]
         assert not bad, bad
 
+    @pytest.mark.parametrize("family,l", [("a2even", 2), ("a2odd", 3),
+                                          ("d2", 2)])
+    @pytest.mark.parametrize("key", ["E", "F", "H"])
+    def test_detects_corrupted_generator(self, family, l, key):
+        """Negative control: one changed entry of E_1, F_1 or H_1 fails
+        some relation."""
+        spec = family_spec(family, l)
+        gens = liealg.kac_generators(spec)
+        corrupt(gens, key, 1)
+        report = liealg.check_classical_relations(gens, spec)
+        assert any(not r["ok"] for r in report)
+
+    @pytest.mark.parametrize("family,l", GRID)
+    def test_matches_dense_oracle(self, family, l):
+        """Clean, and with one entry of E_0, F_l or E_1 (l >= 2) changed,
+        the sparse checker gives every relation the dense oracle's
+        verdict."""
+        spec = family_spec(family, l)
+        for corruption in [None, ("E", 0), ("F", l)] + ([("E", 1)] if l >= 2 else []):
+            gens = liealg.kac_generators(spec)
+            if corruption is not None:
+                corrupt(gens, *corruption)
+            got = [(r["relation"], r["ok"])
+                   for r in liealg.check_classical_relations(gens, spec)]
+            want = [(r["relation"], r["ok"])
+                    for r in oracles.check_classical_relations(gens, spec)]
+            assert got == want, corruption
+            assert all(ok for _, ok in got) == (corruption is None), corruption
+
     def test_trace_pairing_normalization(self):
         spec = family_spec("a2even", 2)
         gens = liealg.kac_generators(spec)
@@ -128,6 +158,13 @@ class TestKacGenerators:
             for j in range(spec.l + 1):
                 want = Q(1 if i == j else 0)
                 assert oracles.trace_pairing(gens["E"][i], gens["F"][j]) == want
+
+
+def corrupt(gens, key, i):
+    """Add 1 to the first nonzero entry of the dense generator gens[key][i]."""
+    m = gens[key][i]
+    p, r = next((p, r) for p, row in enumerate(m) for r, x in enumerate(row) if x)
+    m[p][r] += 1
 
 
 class TestDimensionFormulas:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from twistr import linalg
 
+import oracles
+
 Q = Fraction
 
 
@@ -33,7 +35,7 @@ class TestBasics:
     @given(m=matrices())
     @settings(max_examples=30)
     def test_commutator_with_self_vanishes(self, m):
-        assert linalg.is_zero(linalg.commutator(m, m))
+        assert oracles.is_zero(linalg.commutator(m, m))
 
     @given(m=matrices())
     @settings(max_examples=30)
@@ -135,6 +137,23 @@ class TestSparse:
         cols = linalg.sparse_transpose(linalg.sparse(m))
         assert linalg.sparse_mat_vec(cols, linalg.sparse_vector(v)) \
             == linalg.sparse_vector(linalg.mat_vec(m, v))
+
+    @given(m=matrices(3, 3), n=matrices(3, 3),
+           c=st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    @settings(max_examples=30)
+    def test_lincomb_matches_dense(self, m, n, c):
+        """The sum of scaled matrices, with cancelled entries dropped."""
+        want = linalg.mat_sub(linalg.mat_scale(m, c), n)
+        got = linalg.sparse_lincomb(((c, linalg.sparse(m)), (-1, linalg.sparse(n))))
+        assert got == linalg.sparse(want)
+        assert linalg.sparse_lincomb(((1, linalg.sparse(m)),
+                                      (-1, linalg.sparse(m)))) == {}
+
+    @given(m=matrices(3, 3), n=matrices(3, 3))
+    @settings(max_examples=30)
+    def test_commutator_matches_dense(self, m, n):
+        assert linalg.sparse_commutator(linalg.sparse(m), linalg.sparse(n)) == \
+            linalg.sparse(linalg.commutator(m, n))
 
     def test_mat_scale_keeps_zero_entries(self):
         zero = Q(0)

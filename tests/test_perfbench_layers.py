@@ -1,7 +1,7 @@
 """The benchmark's traced run wraps the functions named in
 perfbench/tracer.py LAYERS; each must still exist in twistr, and each one
-its self-test expects on the graph-symbolic workload must still be called
-there."""
+its self-test expects on a workload (EXPECTED_CALLS) must still be called
+when a small case of that workload runs as the workload runs it."""
 
 import importlib
 import importlib.util
@@ -11,18 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from twistr import tpg
+from twistr import cli, tpg
 from twistr.liealg import family_spec
 from twistr.scalars import QSample
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module    # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("tracer")
 
 
 def _layers():
@@ -37,9 +43,9 @@ def test_traced_function_resolves(module, qualname):
     assert callable(obj)
 
 
-def test_graph_symbolic_calls_every_expected_function(monkeypatch):
-    """One small graph case, run as the workload runs it, calls every
-    function in EXPECTED_CALLS["graph-symbolic"]."""
+def _count_calls(monkeypatch, workload):
+    """Wrap every function in EXPECTED_CALLS[workload] where any twistr
+    module binds it, as the tracer does; returns the live call counts."""
     calls = {}
     modules = [m for n, m in sorted(sys.modules.items())
                if n.startswith("twistr.") and m is not None]
@@ -50,7 +56,7 @@ def test_graph_symbolic_calls_every_expected_function(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in _tracer().EXPECTED_CALLS["graph-symbolic"]:
+    for name in _tracer().EXPECTED_CALLS[workload]:
         mod, qualname = name.split(".", 1)
         calls[name] = 0
         home = importlib.import_module(f"twistr.{mod}")
@@ -65,10 +71,45 @@ def test_graph_symbolic_calls_every_expected_function(monkeypatch):
             for attr, value in list(vars(m).items()):
                 if value is original:
                     monkeypatch.setattr(m, attr, wrapper)
+    return calls
 
+
+def _run_cli(capsys, argv):
+    assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_graph_symbolic_calls_every_expected_function(monkeypatch):
+    """One small graph case, run as the workload runs it, calls every
+    function in EXPECTED_CALLS["graph-symbolic"]."""
+    calls = _count_calls(monkeypatch, "graph-symbolic")
     spec = family_spec("a2even", 2)
     qs = QSample(Fraction(3, 2))
     graph = tpg.build_graph(spec, (1, 1))
     rho, _ = tpg.eigenvalues_by_recursion(graph, qs)
     assert rho == tpg.eigenvalues_closed_form(spec, (1, 1), qs)
+    assert not [name for name, n in calls.items() if n == 0]
+
+
+def test_verify_seed_calls_every_expected_function(monkeypatch, capsys):
+    """A one-sample verify of each workload seed pair calls every function
+    in EXPECTED_CALLS["verify-seed"]."""
+    calls = _count_calls(monkeypatch, "verify-seed")
+    for family, l in _load("workloads").VERIFY_PAIRS:
+        _run_cli(capsys, ["verify", "--family", family, "--l", str(l),
+                          "--seed", "7", "--samples", "1"])
+    assert not [name for name, n in calls.items() if n == 0]
+
+
+def test_export_cold_calls_every_expected_function(monkeypatch, capsys):
+    """One small export of each kind the workload runs calls every function
+    in EXPECTED_CALLS["export-cold"]."""
+    calls = _count_calls(monkeypatch, "export-cold")
+    for argv in (["rmatrix", "--family", "a2even", "--l", "2"],
+                 ["graph", "--family", "a2even", "--l", "2", "--k", "1",
+                  "--r", "1"],
+                 ["eigenvalues", "--family", "d2", "--l", "2", "--k", "1",
+                  "--r", "1", "--mode", "numeric"],
+                 ["rep", "--family", "d2", "--l", "2"]):
+        _run_cli(capsys, ["export", *argv, "--seed", "7"])
     assert not [name for name, n in calls.items() if n == 0]

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from twistr import linalg, qrep
 from twistr.liealg import eps, family_spec, inner, wscale
 from twistr.scalars import QSample
 
-from conftest import seed_rep
+import oracles
+from conftest import GRID, seed_rep
 
 Q = Fraction
 
@@ -54,8 +56,8 @@ class TestQuantumRelations:
     def test_detects_broken_generator(self):
         """Negative control: corrupting one raising matrix must be caught."""
         rep = seed_rep("a2even", 2)
-        e = [list(map(list, m)) for m in rep.e]
-        e[1][0][1] += 1
+        e = list(rep.e)
+        e[1] = oracles.bump(e[1], 0, 1)
         broken = qrep.Representation(rep.spec, rep.lam, rep.dim,
                                      tuple(e), rep.f, rep.weights)
         report = qrep.check_quantum_relations(broken, QSample(Q(2)))
@@ -67,20 +69,18 @@ class TestAffineAction:
         """e0 shifts weights by -theta0 (the affine root alpha0 = -theta0)."""
         rep = seed_rep(*grid_case)
         spec = rep.spec
-        for p in range(rep.dim):
-            for r in range(rep.dim):
-                if rep.e[0][p][r]:
-                    diff = tuple(a - b for a, b in
-                                 zip(rep.weights[p], rep.weights[r]))
-                    assert diff == spec.alpha[0]
+        for p, row in rep.e[0].items():
+            for r in row:
+                diff = tuple(a - b for a, b in
+                             zip(rep.weights[p], rep.weights[r]))
+                assert diff == spec.alpha[0]
 
     def test_rescaling_invariance_of_relations(self):
         """Reciprocal rescaling e0 -> 2 e0, f0 -> f0/2 preserves everything."""
         rep = seed_rep("d2", 2)
-        e = [list(map(list, m)) for m in rep.e]
-        f = [list(map(list, m)) for m in rep.f]
-        e[0] = linalg.mat_scale(e[0], Q(2))
-        f[0] = linalg.mat_scale(f[0], Q(1, 2))
+        e, f = list(rep.e), list(rep.f)
+        e[0] = linalg.sparse_lincomb(((Q(2), e[0]),))
+        f[0] = linalg.sparse_lincomb(((Q(1, 2), f[0]),))
         scaled = qrep.Representation(rep.spec, rep.lam, rep.dim,
                                      tuple(e), tuple(f), rep.weights)
         report = qrep.check_quantum_relations(scaled, QSample(Q(2)))
@@ -91,3 +91,44 @@ class TestAffineAction:
         a = qrep.build_seed_rep(spec)
         b = qrep.build_seed_rep(spec)
         assert a.e == b.e and a.f == b.f
+
+
+def _corruptions(l):
+    """None (clean) and the generators (tag, index) to corrupt: e_0, f_l
+    and, where l >= 2, e_1."""
+    return [None, ("e", 0), ("f", l)] + ([("e", 1)] if l >= 2 else [])
+
+
+def corrupted(rep, tag, i):
+    """rep with 1 added to the first stored entry of generator tag_i."""
+    gens = list(getattr(rep, tag))
+    p = min(gens[i])
+    gens[i] = oracles.bump(gens[i], p, min(gens[i][p]))
+    return dataclasses.replace(rep, **{tag: tuple(gens)})
+
+
+DIFFERENTIAL = [(case, w, c) for case in GRID
+                for w in (Q(2), Q(-3, 2), Q(5, 7)) for c in _corruptions(case[1])]
+
+
+def _differential_id(case, w, corrupt):
+    what = "clean" if corrupt is None else f"{corrupt[0]}{corrupt[1]}"
+    return f"{case[0]}-l{case[1]}-w{str(w).replace('/', '_')}-{what}"
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("case,w,corrupt", DIFFERENTIAL,
+                             ids=[_differential_id(*c) for c in DIFFERENTIAL])
+    def test_same_verdicts(self, case, w, corrupt):
+        """The sparse checker gives every relation the dense oracle's
+        verdict, and a corrupted generator fails some relation."""
+        rep = seed_rep(*case)
+        if corrupt is not None:
+            rep = corrupted(rep, *corrupt)
+        qs = QSample(w)
+        got = [(r["relation"], r["ok"])
+               for r in qrep.check_quantum_relations(rep, qs)]
+        want = [(r["relation"], r["ok"])
+                for r in oracles.check_quantum_relations(rep, qs)]
+        assert got == want
+        assert all(ok for _, ok in got) == (corrupt is None)

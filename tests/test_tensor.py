@@ -6,6 +6,7 @@ from twistr import branching, linalg, tensor
 from twistr.scalars import QSample
 from twistr.tensor import TensorModule, permutation_operator
 
+import oracles
 from conftest import seed_rep
 
 Q = Fraction
@@ -47,10 +48,16 @@ def _dense_diag(d):
             for i in range(len(d))]
 
 
-def _dense_coproduct(T, kind, i, qs, u, transpose):
-    """Delta^u (or Delta^{T,u}) as the sum of two dense Kronecker products."""
+def _dense_factors(T, kind, i):
+    """The dense forms of generator kind_i on the two tensor factors."""
     x1 = T.rep1.e[i] if kind == "e" else T.rep1.f[i]
     x2 = T.rep2.e[i] if kind == "e" else T.rep2.f[i]
+    return oracles.dense(x1, T.rep1.dim), oracles.dense(x2, T.rep2.dim)
+
+
+def _dense_coproduct(T, kind, i, qs, u, transpose):
+    """Delta^u (or Delta^{T,u}) as the sum of two dense Kronecker products."""
+    x1, x2 = _dense_factors(T, kind, i)
     scale = Q(1) if u is None else (u if kind == "e" else 1 / u)
     s = -1 if transpose else 1
     t1 = _dense_kron(linalg.mat_scale(x1, scale),
@@ -74,8 +81,7 @@ class TestCoproduct:
                                                   transpose=transpose)
                     assert got == linalg.sparse(want), (kind, i, transpose)
             for kind in ("e", "f"):
-                x1 = T.rep1.e[i] if kind == "e" else T.rep1.f[i]
-                x2 = T.rep2.e[i] if kind == "e" else T.rep2.f[i]
+                x1, x2 = _dense_factors(T, kind, i)
                 want = linalg.mat_add(
                     _dense_kron(x1, linalg.identity(T.rep2.dim)),
                     _dense_kron(linalg.identity(T.rep1.dim), x2))
