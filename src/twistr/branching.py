@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import (FamilySpec, eps, fundamental_weight, wadd, weyl_dim,
-                     weyl_vector, wscale, wsub)
+from .liealg import (FamilySpec, doubled, fundamental_weight, wadd, weyl_dim,
+                     weyl_vector, wscale)
 
 Q = Fraction
 
@@ -31,28 +31,25 @@ class BranchingError(ValueError):
 # ---------------------------------------------------------------------------
 
 def theta0_weights(spec: FamilySpec):
-    """Weight multiset of V0(theta0), built from the vector module:
-    Sym^2(vector) - singlet for B_l / 2*lambda1, Alt^2(vector) - singlet for
-    C_l / lambda2, and the vector itself for the d2 family."""
+    """Weight multiset of V0(theta0), keyed by doubled eps-coordinates 2*eps
+    (int tuples), built from the vector module: Sym^2(vector) - singlet for
+    B_l / 2*lambda1, Alt^2(vector) - singlet for C_l / lambda2, and the
+    vector itself for the d2 family."""
     l = spec.l
+    vec = [tuple(s if j == i else 0 for j in range(l))
+           for s in (2, -2) for i in range(l)]
+    zero = (0,) * l
     if spec.family == "d2":
-        wts = {eps(i, l): 1 for i in range(1, l + 1)}
-        for i in range(1, l + 1):
-            wts[wscale(eps(i, l), Q(-1))] = 1
-        wts[tuple([Q(0)] * l)] = 1
-        return wts
-    vec = [eps(i, l) for i in range(1, l + 1)]
-    vec += [wscale(v, Q(-1)) for v in vec]
+        return dict.fromkeys(vec + [zero], 1)
     if spec.family == "a2even":
-        vec.append(tuple([Q(0)] * l))
+        vec.append(zero)
         pairs = [(i, j) for i in range(len(vec)) for j in range(i, len(vec))]
     else:
         pairs = [(i, j) for i in range(len(vec)) for j in range(i + 1, len(vec))]
     wts = {}
     for i, j in pairs:
-        w = wadd(vec[i], vec[j])
+        w = tuple(a + b for a, b in zip(vec[i], vec[j]))
         wts[w] = wts.get(w, 0) + 1
-    zero = tuple([Q(0)] * l)
     wts[zero] -= 1
     if not wts[zero]:
         del wts[zero]
@@ -86,19 +83,20 @@ def _dominant_reflection(x):
 
 def klimyk_tensor_with(l0type, l, weights, nu):
     """Signed Klimyk accumulation: multiplicities of components of
-    M (x) V0(nu) where M has the given weight multiset."""
-    rho = weyl_vector(l0type, l)
-    shifted = wadd(nu, rho)
+    M (x) V0(nu) where M has the weight multiset ``weights`` (doubled
+    coordinates, as from ``theta0_weights``).  The sum runs on doubled
+    integers; only the returned highest weights are halved back to eps."""
+    rho = doubled(weyl_vector(l0type, l))
+    shifted = [a + b for a, b in zip(doubled(nu), rho)]
     out = {}
     for phi, m in weights.items():
-        x = wadd(shifted, phi)
-        ref = _dominant_reflection(x)
+        ref = _dominant_reflection([a + b for a, b in zip(shifted, phi)])
         if ref is None:
             continue
         dom, det = ref
-        cand = wsub(dom, rho)
+        cand = tuple(a - b for a, b in zip(dom, rho))
         out[cand] = out.get(cand, 0) + det * m
-    return {w: m for w, m in out.items() if m}
+    return {tuple(Q(a, 2) for a in w): m for w, m in out.items() if m}
 
 
 def contains_in_theta_tensor(spec: FamilySpec, weights, nu) -> set:

@@ -64,10 +64,10 @@ def is_dominant(l0type, nu):
     if l0type == "C":
         return all(a.denominator == 1 for a in nu)
     # B_l: all integer or all half-odd-integer
-    doubled = [2 * a for a in nu]
-    if any(d.denominator != 1 for d in doubled):
+    try:
+        return len({a % 2 for a in doubled(nu)}) == 1
+    except ValueError:
         return False
-    return len({int(d) % 2 for d in doubled}) == 1
 
 
 @dataclass(frozen=True)
@@ -141,23 +141,33 @@ def casimir_eigenvalue(spec: FamilySpec, nu) -> Fraction:
     return inner(nu, wadd(nu, wscale(spec.rho0, 2)))
 
 
+def doubled(v):
+    """2*v as a tuple of ints; ValueError if v is not in (1/2)Z^l."""
+    if any((2 * a).denominator != 1 for a in v):
+        raise ValueError(f"weight {v} is not in (1/2)Z^{len(v)}")
+    return tuple(int(2 * a) for a in v)
+
+
 def weyl_dim(l0type, l, nu) -> int:
     """Weyl's product prod_alpha (nu + rho, alpha) / (rho, alpha) over the
     positive roots e_i -+ e_j (i < j) and e_i (B) or 2 e_i (C), taken on the
-    coordinates directly."""
+    doubled integer coordinates, where the factors 2 (and the 2 of 2 e_i)
+    cancel between the two products."""
     def root_product(x):
-        out = Q(1)
+        out = 1
         for i in range(l):
-            out *= x[i] if l0type == "B" else 2 * x[i]
+            out *= x[i]
             for j in range(i + 1, l):
                 out *= (x[i] - x[j]) * (x[i] + x[j])
         return out
 
-    rho = weyl_vector(l0type, l)
-    d = root_product(wadd(nu, rho)) / root_product(rho)
-    if d.denominator != 1 or d <= 0:
-        raise ValueError(f"Weyl dimension {d} of {nu} is not a positive integer")
-    return int(d)
+    rho = doubled(weyl_vector(l0type, l))
+    num = root_product([a + b for a, b in zip(doubled(nu), rho)])
+    den = root_product(rho)
+    if num % den or num <= 0:
+        raise ValueError(f"Weyl dimension {Q(num, den)} of {nu} is not a "
+                         "positive integer")
+    return num // den
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,19 @@ def bracket(a, sign: int, u, qs: QSample):
     """The elementary factor <a>_sign = (1 + sign*u*q**a) / (u + sign*q**a).
 
     ``a`` may be any half-integer (or quarter-integer), ``u`` either a rational
-    or a RatFun; the result lives in the same scalar mode as ``u``.
+    or a RatFun; the result lives in the same scalar mode as ``u``.  For
+    u = n/d in Q(u) it is (d + sign*q**a*n) / (n + sign*q**a*d), built with
+    one gcd.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     qa = qs.q_pow(a)
+    if isinstance(u, RatFun):
+        c = sign * qa
+        den = poly_add(u.num, poly_scale(u.den, c))
+        if not den:
+            raise PoleError(a, sign)
+        return RatFun(poly_add(u.den, poly_scale(u.num, c)), den)
     den = u + sign * qa
     if not den:
         raise PoleError(a, sign)

@@ -16,6 +16,15 @@ GRID = [
     ("d2", 2), ("d2", 3),
 ]
 
+# The closed-form grid of the graph route: every (family, l, params) with a
+# closed form, 76 cases with 655 components.
+CLOSED_FORM_GRID = [("a2even", l, (k, r)) for l in range(2, 7)
+                    for k in range(1, l + 1) for r in range(k, l - k + 1)]
+CLOSED_FORM_GRID += [(family, l, (k, r))
+                     for family, ls in (("a2odd", range(3, 7)),
+                                        ("d2", range(2, 7)))
+                     for l in ls for k in range(1, 4) for r in range(k, 4)]
+
 # seed (x) seed cases small enough for the three-site Yang-Baxter products
 YBE_CASES = [("a2even", 1), ("a2even", 2), ("a2even", 3), ("a2odd", 3),
              ("d2", 2), ("d2", 3)]

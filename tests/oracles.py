@@ -6,6 +6,7 @@ classical and quantum relation checkers."""
 
 import math
 from fractions import Fraction
+from operator import add, mul, sub
 
 from twistr import linalg
 from twistr.branching import BranchingError
@@ -97,43 +98,77 @@ def dim_a2odd_L0(n, d, c):
 # Weight multisets (Freudenthal) and the brute-force tensor oracle
 # ---------------------------------------------------------------------------
 
+def _twice(v):
+    """2*v as an int tuple, for v in (1/2)Z^l."""
+    return tuple(int(2 * a) for a in v)
+
+
+def _half(v):
+    return tuple(Q(a, 2) for a in v)
+
+
+def _plus(v, w):
+    return tuple(map(add, v, w))
+
+
+def _minus(v, w):
+    return tuple(map(sub, v, w))
+
+
+def _dot(v, w):
+    return sum(map(mul, v, w))
+
+
 def weight_multiset(l0type, l, nu):
     """{weight: multiplicity} for the irreducible module V0(nu)."""
+    return {_half(w): m for w, m in _doubled_multiset(l0type, l, nu).items()}
+
+
+def _doubled_multiset(l0type, l, nu):
+    """{2*weight: multiplicity} for V0(nu): Freudenthal's recursion on
+    doubled coordinates 2*eps, where every inner product is 4 times its
+    eps-basis value, so the multiplicity 2*acc/denom is unchanged."""
     if not is_dominant(l0type, nu):
         raise BranchingError(f"{nu} not dominant")
-    rho = weyl_vector(l0type, l)
-    pos = positive_roots(l0type, l)
-    simple = simple_roots(l0type, l)
-    top_c = inner(wadd(nu, rho), wadd(nu, rho))
+    nu = _twice(nu)
+    rho = _twice(weyl_vector(l0type, l))
+    pos = [(beta, _dot(beta, beta), _dot(beta, rho))
+           for beta in map(_twice, positive_roots(l0type, l))]
+    simple = [_twice(alpha) for alpha in simple_roots(l0type, l)]
+    top = _plus(nu, rho)
+    top_c = _dot(top, top)
     mult = {nu: 1}
     frontier = [nu]
     while frontier:
         nxt = []
         for mu in frontier:
             for alpha in simple:
-                cand = wsub(mu, alpha)
+                cand = _minus(mu, alpha)
                 if cand in mult:
                     continue
-                shifted = wadd(cand, rho)
-                denom = top_c - inner(shifted, shifted)
+                shifted = _plus(cand, rho)
+                denom = top_c - _dot(shifted, shifted)
                 if denom <= 0:
                     continue
-                acc = Q(0)
-                for beta in pos:
-                    k = 1
+                acc = 0
+                for beta, bb, rb in pos:
+                    # up runs along cand + k*beta (k >= 1), with the running
+                    # ub = (up, beta) and norm = |up + rho|^2
+                    up, ub, norm = cand, _dot(cand, beta), top_c - denom
                     while True:
-                        up = wadd(cand, wscale(beta, Q(k)))
+                        norm += 2 * (ub + rb) + bb
+                        ub += bb
+                        up = _plus(up, beta)
                         m = mult.get(up, 0)
-                        if m == 0 and inner(wadd(up, rho), wadd(up, rho)) > top_c:
-                            break
                         if m:
-                            acc += m * inner(up, beta)
-                        k += 1
-                m = 2 * acc / denom
-                if m.denominator != 1:
+                            acc += m * ub
+                        elif norm > top_c:
+                            break
+                m, r = divmod(2 * acc, denom)
+                if r:
                     raise BranchingError(
-                        f"non-integral multiplicity {m} at weight {cand}")
-                m = int(m)
+                        f"non-integral multiplicity {Q(2 * acc, denom)} at "
+                        f"weight {_half(cand)}")
                 if m > 0:
                     mult[cand] = m
                     nxt.append(cand)
@@ -143,31 +178,33 @@ def weight_multiset(l0type, l, nu):
 
 def brute_force_tensor(l0type, l, lam, mu):
     """{nu: multiplicity} of V0(lam) (x) V0(mu) by character convolution and
-    repeated stripping of maximal dominant weights."""
-    wl = weight_multiset(l0type, l, lam)
-    wm = weight_multiset(l0type, l, mu)
+    repeated stripping of maximal dominant weights, on doubled
+    coordinates."""
+    wl = _doubled_multiset(l0type, l, lam)
+    wm = _doubled_multiset(l0type, l, mu)
     prod = {}
     for a, ma in wl.items():
         for b, mb in wm.items():
-            w = wadd(a, b)
+            w = _plus(a, b)
             prod[w] = prod.get(w, 0) + ma * mb
-    rho = weyl_vector(l0type, l)
+    rho = _twice(weyl_vector(l0type, l))
     out = {}
     while True:
         best = None
         for w, m in prod.items():
             if m == 0:
                 continue
-            key = (inner(w, rho), w)
+            key = (_dot(w, rho), w)
             if best is None or key > best[0]:
                 best = (key, w, m)
         if best is None:
             return out
         _, top, m = best
+        top = _half(top)
         if not is_dominant(l0type, top) or m < 0:
             raise BranchingError(f"stripping failed at {top} (mult {m})")
         out[top] = m
-        for w, mw in weight_multiset(l0type, l, top).items():
+        for w, mw in _doubled_multiset(l0type, l, top).items():
             prod[w] = prod.get(w, 0) - m * mw
 
 

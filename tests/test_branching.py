@@ -10,6 +10,7 @@ from twistr.branching import (BranchingError, contains_in_theta_tensor,
                               klimyk_tensor_with, theta0_weights, top_weight)
 from twistr.liealg import family_spec, weyl_dim
 
+from conftest import CLOSED_FORM_GRID
 from oracles import brute_force_tensor, parent_classes, weight_multiset
 
 Q = Fraction
@@ -82,6 +83,19 @@ class TestKlimyk:
         got = klimyk_tensor_with(spec.l0type, l, theta0_weights(spec), nu)
         want = brute_force_tensor(spec.l0type, l, spec.theta0, nu)
         assert got == want
+
+    def test_matches_brute_force_on_grid_nodes(self):
+        """On doubled integer coordinates Klimyk's sum gives theta0 (x) nu
+        for every node of the closed-form grid with l <= 3."""
+        nodes = {(family, l, c.nu)
+                 for family, l, params in CLOSED_FORM_GRID if l <= 3
+                 for c in decompose_tensor_closed_form(
+                     family_spec(family, l), params).components}
+        assert len(nodes) == 71
+        for family, l, nu in sorted(nodes):
+            spec = family_spec(family, l)
+            got = klimyk_tensor_with(spec.l0type, l, theta0_weights(spec), nu)
+            assert got == brute_force_tensor(spec.l0type, l, spec.theta0, nu)
 
     def test_containment_predicate(self):
         spec = family_spec("a2even", 2)

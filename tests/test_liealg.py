@@ -8,7 +8,7 @@ from twistr.liealg import (FamilyError, casimir_eigenvalue, eps, family_spec,
                            fundamental_weight, weyl_dim, wscale)
 
 import oracles
-from conftest import GRID
+from conftest import CLOSED_FORM_GRID, GRID
 
 Q = Fraction
 
@@ -71,6 +71,21 @@ class TestWeylData:
     def test_weyl_dimension(self, l0type, l, nu, dim):
         nu = tuple(Q(x) for x in nu)
         assert weyl_dim(l0type, l, nu) == dim
+
+    def test_weyl_dimension_refuses_weight_outside_half_integers(self):
+        with pytest.raises(ValueError, match="not in"):
+            weyl_dim("B", 2, (Q(1, 3), Q(0)))
+        with pytest.raises(ValueError, match="not in"):
+            weyl_dim("C", 3, (Q(1), Q(1, 4), Q(0)))
+
+    @pytest.mark.parametrize("nu", [
+        (Q(0), Q(1)),        # nu + rho on a wall: dimension 0
+        (Q(0), Q(2)),        # reflected: dimension -10
+        (Q(1), Q(1, 2)),     # mixed integrality: dimension 35/4
+    ])
+    def test_weyl_dimension_refuses_non_positive_integer_result(self, nu):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            weyl_dim("B", 2, nu)
 
     def test_spinor_fundamental_weight(self):
         assert fundamental_weight("B", 3, 3) == (Q(1, 2),) * 3
@@ -198,14 +213,9 @@ class TestDimensionFormulas:
                 den *= liealg.inner(rho, alpha)
             return num / den
 
-        grid = [("a2even", l, (k, r)) for l in range(2, 7)
-                for k in range(1, l + 1) for r in range(k, l - k + 1)]
-        grid += [(family, l, (k, r)) for family, ls in (("a2odd", range(3, 7)),
-                                                         ("d2", range(2, 7)))
-                 for l in ls for k in range(1, 4) for r in range(k, 4)]
-        assert len(grid) == 76
+        assert len(CLOSED_FORM_GRID) == 76
         checked = 0
-        for family, l, params in grid:
+        for family, l, params in CLOSED_FORM_GRID:
             spec = liealg.family_spec(family, l)
             for c in decompose_tensor_closed_form(spec, params).components:
                 assert weyl_dim(spec.l0type, l, c.nu) == \

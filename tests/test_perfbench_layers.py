@@ -91,6 +91,29 @@ def test_graph_symbolic_calls_every_expected_function(monkeypatch):
     assert not [name for name, n in calls.items() if n == 0]
 
 
+def test_graph_symbolic_makes_one_gcd_per_bracket(monkeypatch):
+    """A small graph case, run as the workload runs it, makes at least one
+    poly_gcd call, and at most one per bracket and one per Q(u) expansion
+    (tpg.evaluate builds the generator u)."""
+    calls = _count_calls(monkeypatch, "graph-symbolic")
+    evaluations = []
+    evaluate = tpg.evaluate
+
+    def counted(*args, **kwargs):
+        evaluations.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(tpg, "evaluate", counted)
+    spec = family_spec("d2", 3)
+    qs = QSample(Fraction(-2, 3))
+    graph = tpg.build_graph(spec, (2, 3))
+    rho, _ = tpg.eigenvalues_by_recursion(graph, qs)
+    assert rho == tpg.eigenvalues_closed_form(spec, (2, 3), qs)
+    assert len(evaluations) == 2 and calls["scalars.bracket"] > 0
+    assert 1 <= calls["scalars.poly_gcd"] <= \
+        calls["scalars.bracket"] + len(evaluations)
+
+
 def test_verify_seed_calls_every_expected_function(monkeypatch, capsys):
     """A one-sample verify of each workload seed pair calls every function
     in EXPECTED_CALLS["verify-seed"]."""

@@ -91,6 +91,28 @@ class TestBracket:
         with pytest.raises(PoleError):
             bracket(1, -1, qs.q, qs)  # u = q**1 with sign -1
 
+    @pytest.mark.parametrize("w", [Q(3, 2), Q(-3, 2), Q(2, 3), Q(-5, 3)])
+    def test_symbolic_equals_field_arithmetic(self, w):
+        """In Q(u) the one-gcd quotient equals (1 + s*u*q**a)/(u + s*q**a)
+        taken with RatFun's field operations, u = n/d of several shapes;
+        a = 0 makes numerator and denominator share a factor."""
+        qs = QSample(w)
+        var = RatFun.var()
+        for u in (var, 1 / var, (var + 1) / (var - 2)):
+            for a in (Q(0), Q(1, 2), Q(-3, 4), Q(2), Q(-5, 2)):
+                for sign in (1, -1):
+                    qa = qs.q_pow(a)
+                    want = (1 + sign * u * qa) / (u + sign * qa)
+                    got = bracket(a, sign, u, qs)
+                    assert (got.num, got.den) == (want.num, want.den)
+
+    @pytest.mark.parametrize("a,sign", [(Q(2), 1), (Q(-1, 2), -1), (Q(0), 1)])
+    def test_symbolic_pole_raises(self, a, sign):
+        """The constant u = -s*q**a of Q(u) is the pole of <a>_s."""
+        qs = QSample(Q(3, 2))
+        with pytest.raises(PoleError):
+            bracket(a, sign, RatFun.const(-sign * qs.q_pow(a)), qs)
+
     def test_symbolic_matches_numeric(self):
         qs = QSample(Q(3, 2))
         sym = bracket(2, -1, RatFun.var(), qs)
