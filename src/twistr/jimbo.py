@@ -3,17 +3,27 @@ plus the independent consistency checks (Yang-Baxter, unitarity, parity
 spectrum, spectral agreement with the graph recursion), all of which read
 Rcheck alone, as the integer N / D below.
 
-R solves R * D(x) = D^T(x) * R for the fixed-subalgebra generators e_i, f_i
-(i >= 1) and the affine generator e0 (the only place u enters).  As
-P * D^T(x) * P = D(x) for i >= 1, Rcheck = P * R = sum(c_nu * P_nu) on the
-certified multiplicity-free decomposition.  With D^u(e0) = u X + Y, the e0
-equation on each highest weight vector v_nu, in adapted-basis coordinates
-(x_k of X v_nu, y_k of Y v_nu, k in component mu), is the small system
-c_mu * (u x_k + y_k) = c_nu * (x_k + u y_k).  Every solution of the full
-equations solves it, so its nullity 1, a nonzero top coefficient (normalized
-to 1: Rcheck is the identity on the top weight space) and the exact
-substitution of R into the full equations certify that R spans their null
-space.
+R solves R * D^u(x) = D^{T,u}(x) * R, D^T the opposite coproduct, for the
+fixed-subalgebra generators e_i, f_i (i >= 1) and the affine generator e0
+(the only place u enters).  With D^u(e0) = u X + Y, the swap P gives
+
+    P * D^T(x) * P = D(x)  (i >= 1),    P * D^{T,u}(e0) * P = X + u Y,
+
+so Rcheck = P * R solves the same equations in the form
+
+    Rcheck * D(x) = D(x) * Rcheck,      Rcheck * (u X + Y) = (X + u Y) * Rcheck,
+
+and is sum(c_nu * P_nu) on the certified multiplicity-free decomposition.
+The e0 equation on each highest weight vector v_nu, in adapted-basis
+coordinates (x_k of X v_nu, y_k of Y v_nu, k in component mu), is the small
+system c_mu * (u x_k + y_k) = c_nu * (x_k + u y_k).  Every solution of the
+full equations solves it, so its nullity 1, a nonzero top coefficient
+(normalized to 1: Rcheck is the identity on the top weight space) and the
+exact substitution of Rcheck into the full equations certify that Rcheck
+spans their null space.  The substitution is checked in integers, on N
+below, the integer-scaled D(x), X and Y and, for u = a / b, on a X + b Y
+and b X + a Y; the e0 identity holds at u = 0 too, so the parity solve is
+certified the same way.
 
 Yang-Baxter is checked in its braid form on Rcheck, which touches only
 adjacent legs of V (x) V (x) V:
@@ -68,9 +78,10 @@ class SolveError(RuntimeError):
 
 @dataclass
 class RMatrixResult:
-    """Rcheck = P * R = N / D, where R is the intertwiner normalized to 1 on
-    the top weight vector and certified to span the null space.  The
-    Fraction forms of Rcheck and R are built from N on first read and kept."""
+    """Rcheck = P * R = N / D, normalized to 1 on the top weight vector and
+    certified to span the null space of the intertwining equations.  The
+    Fraction forms of Rcheck and R are built from N on first read and kept:
+    R is read only by the rmatrix export and the tests."""
     N: dict            # sparse integer numerator, D * Rcheck
     D: int             # positive denominator
     dim: int           # dim V: P sends index a * dim + b to b * dim + a
@@ -96,12 +107,14 @@ class ComponentSystem:
     """The u-independent part of the solves at one w, with the adapted basis
     b_k and its dual basis d_k (b_k . d_j = delta_kj) scaled to integers:
     P_nu is the sum of b_k d_k^T over the k in component nu, divided by
-    ``scale``."""
+    ``scale``.  The integer-scaled D(x) and X, Y are the operators of the
+    certificate, and X, Y also give the small system's rows."""
     ncomp: int         # number of components
     scale: int
     terms: list        # (component of k, b_k, d_k), integer
     e0_rows: list      # (mu, nu, x_k, y_k) of each small-system row
-    equations: list    # integer-scaled (D(x), D^T(x)), x = e_i, f_i, i >= 1
+    fixed: list        # integer-scaled D(x), x = e_i, f_i (i >= 1)
+    e0_split: tuple    # (X, Y), D^u(e0) = u X + Y, scaled by one integer
 
 
 def _denominator(*vs):
@@ -150,19 +163,18 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
         return {k: x for k in ks
                 if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
 
-    # D^u(e0) = u X + Y: Y = D^0(e0), and X v = D^1(e0) v - Y v
-    one, zero = (linalg.sparse_transpose(coproduct_action(T, "e", 0, qs, u=Q(t)))
-                 for t in (1, 0))
+    # D^u(e0) = u X + Y: Y = D^0(e0) and X = D^1(e0) - Y
+    one, y = (coproduct_action(T, "e", 0, qs, u=Q(t)) for t in (1, 0))
+    x, y = _integral(linalg.sparse_lincomb(((1, one), (-1, y))), y)
+    xcols, ycols = linalg.sparse_transpose(x), linalg.sparse_transpose(y)
     e0_rows = []
     for nu, comp in enumerate(dec.components):
-        xys, ys = coords(one, comp.basis[0]), coords(zero, comp.basis[0])
-        e0_rows += [(comp_of[k], nu, xys.get(k, 0) - ys.get(k, 0), ys.get(k, 0))
-                    for k in sorted(xys.keys() | ys.keys())]
+        xs, ys = coords(xcols, comp.basis[0]), coords(ycols, comp.basis[0])
+        e0_rows += [(comp_of[k], nu, xs.get(k, 0), ys.get(k, 0))
+                    for k in sorted(xs.keys() | ys.keys())]
     return ComponentSystem(
         len(dec.components), scale, terms, e0_rows,
-        [_integral(a, coproduct_action(T, kind, i, qs, transpose=True))
-         for kind, acts in (("e", dec.raising), ("f", dec.lowering))
-         for i, a in enumerate(acts, 1)])
+        [_integral(a)[0] for a in dec.raising + dec.lowering], (x, y))
 
 
 def _solve_scalars(system: ComponentSystem, u: Fraction):
@@ -188,11 +200,10 @@ def _solve_scalars(system: ComponentSystem, u: Fraction):
 def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     """R(w, u) for the seed rep of the Shared ``shared``.
 
-    Raises SolveError unless R * D(x) == D^T(x) * R for e_i, f_i (i >= 1)
-    and for e0 at u, checked in integers: R and each equation are scaled by
-    a common denominator of their entries."""
+    Raises SolveError unless Rcheck commutes with D(x) for x = e_i, f_i
+    (i >= 1) and Rcheck * (u X + Y) == (X + u Y) * Rcheck, checked in
+    integers as N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
     system = shared.components(qs)
-    T = shared.module
     c = dict(enumerate(_solve_scalars(system, u)))
     cd = _denominator(c)
     c = _scaled(c, cd)
@@ -206,12 +217,14 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     g = math.gcd(d, *(y for a in acc.values() for y in a.values()))
     num = {p: row for p, a in acc.items()
            if (row := {j: y // g for j, y in a.items() if y})}
-    r = _swapped(num, shared.rep.dim)     # D * R = P * N
-    e0 = _integral(coproduct_action(T, "e", 0, qs, u=u),
-                   coproduct_action(T, "e", 0, qs, u=u, transpose=True))
-    for a, b in system.equations + [e0]:
-        if linalg.sparse_mul(r, a) != linalg.sparse_mul(b, r):
-            raise SolveError("R fails the intertwining equations")
+    a, b = u.numerator, u.denominator
+    x, y = system.e0_split
+    equations = [(m, m) for m in system.fixed] + [
+        (linalg.sparse_lincomb(((a, x), (b, y))),
+         linalg.sparse_lincomb(((b, x), (a, y))))]
+    for lhs, rhs in equations:
+        if linalg.sparse_mul(num, lhs) != linalg.sparse_mul(rhs, num):
+            raise SolveError("Rcheck fails the intertwining equations")
     return RMatrixResult(num, d // g, shared.rep.dim)
 
 

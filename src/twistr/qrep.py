@@ -4,8 +4,8 @@ The seeds are the undeformed affinizable modules: the vector of B_l (a2even),
 the vector of C_l (a2odd) and the spinor of B_l (d2).  For the two vector
 cases the classical Kac generator matrices already realize the full affine
 action.  The spinor is built on the sign-vector basis {0,1}^l via
-Jordan-Wigner fermions; the affine pair (e0, f0) is found by constraint
-propagation and certified by the quantum relation checker.
+Jordan-Wigner fermions; its affine pair is e0 = (-1)^l c_1 (-1)^N and
+f0 = e0^T / 2, certified, like every seed, by the quantum relation checker.
 
 The construction works on dense matrices; the finished generators are
 stored once as ``linalg`` sparse matrices, which is the only form the
@@ -130,41 +130,15 @@ def _build_spinor(spec: FamilySpec):
     f[l] = linalg.mat_scale(cs[l - 1], Q(1, 2))
     weights = tuple(tuple(Q(2 * n - 1, 2) for n in b) for b in basis)
 
-    # e0 lowers s1 (+1/2 -> -1/2); unknown coefficient per remaining sign vector
-    rest = list(itertools.product((0, 1), repeat=l - 1))
-    rest_index = {b: i for i, b in enumerate(rest)}
-    index = {b: i for i, b in enumerate(basis)}
-
-    def lowering_matrix(x):
-        m = linalg.zeros(dim, dim)
-        for tail, c in zip(rest, x):
-            m[index[(0,) + tail]][index[(1,) + tail]] = c
-        return m
-
-    nunk = len(rest)
-    rows = []
-    for t in range(nunk):
-        unit = lowering_matrix([Q(1) if s == t else Q(0) for s in range(nunk)])
-        col = []
-        for i in range(1, l + 1):
-            comm = linalg.commutator(unit, f[i])
-            col.extend(x for row in comm for x in row)
-        rows.append(col)
-    kern = linalg.kernel_basis(linalg.transpose(rows), ncols=nunk)
-    if len(kern) != 1:
-        raise RepresentationError(
-            f"spinor e0 constraint solve: null space dim {len(kern)}, expected 1")
-    e[0] = lowering_matrix(kern[0])
-    f0_raw = linalg.transpose(e[0])
-    # fix the scale of f0 from [e0, f0] = h0 (h0 eigenvalue -mu_1)
-    comm = linalg.commutator(e[0], f0_raw)
-    p = index[(1,) + rest[0]]
-    want = -weights[p][0]
-    if not comm[p][p]:
-        raise RepresentationError("spinor [e0,f0] degenerate")
-    f[0] = linalg.mat_scale(f0_raw, want / comm[p][p])
-
-    return weights[index[(1,) * l]], e, f, weights
+    # e0 = (-1)^l c_1 (-1)^N sends |1, t> to (-1)^{#zeros(t)} |0, t>, and
+    # f0 = e0^T / 2; |0, t> and |1, t> are basis vectors k and half + k
+    half = dim // 2
+    e[0], f[0] = linalg.zeros(dim, dim), linalg.zeros(dim, dim)
+    for k, tail in enumerate(_spinor_basis(l - 1)):
+        sign = Q((-1) ** tail.count(0))
+        e[0][k][half + k] = sign
+        f[0][half + k][k] = sign / 2
+    return weights[-1], e, f, weights
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,10 @@ def _coproduct(T: TensorModule, x1, d2, d1, x2):
 
 
 def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
-                     u=None, transpose=False):
-    """Sparse matrix of Delta^u (or the opposite coproduct Delta^{T,u}) on
-    the product basis, for kind "e" or "f":
+                     u=None):
+    """Sparse matrix of Delta^u on the product basis, for kind "e" or "f":
 
-        Delta(x)   = q^{-h/2} (x) x + x (x) q^{h/2}
-        Delta^T(x) = x (x) q^{-h/2} + q^{h/2} (x) x
+        Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2}
 
     The spectral parameter u enters only for i == 0 (factor u on e0, 1/u on
     f0, acting on the first leg).  For V (x) V the q^{-h/2} diagonal is
@@ -96,9 +94,8 @@ def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
     r1, r2 = T.rep1, T.rep2
     x1 = r1.e[i] if kind == "e" else r1.f[i]
     x2 = r2.e[i] if kind == "e" else r2.f[i]
-    s = -1 if transpose else 1
-    d2 = r2.qh_half_diag(i, qs, s)
-    d1 = [1 / x for x in d2] if r1 is r2 else r1.qh_half_diag(i, qs, -s)
+    d2 = r2.qh_half_diag(i, qs)
+    d1 = [1 / x for x in d2] if r1 is r2 else r1.qh_half_diag(i, qs, -1)
     if i == 0 and u is not None:
         # (c x1) (x) diag(d2) = x1 (x) diag(c d2)
         c = u if kind == "e" else 1 / u

@@ -89,19 +89,10 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
     contained = _contained_pairs(spec, nus)
     parity = _color_parent_classes(parents, contained, parents[top])
 
-    edges = []
-    for nu, nup in contained:
-        same_parent = parents[nu] == parents[nup]
-        sign = parity[nu] * parity[nup]
-        if same_parent and sign == 1:
-            edges.append(((nu, nup), 1))
-        elif not same_parent and sign == -1:
-            edges.append(((nu, nup), -1))
-        elif same_parent:
-            raise GraphError(
-                f"parent class of {nu} received inconsistent parities")
-        # different parent with equal parity: containment without an edge
-    edges.sort(key=lambda e: e[0])
+    # parities are constant on a parent class and opposite across every
+    # containment between classes, so every containment pair is an edge
+    edges = sorted(((nu, nup), parity[nu] * parity[nup])
+                   for nu, nup in contained)
 
     nodes = tuple(TPGNode(nu, casimir_eigenvalue(spec, nu), parity[nu],
                           parents[nu], dims[nu])

@@ -5,7 +5,8 @@ This is the direct route before the component solve: it collects
 R * D(a) - D^T(a) * R = 0 for e_i, f_i (i = 1..l) and e0 at u, certifies
 that the null space is one-dimensional and normalizes R to 1 on the top
 weight vector.  It shares no code with ``jimbo.solve_rmatrix`` beyond the
-coproduct actions and the row space, so the two agreeing is a check on the
+coproduct actions and the row space (the opposite coproduct is the tests'
+own, ``oracles.opposite_coproduct``), so the two agreeing is a check on the
 component solve.
 """
 
@@ -14,6 +15,8 @@ from fractions import Fraction
 from twistr import linalg
 from twistr.jimbo import SolveError
 from twistr.tensor import TensorModule, coproduct_action, permutation_operator
+
+from oracles import opposite_coproduct
 
 Q = Fraction
 
@@ -46,7 +49,7 @@ def full_solve(rep, qs, u):
     for kind, i in generators:
         uu = u if i == 0 else None
         A = coproduct_action(T, kind, i, qs, u=uu)
-        B = coproduct_action(T, kind, i, qs, u=uu, transpose=True)
+        B = opposite_coproduct(T, kind, i, qs, u=uu)
         # equation (s, t): sum_p R[s][p] A[p][t] - sum_p B[s][p] R[p][t] = 0,
         # with R[x][y] an unknown only for weight(x) == weight(y)
         for p, row in A.items():

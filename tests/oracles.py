@@ -1,9 +1,11 @@
 """Independent oracles the tests check the library against: the Casimir and
 dimension closed forms, the trace pairing, the Freudenthal weight multisets
 with the brute-force tensor decomposition, the L-parent classes of a
-branching table, the R-form three-site Yang-Baxter product, and the dense
-classical and quantum relation checkers."""
+branching table, the opposite coproduct and the R-form three-site
+Yang-Baxter product, the spinor's affine pair by constraint solve, and the
+dense classical and quantum relation checkers."""
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, sub
@@ -217,8 +219,26 @@ def parent_classes(table):
 
 
 # ---------------------------------------------------------------------------
-# R-form three-site Yang-Baxter product
+# R-form references: the opposite coproduct, the three-site Yang-Baxter product
 # ---------------------------------------------------------------------------
+
+def opposite_coproduct(T, kind, i, qs, u=None):
+    """Sparse Delta^{T,u}(x) = x (x) q^{-h/2} + q^{h/2} (x) x on the product
+    basis of T, with the factor u (1/u for f0) on the first leg for i == 0:
+    the coproduct on the right of the R-form equations
+    R * Delta^u(x) = Delta^{T,u}(x) * R."""
+    r1, r2 = T.rep1, T.rep2
+    x1 = r1.e[i] if kind == "e" else r1.f[i]
+    x2 = r2.e[i] if kind == "e" else r2.f[i]
+    c = Q(1) if i != 0 or u is None else (u if kind == "e" else 1 / u)
+    low, high = r2.qh_half_diag(i, qs, -1), r1.qh_half_diag(i, qs)
+    n2 = r2.dim
+    left = {a * n2 + b: {a2 * n2 + b: c * x * low[b] for a2, x in row.items()}
+            for a, row in x1.items() for b in range(n2)}
+    right = {a * n2 + b: {a * n2 + b2: high[a] * x for b2, x in row.items()}
+             for a in range(r1.dim) for b, row in x2.items()}
+    return linalg.sparse_lincomb(((1, left), (1, right)))
+
 
 def embed_three(R, d, legs):
     """Embed a two-site operator into site pair ``legs`` of a three-site space."""
@@ -253,6 +273,41 @@ def ybe_residual_entries(Ru, Ruv, Rv, d):
             if li.get(j, Q(0)) != ri.get(j, Q(0)):
                 residual_entries += 1
     return residual_entries
+
+
+# ---------------------------------------------------------------------------
+# The spinor's affine pair by constraint solve
+# ---------------------------------------------------------------------------
+
+def spinor_affine_pair(rep):
+    """Dense (e0, f0) of the d2 spinor ``rep``, solved from constraints on
+    the {0,1}^l basis: e0 sends |1, t> to x_t |0, t> and commutes with
+    f_1..f_l, which fixes x up to scale (the null space is certified
+    one-dimensional, its vector as ``kernel_basis`` normalizes it), and
+    [e0, f0] = h0 fixes the scale of f0 = e0^T."""
+    l, dim = rep.spec.l, rep.dim
+    f = [dense(m, dim) for m in rep.f]
+    index = {b: i for i, b in enumerate(itertools.product((0, 1), repeat=l))}
+    rest = list(itertools.product((0, 1), repeat=l - 1))
+
+    def lowering_matrix(x):
+        m = zeros(dim, dim)
+        for tail, c in zip(rest, x):
+            m[index[(0,) + tail]][index[(1,) + tail]] = c
+        return m
+
+    rows = []
+    for t in range(len(rest)):
+        unit = lowering_matrix([Q(int(s == t)) for s in range(len(rest))])
+        rows.append([x for i in range(1, l + 1)
+                     for row in commutator(unit, f[i]) for x in row])
+    kern = linalg.kernel_basis(linalg.transpose(rows), ncols=len(rest))
+    assert len(kern) == 1, f"e0 constraints leave nullity {len(kern)}"
+    e0 = lowering_matrix(kern[0])
+    f0 = linalg.transpose(e0)
+    p = index[(1,) + rest[0]]
+    h0 = -rep.weights[p][0]
+    return e0, mat_scale(f0, h0 / commutator(e0, f0)[p][p])
 
 
 # ---------------------------------------------------------------------------

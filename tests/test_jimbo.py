@@ -11,7 +11,7 @@ from twistr.tensor import DecompositionError, TensorModule
 
 from conftest import YBE_CASES, seed_rep, seed_shared
 from full_solve import full_solve, kernel_from_rowspace, top_index
-from oracles import ybe_residual_entries
+from oracles import bump, opposite_coproduct, ybe_residual_entries
 
 Q = Fraction
 
@@ -43,7 +43,7 @@ class TestSolve:
         for kind, i in gens:
             uu = u if i == 0 else None
             A = tensor.coproduct_action(T, kind, i, qs, u=uu)
-            B = tensor.coproduct_action(T, kind, i, qs, u=uu, transpose=True)
+            B = opposite_coproduct(T, kind, i, qs, u=uu)
             lhs = linalg.sparse_mul(res.R, A)
             rhs = linalg.sparse_mul(B, res.R)
             assert lhs == rhs, (kind, i)
@@ -90,13 +90,14 @@ class TestCertificates:
 
     def test_small_system_nullity_two_raises(self):
         # two components and no e0 rows: nothing ties c_1 to c_0
-        system = jimbo.ComponentSystem(2, 1, [], [], [])
+        system = jimbo.ComponentSystem(2, 1, [], [], [], ({}, {}))
         with pytest.raises(jimbo.SolveError, match="nullity 2"):
             jimbo._solve_scalars(system, Q(2, 3))
 
     def test_zero_top_coefficient_raises(self):
         # X v_top = b_0, Y v_top = 0: (u - 1) c_0 = 0 leaves only c_1 free
-        system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))], [])
+        system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))], [],
+                                        ({}, {}))
         with pytest.raises(jimbo.SolveError, match="top weight vector"):
             jimbo._solve_scalars(system, Q(2, 3))
 
@@ -114,6 +115,52 @@ class TestCertificates:
         monkeypatch.setattr(jimbo, "_solve_scalars", corrupted)
         with pytest.raises(jimbo.SolveError, match="intertwining equations"):
             jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))
+
+    def test_substitution_detects_corrupted_e0_split(self, qs):
+        """Mutation: one wrong entry of X, made after the small system's rows
+        were read from X, leaves the c_nu right; the e0 substitution must
+        still refuse the solve."""
+        shared = seed_shared("a2even", 2)
+        jimbo.solve_rmatrix(shared, qs, Q(3, 5))  # unmutated
+        system = shared.components(qs)
+        x, y = system.e0_split
+        p = min(x)
+        system.e0_split = (bump(x, p, min(x[p])), y)
+        with pytest.raises(jimbo.SolveError, match="intertwining equations"):
+            jimbo.solve_rmatrix(shared, qs, Q(3, 5))
+
+    @pytest.mark.parametrize("u", [Q(0), Q(3, 5), Q(-8, 9)],
+                             ids=["zero", "3_5", "-8_9"])
+    def test_swap_turns_r_form_into_rcheck_form(self, ybe_case, qs, u):
+        """The identities behind the certificate, against the tests' own
+        opposite coproduct: P D^T(x) P = D(x) for i >= 1, and with
+        D^u(e0) = u X + Y, P D^{T,u}(e0) P = X + u Y; the solve's split is
+        an integer multiple of (X, Y)."""
+        shared = seed_shared(*ybe_case)
+        T = shared.module
+        P = tensor.permutation_operator(T)
+
+        def conj(m):
+            return linalg.sparse_mul(P, linalg.sparse_mul(m, P))
+
+        for i in range(1, T.spec.l + 1):
+            for kind in ("e", "f"):
+                assert conj(opposite_coproduct(T, kind, i, qs)) == \
+                    tensor.coproduct_action(T, kind, i, qs), (kind, i)
+        y = tensor.coproduct_action(T, "e", 0, qs, u=Q(0))
+        x = linalg.sparse_lincomb(
+            ((1, tensor.coproduct_action(T, "e", 0, qs, u=Q(1))), (-1, y)))
+        assert tensor.coproduct_action(T, "e", 0, qs, u=u) == \
+            linalg.sparse_lincomb(((u, x), (1, y)))
+        assert conj(opposite_coproduct(T, "e", 0, qs, u=u)) == \
+            linalg.sparse_lincomb(((1, x), (u, y)))
+        xs, ys = shared.components(qs).e0_split
+        p = min(x)
+        j = min(x[p])
+        d = xs[p][j] / x[p][j]
+        assert d.denominator == 1 and d > 0
+        assert (xs, ys) == tuple(linalg.sparse_lincomb(((d, m),))
+                                 for m in (x, y))
 
 
 class TestChecks:

@@ -86,6 +86,14 @@ class TestAffineAction:
         report = qrep.check_quantum_relations(scaled, QSample(Q(2)))
         assert all(r["ok"] for r in report)
 
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_spinor_affine_pair_matches_constraint_solve(self, l):
+        """The closed-form e0 = (-1)^l c_1 (-1)^N, f0 = e0^T / 2 is the pair
+        the constraint solve finds, scale and signs included."""
+        rep = seed_rep("d2", l)
+        e0, f0 = oracles.spinor_affine_pair(rep)
+        assert (rep.e[0], rep.f[0]) == (linalg.sparse(e0), linalg.sparse(f0))
+
     def test_spinor_build_is_deterministic(self):
         spec = family_spec("d2", 3)
         a = qrep.build_seed_rep(spec)
