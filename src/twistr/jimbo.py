@@ -339,14 +339,15 @@ def parity_spectrum(shared: Shared, qs: QSample):
     information.  The parities instead survive in the u -> 0 limit: on the
     component nu, Rcheck(0) acts as the scalar
 
-        parity(nu) * q**((C(nu) - C(top)) / 2),
+        parity(nu) * q**((C(nu) - C(top)) / 2).
 
-    so for a positive sample of w (where every power of q is positive) the
-    sign of the eigenvalue is the parity.  The parity theorem says these signs
-    equal the graph parities and, classically, the symmetric / antisymmetric
-    square membership.  The signs are read from N(0) = D * Rcheck(0), which
-    has the same signs because D > 0."""
-    qs = QSample(abs(qs.w))
+    Every component differs from the top by roots of L0, so C(nu) - C(top) is
+    an integer and q**((C(nu) - C(top)) / 2) = w**(2 * (C(nu) - C(top))) is
+    positive at every sample w, negative ones included: the sign of the
+    eigenvalue is the parity.  The parity theorem says these signs equal the
+    graph parities and, classically, the symmetric / antisymmetric square
+    membership.  The signs are read from N(0) = D * Rcheck(0), which has the
+    same signs because D > 0."""
     r0 = shared.solve(qs, Q(0))
     if r0.D <= 0:
         raise SolveError(f"Rcheck(0) has denominator {r0.D}, expected > 0")

@@ -9,16 +9,17 @@ in {+1, -1} and the L-parent identifier.  Two nodes are joined by an edge iff
   and -1 otherwise.
 
 Parities are constant on L-parent classes and flip across every containment
-edge between different classes, so they are found by 2-coloring the parent
-quotient graph, anchored at the top component (parity +1).
+edge between different classes, so they are found by one breadth-first pass
+from the top component (parity +1) over the containment pairs, whose tree
+edges the graph keeps.
 
 Eigenvalues rho_nu(u) follow from the edge recursion
 
     rho_nu = <(C(nu') - C(nu)) / 2>_{eps_nu * eps_nu'} * rho_nu'
 
-propagated over a spanning tree from the top node; every non-tree edge yields
-a loop-consistency certificate.  The per-family closed-form products are
-provided as independent regression targets.
+propagated along that spanning tree from the top node; every non-tree edge
+yields a loop-consistency certificate.  The per-family closed-form products
+are provided as independent regression targets.
 
 Both routes work on factored eigenvalues (``scalars.BracketProduct``), so
 the recursion is dict arithmetic and every loop certificate, like the
@@ -67,39 +68,27 @@ class TPGraph:
     nodes: tuple          # TPGNode, sorted by nu descending
     edges: tuple          # ((nu_a, nu_b), sign) with nu_a > nu_b
     top: tuple            # nu of the top (anchor) node
-
-    def adjacency(self):
-        """{nu: [nu' joined to nu]}, each list in edge order."""
-        out = {n.nu: [] for n in self.nodes}
-        for (a, b), _ in self.edges:
-            out[a].append(b)
-            out[b].append(a)
-        return out
+    tree: tuple           # (nu, nu') breadth-first spanning-tree edges from
+                          # top, nu reached before nu'
 
 
 def build_graph(spec: FamilySpec, params) -> TPGraph:
-    table = decompose_tensor_closed_form(spec, params)
-    parents = {c.nu: c.parent for c in table.components}
-    dims = {c.nu: c.dim for c in table.components}
-    nus = [c.nu for c in table.components]
+    comps = decompose_tensor_closed_form(spec, params).components
+    nus = [c.nu for c in comps]
+    index = {nu: i for i, nu in enumerate(nus)}
     top = branching.top_weight(spec, params)
-    if top not in parents:
+    if top not in index:
         raise GraphError(f"top weight {top} missing from the decomposition")
 
-    contained = _contained_pairs(spec, nus)
-    parity = _color_parent_classes(parents, contained, parents[top])
-
-    # parities are constant on a parent class and opposite across every
-    # containment between classes, so every containment pair is an edge
-    edges = sorted(((nu, nup), parity[nu] * parity[nup])
-                   for nu, nup in contained)
-
-    nodes = tuple(TPGNode(nu, casimir_eigenvalue(spec, nu), parity[nu],
-                          parents[nu], dims[nu])
-                  for nu in nus)
-    graph = TPGraph(spec, tuple(params), nodes, tuple(edges), top)
-    _check_connected(graph)
-    return graph
+    pairs = [(index[a], index[b])
+             for a, b in sorted(_contained_pairs(spec, nus))]
+    parity, tree = _traverse(index[top], [c.parent for c in comps], pairs)
+    edges = tuple(((nus[a], nus[b]), parity[a] * parity[b]) for a, b in pairs)
+    nodes = tuple(TPGNode(c.nu, casimir_eigenvalue(spec, c.nu), parity[i],
+                          c.parent, c.dim)
+                  for i, c in enumerate(comps))
+    return TPGraph(spec, tuple(params), nodes, edges, top,
+                   tuple((nus[a], nus[b]) for a, b in tree))
 
 
 def _contained_pairs(spec: FamilySpec, nus):
@@ -114,48 +103,39 @@ def _contained_pairs(spec: FamilySpec, nus):
     return pairs
 
 
-def _color_parent_classes(parents, contained, top_parent):
-    """2-color the quotient graph on L-parent classes; returns {nu: parity}."""
-    adj = {}
-    for nu, nup in contained:
-        p, pp = parents[nu], parents[nup]
-        if p != pp:
-            adj.setdefault(p, set()).add(pp)
-            adj.setdefault(pp, set()).add(p)
-    color = {top_parent: 1}
-    frontier = [top_parent]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for pp in sorted(adj.get(p, ())):
-                if pp in color:
-                    if color[pp] != -color[p]:
-                        raise GraphError(
-                            "parent quotient graph is not bipartite")
-                else:
-                    color[pp] = -color[p]
-                    nxt.append(pp)
-        frontier = nxt
-    missing = {p for p in parents.values()} - set(color)
-    if missing:
-        raise GraphError(f"parent classes unreachable from the top: {missing}")
-    return {nu: color[p] for nu, p in parents.items()}
+def _traverse(top, parents, pairs):
+    """One breadth-first pass from node ``top`` over the containment pairs
+    (i, j) of node indices, with parity +1 at the top, kept within an
+    L-parent class (``parents[i]``) and flipped across classes.
 
+    Returns (parities by node, tree edges (i, j), i reached before j); raises
+    GraphError unless every node is reached, every pair obeys the parity rule
+    and each class has one parity, i.e. unless the graph is connected and its
+    parent quotient graph bipartite."""
+    adjacent = [[] for _ in parents]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
 
-def _check_connected(graph: TPGraph):
-    adjacent = graph.adjacency()
-    seen = {graph.top}
-    frontier = [graph.top]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for other in adjacent[nu]:
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    if len(seen) != len(graph.nodes):
+    def rule(a, b):
+        return 1 if parents[a] == parents[b] else -1
+
+    parity = [0] * len(parents)   # 0 until reached
+    parity[top] = 1
+    tree = []
+    queue = [top]
+    for a in queue:               # the queue grows while it is walked
+        for b in adjacent[a]:
+            if not parity[b]:
+                parity[b] = parity[a] * rule(a, b)
+                tree.append((a, b))
+                queue.append(b)
+    if not all(parity):
         raise GraphError("extended graph is disconnected")
+    if (any(parity[a] * parity[b] != rule(a, b) for a, b in pairs)
+            or len(set(zip(parents, parity))) != len(set(parents))):
+        raise GraphError("parent quotient graph is not bipartite")
+    return parity, tree
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +149,8 @@ def edge_factor(node_from: TPGNode, node_to: TPGNode) -> BracketProduct:
 
 
 def factored_recursion(graph: TPGraph):
-    """Propagate the recursion from the top node over a spanning tree, in
-    factored form.
+    """Propagate the recursion from the top node along ``graph.tree``, in
+    factored form; the tree reaches every node, so no search is needed.
 
     Returns (rho, certificates): rho maps nu -> BracketProduct, and
     certificates lists one consistency record per non-tree edge.  Raises
@@ -178,31 +158,14 @@ def factored_recursion(graph: TPGraph):
     path-dependent; a certificate is an identity in (q, u).
     """
     nodes = {n.nu: n for n in graph.nodes}
-    adjacent = graph.adjacency()
     rho = {graph.top: BracketProduct()}
-    tree_edges = set()
-    frontier = [graph.top]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for other in adjacent[nu]:
-                if other in rho:
-                    continue
-                rho[other] = edge_factor(nodes[nu], nodes[other]) * rho[nu]
-                tree_edges.add(frozenset((nu, other)))
-                nxt.append(other)
-        frontier = nxt
-    if len(rho) != len(graph.nodes):
-        raise GraphError("recursion did not reach every node")
-    certificates = []
-    for (a, b), _ in graph.edges:
-        if frozenset((a, b)) in tree_edges:
-            continue
-        implied = edge_factor(nodes[a], nodes[b]) * rho[a]
-        certificates.append({
-            "edge": (a, b),
-            "consistent": implied == rho[b],
-        })
+    for a, b in graph.tree:
+        rho[b] = edge_factor(nodes[a], nodes[b]) * rho[a]
+    tree = {frozenset(e) for e in graph.tree}
+    certificates = [
+        {"edge": (a, b),
+         "consistent": edge_factor(nodes[a], nodes[b]) * rho[a] == rho[b]}
+        for (a, b), _ in graph.edges if frozenset((a, b)) not in tree]
     bad = [c for c in certificates if not c["consistent"]]
     if bad:
         raise GraphError(f"recursion is path-dependent on edges {bad}")

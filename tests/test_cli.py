@@ -189,11 +189,11 @@ class TestVerify:
         w0 = samples[0][0]
         wanted = {(w, x) for w, u, v in samples
                   for x in (u, v, u * v, 1 / u, Fraction(1))}
-        wanted.add((abs(w0), Fraction(0)))
+        wanted.add((w0, Fraction(0)))
         assert len(first["solve"]) == len(set(first["solve"])) == 16
         assert set(first["solve"]) == wanted
         assert len(first["graph"]) == 1
-        assert sorted(first["decompose"]) == sorted(ws | {abs(w0)})
+        assert sorted(first["decompose"]) == sorted(ws)
         spectral = [Fraction(r["w"])
                     for r in stages["spectral-agreement"]["certificates"]]
         assert sorted(first["recursion"]) == sorted([w0] + spectral)

@@ -204,8 +204,8 @@ class TestChecks:
         T = TensorModule.of(rep, rep)
         assert spectrum == tensor.classical_parity_signs(T)
 
-    def test_parity_independent_of_w_sign(self):
-        shared = seed_shared("a2odd", 3)
+    def test_parity_independent_of_w_sign(self, ybe_case):
+        shared = seed_shared(*ybe_case)
         a = jimbo.parity_spectrum(shared, QSample(Q(3, 2)))
         b = jimbo.parity_spectrum(shared, QSample(Q(-3, 2)))
         assert a == b

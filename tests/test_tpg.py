@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -126,6 +127,45 @@ class TestContainment:
         monkeypatch.setattr(tpg, "_contained_pairs", pairwise)
         slow = tpg.build_graph(spec, params)
         assert fast.nodes == slow.nodes and fast.edges == slow.edges
+
+
+class TestRefusals:
+    """Negative controls: ``build_graph`` over the first components of the
+    a2even l=5 (2, 3) table, with synthetic L-parent classes and containment
+    pairs, refuses every graph that has no consistent parities."""
+
+    def synthetic(self, monkeypatch, classes, pairs):
+        """The graph whose node i is the table's i-th component (the top
+        first), in class ``classes[i]``, with containment pairs (i, j)."""
+        spec = family_spec("a2even", 5)
+        table = decompose_tensor_closed_form(spec, (2, 3))
+        comps = [SimpleNamespace(nu=c.nu, parent=("L", cls), dim=c.dim)
+                 for c, cls in zip(table.components, classes)]
+        table = SimpleNamespace(components=comps)
+        pairs = [(comps[i].nu, comps[j].nu) for i, j in pairs]
+        monkeypatch.setattr(tpg, "decompose_tensor_closed_form",
+                            lambda spec, params: table)
+        monkeypatch.setattr(tpg, "_contained_pairs", lambda spec, nus: pairs)
+        return tpg.build_graph(spec, (2, 3))
+
+    def test_consistent_synthetic_graph_builds(self, monkeypatch):
+        g = self.synthetic(monkeypatch, "XYXX", [(0, 1), (1, 2), (2, 3)])
+        assert [n.parity for n in g.nodes] == [1, -1, 1, 1]
+        assert sorted(s for _, s in g.edges) == [-1, -1, 1]
+
+    @pytest.mark.parametrize("classes,pairs", [
+        # (a) a triangle across three classes
+        ("XYZ", [(0, 1), (1, 2), (0, 2)]),
+        # (b) a path back into the top's class through three class changes
+        ("XYZX", [(0, 1), (1, 2), (2, 3)]),
+        # (c) a node in no pair, in a reached class or in a class of its own
+        ("XYXX", [(0, 1), (1, 2)]),
+        ("XYXW", [(0, 1), (1, 2)]),
+    ], ids=["odd-triangle", "odd-return-to-class", "isolated-node",
+            "isolated-class"])
+    def test_refused(self, monkeypatch, classes, pairs):
+        with pytest.raises(tpg.GraphError):
+            self.synthetic(monkeypatch, classes, pairs)
 
 
 class TestRecursion:
