@@ -286,13 +286,15 @@ def cmd_export(args, spec, params) -> int:
                               "u": u_repr, "eigenvalues": table},
                              indent=2, sort_keys=True) + "\n", args.out)
         return 0
-    if what == "rmatrix":
+    if what in ("rmatrix", "rep"):
         if tuple(params) != spec.seed_params():
-            print("error: rmatrix export requires the seed pair", file=sys.stderr)
+            print(f"error: {what} export requires the seed pair",
+                  file=sys.stderr)
             return 2
         if args.format != "json":
-            print("error: rmatrix export supports json", file=sys.stderr)
+            print(f"error: {what} export supports json", file=sys.stderr)
             return 2
+    if what == "rmatrix":
         shared = jimbo.Shared(spec)
 
         def attempt(r):
@@ -311,9 +313,6 @@ def cmd_export(args, spec, params) -> int:
         }, indent=2, sort_keys=True) + "\n", args.out)
         return 0
     if what == "rep":
-        if args.format != "json":
-            print("error: rep export supports json", file=sys.stderr)
-            return 2
         rep = qrep.build_seed_rep(spec)
         _emit(json.dumps({
             "schema": SCHEMA, "object": "rep",
@@ -347,7 +346,6 @@ def _add_common(p):
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
 
 
 def build_parser():
@@ -362,6 +360,8 @@ def build_parser():
     pe.add_argument("what", choices=["graph", "eigenvalues", "rmatrix", "rep"])
     pe.add_argument("--mode", choices=["numeric", "symbolic-u"],
                     default="symbolic-u")
+    pe.add_argument("--format", choices=["json", "dot", "text"],
+                    default="json")
     _add_common(pe)
     return parser
 

@@ -404,12 +404,13 @@ def sample_u(rng: random.Random) -> Fraction:
 
 
 def with_retries(fn, rng: random.Random, attempts: int = 5):
-    """Run fn(rng) retrying on pole / degenerate-sample failures."""
+    """Run fn(rng), retrying only on a failure of the sample: a pole or a
+    degenerate solve.  Other errors propagate: a rational w != 0, +-1 is
+    no root of unity, so no decomposition depends on the sample."""
     last = None
     for _ in range(attempts):
         try:
             return fn(rng)
-        except (PoleError, SolveError, DecompositionError,
-                ZeroDivisionError) as exc:
+        except (PoleError, SolveError) as exc:
             last = exc
     raise SolveError(f"no admissible sample in {attempts} attempts: {last}")

@@ -11,9 +11,12 @@ every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
 checks without forming a projector or an inverse.  The decomposition keeps
 the raising and lowering actions it was built from, for the solve to reuse.
 
-Operators on V (x) V (the coproduct actions and the swap) are sparse
-matrices in the ``linalg`` form {row: {col: x}}, built from the nonzeros of
-the factors; adapted basis vectors are sparse vectors {col: x}.
+The classical parity oracle builds no operator: it reads the Sym^2 / Alt^2
+sign of each component off V's character (``classical_parity_signs``).
+
+The coproduct actions on V (x) V are sparse matrices in the ``linalg`` form
+{row: {col: x}}, built from the nonzeros of the factors; adapted basis
+vectors are sparse vectors {col: x}.
 
 Basis convention: index p = i * dim2 + j for v_i (x) w_j; the weight of a
 product vector is the sum of the factor weights.
@@ -21,11 +24,12 @@ product vector is the sum of the factor weights.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .liealg import is_dominant, wadd
+from . import branching, linalg
+from .liealg import doubled, is_dominant, wadd
 from .qrep import Representation
 from .scalars import QSample
 
@@ -61,10 +65,28 @@ class TensorModule:
         return blocks
 
 
-def _coproduct(T: TensorModule, x1, d2, d1, x2):
-    """The sparse matrix x1 (x) diag(d2) + diag(d1) (x) x2 of the sparse
-    factor matrices x1, x2."""
-    n2 = T.rep2.dim
+def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
+                     u=None):
+    """Sparse matrix of Delta^u on the product basis, for kind "e" or "f":
+
+        Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2},
+
+    built as x1 (x) diag(d2) + diag(d1) (x) x2 from the nonzeros of the
+    sparse factor matrices x1, x2.  The spectral parameter u enters only for
+    i == 0 (factor u on e0, 1/u on f0, acting on the first leg).  For
+    V (x) V the q^{-h/2} diagonal is the entrywise reciprocal of the q^{h/2}
+    one.
+    """
+    r1, r2 = T.rep1, T.rep2
+    x1 = r1.e[i] if kind == "e" else r1.f[i]
+    x2 = r2.e[i] if kind == "e" else r2.f[i]
+    d2 = r2.qh_half_diag(i, qs)
+    d1 = [1 / x for x in d2] if r1 is r2 else r1.qh_half_diag(i, qs, -1)
+    if i == 0 and u is not None:
+        # (c x1) (x) diag(d2) = x1 (x) diag(c d2)
+        c = u if kind == "e" else 1 / u
+        d2 = [c * d for d in d2]
+    n2 = r2.dim
     out = {}
     for a, row in x1.items():
         for a2, x in row.items():
@@ -78,46 +100,7 @@ def _coproduct(T: TensorModule, x1, d2, d1, x2):
     for r in out.values():
         for j in [j for j, x in r.items() if not x]:
             del r[j]
-    return {i: r for i, r in out.items() if r}
-
-
-def coproduct_action(T: TensorModule, kind: str, i: int, qs: QSample,
-                     u=None):
-    """Sparse matrix of Delta^u on the product basis, for kind "e" or "f":
-
-        Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2}
-
-    The spectral parameter u enters only for i == 0 (factor u on e0, 1/u on
-    f0, acting on the first leg).  For V (x) V the q^{-h/2} diagonal is
-    the entrywise reciprocal of the q^{h/2} one.
-    """
-    r1, r2 = T.rep1, T.rep2
-    x1 = r1.e[i] if kind == "e" else r1.f[i]
-    x2 = r2.e[i] if kind == "e" else r2.f[i]
-    d2 = r2.qh_half_diag(i, qs)
-    d1 = [1 / x for x in d2] if r1 is r2 else r1.qh_half_diag(i, qs, -1)
-    if i == 0 and u is not None:
-        # (c x1) (x) diag(d2) = x1 (x) diag(c d2)
-        c = u if kind == "e" else 1 / u
-        d2 = [c * d for d in d2]
-    return _coproduct(T, x1, d2, d1, x2)
-
-
-def classical_coproduct(T: TensorModule, kind: str, i: int):
-    """Sparse x (x) 1 + 1 (x) x with the classical (= undeformed) generator
-    matrices."""
-    r1, r2 = T.rep1, T.rep2
-    x1 = r1.e[i] if kind == "e" else r1.f[i]
-    x2 = r2.e[i] if kind == "e" else r2.f[i]
-    return _coproduct(T, x1, [Q(1)] * r2.dim, [Q(1)] * r1.dim, x2)
-
-
-def permutation_operator(T: TensorModule):
-    """The sparse swap v_i (x) v_j -> v_j (x) v_i."""
-    if T.rep1.dim != T.rep2.dim:
-        raise ValueError("swap needs equal factor dimensions")
-    d = T.rep1.dim
-    return {i * d + j: {j * d + i: Q(1)} for i in range(d) for j in range(d)}
+    return {p: r for p, r in out.items() if r}
 
 
 @dataclass
@@ -135,12 +118,15 @@ class IsotypicDecomposition:
     lowering: list       # decomposition was built from
 
 
-def _decompose_with(T: TensorModule, raising, lowering):
-    """Shared decomposition engine given the l raising/lowering actions.
+def decompose(T: TensorModule, qs: QSample) -> IsotypicDecomposition:
+    """Isotypic decomposition under the quantum fixed subalgebra at sample w.
 
     Raises DecompositionError unless the adapted bases of the components
     together form a basis of V (x) V (rank T.dim in the shared row space)."""
     spec = T.spec
+    l = spec.l
+    raising = [coproduct_action(T, "e", i, qs) for i in range(1, l + 1)]
+    lowering = [coproduct_action(T, "f", i, qs) for i in range(1, l + 1)]
     blocks = T.weight_blocks()
     # the nonzero columns of each stacked raising row, grouped by the weight
     # of the column: a weight block's kernel is read from its own group
@@ -190,21 +176,6 @@ def _decompose_with(T: TensorModule, raising, lowering):
     return IsotypicDecomposition(T, components, raising, lowering)
 
 
-def decompose(T: TensorModule, qs: QSample) -> IsotypicDecomposition:
-    """Isotypic decomposition under the quantum fixed subalgebra at sample w."""
-    l = T.spec.l
-    raising = [coproduct_action(T, "e", i, qs) for i in range(1, l + 1)]
-    lowering = [coproduct_action(T, "f", i, qs) for i in range(1, l + 1)]
-    return _decompose_with(T, raising, lowering)
-
-
-def decompose_classical(T: TensorModule) -> IsotypicDecomposition:
-    l = T.spec.l
-    raising = [classical_coproduct(T, "e", i) for i in range(1, l + 1)]
-    lowering = [classical_coproduct(T, "f", i) for i in range(1, l + 1)]
-    return _decompose_with(T, raising, lowering)
-
-
 def component_scalars(dec: IsotypicDecomposition, M):
     """{nu: c} where the sparse operator M acts on every adapted basis vector
     of V0(nu) as the scalar c; raises DecompositionError if M is not scalar
@@ -226,12 +197,23 @@ def component_scalars(dec: IsotypicDecomposition, M):
 
 
 def classical_parity_signs(T: TensorModule):
-    """Parity (symmetric / antisymmetric square membership) of each component
-    for lambda = mu, read off from the permutation operator at q = 1."""
-    if T.rep1.lam != T.rep2.lam:
+    """{nu: +1 or -1} as V0(nu) lies in Sym^2 V or in Alt^2 V (lambda = mu).
+
+    ch Sym^2 V - ch Alt^2 V = psi^2(ch V) = sum of e^{2 mu} over the weights
+    mu of V (the Adams operation), so one signed Klimyk sum of the weights
+    2 mu gives each component its Sym^2 minus its Alt^2 multiplicity.  As
+    V (x) V is multiplicity-free that is +1 or -1; any other coefficient
+    raises DecompositionError, and a component with equal multiplicities
+    drops out of the dict, whose keys the parity stage compares."""
+    rep, spec = T.rep1, T.spec
+    if rep.lam != T.rep2.lam:
         raise ValueError("parity oracle needs lambda = mu")
-    signs = component_scalars(decompose_classical(T), permutation_operator(T))
-    for nu, s in signs.items():
-        if s not in (1, -1):
-            raise DecompositionError(f"component {nu} mixes symmetry classes")
-    return {nu: int(s) for nu, s in signs.items()}
+    # the weights 2 * mu in Klimyk's doubled coordinates, 4 * mu
+    squares = Counter(tuple(2 * a for a in doubled(mu)) for mu in rep.weights)
+    signs = branching.klimyk_tensor_with(spec.l0type, spec.l, squares,
+                                         (0,) * spec.l)
+    for nu, c in signs.items():
+        if c not in (1, -1):
+            raise DecompositionError(
+                f"component {nu} has Sym^2 - Alt^2 multiplicity {c}")
+    return signs

@@ -80,8 +80,7 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
     if top not in index:
         raise GraphError(f"top weight {top} missing from the decomposition")
 
-    pairs = [(index[a], index[b])
-             for a, b in sorted(_contained_pairs(spec, nus))]
+    pairs = _contained_pairs(spec, index)
     parity, tree = _traverse(index[top], [c.parent for c in comps], pairs)
     edges = tuple(((nus[a], nus[b]), parity[a] * parity[b]) for a, b in pairs)
     nodes = tuple(TPGNode(c.nu, casimir_eigenvalue(spec, c.nu), parity[i],
@@ -91,16 +90,18 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
                    tuple((nus[a], nus[b]) for a, b in tree))
 
 
-def _contained_pairs(spec: FamilySpec, nus):
-    """The pairs (nu, nu') with nu before nu' in ``nus`` and V0(nu') in
-    V0(theta0) (x) V0(nu), from one Klimyk sum per node.  theta0 is self-dual,
-    so the relation is symmetric and each pair is listed once."""
+def _contained_pairs(spec: FamilySpec, index):
+    """The node index pairs (i, j), i < j in ``index`` ({nu: i}), with
+    V0(nu_j) in V0(theta0) (x) V0(nu_i), from one Klimyk sum per node.
+    theta0 is self-dual, so the relation is symmetric and each pair is
+    listed once.  Sorted descending, i.e. by ascending (nu_i, nu_j)."""
     weights = theta0_weights(spec)
     pairs = []
-    for i, nu in enumerate(nus):
+    for nu, i in index.items():
         inside = contains_in_theta_tensor(spec, weights, nu)
-        pairs += [(nu, nup) for nup in nus[i + 1:] if nup in inside]
-    return pairs
+        pairs += [(i, j) for j in (index.get(nup, -1) for nup in inside)
+                  if j > i]
+    return sorted(pairs, reverse=True)
 
 
 def _traverse(top, parents, pairs):

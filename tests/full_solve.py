@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from twistr import linalg
 from twistr.jimbo import SolveError
-from twistr.tensor import TensorModule, coproduct_action, permutation_operator
+from twistr.tensor import TensorModule, coproduct_action
 
-from oracles import opposite_coproduct
+from oracles import opposite_coproduct, permutation_operator
 
 Q = Fraction
 

@@ -1,9 +1,9 @@
 """Independent oracles the tests check the library against: the Casimir and
 dimension closed forms, the trace pairing, the Freudenthal weight multisets
-with the brute-force tensor decomposition, the L-parent classes of a
-branching table, the opposite coproduct and the R-form three-site
-Yang-Baxter product, the spinor's affine pair by constraint solve, and the
-dense classical and quantum relation checkers."""
+with the brute-force tensor and symmetric-square decompositions, the
+L-parent classes of a branching table, the swap, the opposite coproduct and
+the R-form three-site Yang-Baxter product, the spinor's affine pair by
+constraint solve, and the dense classical and quantum relation checkers."""
 
 import itertools
 import math
@@ -180,8 +180,7 @@ def _doubled_multiset(l0type, l, nu):
 
 def brute_force_tensor(l0type, l, lam, mu):
     """{nu: multiplicity} of V0(lam) (x) V0(mu) by character convolution and
-    repeated stripping of maximal dominant weights, on doubled
-    coordinates."""
+    ``_strip``, on doubled coordinates."""
     wl = _doubled_multiset(l0type, l, lam)
     wm = _doubled_multiset(l0type, l, mu)
     prod = {}
@@ -189,6 +188,25 @@ def brute_force_tensor(l0type, l, lam, mu):
         for b, mb in wm.items():
             w = _plus(a, b)
             prod[w] = prod.get(w, 0) + ma * mb
+    return _strip(l0type, l, prod)
+
+
+def brute_force_symmetric_square(rep):
+    """{nu: multiplicity} of Sym^2 V for the representation ``rep``, by
+    ``_strip`` of the weights mu_i + mu_j (i <= j) of its basis vectors."""
+    ws = [_twice(w) for w in rep.weights]
+    prod = {}
+    for i, a in enumerate(ws):
+        for b in ws[i:]:
+            w = _plus(a, b)
+            prod[w] = prod.get(w, 0) + 1
+    return _strip(rep.spec.l0type, rep.spec.l, prod)
+
+
+def _strip(l0type, l, prod):
+    """{nu: multiplicity} of the module whose weight multiset, on doubled
+    coordinates, is ``prod``: repeatedly strip the Freudenthal multiset of a
+    maximal dominant weight.  Consumes ``prod``."""
     rho = _twice(weyl_vector(l0type, l))
     out = {}
     while True:
@@ -219,8 +237,17 @@ def parent_classes(table):
 
 
 # ---------------------------------------------------------------------------
-# R-form references: the opposite coproduct, the three-site Yang-Baxter product
+# R-form references: the swap, the opposite coproduct, the three-site
+# Yang-Baxter product
 # ---------------------------------------------------------------------------
+
+def permutation_operator(T):
+    """The sparse swap v_i (x) v_j -> v_j (x) v_i."""
+    if T.rep1.dim != T.rep2.dim:
+        raise ValueError("swap needs equal factor dimensions")
+    d = T.rep1.dim
+    return {i * d + j: {j * d + i: Q(1)} for i in range(d) for j in range(d)}
+
 
 def opposite_coproduct(T, kind, i, qs, u=None):
     """Sparse Delta^{T,u}(x) = x (x) q^{-h/2} + q^{h/2} (x) x on the product

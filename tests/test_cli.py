@@ -6,6 +6,7 @@ import pytest
 from twistr import cli, jimbo, liealg, tpg
 from twistr.cli import SCHEMA, main
 from twistr.scalars import PoleError, QSample
+from twistr.tensor import DecompositionError
 
 
 def run(tmp_path, *argv):
@@ -52,6 +53,13 @@ class TestVerify:
         _, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
                      "--samples", "1")
         assert "mode" not in json.loads(out.read_text())["config"]
+
+    def test_verify_has_no_format(self):
+        """verify writes only its JSON report, so --format is refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "a2even", "--l", "1",
+                  "--format", "dot"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_rejected(self, samples):
@@ -149,6 +157,29 @@ class TestVerify:
         assert Fraction(record["w"]) != w0 and record["nullity"] == 1
         assert all(Fraction(c["w"]) != w0
                    for c in after["yang-baxter"]["certificates"])
+
+    def test_decomposition_error_fails_the_stage(self, tmp_path,
+                                                 monkeypatch):
+        """A DecompositionError is no failure of the sample: raised once
+        while the parity stage reads N(0), it fails that stage, with the
+        error in the report, instead of being retried at a fresh sample."""
+        real = jimbo.component_scalars
+        calls = []
+
+        def fails_once(dec, m):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DecompositionError("injected")
+            return real(dec, m)
+
+        monkeypatch.setattr(jimbo, "component_scalars", fails_once)
+        code, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
+                        "--seed", "3", "--samples", "1")
+        assert code == 1
+        stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+        assert stages["parity"] == {"stage": "parity", "ok": False,
+                                    "error": "DecompositionError: injected"}
+        assert all(s["ok"] for name, s in stages.items() if name != "parity")
 
     def test_shared_work_runs_once_per_call(self, tmp_path, monkeypatch):
         """One verify solves each distinct (w, u) once, builds one graph,
@@ -283,6 +314,11 @@ class TestExport:
     def test_rmatrix_requires_seed_pair(self, capsys):
         assert main(["export", "rmatrix", "--family", "d2", "--l", "2",
                      "--k", "1", "--r", "2"]) == 2
+
+    def test_rep_requires_seed_pair(self, capsys):
+        assert main(["export", "rep", "--family", "d2", "--l", "2",
+                     "--k", "2", "--r", "3"]) == 2
+        assert "rep export requires the seed pair" in capsys.readouterr().err
 
     def test_rep_json(self, tmp_path):
         code, out = run(tmp_path, "export", "rep", "--family", "d2", "--l", "2")

@@ -11,7 +11,8 @@ from twistr.tensor import DecompositionError, TensorModule
 
 from conftest import YBE_CASES, seed_rep, seed_shared
 from full_solve import full_solve, kernel_from_rowspace, top_index
-from oracles import bump, opposite_coproduct, ybe_residual_entries
+from oracles import (bump, opposite_coproduct, permutation_operator,
+                     ybe_residual_entries)
 
 Q = Fraction
 
@@ -138,7 +139,7 @@ class TestCertificates:
         an integer multiple of (X, Y)."""
         shared = seed_shared(*ybe_case)
         T = shared.module
-        P = tensor.permutation_operator(T)
+        P = permutation_operator(T)
 
         def conj(m):
             return linalg.sparse_mul(P, linalg.sparse_mul(m, P))
@@ -350,6 +351,19 @@ class TestSampling:
             return "ok"
 
         assert jimbo.with_retries(flaky, random.Random(0)) == "ok"
+
+    @pytest.mark.parametrize("error", [DecompositionError, ZeroDivisionError])
+    def test_with_retries_raises_other_errors_at_once(self, error):
+        """Only a pole or a degenerate solve is a failure of the sample."""
+        calls = []
+
+        def broken(rng):
+            calls.append(1)
+            raise error("not a sample failure")
+
+        with pytest.raises(error):
+            jimbo.with_retries(broken, random.Random(0))
+        assert len(calls) == 1
 
     def test_with_retries_gives_up(self):
         def always(rng):

@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from twistr import branching, linalg, tensor
+from twistr.liealg import weyl_dim
 from twistr.scalars import QSample
-from twistr.tensor import TensorModule, permutation_operator
+from twistr.tensor import TensorModule
 
 import oracles
 from conftest import seed_rep
@@ -35,7 +37,7 @@ class TestTensorModule:
 
     def test_permutation_squares_to_identity(self):
         T = module("a2odd", 3)
-        P = permutation_operator(T)
+        P = oracles.permutation_operator(T)
         assert linalg.sparse_mul(P, P) == linalg.sparse_identity(T.dim)
 
 
@@ -81,13 +83,6 @@ class TestCoproduct:
                              else tensor.coproduct_action)
                     got = build(T, kind, i, qs, u=u)
                     assert got == linalg.sparse(want), (kind, i, transpose)
-            for kind in ("e", "f"):
-                x1, x2 = _dense_factors(T, kind, i)
-                want = linalg.mat_add(
-                    _dense_kron(x1, linalg.identity(T.rep2.dim)),
-                    _dense_kron(linalg.identity(T.rep1.dim), x2))
-                assert tensor.classical_coproduct(T, kind, i) == \
-                    linalg.sparse(want), (kind, i)
 
     def test_cartan_weight_conservation(self, qs):
         """Delta(e_i) raises the total weight by alpha_i."""
@@ -116,7 +111,7 @@ class TestCoproduct:
     def test_transpose_is_swap_conjugate(self, qs):
         """Delta^T(a) = P Delta(a) P for the non-affine generators."""
         T = module("d2", 2)
-        P = permutation_operator(T)
+        P = oracles.permutation_operator(T)
         for i in range(1, 3):
             for kind in ("e", "f"):
                 d = tensor.coproduct_action(T, kind, i, qs)
@@ -159,9 +154,8 @@ class TestDecomposition:
     def test_classical_agrees_with_quantum_components(self, qs):
         T = module("d2", 2)
         dq = tensor.decompose(T, qs)
-        dc = tensor.decompose_classical(T)
         assert sorted(c.nu for c in dq.components) == \
-            sorted(c.nu for c in dc.components)
+            sorted(tensor.classical_parity_signs(T))
 
 
 class TestClassicalParity:
@@ -179,10 +173,29 @@ class TestClassicalParity:
         assert signs == want
 
     def test_dimension_bookkeeping(self):
-        """Symmetric + antisymmetric square dims must total d*(d+-1)/2."""
+        """The symmetric and antisymmetric square dims are d*(d+-1)/2."""
         T = module("a2odd", 3)
-        dec = tensor.decompose_classical(T)
         signs = tensor.classical_parity_signs(T)
         d = T.rep1.dim
-        sym = sum(len(c.basis) for c in dec.components if signs[c.nu] > 0)
-        assert sym == d * (d + 1) // 2
+        sym = sum(weyl_dim(T.spec.l0type, T.spec.l, nu)
+                  for nu, s in signs.items() if s > 0)
+        alt = sum(weyl_dim(T.spec.l0type, T.spec.l, nu)
+                  for nu, s in signs.items() if s < 0)
+        assert (sym, alt) == (d * (d + 1) // 2, d * (d - 1) // 2)
+
+    def test_plus_components_are_the_symmetric_square(self, grid_case):
+        """The +1 components are exactly the components of Sym^2 V, by the
+        brute-force symmetric-square oracle, each with multiplicity 1."""
+        T = module(*grid_case)
+        signs = tensor.classical_parity_signs(T)
+        assert oracles.brute_force_symmetric_square(T.rep1) == \
+            {nu: 1 for nu, s in signs.items() if s > 0}
+
+    def test_doubled_weights_refused(self, grid_case):
+        """Negative control: with every weight of V counted twice, psi^2
+        gives each component the coefficient +-2, which is refused."""
+        rep = seed_rep(*grid_case)
+        double = dataclasses.replace(rep, weights=rep.weights * 2,
+                                     dim=2 * rep.dim)
+        with pytest.raises(tensor.DecompositionError):
+            tensor.classical_parity_signs(TensorModule.of(double, double))

@@ -114,15 +114,16 @@ class TestContainment:
         spec = family_spec(family, l)
         fast = tpg.build_graph(spec, params)
 
-        def pairwise(spec, nus):
+        def pairwise(spec, index):
+            nus = list(index)
             out = []
             for i, nu in enumerate(nus):
-                for nup in nus[i + 1:]:
+                for j in range(i + 1, len(nus)):
                     mults = klimyk_tensor_with(spec.l0type, spec.l,
                                                theta0_weights(spec), nu)
-                    if mults.get(nup, 0) > 0:
-                        out.append((nu, nup))
-            return out
+                    if mults.get(nus[j], 0) > 0:
+                        out.append((i, j))
+            return sorted(out, reverse=True)
 
         monkeypatch.setattr(tpg, "_contained_pairs", pairwise)
         slow = tpg.build_graph(spec, params)
@@ -142,10 +143,10 @@ class TestRefusals:
         comps = [SimpleNamespace(nu=c.nu, parent=("L", cls), dim=c.dim)
                  for c, cls in zip(table.components, classes)]
         table = SimpleNamespace(components=comps)
-        pairs = [(comps[i].nu, comps[j].nu) for i, j in pairs]
         monkeypatch.setattr(tpg, "decompose_tensor_closed_form",
                             lambda spec, params: table)
-        monkeypatch.setattr(tpg, "_contained_pairs", lambda spec, nus: pairs)
+        monkeypatch.setattr(tpg, "_contained_pairs",
+                            lambda spec, index: pairs)
         return tpg.build_graph(spec, (2, 3))
 
     def test_consistent_synthetic_graph_builds(self, monkeypatch):
