@@ -210,7 +210,7 @@ def cmd_verify(args, spec, params) -> int:
             lambda w, u, v: jimbo.parity_spectrum(shared, QSample(w)),
             samples[0])
         graph_parities = {n.nu: n.parity for n in shared.graph.nodes}
-        classical = tensor.classical_parity_signs(shared.module)
+        classical = tensor.classical_parity_signs(shared.rep)
         ok = spectrum == graph_parities == classical
         return {"ok": ok,
                 "spectrum": {tpg._weight_str(nu): s
@@ -254,6 +254,9 @@ def cmd_verify(args, spec, params) -> int:
 def cmd_export(args, spec, params) -> int:
     rng = random.Random(args.seed)
     what = args.what
+    if args.mode is not None and what != "eigenvalues":
+        print(f"error: {what} export takes no --mode", file=sys.stderr)
+        return 2
     if what == "graph":
         graph = tpg.build_graph(spec, params)
         _emit(tpg.export_graph(graph, args.format), args.out)
@@ -307,25 +310,22 @@ def cmd_export(args, spec, params) -> int:
             "schema": SCHEMA, "object": "rmatrix",
             "family": args.family, "l": args.l,
             "w": str(w), "u": str(u),
-            "dim": shared.module.dim, "nullity": 1,
+            "dim": shared.rep.dim ** 2, "nullity": 1,
             "R": _sparse_triplets(res.R),
             "Rcheck": _sparse_triplets(res.Rcheck),
         }, indent=2, sort_keys=True) + "\n", args.out)
         return 0
-    if what == "rep":
-        rep = qrep.build_seed_rep(spec)
-        _emit(json.dumps({
-            "schema": SCHEMA, "object": "rep",
-            "family": args.family, "l": args.l,
-            "dim": rep.dim,
-            "highest_weight": tpg._weight_str(rep.lam),
-            "weights": [tpg._weight_str(wt) for wt in rep.weights],
-            "e": [_sparse_triplets(m) for m in rep.e],
-            "f": [_sparse_triplets(m) for m in rep.f],
-        }, indent=2, sort_keys=True) + "\n", args.out)
-        return 0
-    print(f"error: unknown export object {what!r}", file=sys.stderr)
-    return 2
+    rep = qrep.build_seed_rep(spec)  # what == "rep"
+    _emit(json.dumps({
+        "schema": SCHEMA, "object": "rep",
+        "family": args.family, "l": args.l,
+        "dim": rep.dim,
+        "highest_weight": tpg._weight_str(rep.lam),
+        "weights": [tpg._weight_str(wt) for wt in rep.weights],
+        "e": [_sparse_triplets(m) for m in rep.e],
+        "f": [_sparse_triplets(m) for m in rep.f],
+    }, indent=2, sort_keys=True) + "\n", args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,7 @@ def build_parser():
     pv.add_argument("--samples", type=_positive_int, default=3)
     pe = sub.add_parser("export", help="export one object")
     pe.add_argument("what", choices=["graph", "eigenvalues", "rmatrix", "rep"])
-    pe.add_argument("--mode", choices=["numeric", "symbolic-u"],
-                    default="symbolic-u")
+    pe.add_argument("--mode", choices=["numeric", "symbolic-u"])
     pe.add_argument("--format", choices=["json", "dot", "text"],
                     default="json")
     _add_common(pe)

@@ -66,14 +66,18 @@ from functools import cached_property
 from . import linalg, qrep, tpg
 from .qrep import Representation
 from .scalars import PoleError, QSample
-from .tensor import (DecompositionError, TensorModule, component_scalars,
-                     coproduct_action, decompose)
+from .tensor import (DecompositionError, component_scalars, coproduct_action,
+                     decompose)
 
 Q = Fraction
 
 
 class SolveError(RuntimeError):
-    pass
+    """A failure of the sample: a fresh one may pass."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate refused a solve or a check: no fresh sample mends it."""
 
 
 @dataclass
@@ -139,14 +143,13 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
     block (it is a basis of weight vectors, so each block is square) for
     the dual basis and the coordinates of X v_nu and Y v_nu."""
     dec = shared.decomposition(qs)
-    T = dec.module
     basis = [v for comp in dec.components for v in comp.basis]
     comp_of = [n for n, comp in enumerate(dec.components) for _ in comp.basis]
     in_block = {}
     for k, v in enumerate(basis):
-        in_block.setdefault(T.weights[min(v)], []).append(k)
+        in_block.setdefault(dec.weights[min(v)], []).append(k)
     dual = [None] * len(basis)
-    for eta, idxs in T.weight_blocks().items():
+    for eta, idxs in dec.blocks.items():
         ks = in_block[eta]
         inv = linalg.invert([[basis[k].get(p, Q(0)) for k in ks] for p in idxs])
         for k, row in zip(ks, inv):
@@ -159,12 +162,12 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
     def coords(cols, v):
         z = linalg.sparse_mat_vec(cols, v)
-        ks = in_block[T.weights[min(z)]] if z else []
+        ks = in_block[dec.weights[min(z)]] if z else []
         return {k: x for k in ks
                 if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
 
     # D^u(e0) = u X + Y: Y = D^0(e0) and X = D^1(e0) - Y
-    one, y = (coproduct_action(T, "e", 0, qs, u=Q(t)) for t in (1, 0))
+    one, y = (coproduct_action(dec.rep, "e", 0, qs, u=Q(t)) for t in (1, 0))
     x, y = _integral(linalg.sparse_lincomb(((1, one), (-1, y))), y)
     xcols, ycols = linalg.sparse_transpose(x), linalg.sparse_transpose(y)
     e0_rows = []
@@ -200,7 +203,8 @@ def _solve_scalars(system: ComponentSystem, u: Fraction):
 def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     """R(w, u) for the seed rep of the Shared ``shared``.
 
-    Raises SolveError unless Rcheck commutes with D(x) for x = e_i, f_i
+    Raises SolveError if the small system is degenerate at this sample, and
+    CertificateError unless Rcheck commutes with D(x) for x = e_i, f_i
     (i >= 1) and Rcheck * (u X + Y) == (X + u Y) * Rcheck, checked in
     integers as N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
     system = shared.components(qs)
@@ -224,7 +228,7 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
          linalg.sparse_lincomb(((b, x), (a, y))))]
     for lhs, rhs in equations:
         if linalg.sparse_mul(num, lhs) != linalg.sparse_mul(rhs, num):
-            raise SolveError("Rcheck fails the intertwining equations")
+            raise CertificateError("Rcheck fails the intertwining equations")
     return RMatrixResult(num, d // g, shared.rep.dim)
 
 
@@ -255,10 +259,6 @@ class Shared:
         return self._get("rep", lambda: qrep.build_seed_rep(self.spec))
 
     @property
-    def module(self) -> TensorModule:
-        return self._get("module", lambda: TensorModule.of(self.rep, self.rep))
-
-    @property
     def graph(self):
         return self._get("graph",
                          lambda: tpg.build_graph(self.spec, self.params))
@@ -269,7 +269,7 @@ class Shared:
 
     def decomposition(self, qs: QSample):
         return self._get(("decomposition", qs.w),
-                         lambda: decompose(self.module, qs))
+                         lambda: decompose(self.rep, qs))
 
     def components(self, qs: QSample) -> ComponentSystem:
         return self._get(("components", qs.w),
@@ -327,7 +327,7 @@ def check_unitarity(shared: Shared, qs: QSample, u: Fraction):
     a = shared.solve(qs, u)
     b = shared.solve(qs, 1 / u)
     ok = linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(
-        shared.module.dim, a.D * b.D)
+        shared.rep.dim ** 2, a.D * b.D)
     return {"check": "unitarity", "u": u, "ok": ok}
 
 
@@ -350,11 +350,11 @@ def parity_spectrum(shared: Shared, qs: QSample):
     same signs because D > 0."""
     r0 = shared.solve(qs, Q(0))
     if r0.D <= 0:
-        raise SolveError(f"Rcheck(0) has denominator {r0.D}, expected > 0")
+        raise CertificateError(f"Rcheck(0) has denominator {r0.D}, expected > 0")
     out = {}
     for nu, c in component_scalars(shared.decomposition(qs), r0.N).items():
         if not c:
-            raise SolveError(f"Rcheck(0) vanishes on {nu}")
+            raise CertificateError(f"Rcheck(0) vanishes on {nu}")
         out[nu] = 1 if c > 0 else -1
     return out
 
@@ -374,11 +374,11 @@ def spectral_compare(shared: Shared, qs: QSample, u: Fraction):
     dec = shared.decomposition(qs)
     for comp in dec.components:
         if comp.nu not in rho:
-            raise SolveError(f"component {comp.nu} missing from the graph")
+            raise CertificateError(f"component {comp.nu} missing from the graph")
     a = shared.solve(qs, u)
     b = shared.solve(qs, Q(1))
     try:
-        ok = b.N == linalg.sparse_identity(shared.module.dim, b.D) and all(
+        ok = b.N == linalg.sparse_identity(shared.rep.dim ** 2, b.D) and all(
             c == a.D * rho[nu] for nu, c in component_scalars(dec, a.N).items())
     except DecompositionError:  # Rcheck(u) is not scalar on a component
         ok = False
@@ -406,7 +406,8 @@ def sample_u(rng: random.Random) -> Fraction:
 def with_retries(fn, rng: random.Random, attempts: int = 5):
     """Run fn(rng), retrying only on a failure of the sample: a pole or a
     degenerate solve.  Other errors propagate: a rational w != 0, +-1 is
-    no root of unity, so no decomposition depends on the sample."""
+    no root of unity, so no decomposition depends on the sample, and a
+    refused certificate stays refused at any sample."""
     last = None
     for _ in range(attempts):
         try:

@@ -45,9 +45,9 @@ class Representation:
         """Eigenvalue of h_i on basis vector p: (weight_p, alpha_i)."""
         return inner(self.weights[p], self.spec.alpha[i])
 
-    def qh_half_diag(self, i, qs: QSample, sign=1):
-        """Diagonal of q^{sign * h_i / 2}."""
-        return [qs.q_pow(Q(sign) * self.h_eig(i, p) / 2) for p in range(self.dim)]
+    def qh_half_diag(self, i, qs: QSample):
+        """Diagonal of q^{h_i / 2}."""
+        return [qs.q_pow(Q(self.h_eig(i, p), 2)) for p in range(self.dim)]
 
 
 def _weights_from_h_diagonals(spec: FamilySpec, hdiags):

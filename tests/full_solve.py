@@ -14,17 +14,25 @@ from fractions import Fraction
 
 from twistr import linalg
 from twistr.jimbo import SolveError
-from twistr.tensor import TensorModule, coproduct_action
+from twistr.liealg import wadd
+from twistr.tensor import coproduct_action
 
 from oracles import opposite_coproduct, permutation_operator
 
 Q = Fraction
 
 
-def top_index(T: TensorModule):
-    """Index of the unique basis vector of maximal weight (v_top (x) v_top)."""
-    top = max(T.weights)
-    idxs = [p for p, w in enumerate(T.weights) if w == top]
+def product_weights(rep):
+    """The weight of each product basis vector v_i (x) v_j of V (x) V."""
+    return [wadd(a, b) for a in rep.weights for b in rep.weights]
+
+
+def top_index(rep):
+    """Index of the unique basis vector of maximal weight (v_top (x) v_top)
+    of V (x) V, V = rep."""
+    weights = product_weights(rep)
+    top = max(weights)
+    idxs = [p for p, w in enumerate(weights) if w == top]
     if len(idxs) != 1:
         raise SolveError("top weight space is not one-dimensional")
     return idxs[0]
@@ -33,9 +41,10 @@ def top_index(T: TensorModule):
 def full_solve(rep, qs, u):
     """(R, Rcheck) as sparse matrices, or SolveError if the null space of
     the full system is not one-dimensional."""
-    T = TensorModule.of(rep, rep)
     l = rep.spec.l
-    blocks = T.weight_blocks()
+    blocks = {}
+    for p, w in enumerate(product_weights(rep)):
+        blocks.setdefault(w, []).append(p)
     var_index = {}
     for _, idxs in sorted(blocks.items()):
         for p in idxs:
@@ -48,8 +57,8 @@ def full_solve(rep, qs, u):
     equations = {}
     for kind, i in generators:
         uu = u if i == 0 else None
-        A = coproduct_action(T, kind, i, qs, u=uu)
-        B = opposite_coproduct(T, kind, i, qs, u=uu)
+        A = coproduct_action(rep, kind, i, qs, u=uu)
+        B = opposite_coproduct(rep, kind, i, qs, u=uu)
         # equation (s, t): sum_p R[s][p] A[p][t] - sum_p B[s][p] R[p][t] = 0,
         # with R[x][y] an unknown only for weight(x) == weight(y)
         for p, row in A.items():
@@ -64,7 +73,7 @@ def full_solve(rep, qs, u):
                     eq[(p, t)] = eq.get((p, t), 0) - x
 
     sol = solve_nullity_one(equations, var_index)
-    p0 = top_index(T)
+    p0 = top_index(rep)
     top = sol.get(var_index[(p0, p0)])
     if not top:
         raise SolveError("solution vanishes on the top weight vector")
@@ -72,7 +81,7 @@ def full_solve(rep, qs, u):
     for (p, r), v in var_index.items():
         if v in sol:
             R.setdefault(p, {})[r] = sol[v] / top
-    return R, linalg.sparse_mul(permutation_operator(T), R)
+    return R, linalg.sparse_mul(permutation_operator(rep), R)
 
 
 def solve_nullity_one(equations, var_index):

@@ -241,29 +241,26 @@ def parent_classes(table):
 # Yang-Baxter product
 # ---------------------------------------------------------------------------
 
-def permutation_operator(T):
-    """The sparse swap v_i (x) v_j -> v_j (x) v_i."""
-    if T.rep1.dim != T.rep2.dim:
-        raise ValueError("swap needs equal factor dimensions")
-    d = T.rep1.dim
+def permutation_operator(rep):
+    """The sparse swap v_i (x) v_j -> v_j (x) v_i on V (x) V, V = rep."""
+    d = rep.dim
     return {i * d + j: {j * d + i: Q(1)} for i in range(d) for j in range(d)}
 
 
-def opposite_coproduct(T, kind, i, qs, u=None):
+def opposite_coproduct(rep, kind, i, qs, u=None):
     """Sparse Delta^{T,u}(x) = x (x) q^{-h/2} + q^{h/2} (x) x on the product
-    basis of T, with the factor u (1/u for f0) on the first leg for i == 0:
-    the coproduct on the right of the R-form equations
+    basis of V (x) V, V = rep, with the factor u (1/u for f0) on the first
+    leg for i == 0: the coproduct on the right of the R-form equations
     R * Delta^u(x) = Delta^{T,u}(x) * R."""
-    r1, r2 = T.rep1, T.rep2
-    x1 = r1.e[i] if kind == "e" else r1.f[i]
-    x2 = r2.e[i] if kind == "e" else r2.f[i]
+    x = rep.e[i] if kind == "e" else rep.f[i]
     c = Q(1) if i != 0 or u is None else (u if kind == "e" else 1 / u)
-    low, high = r2.qh_half_diag(i, qs, -1), r1.qh_half_diag(i, qs)
-    n2 = r2.dim
-    left = {a * n2 + b: {a2 * n2 + b: c * x * low[b] for a2, x in row.items()}
-            for a, row in x1.items() for b in range(n2)}
-    right = {a * n2 + b: {a * n2 + b2: high[a] * x for b2, x in row.items()}
-             for a in range(r1.dim) for b, row in x2.items()}
+    n = rep.dim
+    low = [qs.q_pow(-rep.h_eig(i, p) / 2) for p in range(n)]
+    high = rep.qh_half_diag(i, qs)
+    left = {a * n + b: {a2 * n + b: c * y * low[b] for a2, y in row.items()}
+            for a, row in x.items() for b in range(n)}
+    right = {a * n + b: {a * n + b2: high[a] * y for b2, y in row.items()}
+             for a in range(n) for b, row in x.items()}
     return linalg.sparse_lincomb(((1, left), (1, right)))
 
 

@@ -234,7 +234,7 @@ def test_criterion_8_parity_theorem(family, l):
     spectrum = jimbo.parity_spectrum(seed_shared(family, l), QSample(Q(5, 4)))
     graph = tpg.build_graph(rep.spec, rep.spec.seed_params())
     coloring = {n.nu: n.parity for n in graph.nodes}
-    classical = tensor.classical_parity_signs(tensor.TensorModule.of(rep, rep))
+    classical = tensor.classical_parity_signs(rep)
     assert spectrum == coloring == classical
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from twistr import cli, jimbo, liealg, tpg
 from twistr.cli import SCHEMA, main
 from twistr.scalars import PoleError, QSample
 from twistr.tensor import DecompositionError
+
+from oracles import bump
 
 
 def run(tmp_path, *argv):
@@ -157,6 +160,42 @@ class TestVerify:
         assert Fraction(record["w"]) != w0 and record["nullity"] == 1
         assert all(Fraction(c["w"]) != w0
                    for c in after["yang-baxter"]["certificates"])
+
+    def test_certificate_failure_fails_the_stage_at_once(self, tmp_path,
+                                                         monkeypatch):
+        """A refused substitution is no failure of the sample: with the e0
+        split corrupted at the first sample's w, every stage that reads a
+        solve fails after one solve attempt with the certificate's message,
+        instead of retrying at fresh samples, which would pass."""
+        w0 = jimbo.sample_w(random.Random(3))
+        real_system, real_solve = jimbo.component_system, jimbo.solve_rmatrix
+        solves = []
+
+        def corrupted_at_w0(shared, qs):
+            system = real_system(shared, qs)
+            if qs.w == w0:
+                x, y = system.e0_split
+                p = min(x)
+                system.e0_split = (bump(x, p, min(x[p])), y)
+            return system
+
+        def counted(shared, qs, u):
+            solves.append(qs.w)
+            return real_solve(shared, qs, u)
+
+        monkeypatch.setattr(jimbo, "component_system", corrupted_at_w0)
+        monkeypatch.setattr(jimbo, "solve_rmatrix", counted)
+        code, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
+                        "--seed", "3", "--samples", "1")
+        assert code == 1
+        stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+        error = "CertificateError: Rcheck fails the intertwining equations"
+        readers = ["solve", "yang-baxter", "unitarity", "parity",
+                   "spectral-agreement"]
+        for name in readers:
+            assert stages[name] == {"stage": name, "ok": False,
+                                    "error": error}
+        assert solves == [w0] * len(readers)
 
     def test_decomposition_error_fails_the_stage(self, tmp_path,
                                                  monkeypatch):
@@ -332,6 +371,19 @@ class TestExport:
             main(["export", "graph", "--family", "a2even", "--l", "2",
                   "--samples", "3"])
         assert exc.value.code == 2
+
+    def test_mode_only_for_eigenvalues(self, tmp_path, capsys):
+        """--mode is refused by the objects it does not apply to; left out,
+        it reads as symbolic-u."""
+        for what in ("graph", "rmatrix", "rep"):
+            assert main(["export", what, "--family", "d2", "--l", "2",
+                         "--mode", "numeric"]) == 2
+            assert f"{what} export takes no --mode" in \
+                capsys.readouterr().err
+        args = ("export", "eigenvalues", "--family", "d2", "--l", "2")
+        _, plain = run(tmp_path / "a", *args)
+        _, symbolic = run(tmp_path / "b", *args, "--mode", "symbolic-u")
+        assert plain.read_bytes() == symbolic.read_bytes()
 
     def test_unsupported_format(self, capsys):
         assert main(["export", "eigenvalues", "--family", "a2even", "--l", "2",

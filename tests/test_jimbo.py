@@ -7,10 +7,11 @@ import pytest
 
 from twistr import jimbo, linalg, tensor, tpg
 from twistr.scalars import PoleError, QSample
-from twistr.tensor import DecompositionError, TensorModule
+from twistr.tensor import DecompositionError
 
 from conftest import YBE_CASES, seed_rep, seed_shared
-from full_solve import full_solve, kernel_from_rowspace, top_index
+from full_solve import (full_solve, kernel_from_rowspace, product_weights,
+                        top_index)
 from oracles import (bump, opposite_coproduct, permutation_operator,
                      ybe_residual_entries)
 
@@ -21,30 +22,29 @@ class TestSolve:
     def test_unique_solution_small_case(self, qs):
         rep = seed_rep("a2even", 1)
         res = jimbo.solve_rmatrix(seed_shared("a2even", 1), qs, Q(3, 5))
-        p0 = top_index(TensorModule.of(rep, rep))
+        p0 = top_index(rep)
         assert res.R[p0] == {p0: 1}
         assert len(res.R) == 9
 
     def test_weight_block_structure(self, qs):
         rep = seed_rep("a2odd", 3)
         res = jimbo.solve_rmatrix(seed_shared("a2odd", 3), qs, Q(2, 7))
-        T = TensorModule.of(rep, rep)
+        weights = product_weights(rep)
         for p, row in res.R.items():
             for r, x in row.items():
                 assert x
-                assert T.weights[p] == T.weights[r]
+                assert weights[p] == weights[r]
 
     def test_intertwines_all_generators(self, qs):
         rep = seed_rep("d2", 2)
         u = Q(3, 4)
         res = jimbo.solve_rmatrix(seed_shared("d2", 2), qs, u)
-        T = TensorModule.of(rep, rep)
         gens = [("e", i) for i in range(1, 3)] + \
                [("f", i) for i in range(1, 3)] + [("e", 0), ("f", 0)]
         for kind, i in gens:
             uu = u if i == 0 else None
-            A = tensor.coproduct_action(T, kind, i, qs, u=uu)
-            B = opposite_coproduct(T, kind, i, qs, u=uu)
+            A = tensor.coproduct_action(rep, kind, i, qs, u=uu)
+            B = opposite_coproduct(rep, kind, i, qs, u=uu)
             lhs = linalg.sparse_mul(res.R, A)
             rhs = linalg.sparse_mul(B, res.R)
             assert lhs == rhs, (kind, i)
@@ -64,7 +64,7 @@ class TestSolve:
         """With the symmetric coproduct, P itself intertwines at u = 1."""
         shared = seed_shared(*ybe_case)
         res = jimbo.solve_rmatrix(shared, qs, Q(1))
-        assert res.Rcheck == linalg.sparse_identity(shared.module.dim)
+        assert res.Rcheck == linalg.sparse_identity(shared.rep.dim ** 2)
 
     def test_kernel_needs_exactly_one_free_column(self):
         space = linalg.RowSpace(3)
@@ -87,7 +87,8 @@ class TestSolve:
 
 
 class TestCertificates:
-    """Each certificate of the component solve raises SolveError."""
+    """Each certificate of the component solve refuses: a degenerate small
+    system raises SolveError, a failed substitution CertificateError."""
 
     def test_small_system_nullity_two_raises(self):
         # two components and no e0 rows: nothing ties c_1 to c_0
@@ -114,7 +115,8 @@ class TestCertificates:
 
         jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))  # unmutated
         monkeypatch.setattr(jimbo, "_solve_scalars", corrupted)
-        with pytest.raises(jimbo.SolveError, match="intertwining equations"):
+        with pytest.raises(jimbo.CertificateError,
+                           match="intertwining equations"):
             jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))
 
     def test_substitution_detects_corrupted_e0_split(self, qs):
@@ -127,7 +129,8 @@ class TestCertificates:
         x, y = system.e0_split
         p = min(x)
         system.e0_split = (bump(x, p, min(x[p])), y)
-        with pytest.raises(jimbo.SolveError, match="intertwining equations"):
+        with pytest.raises(jimbo.CertificateError,
+                           match="intertwining equations"):
             jimbo.solve_rmatrix(shared, qs, Q(3, 5))
 
     @pytest.mark.parametrize("u", [Q(0), Q(3, 5), Q(-8, 9)],
@@ -138,22 +141,22 @@ class TestCertificates:
         D^u(e0) = u X + Y, P D^{T,u}(e0) P = X + u Y; the solve's split is
         an integer multiple of (X, Y)."""
         shared = seed_shared(*ybe_case)
-        T = shared.module
-        P = permutation_operator(T)
+        rep = shared.rep
+        P = permutation_operator(rep)
 
         def conj(m):
             return linalg.sparse_mul(P, linalg.sparse_mul(m, P))
 
-        for i in range(1, T.spec.l + 1):
+        for i in range(1, rep.spec.l + 1):
             for kind in ("e", "f"):
-                assert conj(opposite_coproduct(T, kind, i, qs)) == \
-                    tensor.coproduct_action(T, kind, i, qs), (kind, i)
-        y = tensor.coproduct_action(T, "e", 0, qs, u=Q(0))
+                assert conj(opposite_coproduct(rep, kind, i, qs)) == \
+                    tensor.coproduct_action(rep, kind, i, qs), (kind, i)
+        y = tensor.coproduct_action(rep, "e", 0, qs, u=Q(0))
         x = linalg.sparse_lincomb(
-            ((1, tensor.coproduct_action(T, "e", 0, qs, u=Q(1))), (-1, y)))
-        assert tensor.coproduct_action(T, "e", 0, qs, u=u) == \
+            ((1, tensor.coproduct_action(rep, "e", 0, qs, u=Q(1))), (-1, y)))
+        assert tensor.coproduct_action(rep, "e", 0, qs, u=u) == \
             linalg.sparse_lincomb(((u, x), (1, y)))
-        assert conj(opposite_coproduct(T, "e", 0, qs, u=u)) == \
+        assert conj(opposite_coproduct(rep, "e", 0, qs, u=u)) == \
             linalg.sparse_lincomb(((1, x), (u, y)))
         xs, ys = shared.components(qs).e0_split
         p = min(x)
@@ -202,8 +205,7 @@ class TestChecks:
         spectrum = jimbo.parity_spectrum(seed_shared(*ybe_case), qs)
         graph = tpg.build_graph(rep.spec, rep.spec.seed_params())
         assert spectrum == {n.nu: n.parity for n in graph.nodes}
-        T = TensorModule.of(rep, rep)
-        assert spectrum == tensor.classical_parity_signs(T)
+        assert spectrum == tensor.classical_parity_signs(rep)
 
     def test_parity_independent_of_w_sign(self, ybe_case):
         shared = seed_shared(*ybe_case)
@@ -218,9 +220,9 @@ def corrupt_solve(shared, qs, x):
     where the top row was zero, so that Rcheck and R alike gain 1 at both
     (the swap fixes the top index, so R = P * Rcheck still holds)."""
     res = shared.solve(qs, x)
-    p0 = top_index(shared.module)
+    p0 = top_index(shared.rep)
     N = {p: dict(row) for p, row in res.N.items()}
-    q = min(set(range(shared.module.dim)) - set(N[p0]))
+    q = min(set(range(shared.rep.dim ** 2)) - set(N[p0]))
     N[p0][p0] += res.D
     N[p0][q] = res.D
     shared._memo[("solve", qs.w, x)] = dataclasses.replace(res, N=N)
@@ -276,7 +278,7 @@ class TestIntegerForm:
         """-N / -D is the same Rcheck(0), but its signs would be flipped."""
         shared = seed_shared("a2even", 2)
         rescale_solve(shared, qs, Q(0), -1)
-        with pytest.raises(jimbo.SolveError, match="denominator"):
+        with pytest.raises(jimbo.CertificateError, match="denominator"):
             jimbo.parity_spectrum(shared, qs)
 
     def test_d2_l4_yang_baxter(self, qs):

@@ -1,9 +1,13 @@
 """Smoke tests of the command-line scripts under scripts/, each loaded as a
 module and run on small inputs."""
 
+import hashlib
 import importlib.util
+import io
 import pathlib
 from fractions import Fraction
+
+from twistr.cli import main as twistr_main
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -43,3 +47,29 @@ def test_run_verification_grid(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "a2even-l1-1-1.json", "d2-l2-2-3.json"]
     assert capsys.readouterr().out.count(" ok ") == 2
+
+
+def test_output_digests(tmp_path, monkeypatch):
+    module = load("output_digests")
+    monkeypatch.setattr(module, "GRID", [("a2even", 1, 1, 1)])
+    monkeypatch.setattr(module, "SEEDS", (7,))
+    monkeypatch.setattr(module, "RMATRIX", [("a2even", 1)])
+    monkeypatch.setattr(module, "GRAPHS", [("a2even", 2, (1, 1))])
+    monkeypatch.setattr(module, "EIGENVALUES", [("a2even", 2, (1, 1))])
+    monkeypatch.setattr(module, "REPS", [("d2", 2)])
+    runs = []
+    for _ in range(2):
+        stream = io.StringIO()
+        assert module.run(stream) == 1 + 1 + 3 + 6 + 1
+        runs.append(stream.getvalue().splitlines())
+    assert runs[0] == runs[1]
+    pairs = [line.split("  ", 1) for line in runs[0]]
+    assert all(len(digest) == 64 and "exit" not in command
+               for digest, command in pairs)
+    assert runs[0][0].endswith(
+        "  verify --family a2even --l 1 --k 1 --r 1 --seed 7 --samples 3")
+    out = tmp_path / "rep.json"
+    assert twistr_main(["export", "rep", "--family", "d2", "--l", "2",
+                        "--out", str(out)]) == 0
+    assert runs[0][-1] == (f"{hashlib.sha256(out.read_bytes()).hexdigest()}"
+                           "  export rep --family d2 --l 2")

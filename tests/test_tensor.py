@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twistr import branching, linalg, tensor
-from twistr.liealg import weyl_dim
-from twistr.scalars import QSample
-from twistr.tensor import TensorModule
+from twistr.liealg import is_dominant, weyl_dim
 
 import oracles
 from conftest import seed_rep
@@ -14,31 +12,29 @@ from conftest import seed_rep
 Q = Fraction
 
 
-def module(family, l):
-    rep = seed_rep(family, l)
-    return TensorModule.of(rep, rep)
-
-
 class TestTensorModule:
-    def test_weights_add(self):
-        T = module("a2even", 1)
-        rep = T.rep1
+    """The product weights and weight blocks that ``decompose`` keeps, and
+    the swap of V (x) V."""
+
+    def test_weights_add(self, qs):
+        rep = seed_rep("a2even", 1)
+        dec = tensor.decompose(rep, qs)
         for i in range(rep.dim):
             for j in range(rep.dim):
                 want = tuple(a + b for a, b in
                              zip(rep.weights[i], rep.weights[j]))
-                assert T.weights[i * rep.dim + j] == want
+                assert dec.weights[i * rep.dim + j] == want
 
-    def test_weight_blocks_partition(self):
-        T = module("d2", 2)
-        blocks = T.weight_blocks()
+    def test_weight_blocks_partition(self, qs):
+        rep = seed_rep("d2", 2)
+        blocks = tensor.decompose(rep, qs).blocks
         assert sorted(p for idxs in blocks.values() for p in idxs) == \
-            list(range(T.dim))
+            list(range(rep.dim ** 2))
 
     def test_permutation_squares_to_identity(self):
-        T = module("a2odd", 3)
-        P = oracles.permutation_operator(T)
-        assert linalg.sparse_mul(P, P) == linalg.sparse_identity(T.dim)
+        rep = seed_rep("a2odd", 3)
+        P = oracles.permutation_operator(rep)
+        assert linalg.sparse_mul(P, P) == linalg.sparse_identity(rep.dim ** 2)
 
 
 def _dense_kron(a, b):
@@ -50,21 +46,16 @@ def _dense_diag(d):
             for i in range(len(d))]
 
 
-def _dense_factors(T, kind, i):
-    """The dense forms of generator kind_i on the two tensor factors."""
-    x1 = T.rep1.e[i] if kind == "e" else T.rep1.f[i]
-    x2 = T.rep2.e[i] if kind == "e" else T.rep2.f[i]
-    return oracles.dense(x1, T.rep1.dim), oracles.dense(x2, T.rep2.dim)
-
-
-def _dense_coproduct(T, kind, i, qs, u, transpose):
-    """Delta^u (or Delta^{T,u}) as the sum of two dense Kronecker products."""
-    x1, x2 = _dense_factors(T, kind, i)
+def _dense_coproduct(rep, kind, i, qs, u, transpose):
+    """Delta^u (or Delta^{T,u}) as the sum of two dense Kronecker products,
+    with q^{+-h/2} computed here from the weights."""
+    x = oracles.dense(rep.e[i] if kind == "e" else rep.f[i], rep.dim)
     scale = Q(1) if u is None else (u if kind == "e" else 1 / u)
     s = -1 if transpose else 1
-    t1 = _dense_kron(linalg.mat_scale(x1, scale),
-                     _dense_diag(T.rep2.qh_half_diag(i, qs, s)))
-    t2 = _dense_kron(_dense_diag(T.rep1.qh_half_diag(i, qs, -s)), x2)
+    half = [rep.h_eig(i, p) / 2 for p in range(rep.dim)]
+    t1 = _dense_kron(linalg.mat_scale(x, scale),
+                     _dense_diag([qs.q_pow(s * h) for h in half]))
+    t2 = _dense_kron(_dense_diag([qs.q_pow(-s * h) for h in half]), x)
     return linalg.mat_add(t1, t2)
 
 
@@ -73,59 +64,60 @@ class TestCoproduct:
                                           ("d2", 2)],
                              ids=["a2even-l2", "a2odd-l3", "d2-l2"])
     def test_matches_dense_kronecker(self, family, l, qs):
-        T = module(family, l)
+        rep = seed_rep(family, l)
         for i in range(l + 1):
             u = Q(-5, 3) if i == 0 else None
             for kind in ("e", "f"):
                 for transpose in (False, True):
-                    want = _dense_coproduct(T, kind, i, qs, u, transpose)
+                    want = _dense_coproduct(rep, kind, i, qs, u, transpose)
                     build = (oracles.opposite_coproduct if transpose
                              else tensor.coproduct_action)
-                    got = build(T, kind, i, qs, u=u)
+                    got = build(rep, kind, i, qs, u=u)
                     assert got == linalg.sparse(want), (kind, i, transpose)
 
     def test_cartan_weight_conservation(self, qs):
         """Delta(e_i) raises the total weight by alpha_i."""
-        T = module("a2even", 2)
-        spec = T.spec
+        rep = seed_rep("a2even", 2)
+        spec, weights = rep.spec, tensor.decompose(rep, qs).weights
         for i in range(spec.l + 1):
-            m = tensor.coproduct_action(T, "e", i, qs, u=Q(1) if i == 0 else None)
+            m = tensor.coproduct_action(rep, "e", i, qs,
+                                        u=Q(1) if i == 0 else None)
             for p, row in m.items():
                 for r, x in row.items():
                     assert x
                     diff = tuple(a - b for a, b in
-                                 zip(T.weights[p], T.weights[r]))
+                                 zip(weights[p], weights[r]))
                     assert diff == spec.alpha[i]
 
     def test_coassociative_commutators(self, qs):
         """[Delta(e_i), Delta(f_j)] = 0 for i != j, i, j >= 1."""
-        T = module("a2odd", 3)
+        rep = seed_rep("a2odd", 3)
         for i in range(1, 4):
             for j in range(1, 4):
                 if i == j:
                     continue
-                a = tensor.coproduct_action(T, "e", i, qs)
-                b = tensor.coproduct_action(T, "f", j, qs)
+                a = tensor.coproduct_action(rep, "e", i, qs)
+                b = tensor.coproduct_action(rep, "f", j, qs)
                 assert linalg.sparse_mul(a, b) == linalg.sparse_mul(b, a)
 
     def test_transpose_is_swap_conjugate(self, qs):
         """Delta^T(a) = P Delta(a) P for the non-affine generators."""
-        T = module("d2", 2)
-        P = oracles.permutation_operator(T)
+        rep = seed_rep("d2", 2)
+        P = oracles.permutation_operator(rep)
         for i in range(1, 3):
             for kind in ("e", "f"):
-                d = tensor.coproduct_action(T, kind, i, qs)
-                dt = oracles.opposite_coproduct(T, kind, i, qs)
+                d = tensor.coproduct_action(rep, kind, i, qs)
+                dt = oracles.opposite_coproduct(rep, kind, i, qs)
                 assert dt == linalg.sparse_mul(P, linalg.sparse_mul(d, P))
 
 
 class TestDecomposition:
     def test_matches_closed_form_components(self, ybe_case, qs):
         family, l = ybe_case
-        T = module(family, l)
-        dec = tensor.decompose(T, qs)
-        table = branching.decompose_tensor_closed_form(T.spec,
-                                                       T.spec.seed_params())
+        rep = seed_rep(family, l)
+        dec = tensor.decompose(rep, qs)
+        table = branching.decompose_tensor_closed_form(rep.spec,
+                                                       rep.spec.seed_params())
         assert sorted(c.nu for c in dec.components) == sorted(table.nus())
         dims = {c.nu: c.dim for c in table.components}
         for c in dec.components:
@@ -135,27 +127,100 @@ class TestDecomposition:
                              ids=["a2even-l2", "d2-l2"])
     def test_adapted_bases_span(self, family, l, qs):
         """The concatenated adapted bases form a basis of V (x) V."""
-        T = module(family, l)
-        dec = tensor.decompose(T, qs)
-        vectors = [[v.get(p, Q(0)) for p in range(T.dim)]
+        rep = seed_rep(family, l)
+        dim = rep.dim ** 2
+        dec = tensor.decompose(rep, qs)
+        vectors = [[v.get(p, Q(0)) for p in range(dim)]
                    for c in dec.components for v in c.basis]
-        assert len(vectors) == T.dim
-        assert len(linalg.rref(vectors)[1]) == T.dim
+        assert len(vectors) == dim
+        assert len(linalg.rref(vectors)[1]) == dim
 
     def test_component_scalars_rejects_non_scalar(self, qs):
         """A raising coproduct kills each highest weight vector but not the
         lowerings below it, so it is not scalar on any component."""
-        T = module("a2even", 2)
-        dec = tensor.decompose(T, qs)
-        raising = tensor.coproduct_action(T, "e", 1, qs)
+        rep = seed_rep("a2even", 2)
+        dec = tensor.decompose(rep, qs)
+        raising = tensor.coproduct_action(rep, "e", 1, qs)
         with pytest.raises(tensor.DecompositionError):
             tensor.component_scalars(dec, raising)
 
     def test_classical_agrees_with_quantum_components(self, qs):
-        T = module("d2", 2)
-        dq = tensor.decompose(T, qs)
+        rep = seed_rep("d2", 2)
+        dq = tensor.decompose(rep, qs)
         assert sorted(c.nu for c in dq.components) == \
-            sorted(tensor.classical_parity_signs(T))
+            sorted(tensor.classical_parity_signs(rep))
+
+
+class TestDecompositionRefusals:
+    """Negative controls: each refusal of ``decompose`` raises
+    DecompositionError once the highest weight search it guards is
+    corrupted (a2even l=2: V (x) V = V0(2,0) + V0(1,1) + V0(0,0))."""
+
+    def test_multiplicity_two(self, qs, monkeypatch):
+        """The top block's highest weight vector returned twice."""
+        real = linalg.kernel_basis
+        calls = []
+
+        def top_twice(rows, ncols):
+            calls.append(1)
+            kern = real(rows, ncols)
+            return kern * 2 if len(calls) == 1 else kern
+
+        monkeypatch.setattr(linalg, "kernel_basis", top_twice)
+        with pytest.raises(tensor.DecompositionError,
+                           match="multiplicity >= 2"):
+            tensor.decompose(seed_rep("a2even", 2), qs)
+
+    def test_lowering_of_the_top(self, qs, monkeypatch):
+        """V0(1,1)'s highest weight vector replaced by Delta(f_1) applied to
+        v_top (x) v_top, which V0(2,0)'s lowerings already span."""
+        rep = seed_rep("a2even", 2)
+        dec = tensor.decompose(rep, qs)
+        top, second = dec.components[0].basis[0], dec.components[1].basis[0]
+        p0 = min(top)
+        lowered = {r: row[p0] for r, row in
+                   tensor.coproduct_action(rep, "f", 1, qs).items()
+                   if p0 in row}
+        idxs = dec.blocks[dec.weights[min(second)]]
+        assert dec.weights[min(lowered)] == dec.weights[min(second)]
+        real = linalg.kernel_basis
+        hw = [second.get(p, Q(0)) for p in idxs]
+
+        def replaced(rows, ncols):
+            kern = real(rows, ncols)
+            if kern == [hw]:
+                return [[lowered.get(p, Q(0)) for p in idxs]]
+            return kern
+
+        monkeypatch.setattr(linalg, "kernel_basis", replaced)
+        with pytest.raises(tensor.DecompositionError,
+                           match="lies in other components"):
+            tensor.decompose(rep, qs)
+
+    def test_missed_dominant_block(self, qs, monkeypatch):
+        """``is_dominant`` rejecting V0(0,0)'s weight: the rank certificate
+        that the dominant-only search relies on refuses the decomposition."""
+        real = tensor.is_dominant
+        zero = (Q(0), Q(0))
+        monkeypatch.setattr(tensor, "is_dominant",
+                            lambda l0type, eta: eta != zero
+                            and real(l0type, eta))
+        with pytest.raises(tensor.DecompositionError,
+                           match="adapted bases span dimension 24, "
+                                 "expected 25"):
+            tensor.decompose(seed_rep("a2even", 2), qs)
+
+    def test_no_highest_weight_vector_off_dominant_weights(self, ybe_case,
+                                                           qs):
+        """The blocks the search skips hold no highest weight vector."""
+        rep = seed_rep(*ybe_case)
+        dec = tensor.decompose(rep, qs)
+        for eta, idxs in dec.blocks.items():
+            if is_dominant(rep.spec.l0type, eta):
+                continue
+            rows = [[row.get(p, Q(0)) for p in idxs]
+                    for m in dec.raising for row in m.values()]
+            assert linalg.kernel_basis(rows, len(idxs)) == [], eta
 
 
 class TestClassicalParity:
@@ -167,28 +232,27 @@ class TestClassicalParity:
         ("d2", 3, {(1, 1, 1): 1, (1, 1, 0): -1, (1, 0, 0): -1, (0, 0, 0): 1}),
     ])
     def test_known_splits(self, family, l, expected):
-        T = module(family, l)
-        signs = tensor.classical_parity_signs(T)
+        signs = tensor.classical_parity_signs(seed_rep(family, l))
         want = {tuple(Q(x) for x in nu): s for nu, s in expected.items()}
         assert signs == want
 
     def test_dimension_bookkeeping(self):
         """The symmetric and antisymmetric square dims are d*(d+-1)/2."""
-        T = module("a2odd", 3)
-        signs = tensor.classical_parity_signs(T)
-        d = T.rep1.dim
-        sym = sum(weyl_dim(T.spec.l0type, T.spec.l, nu)
+        rep = seed_rep("a2odd", 3)
+        signs = tensor.classical_parity_signs(rep)
+        d, spec = rep.dim, rep.spec
+        sym = sum(weyl_dim(spec.l0type, spec.l, nu)
                   for nu, s in signs.items() if s > 0)
-        alt = sum(weyl_dim(T.spec.l0type, T.spec.l, nu)
+        alt = sum(weyl_dim(spec.l0type, spec.l, nu)
                   for nu, s in signs.items() if s < 0)
         assert (sym, alt) == (d * (d + 1) // 2, d * (d - 1) // 2)
 
     def test_plus_components_are_the_symmetric_square(self, grid_case):
         """The +1 components are exactly the components of Sym^2 V, by the
         brute-force symmetric-square oracle, each with multiplicity 1."""
-        T = module(*grid_case)
-        signs = tensor.classical_parity_signs(T)
-        assert oracles.brute_force_symmetric_square(T.rep1) == \
+        rep = seed_rep(*grid_case)
+        signs = tensor.classical_parity_signs(rep)
+        assert oracles.brute_force_symmetric_square(rep) == \
             {nu: 1 for nu, s in signs.items() if s > 0}
 
     def test_doubled_weights_refused(self, grid_case):
@@ -198,4 +262,4 @@ class TestClassicalParity:
         double = dataclasses.replace(rep, weights=rep.weights * 2,
                                      dim=2 * rep.dim)
         with pytest.raises(tensor.DecompositionError):
-            tensor.classical_parity_signs(TensorModule.of(double, double))
+            tensor.classical_parity_signs(double)
