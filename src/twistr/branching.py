@@ -1,10 +1,12 @@
-"""Closed-form tensor decompositions, L-parent bookkeeping and the
-theta0-tensor containment test.
+"""The per-family closed forms and the theta0-tensor containment test.
 
-The closed forms follow the family-by-family branching rules; the tests
-cross-check every table against an independent brute-force oracle built from
-weight multisets (Freudenthal recursion + character convolution +
-highest-weight stripping).
+``closed_form_table`` holds the only family-by-family enumeration: each
+component V0(nu) of V(k) (x) V(r) with its L-parent and the brackets whose
+product is its eigenvalue rho_nu(u).  ``decompose_tensor_closed_form`` adds
+dimensions and certifies the decomposition; ``tpg`` multiplies out the
+brackets.  The tests cross-check every decomposition against an independent
+brute-force oracle built from weight multisets (Freudenthal recursion +
+character convolution + highest-weight stripping).
 
 L-parent identifiers group the fixed-subalgebra components that sit inside one
 irreducible module of the big algebra L; relative parities on the tensor
@@ -16,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import (FamilySpec, doubled, fundamental_weight, wadd, weyl_dim,
-                     weyl_vector, wscale)
+from .liealg import FamilySpec, doubled, wadd, weyl_dim, weyl_vector
 
 Q = Fraction
 
@@ -51,8 +52,6 @@ def theta0_weights(spec: FamilySpec):
         w = tuple(a + b for a, b in zip(vec[i], vec[j]))
         wts[w] = wts.get(w, 0) + 1
     wts[zero] -= 1
-    if not wts[zero]:
-        del wts[zero]
     return wts
 
 
@@ -120,64 +119,69 @@ class Component:
     dim: int
 
 
-@dataclass(frozen=True)
-class BranchingTable:
-    family: str
-    l: int
-    params: tuple      # (k, r) or (a, b)
-    components: tuple  # Component, deterministic order
-
-    def nus(self):
-        return [c.nu for c in self.components]
-
-
 def _lam_cd(l, c, d):
     """lambda_c + lambda_d as an eps tuple (c <= d <= l), gl-style lambdas."""
     return tuple(Q(2) if i < c else (Q(1) if i < d else Q(0)) for i in range(l))
 
 
-def decompose_tensor_closed_form(spec: FamilySpec, params) -> BranchingTable:
+def closed_form_table(spec: FamilySpec, params):
+    """The family's closed forms: one (nu, L-parent, brackets) per component
+    V0(nu) of V(k) (x) V(r), with rho_nu(u) the product of <a>_sign over the
+    (a, sign) in ``brackets``; brackets is None where no closed form applies
+    (the a2even family with k + r > l).  Raises BranchingError unless params
+    are admissible with k <= r."""
     if not spec.admissible(params):
         raise BranchingError(f"inadmissible weights {params} for {spec.family}")
     k, r = params
     if k > r:
         raise BranchingError("parameters must satisfy k <= r (a <= b)")
     l, n = spec.l, spec.n
-    comps = []
     if spec.family == "a2even":
         for a in range(k + 1):
-            b = k + r - a
-            parent = ("L", a, b)
             for c in range(a + 1):
                 m = k + r - 2 * a + c
-                d = min(m, n - m)
-                nu = _lam_cd(l, c, d)
-                comps.append(Component(nu, parent, weyl_dim("B", l, nu)))
+                brackets = ([(k + r - 2 * i, -1) for i in range(a, k)]
+                            + [(n - r - k + 2 * j, +1)
+                               for j in range(1, a - c + 1)])
+                yield (_lam_cd(l, c, min(m, n - m)), ("L", a, k + r - a),
+                       brackets if k + r <= l else None)
     elif spec.family == "a2odd":
         for a in range(k + 1):
             b = k + r - 2 * a
-            parent = ("L", b, a)
             for c in range(a + 1):
                 nu = tuple(Q(b + c) if i == 0 else (Q(c) if i == 1 else Q(0))
                            for i in range(l))
-                comps.append(Component(nu, parent, weyl_dim("C", l, nu)))
+                yield nu, ("L", b, a), (
+                    [(n + k + r - 2 * i, +1) for i in range(1, a - c + 1)]
+                    + [(k + r + 2 - 2 * j, -1) for j in range(1, a + 1)])
     else:
-        a, b = k, r
-        shift = Q(b - a, 2)
-        for Lam in _ladders(l, a):
-            nu = tuple(Q(x) + shift for x in Lam)
-            comps.append(Component(nu, _d2_parent(l, a, Lam), weyl_dim("B", l, nu)))
+        shift = Q(r - k, 2)
+        # row i - 1 holds the factors for kk = 0 .. k - 1; a ladder takes
+        # those with kk >= Lam[i - 1]
+        rows = [[(Q(kk - i + l + 1) + shift, -1 if (l + i) % 2 == 0 else 1)
+                 for kk in range(k)] for i in range(1, l + 1)]
+        for Lam in _ladders(l, k):
+            yield (tuple(Q(x) + shift for x in Lam), _d2_parent(l, k, Lam),
+                   [f for row, x in zip(rows, Lam) for f in row[x:]])
+
+
+def decompose_tensor_closed_form(spec: FamilySpec, params) -> tuple:
+    """The components of ``closed_form_table`` with their dimensions, sorted
+    by nu descending; raises BranchingError unless they are multiplicity
+    free with dimensions summing to dim V(k) * dim V(r)."""
+    comps = []
     seen = set()
-    for c in comps:
-        if c.nu in seen:
-            raise BranchingError(f"multiplicity >= 2 at {c.nu}")
-        seen.add(c.nu)
+    for nu, parent, _ in closed_form_table(spec, params):
+        if nu in seen:
+            raise BranchingError(f"multiplicity >= 2 at {nu}")
+        seen.add(nu)
+        comps.append(Component(nu, parent, weyl_dim(spec.l0type, spec.l, nu)))
     comps.sort(key=lambda c: c.nu, reverse=True)
-    table = BranchingTable(spec.family, l, tuple(params), tuple(comps))
-    d1, d2 = (weyl_dim(spec.l0type, l, input_weight(spec, p)) for p in params)
+    d1, d2 = (weyl_dim(spec.l0type, spec.l, input_weight(spec, p))
+              for p in params)
     if sum(c.dim for c in comps) != d1 * d2:
         raise BranchingError("dimension sum mismatch")
-    return table
+    return tuple(comps)
 
 
 def _ladders(l, a):
@@ -209,7 +213,7 @@ def input_weight(spec: FamilySpec, p):
         return _lam_cd(l, 0, p)
     if spec.family == "a2odd":
         return tuple(Q(p if i == 0 else 0) for i in range(l))
-    return wscale(fundamental_weight("B", l, l), Q(p))
+    return (Q(p, 2),) * l
 
 
 def top_weight(spec: FamilySpec, params):

@@ -71,9 +71,9 @@ def _size_refusal(spec, params):
                         branching.input_weight(spec, params[0]))
     if d ** 3 <= MAX_THREE_SITE:
         return None
-    table = branching.decompose_tensor_closed_form(spec, params)
+    comps = branching.decompose_tensor_closed_form(spec, params)
     return (f"seed verify too large: three-site dimension d^3 = {d ** 3:,} "
-            f"(d = {d}), T = d^2 = {d * d:,}, {len(table.components)} "
+            f"(d = {d}), T = d^2 = {d * d:,}, {len(comps)} "
             f"components; at most {MAX_THREE_SITE:,} is accepted")
 
 
@@ -159,8 +159,8 @@ def cmd_verify(args, spec, params) -> int:
                 "failures": failures[:5]}
 
     def run_decomposition():
-        table = branching.decompose_tensor_closed_form(spec, params)
-        expected = sorted(table.nus(), reverse=True)
+        expected = [c.nu for c in
+                    branching.decompose_tensor_closed_form(spec, params)]
         dec = shared.decomposition(QSample(samples[0][0]))
         found = sorted((c.nu for c in dec.components), reverse=True)
         return {"ok": found == expected,

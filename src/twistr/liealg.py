@@ -128,13 +128,6 @@ def weyl_vector(l0type, l):
     return tuple(Q(l - i) for i in range(l))
 
 
-def fundamental_weight(l0type, l, k):
-    """lambda_k in the eps basis (B_l: lambda_l is the spinor weight)."""
-    if l0type == "B" and k == l:
-        return tuple(Q(1, 2) for _ in range(l))
-    return tuple(Q(1) if i < k else Q(0) for i in range(l))
-
-
 def casimir_eigenvalue(spec: FamilySpec, nu) -> Fraction:
     if not is_dominant(spec.l0type, nu):
         raise ValueError(f"{nu} is not dominant for {spec.l0type}_{spec.l}")

@@ -18,8 +18,9 @@ Eigenvalues rho_nu(u) follow from the edge recursion
     rho_nu = <(C(nu') - C(nu)) / 2>_{eps_nu * eps_nu'} * rho_nu'
 
 propagated along that spanning tree from the top node; every non-tree edge
-yields a loop-consistency certificate.  The per-family closed-form products
-are provided as independent regression targets.
+yields a loop-consistency certificate.  The per-family closed forms, the
+products of the brackets in ``branching.closed_form_table``, are independent
+regression targets.
 
 Both routes work on factored eigenvalues (``scalars.BracketProduct``), so
 the recursion is dict arithmetic and every loop certificate, like the
@@ -36,12 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branching
-from .branching import (BranchingError, contains_in_theta_tensor,
+from .branching import (closed_form_table, contains_in_theta_tensor,
                         decompose_tensor_closed_form, theta0_weights)
 from .liealg import FamilySpec, casimir_eigenvalue
 from .scalars import BracketProduct, QSample, RatFun, format_scalar
-
-Q = Fraction
 
 
 class GraphError(RuntimeError):
@@ -73,7 +72,7 @@ class TPGraph:
 
 
 def build_graph(spec: FamilySpec, params) -> TPGraph:
-    comps = decompose_tensor_closed_form(spec, params).components
+    comps = decompose_tensor_closed_form(spec, params)
     nus = [c.nu for c in comps]
     index = {nu: i for i, nu in enumerate(nus)}
     top = branching.top_weight(spec, params)
@@ -198,48 +197,18 @@ def eigenvalues_by_recursion(graph: TPGraph, qs: QSample, u=None):
 # ---------------------------------------------------------------------------
 
 def factored_closed_form(spec: FamilySpec, params):
-    """Family closed forms for rho_nu(u) as {nu: BracketProduct}; raises
-    UnsupportedRegimeError where no closed form applies (the
-    so(2l+1)-in-sl(2l+1) family with k + r > l)."""
-    k, r = params
-    l, n = spec.l, spec.n
-    if not spec.admissible(params) or k > r:
-        raise BranchingError(f"inadmissible weights {params}")
-
-    def product(brackets):
-        out = BracketProduct()
-        for a, sign in brackets:
-            out = out * BracketProduct.bracket(a, sign)
-        return out
-
+    """The closed forms of ``branching.closed_form_table`` as
+    {nu: BracketProduct}; raises UnsupportedRegimeError where no closed form
+    applies (the so(2l+1)-in-sl(2l+1) family with k + r > l)."""
     out = {}
-    if spec.family == "a2even":
-        if k + r > l:
+    for nu, _, brackets in closed_form_table(spec, params):
+        if brackets is None:
             raise UnsupportedRegimeError(
                 "closed form for this family needs k + r <= l")
-        for a in range(k + 1):
-            for c in range(a + 1):
-                nu = branching._lam_cd(l, c, k + r - 2 * a + c)
-                out[nu] = product(
-                    [(k + r - 2 * i, -1) for i in range(a, k)]
-                    + [(n - r - k + 2 * j, +1) for j in range(1, a - c + 1)])
-    elif spec.family == "a2odd":
-        for a in range(k + 1):
-            b = k + r - 2 * a
-            for c in range(a + 1):
-                nu = tuple(Q(b + c) if i == 0 else (Q(c) if i == 1 else Q(0))
-                           for i in range(l))
-                out[nu] = product(
-                    [(n + k + r - 2 * i, +1) for i in range(1, a - c + 1)]
-                    + [(k + r + 2 - 2 * j, -1) for j in range(1, a + 1)])
-    else:
-        a, b = k, r
-        shift = Q(b - a, 2)
-        for Lam in branching._ladders(l, a):
-            nu = tuple(Q(x) + shift for x in Lam)
-            out[nu] = product(
-                [(Q(kk - i + l + 1) + shift, -1 if (l + i) % 2 == 0 else 1)
-                 for i in range(1, l + 1) for kk in range(Lam[i - 1], a)])
+        rho = BracketProduct()
+        for a, sign in brackets:
+            rho = rho * BracketProduct.bracket(a, sign)
+        out[nu] = rho
     return out
 
 

@@ -229,9 +229,9 @@ def _strip(l0type, l, prod):
 
 
 def parent_classes(table):
-    """{L-parent: [nu, ...]} of the components of a BranchingTable."""
+    """{L-parent: [nu, ...]} of the components of a closed-form table."""
     classes = {}
-    for c in table.components:
+    for c in table:
         classes.setdefault(c.parent, []).append(c.nu)
     return classes
 

@@ -188,7 +188,7 @@ def test_criterion_6_grid_parity_patterns():
     g = tpg.build_graph(spec, (2, 3))
     table = branching.decompose_tensor_closed_form(spec, (2, 3))
     parity = {n.nu: n.parity for n in g.nodes}
-    for c in table.components:
+    for c in table:
         assert parity[c.nu] == (-1) ** (2 - c.parent[1])
 
     # sp(6), product params (2, 3): parity (-1)^a
@@ -196,7 +196,7 @@ def test_criterion_6_grid_parity_patterns():
     g = tpg.build_graph(spec, (2, 3))
     table = branching.decompose_tensor_closed_form(spec, (2, 3))
     parity = {n.nu: n.parity for n in g.nodes}
-    for c in table.components:
+    for c in table:
         assert parity[c.nu] == (-1) ** c.parent[2]
 
 
@@ -218,10 +218,10 @@ def test_criterion_7_branching_oracle(family, l, params):
     lam = branching.input_weight(spec, params[0])
     mu = branching.input_weight(spec, params[1])
     oracle = brute_force_tensor(spec.l0type, l, lam, mu)
-    assert {c.nu: 1 for c in table.components} == oracle
-    for c in table.components:
+    assert {c.nu: 1 for c in table} == oracle
+    for c in table:
         assert c.dim == liealg.weyl_dim(spec.l0type, l, c.nu)
-    assert sum(c.dim for c in table.components) == \
+    assert sum(c.dim for c in table) == \
         liealg.weyl_dim(spec.l0type, l, lam) * liealg.weyl_dim(spec.l0type, l, mu)
 
 

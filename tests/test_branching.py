@@ -90,7 +90,7 @@ class TestKlimyk:
         nodes = {(family, l, c.nu)
                  for family, l, params in CLOSED_FORM_GRID if l <= 3
                  for c in decompose_tensor_closed_form(
-                     family_spec(family, l), params).components}
+                     family_spec(family, l), params)}
         assert len(nodes) == 71
         for family, l, nu in sorted(nodes):
             spec = family_spec(family, l)
@@ -134,18 +134,38 @@ class TestClosedFormTables:
         lam = input_weight(spec, params[0])
         mu = input_weight(spec, params[1])
         want = brute_force_tensor(spec.l0type, l, lam, mu)
-        got = {c.nu: 1 for c in table.components}
+        got = {c.nu: 1 for c in table}
         assert got == want
-        for c in table.components:
+        for c in table:
             assert c.dim == weyl_dim(spec.l0type, l, c.nu)
 
     def test_multiplicity_free_and_dimension_sum(self):
         spec = family_spec("d2", 3)
         table = decompose_tensor_closed_form(spec, (2, 2))
-        nus = table.nus()
+        nus = [c.nu for c in table]
         assert len(nus) == len(set(nus))
-        assert sum(c.dim for c in table.components) == \
+        assert sum(c.dim for c in table) == \
             weyl_dim("B", 3, input_weight(spec, 2)) ** 2
+
+    def test_repeated_component_refused(self, monkeypatch):
+        """Negative control: a d2 ladder listed twice is a component of
+        multiplicity 2, which the table refuses."""
+        ladders = branching._ladders
+        monkeypatch.setattr(branching, "_ladders",
+                            lambda l, a: ladders(l, a) + ladders(l, a)[:1])
+        with pytest.raises(BranchingError, match="multiplicity >= 2"):
+            decompose_tensor_closed_form(family_spec("d2", 2), (1, 1))
+
+    def test_dimension_sum_mismatch_refused(self, monkeypatch):
+        """Negative control: one component one dimension too large breaks
+        the sum dim V(k) * dim V(r), which the table refuses."""
+        dim = branching.weyl_dim
+        zero = (Q(0), Q(0))
+        monkeypatch.setattr(
+            branching, "weyl_dim",
+            lambda l0type, l, nu: dim(l0type, l, nu) + (nu == zero))
+        with pytest.raises(BranchingError, match="dimension sum mismatch"):
+            decompose_tensor_closed_form(family_spec("d2", 2), (1, 1))
 
     def test_inadmissible_rejected(self):
         spec = family_spec("a2even", 2)
@@ -172,7 +192,7 @@ class TestLParents:
         """Components share an L-parent iff the interleaved entries agree."""
         spec = family_spec("d2", 2)
         table = decompose_tensor_closed_form(spec, (1, 1))
-        parent = {c.nu: c.parent for c in table.components}
+        parent = {c.nu: c.parent for c in table}
         one = Q(1)
         # chain (1,1) - (1,0) - (0,0): the lower two nodes share a class
         assert parent[(one, one)] != parent[(one, Q(0))]

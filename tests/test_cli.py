@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -389,6 +393,13 @@ class TestExport:
         assert main(["export", "eigenvalues", "--family", "a2even", "--l", "2",
                      "--format", "dot"]) == 2
 
+    @pytest.mark.parametrize("what", ["rmatrix", "rep"])
+    @pytest.mark.parametrize("fmt", ["dot", "text"])
+    def test_seed_exports_are_json_only(self, what, fmt, capsys):
+        assert main(["export", what, "--family", "d2", "--l", "2",
+                     "--format", fmt]) == 2
+        assert f"{what} export supports json" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_missing_subcommand(self):
@@ -398,3 +409,29 @@ class TestUsage:
     def test_bad_family(self):
         with pytest.raises(SystemExit):
             main(["verify", "--family", "e8", "--l", "8"])
+
+
+class TestModuleEntryPoint:
+    """``python -m twistr`` runs ``cli.main`` and exits with its code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
+        return subprocess.run([sys.executable, "-m", "twistr", *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    def test_export_matches_main(self, capsys):
+        argv = ["export", "rep", "--family", "d2", "--l", "2"]
+        proc = self.run_module(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_refusal_exit_code(self):
+        proc = self.run_module("verify", "--family", "d2", "--l", "2",
+                               "--k", "1")
+        assert proc.returncode == 2
+        assert b"--k and --r" in proc.stderr

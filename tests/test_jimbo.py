@@ -200,6 +200,35 @@ class TestChecks:
         assert not jimbo.spectral_compare(seed_shared("a2even", 2), qs,
                                           Q(3, 7))["ok"]
 
+    def test_spectral_agreement_refuses_component_missing_from_graph(
+            self, qs, monkeypatch):
+        """Negative control: a component of V (x) V with no graph node is a
+        refused certificate, not a failed sample."""
+        recursion = tpg.eigenvalues_by_recursion
+
+        def dropped(graph, qs, **kwargs):
+            rho, certificates = recursion(graph, qs, **kwargs)
+            del rho[min(rho)]
+            return rho, certificates
+
+        monkeypatch.setattr(tpg, "eigenvalues_by_recursion", dropped)
+        with pytest.raises(jimbo.CertificateError,
+                           match="missing from the graph"):
+            jimbo.spectral_compare(seed_shared("a2even", 2), qs, Q(3, 7))
+
+    def test_parity_refuses_vanishing_component(self, qs, monkeypatch):
+        """Negative control: Rcheck(0) zero on one component carries no
+        parity, and the stage refuses it."""
+        scalars = jimbo.component_scalars
+
+        def vanishing(dec, M):
+            out = scalars(dec, M)
+            return {**out, min(out): 0}
+
+        monkeypatch.setattr(jimbo, "component_scalars", vanishing)
+        with pytest.raises(jimbo.CertificateError, match="vanishes on"):
+            jimbo.parity_spectrum(seed_shared("a2even", 2), qs)
+
     def test_parity_matches_graph_and_classical(self, ybe_case, qs):
         rep = seed_rep(*ybe_case)
         spectrum = jimbo.parity_spectrum(seed_shared(*ybe_case), qs)

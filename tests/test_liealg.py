@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from twistr import liealg
-from twistr.branching import decompose_tensor_closed_form
+from twistr.branching import decompose_tensor_closed_form, input_weight
 from twistr.liealg import (FamilyError, casimir_eigenvalue, eps, family_spec,
-                           fundamental_weight, weyl_dim, wscale)
+                           weyl_dim, wscale)
 
 import oracles
 from conftest import CLOSED_FORM_GRID, GRID
@@ -88,7 +88,10 @@ class TestWeylData:
             weyl_dim("B", 2, nu)
 
     def test_spinor_fundamental_weight(self):
-        assert fundamental_weight("B", 3, 3) == (Q(1, 2),) * 3
+        """The d2 input weight p is p times the spinor weight of B_l."""
+        spec = family_spec("d2", 3)
+        assert input_weight(spec, 1) == (Q(1, 2),) * 3
+        assert input_weight(spec, 2) == (Q(1),) * 3
 
     def test_dominance(self):
         assert liealg.is_dominant("B", (Q(3, 2), Q(1, 2)))
@@ -217,7 +220,7 @@ class TestDimensionFormulas:
         checked = 0
         for family, l, params in CLOSED_FORM_GRID:
             spec = liealg.family_spec(family, l)
-            for c in decompose_tensor_closed_form(spec, params).components:
+            for c in decompose_tensor_closed_form(spec, params):
                 assert weyl_dim(spec.l0type, l, c.nu) == \
                     root_product_dim(spec.l0type, l, c.nu)
                 checked += 1

@@ -63,6 +63,34 @@ class TestQuantumRelations:
         report = qrep.check_quantum_relations(broken, QSample(Q(2)))
         assert any(not r["ok"] for r in report)
 
+    def test_reports_weight_shift_residual(self):
+        """Negative control: a diagonal entry in e_1 does not shift the
+        weight by alpha_1, and [h1,e1] reports it with its residual."""
+        rep = seed_rep("d2", 2)
+        e = list(rep.e)
+        e[1] = oracles.bump(e[1], 0, 0)
+        broken = dataclasses.replace(rep, e=tuple(e))
+        report = qrep.check_quantum_relations(broken, QSample(Q(2)))
+        entry = next(r for r in report
+                     if r["relation"] == "[h1,e1] weight shift")
+        shift = inner(rep.spec.alpha[1], rep.spec.alpha[1])
+        assert not entry["ok"] and entry["residual"] == {0: {0: -shift}}
+
+    def test_build_refuses_broken_seed(self, monkeypatch):
+        """Negative control: the same diagonal entry in the spinor's e_1
+        makes build_seed_rep refuse the seed."""
+        build = qrep._build_spinor
+
+        def broken(spec):
+            lam, e, f, weights = build(spec)
+            e[1][0][0] += 1
+            return lam, e, f, weights
+
+        monkeypatch.setattr(qrep, "_build_spinor", broken)
+        with pytest.raises(qrep.RepresentationError,
+                           match="violates quantum relations"):
+            qrep.build_seed_rep(family_spec("d2", 2))
+
 
 class TestAffineAction:
     def test_e0_lowers_by_theta0(self, grid_case):

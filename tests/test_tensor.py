@@ -118,8 +118,9 @@ class TestDecomposition:
         dec = tensor.decompose(rep, qs)
         table = branching.decompose_tensor_closed_form(rep.spec,
                                                        rep.spec.seed_params())
-        assert sorted(c.nu for c in dec.components) == sorted(table.nus())
-        dims = {c.nu: c.dim for c in table.components}
+        assert sorted(c.nu for c in dec.components) == \
+            sorted(c.nu for c in table)
+        dims = {c.nu: c.dim for c in table}
         for c in dec.components:
             assert len(c.basis) == dims[c.nu]
 

@@ -85,7 +85,7 @@ class TestGraphRegressions:
         k = 2
         g = build("a2even", 6, (k, 3))
         table = decompose_tensor_closed_form(spec, (k, 3))
-        by_parent = {c.nu: c.parent for c in table.components}
+        by_parent = {c.nu: c.parent for c in table}
         parity = {n.nu: n.parity for n in g.nodes}
         for nu, parent in by_parent.items():
             a = parent[1]
@@ -97,7 +97,7 @@ class TestGraphRegressions:
         g = build("a2odd", 3, (2, 3))
         table = decompose_tensor_closed_form(spec, (2, 3))
         parity = {n.nu: n.parity for n in g.nodes}
-        for c in table.components:
+        for c in table:
             a = c.parent[2]
             assert parity[c.nu] == (-1) ** a
 
@@ -140,11 +140,10 @@ class TestRefusals:
         first), in class ``classes[i]``, with containment pairs (i, j)."""
         spec = family_spec("a2even", 5)
         table = decompose_tensor_closed_form(spec, (2, 3))
-        comps = [SimpleNamespace(nu=c.nu, parent=("L", cls), dim=c.dim)
-                 for c, cls in zip(table.components, classes)]
-        table = SimpleNamespace(components=comps)
+        comps = tuple(SimpleNamespace(nu=c.nu, parent=("L", cls), dim=c.dim)
+                      for c, cls in zip(table, classes))
         monkeypatch.setattr(tpg, "decompose_tensor_closed_form",
-                            lambda spec, params: table)
+                            lambda spec, params: comps)
         monkeypatch.setattr(tpg, "_contained_pairs",
                             lambda spec, index: pairs)
         return tpg.build_graph(spec, (2, 3))
