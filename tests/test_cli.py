@@ -10,7 +10,7 @@ import pytest
 
 from twistr import cli, jimbo, liealg, tpg
 from twistr.cli import SCHEMA, main
-from twistr.scalars import PoleError, QSample
+from twistr.scalars import BracketProduct, PoleError, QSample
 from twistr.tensor import DecompositionError
 
 from oracles import bump
@@ -223,6 +223,47 @@ class TestVerify:
         assert stages["parity"] == {"stage": "parity", "ok": False,
                                     "error": "DecompositionError: injected"}
         assert all(s["ok"] for name, s in stages.items() if name != "parity")
+
+    @staticmethod
+    def _closed_form_mismatch(tmp_path, monkeypatch, corrupt):
+        """Run a d2 l=2 seed verify with ``corrupt`` applied to the factored
+        closed forms; only the eigenvalue stage may fail, and it must."""
+        def corrupted(spec, params, qs, u=None):
+            return tpg.evaluate(corrupt(tpg.factored_closed_form(spec, params)),
+                                qs, u)
+
+        monkeypatch.setattr(tpg, "eigenvalues_closed_form", corrupted)
+        code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
+                        "--seed", "7", "--samples", "1")
+        report = json.loads(out.read_text())
+        stages = {s["stage"]: s for s in report["stages"]}
+        assert code == 1 and not report["ok"]
+        assert not stages["eigenvalues"]["ok"]
+        assert stages["eigenvalues"]["closed_form"] == "mismatch"
+        assert all(s["ok"] for name, s in stages.items()
+                   if name != "eigenvalues")
+
+    def test_extra_closed_form_component_is_a_mismatch(self, tmp_path,
+                                                       monkeypatch):
+        """A closed form for a component the graph lacks fails the stage,
+        although every graph eigenvalue agrees with its closed form."""
+        def extra_key(products):
+            nu = next(iter(products))
+            return {**products, tuple(c + 5 for c in nu): products[nu]}
+
+        self._closed_form_mismatch(tmp_path, monkeypatch, extra_key)
+
+    def test_changed_closed_form_exponent_is_a_mismatch(self, tmp_path,
+                                                        monkeypatch):
+        """Doubling one exponent of one closed-form product fails the
+        stage."""
+        def doubled_exponent(products):
+            nu, p = next((nu, p) for nu, p in products.items() if p.exps)
+            key = min(p.exps)
+            exps = {**p.exps, key: 2 * p.exps[key]}
+            return {**products, nu: BracketProduct(p.sign, exps)}
+
+        self._closed_form_mismatch(tmp_path, monkeypatch, doubled_exponent)
 
     def test_shared_work_runs_once_per_call(self, tmp_path, monkeypatch):
         """One verify solves each distinct (w, u) once, builds one graph,
