@@ -131,14 +131,22 @@ def weyl_vector(l0type, l):
 def casimir_eigenvalue(spec: FamilySpec, nu) -> Fraction:
     if not is_dominant(spec.l0type, nu):
         raise ValueError(f"{nu} is not dominant for {spec.l0type}_{spec.l}")
-    return inner(nu, wadd(nu, wscale(spec.rho0, 2)))
+    x, r = doubled(nu), doubled(spec.rho0)
+    # (nu, nu + 2 rho0) on x = 2 nu and r = 2 rho0, in integers
+    return Q(sum(a * (a + 2 * b) for a, b in zip(x, r)), 4)
 
 
 def doubled(v):
     """2*v as a tuple of ints; ValueError if v is not in (1/2)Z^l."""
-    if any((2 * a).denominator != 1 for a in v):
-        raise ValueError(f"weight {v} is not in (1/2)Z^{len(v)}")
-    return tuple(int(2 * a) for a in v)
+    out = []
+    for a in v:
+        if a.denominator == 1:
+            out.append(2 * a.numerator)
+        elif a.denominator == 2:
+            out.append(a.numerator)
+        else:
+            raise ValueError(f"weight {v} is not in (1/2)Z^{len(v)}")
+    return tuple(out)
 
 
 def weyl_dim(l0type, l, nu) -> int:

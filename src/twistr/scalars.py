@@ -152,14 +152,22 @@ class BracketProduct:
         Fraction for rational u.
 
         Each factor is taken from ``bracket`` as <a>_s for k > 0 and as
-        <-a>_s = <a>_s ** -1 for k < 0; ``memo`` (a dict shared by calls with
-        the same u and qs) keeps each one evaluated once.  At a rational u a
-        PoleError is raised exactly when a factor that remains in the product
-        has a pole there; a factor whose exponent cancelled to zero is not
-        evaluated.  In Q(u) the numerators and denominators are multiplied
-        separately with no gcd: at a nondegenerate w the linear factors
-        u + s*q**(+-a) are pairwise distinct, so the product is already
-        reduced, and its denominator is monic because each factor's is.
+        <-a>_s = <a>_s ** -1 for k < 0, and kept as an integer pair
+        (``_integer_pair``); ``memo`` (a dict shared by calls with the same u
+        and qs) keeps each one evaluated and converted once.  At a rational
+        u a PoleError is raised exactly when a factor that remains in the
+        product has a pole there; a factor whose exponent cancelled to zero
+        is not evaluated.
+
+        The factors are multiplied in integers and one Fraction is built per
+        result coefficient at the end.  At a rational u, Fraction(n, d) takes
+        the one gcd.  In Q(u) the numerator and denominator polynomials are
+        multiplied separately with no gcd: at a nondegenerate w the linear
+        factors u + s*q**(+-a) are pairwise distinct, so the product is
+        already reduced.  Each factor's integer denominator is its monic
+        denominator times the factor's scale, so dividing both products by
+        the leading coefficient of the denominator gives RatFun's stored
+        form, the reduced fraction with monic denominator.
         """
         if memo is None:
             memo = {}
@@ -167,19 +175,33 @@ class BracketProduct:
         for (a, s), k in sorted(self.exps.items()):
             key = (a if k > 0 else -a, s)
             if key not in memo:
-                memo[key] = bracket(key[0], s, u, qs)
+                memo[key] = _integer_pair(bracket(key[0], s, u, qs))
             factors.append((memo[key], abs(k)))
         if not isinstance(u, RatFun):
-            out = Q(self.sign)
-            for f, k in factors:
-                out *= f ** k
-            return out
-        num, den = (Q(self.sign),), (Q(1),)
-        for f, k in factors:
+            num, den = self.sign, 1
+            for (n, d), k in factors:
+                num *= n ** k
+                den *= d ** k
+            return Q(num, den)
+        num, den = (self.sign,), (1,)
+        for (n, d), k in factors:
             for _ in range(k):
-                num = poly_mul(num, f.num)
-                den = poly_mul(den, f.den)
-        return RatFun.reduced(num, den)
+                num = poly_mul(num, n)
+                den = poly_mul(den, d)
+        lead = den[-1]
+        return RatFun.reduced(tuple(Q(c, lead) for c in num),
+                              tuple(Q(c, lead) for c in den))
+
+
+def _integer_pair(f):
+    """A bracket value as integers: a Fraction's numerator and denominator,
+    or a RatFun's numerator and denominator polynomials, both scaled by the
+    lcm of their coefficients' denominators."""
+    if not isinstance(f, RatFun):
+        return f.numerator, f.denominator
+    m = math.lcm(*(c.denominator for c in f.num + f.den))
+    return (tuple(c.numerator * (m // c.denominator) for c in f.num),
+            tuple(c.numerator * (m // c.denominator) for c in f.den))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +228,7 @@ def poly_neg(p):
 def poly_mul(p, q):
     if not p or not q:
         return ()
-    out = [Q(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):

@@ -175,7 +175,8 @@ def factored_recursion(graph: TPGraph):
 def evaluate(products, qs: QSample, u=None):
     """{nu: BracketProduct} -> {nu: value}: in Q(u) (RatFun) with u omitted,
     otherwise at the rational sample u.  Each distinct bracket is evaluated
-    once."""
+    and turned into its integer pair once, in a memo that ends with the
+    call."""
     if u is None:
         u = RatFun.var()
     memo = {}

@@ -3,7 +3,8 @@ dimension closed forms, the trace pairing, the Freudenthal weight multisets
 with the brute-force tensor and symmetric-square decompositions, the
 L-parent classes of a branching table, the swap, the opposite coproduct and
 the R-form three-site Yang-Baxter product, the spinor's affine pair by
-constraint solve, and the dense classical and quantum relation checkers."""
+constraint solve, the dense classical and quantum relation checkers, and a
+bracket product expanded by gcd-reducing field arithmetic."""
 
 import itertools
 import math
@@ -16,7 +17,7 @@ from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
                            wsub)
 from twistr.linalg import (commutator, identity, mat_add, mat_mul, mat_scale,
                            mat_sub, zeros)
-from twistr.scalars import qfactorial
+from twistr.scalars import RatFun, bracket, qfactorial
 
 Q = Fraction
 
@@ -450,3 +451,22 @@ def check_quantum_relations(rep, qs):
                     total = mat_add(total, mat_scale(term, coeff))
                 report.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}", total))
     return report
+
+
+# ---------------------------------------------------------------------------
+# Bracket products by field arithmetic
+# ---------------------------------------------------------------------------
+
+def bracket_product(product, u, qs):
+    """A ``BracketProduct`` expanded the slow way: sign * prod <a>_s ** k,
+    each factor a ``bracket`` value raised to its (possibly negative)
+    exponent, multiplied with RatFun's gcd-reducing ``*`` and ``**`` in Q(u)
+    or in Fractions at a rational u.  The factors are multiplied pairwise,
+    as a balanced tree, which keeps the gcds small."""
+    sign = RatFun.const(product.sign) if isinstance(u, RatFun) else Q(product.sign)
+    factors = [sign] + [bracket(a, s, u, qs) ** k
+                        for (a, s), k in product.exps.items()]
+    while len(factors) > 1:
+        odd = factors[len(factors) // 2 * 2:]
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0]

@@ -4,8 +4,8 @@ import pytest
 
 from twistr import liealg
 from twistr.branching import decompose_tensor_closed_form, input_weight
-from twistr.liealg import (FamilyError, casimir_eigenvalue, eps, family_spec,
-                           weyl_dim, wscale)
+from twistr.liealg import (FamilyError, casimir_eigenvalue, doubled, eps,
+                           family_spec, inner, wadd, weyl_dim, wscale)
 
 import oracles
 from conftest import CLOSED_FORM_GRID, GRID
@@ -129,6 +129,26 @@ class TestCasimir:
         spec = family_spec("a2even", 2)
         with pytest.raises(ValueError):
             casimir_eigenvalue(spec, (Q(0), Q(1)))
+
+    @pytest.mark.parametrize("family,l,params", CLOSED_FORM_GRID)
+    def test_equals_inner_product_on_the_grid(self, family, l, params):
+        """The integer form on doubled coordinates equals
+        (nu, nu + 2*rho0) taken in Fractions, at every component."""
+        spec = family_spec(family, l)
+        for c in decompose_tensor_closed_form(spec, params):
+            want = inner(c.nu, wadd(c.nu, wscale(spec.rho0, 2)))
+            got = casimir_eigenvalue(spec, c.nu)
+            assert got == want and isinstance(got, Fraction)
+
+
+class TestDoubled:
+    def test_integer_and_fraction_input(self):
+        assert doubled((3, Q(-1, 2), Q(0), Q(5, 2))) == (6, -1, 0, 5)
+        assert all(type(x) is int for x in doubled((2, Q(3, 2))))
+
+    def test_refuses_a_third(self):
+        with pytest.raises(ValueError, match="not in"):
+            doubled((Q(1), Q(1, 3)))
 
 
 class TestKacGenerators:

@@ -153,6 +153,8 @@ class TestBracketProduct:
         (-1, {(Q(2), 1): -3, (Q(2), -1): 1, (Q(7, 4), 1): 2}),
         (1, {(Q(1, 2), 1): 1, (Q(1, 2), -1): 1, (Q(1), 1): -1,
              (Q(1), -1): -1, (Q(9, 4), 1): 1}),
+        # a fifth power of q**(19/4) = w**19: large integer coefficients
+        (-1, {(Q(19, 4), -1): 5, (Q(3, 2), 1): -1}),
     ]
 
     @pytest.mark.parametrize("w", [Q(3, 2), Q(-3, 2), Q(2, 3), Q(-5, 3)])

@@ -10,6 +10,9 @@ from twistr.branching import (decompose_tensor_closed_form, klimyk_tensor_with,
 from twistr.liealg import family_spec
 from twistr.scalars import QSample, RatFun, bracket
 
+import oracles
+from conftest import CLOSED_FORM_GRID
+
 Q = Fraction
 
 
@@ -284,6 +287,29 @@ class TestClosedFormAgreement:
         spec = family_spec("a2even", 2)
         with pytest.raises(tpg.UnsupportedRegimeError):
             tpg.eigenvalues_closed_form(spec, (1, 2), QSample(Q(2)))
+
+
+class TestExpansionOracle:
+    """Both routes' expansions equal oracles.bracket_product of the
+    recursion's factored form, in Q(u) and at one rational u per case;
+    w = -7/5 gives large coefficients."""
+
+    CASES = [c for c in CLOSED_FORM_GRID if c[1] <= 4]
+    U = (Q(3, 11), Q(-5, 13), Q(8, 9), Q(-4, 17))
+
+    @pytest.mark.parametrize("w", [Q(3, 2), Q(-7, 5), Q(2, 7)])
+    def test_routes_equal_the_oracle(self, w):
+        qs = QSample(w)
+        for i, (family, l, params) in enumerate(self.CASES):
+            spec = family_spec(family, l)
+            graph = tpg.build_graph(spec, params)
+            factored, _ = tpg.factored_recursion(graph)
+            for u in (None, self.U[i % len(self.U)]):
+                x = RatFun.var() if u is None else u
+                want = {nu: oracles.bracket_product(p, x, qs)
+                        for nu, p in factored.items()}
+                assert tpg.eigenvalues_by_recursion(graph, qs, u)[0] == want
+                assert tpg.eigenvalues_closed_form(spec, params, qs, u) == want
 
 
 class TestExport:
