@@ -14,7 +14,12 @@ roots and spinor weight spaces (q**(1/2), q**(1/4)) inside Q.
 Spectral eigenvalues are products of brackets <a>_s.  ``BracketProduct``
 stores one as a sign times the exponent vector {(a, s): k} over a > 0; it
 lives in neither mode, since it is an identity in both q and u, and
-``BracketProduct.evaluate`` expands it into the mode of a given u.
+``BracketProduct.evaluate`` expands it into the mode of a given u.  The
+expansion runs in Python integers: each bracket becomes an integer
+numerator and denominator (linear polynomials in Q(u)), the product is
+multiplied out with no gcd, and Fractions are built only at the end, in
+RatFun's stored form (reduced, with monic denominator), so the result
+compares equal to, and prints like, any other RatFun.
 """
 
 from __future__ import annotations
@@ -189,8 +194,11 @@ class BracketProduct:
                 num = poly_mul(num, n)
                 den = poly_mul(den, d)
         lead = den[-1]
-        return RatFun.reduced(tuple(Q(c, lead) for c in num),
-                              tuple(Q(c, lead) for c in den))
+        # list comprehensions, not tuple(generator): the tuple's resizing
+        # left a higher allocator high-water mark on the graph-symbolic
+        # workload (about 0.35 MB of peak RSS)
+        return RatFun.reduced([Q(c, lead) for c in num],
+                              [Q(c, lead) for c in den])
 
 
 def _integer_pair(f):
@@ -200,8 +208,8 @@ def _integer_pair(f):
     if not isinstance(f, RatFun):
         return f.numerator, f.denominator
     m = math.lcm(*(c.denominator for c in f.num + f.den))
-    return (tuple(c.numerator * (m // c.denominator) for c in f.num),
-            tuple(c.numerator * (m // c.denominator) for c in f.den))
+    return ([c.numerator * (m // c.denominator) for c in f.num],
+            [c.numerator * (m // c.denominator) for c in f.den])
 
 
 # ---------------------------------------------------------------------------

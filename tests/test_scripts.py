@@ -73,3 +73,40 @@ def test_output_digests(tmp_path, monkeypatch):
                         "--out", str(out)]) == 0
     assert runs[0][-1] == (f"{hashlib.sha256(out.read_bytes()).hexdigest()}"
                            "  export rep --family d2 --l 2")
+
+
+def test_bench_pairs_summary():
+    """The BENCH summary of canned records: runs, medians, inclusive
+    quartiles and wins in each metric's direction, with the attempted
+    counts beside peak_rss_mb."""
+    module = load("bench_pairs")
+
+    def record(attempted, pass_ref, rss, ok):
+        return {"attempted": attempted,
+                "metrics": {"pass_ref": pass_ref, "peak_rss_mb": rss,
+                            "ok_ratio": ok}}
+
+    pairs = [{"parent": record(100, 2.0, 9.0, 1.0),
+              "change": record(120, 1.0, 9.5, 1.0)},
+             {"parent": record(90, 1.5, 9.2, 0.5),
+              "change": record(110, 2.0, 9.1, 1.0)},
+             {"parent": record(95, 2.5, 9.1, 1.0),
+              "change": record(130, 1.5, 9.4, 1.0)}]
+    metrics = [{"name": "pass_ref", "better": "lower"},
+               {"name": "peak_rss_mb", "better": "lower"},
+               {"name": "ok_ratio", "better": "higher"}]
+    out = module.summarize(pairs, metrics)
+    assert set(out) == {"pass_ref", "peak_rss_mb", "ok_ratio"}
+    assert out["pass_ref"] == {
+        "change_wins": 2,
+        "parent_runs": [2.0, 1.5, 2.5], "parent_median": 2.0,
+        "parent_quartiles": [1.75, 2.25],
+        "change_runs": [1.0, 2.0, 1.5], "change_median": 1.5,
+        "change_quartiles": [1.25, 1.75]}
+    assert out["peak_rss_mb"]["change_wins"] == 1
+    assert out["peak_rss_mb"]["parent_attempted"] == [100, 90, 95]
+    assert out["peak_rss_mb"]["change_attempted"] == [120, 110, 130]
+    assert "parent_attempted" not in out["pass_ref"]
+    assert out["ok_ratio"]["change_wins"] == 1
+    one = module.summarize(pairs[:1], metrics)["pass_ref"]
+    assert one["parent_quartiles"] == [2.0, 2.0]
