@@ -7,9 +7,9 @@ and once in the change's, at the same seed and for the change's
 ``BENCHMARK.json`` ``run_seconds``: even pairs run the parent first, odd
 pairs the change.  For each seed and each end-to-end metric of that file,
 the output gives every run, each side's median and inclusive quartiles, and
-the number of pairs the change wins (is better in the metric's direction).  ``peak_rss_mb`` grows with the number of case
-runs a measuring worker makes, so each side's ``attempted`` counts stand
-beside it.  With ``--trace`` each side also makes one ``--trace 1`` run per
+the number of pairs the change wins (is better in the metric's direction).
+``peak_rss_mb`` grows with the number of case runs a measuring worker
+makes, so each side's ``attempted`` counts stand beside it.  With ``--trace`` each side also makes one ``--trace 1`` run per
 seed, and all of its per-layer metrics are kept.
 
 The results are merged into the output file under "<workload> seed <seed>",

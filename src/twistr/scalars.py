@@ -194,9 +194,9 @@ class BracketProduct:
                 num = poly_mul(num, n)
                 den = poly_mul(den, d)
         lead = den[-1]
-        # list comprehensions, not tuple(generator): the tuple's resizing
-        # left a higher allocator high-water mark on the graph-symbolic
-        # workload (about 0.35 MB of peak RSS)
+        # lists, here and in _integer_pair, not tuple(generator): the
+        # tuples' resizing left a higher allocator high-water mark on the
+        # graph-symbolic workload (about 0.35 MB of peak RSS)
         return RatFun.reduced([Q(c, lead) for c in num],
                               [Q(c, lead) for c in den])
 

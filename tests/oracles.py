@@ -463,9 +463,9 @@ def bracket_product(product, u, qs):
     exponent, multiplied with RatFun's gcd-reducing ``*`` and ``**`` in Q(u)
     or in Fractions at a rational u.  The factors are multiplied pairwise,
     as a balanced tree, which keeps the gcds small."""
-    sign = RatFun.const(product.sign) if isinstance(u, RatFun) else Q(product.sign)
-    factors = [sign] + [bracket(a, s, u, qs) ** k
-                        for (a, s), k in product.exps.items()]
+    one = RatFun.const(1) if isinstance(u, RatFun) else Q(1)
+    factors = [one * product.sign] + [bracket(a, s, u, qs) ** k
+                                      for (a, s), k in product.exps.items()]
     while len(factors) > 1:
         odd = factors[len(factors) // 2 * 2:]
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd

@@ -229,8 +229,8 @@ class TestVerify:
         """Run a d2 l=2 seed verify with ``corrupt`` applied to the factored
         closed forms; only the eigenvalue stage may fail, and it must."""
         def corrupted(spec, params, qs, u=None):
-            return tpg.evaluate(corrupt(tpg.factored_closed_form(spec, params)),
-                                qs, u)
+            products = tpg.factored_closed_form(spec, params)
+            return tpg.evaluate(corrupt(products), qs, u)
 
         monkeypatch.setattr(tpg, "eigenvalues_closed_form", corrupted)
         code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
