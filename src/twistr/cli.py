@@ -28,11 +28,13 @@ Q = Fraction
 
 SCHEMA = "twistr-report/1"
 
-# The largest three-site dimension d**3 of a seed verify measured to pass:
-# d2 l=5, d = 32, about 90 s and 170 MB peak on one core (Python 3.11).
-# The Yang-Baxter stage multiplies operators of that size, so the next one,
-# d2 l=6 at 262,144, is refused before any work.
-MAX_THREE_SITE = 32_768
+# The largest two-site dimension T = d**2 of a seed verify measured to pass:
+# d2 l=6, d = 64, T = 4,096, about 30 s and 178 MB peak on one core (Python
+# 3.11).  Yang-Baxter reads the three-site space on one cyclic vector per
+# component, so the cost is the work on V (x) V at each sampled w (the
+# decomposition, the component system, the solves), which grows with T.
+# The next size, d2 l=7 at T = 16,384, is refused before any work.
+MAX_TWO_SITE = 4_096
 
 
 def _sparse_triplets(m):
@@ -62,19 +64,19 @@ def _spec_and_params(args):
 
 
 def _size_refusal(spec, params):
-    """The size estimate of a seed-pair verify whose three-site space has
-    more than MAX_THREE_SITE dimensions, else None.  Non-seed pairs skip the
+    """The size estimate of a seed-pair verify whose two-site space V (x) V
+    has more than MAX_TWO_SITE dimensions, else None.  Non-seed pairs skip the
     stages that work on V (x) V and beyond, so they are never refused."""
     if tuple(params) != spec.seed_params():
         return None
     d = liealg.weyl_dim(spec.l0type, spec.l,
                         branching.input_weight(spec, params[0]))
-    if d ** 3 <= MAX_THREE_SITE:
+    if d * d <= MAX_TWO_SITE:
         return None
     comps = branching.decompose_tensor_closed_form(spec, params)
     return (f"seed verify too large: three-site dimension d^3 = {d ** 3:,} "
             f"(d = {d}), T = d^2 = {d * d:,}, {len(comps)} "
-            f"components; at most {MAX_THREE_SITE:,} is accepted")
+            f"components; at most T = {MAX_TWO_SITE:,} is accepted")
 
 
 def _emit(text, out):
@@ -159,8 +161,7 @@ def cmd_verify(args, spec, params) -> int:
                 "failures": failures[:5]}
 
     def run_decomposition():
-        expected = [c.nu for c in
-                    branching.decompose_tensor_closed_form(spec, params)]
+        expected = sorted((n.nu for n in shared.graph.nodes), reverse=True)
         dec = shared.decomposition(QSample(samples[0][0]))
         found = sorted((c.nu for c in dec.components), reverse=True)
         return {"ok": found == expected,

@@ -36,6 +36,37 @@ P13 R23(v) R13(uv) R12(u), so the braid relation is the R-form
 R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides permuted by
 P13: the two hold together, and their sides differ in as many entries.
 
+Both braid sides are compared on one vector per component only, the
+cyclic vector g_nu = v_nu (x) v_low of V0(nu) (x) V, with v_nu the highest
+weight vector of V0(nu) and v_low the lowest of V (close to Jimbo's 1986
+module-map argument).  That proves the sides equal by four steps:
+
+1. Coassociativity gives D2(x) = D(q^{-h/2}) (x) x + D(x) (x) q^{h/2} on
+   V (x) V (x) V for x = e_i, f_i (i >= 1), and the same with the legs
+   mirrored.  So N (x) 1 and 1 (x) N commute with D2(x) once N preserves
+   weight (then it commutes with D(q^{-h/2})) and commutes with D(x); both
+   sides of the braid relation then do, and so does their difference.
+2. For irreducible modules M with highest weight vector m and V with
+   lowest weight vector v_low, M (x) V is generated by m (x) v_low: as
+   f_i v_low = 0, D(f_i)(m' (x) v_low) = f_i m' (x) q^{h/2} v_low reaches
+   M (x) v_low, and D(e_i)(m' (x) x) = q^{-h/2} m' (x) e_i x +
+   e_i m' (x) q^{h/2} x then reaches M (x) e_i x, by induction on x.  V is
+   irreducible under the fixed subalgebra in all three families.
+3. g_nu is a weight vector, so the module it generates is spanned by words
+   in D2(e_i), D2(f_i) applied to it, with no Cartan element needed.  The
+   difference of the sides commutes with those words, so it vanishes on
+   that module once it vanishes on g_nu.
+4. The certified decomposition gives V (x) V = sum of the V0(nu), so
+   V (x) V (x) V is the sum of the V0(nu) (x) V, each generated by its g_nu.
+
+The check certifies each premise it reads at run time: every N preserves
+weight and commutes with the integer D(e_i), D(f_i) the solves' component
+system holds, and V has exactly one basis vector killed by every f_i while
+its weights are distinct, so the joint kernel of the f_i is one line and V
+(completely reducible at a generic q) is irreducible.  If any premise or any
+cyclic vector fails, the sides are compared one row of the d**3 at a time,
+which gives the residual count.
+
 Each solve returns Rcheck as N / D: a sparse integer numerator N = D * Rcheck
 and a positive integer D, both divided by their content gcd.  The checks read
 N and D only.  Each side of the braid relation is a product of one each of
@@ -280,46 +311,110 @@ class Shared:
 # Three-site Yang-Baxter products
 # ---------------------------------------------------------------------------
 
-def _on_legs(m, d, first):
-    """The two-site operator m on legs 1, 2 (``first``) or legs 2, 3 of the
-    three-site space, whose index (a, b, c) is (a * d + b) * d + c."""
+def _apply_on_legs(m, x, d, first):
+    """The sparse three-site row vector x, index (a * d + b) * d + c, times
+    the sparse two-site matrix m on legs 1, 2 (``first``) or legs 2, 3.  With
+    m the transpose of N this is N applied to the column vector x."""
+    out = {}
     if first:
-        return {i * d + c: {j * d + c: x for j, x in row.items()}
-                for i, row in m.items() for c in range(d)}
-    return {c * d * d + i: {c * d * d + j: x for j, x in row.items()}
-            for c in range(d) for i, row in m.items()}
+        for i, y in x.items():
+            p, c = divmod(i, d)
+            for j, z in m.get(p, {}).items():
+                k = j * d + c
+                out[k] = out.get(k, 0) + y * z
+    else:
+        dd = d * d
+        for i, y in x.items():
+            a, p = divmod(i, dd)
+            for j, z in m.get(p, {}).items():
+                k = a * dd + j
+                out[k] = out.get(k, 0) + y * z
+    return {k: y for k, y in out.items() if y}
+
+
+def _product(x, factors, d):
+    """x times each (m, first) of ``factors`` in turn, by ``_apply_on_legs``."""
+    for m, first in factors:
+        x = _apply_on_legs(m, x, d, first)
+    return x
+
+
+def _lowest_index(rep):
+    """The index of the one basis vector of V that every f_i (i >= 1)
+    kills, or None unless the weights of V are distinct and exactly one
+    index is killed: then the joint kernel of the f_i is that vector's line,
+    so V, completely reducible, is irreducible with that lowest weight
+    vector."""
+    hit = {j for m in rep.f[1:] for row in m.values() for j in row}
+    low = [j for j in range(rep.dim) if j not in hit]
+    if len(low) != 1 or len(set(rep.weights)) != rep.dim:
+        return None
+    return low[0]
+
+
+def _is_module_map(shared, qs, n):
+    """True if the sparse N preserves weight and commutes with the integer
+    D(e_i), D(f_i) (i >= 1) of ``shared.components(qs)``: the premise under
+    which the cyclic vectors certify the braid relation.  Each solve
+    certifies the commutation too, but a check cannot tell a memoized N
+    from one its solve certified."""
+    block = {p: k for k, idxs in
+             enumerate(shared.decomposition(qs).blocks.values())
+             for p in idxs}
+    if any(block[p] != block[j] for p, row in n.items() for j in row):
+        return False
+    return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)
+               for m in shared.components(qs).fixed)
+
+
+def _agree_on_cyclic_vectors(shared, qs, ns, sides):
+    """True if the braid ``sides`` agree on every g_nu = v_nu (x) v_low,
+    v_nu scaled to integers.  Each side is a list of (x, first), its factors
+    ns[x] on legs 1, 2 or 2, 3 from left to right."""
+    low = _lowest_index(shared.rep)
+    if low is None:
+        return False
+    d = shared.rep.dim
+    # a side applied to a column vector: its last factor first, each as the
+    # transpose that _apply_on_legs applies to a column
+    cols = {x: linalg.sparse_transpose(n) for x, n in ns.items()}
+    lhs, rhs = ([(cols[x], first) for x, first in reversed(side)]
+                for side in sides)
+    for comp in shared.decomposition(qs).components:
+        v = _scaled(comp.basis[0], _denominator(comp.basis[0]))
+        g = {p * d + low: y for p, y in v.items()}
+        if _product(g, lhs, d) != _product(g, rhs, d):
+            return False
+    return True
 
 
 def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
     """Exact test of the braid relation
     Rcheck12(v) Rcheck23(uv) Rcheck12(u) = Rcheck23(u) Rcheck12(uv) Rcheck23(v),
     the R-form R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides
-    permuted by P13, on the integer numerators N (module docstring), so
-    ``residual_entries`` counts the entries where the R-form sides differ
-    too.  The sides are built and compared one row at a time, so neither
-    three-site product is held whole."""
-    d = shared.rep.dim
-    n_u, n_uv, n_v = (shared.solve(qs, x).N for x in (u, u * v, v))
-    lhs = (_on_legs(n_v, d, True), _on_legs(n_uv, d, False),
-           _on_legs(n_u, d, True))
-    rhs = (_on_legs(n_u, d, False), _on_legs(n_uv, d, True),
-           _on_legs(n_v, d, False))
+    permuted by P13, on the integer numerators N (module docstring).
+
+    The sides are compared on the cyclic vectors g_nu = v_nu (x) v_low
+    only, once the premise that makes this a proof is certified: each N
+    preserves weight and commutes with D(e_i), D(f_i) (i >= 1).  If any of
+    that fails, the sides are built and compared one row of the d**3 at a
+    time, and ``residual_entries`` counts the entries where they (and the
+    R-form sides) differ; it is 0 when the cyclic vectors certify."""
+    ns = {x: shared.solve(qs, x).N for x in (u, u * v, v)}
+    sides = (((v, True), (u * v, False), (u, True)),
+             ((u, False), (u * v, True), (v, False)))
     residual_entries = 0
-    for i in range(d ** 3):
-        li, ri = _product_row(lhs, i), _product_row(rhs, i)
-        if li != ri:
-            residual_entries += sum(li.get(j) != ri.get(j)
-                                    for j in li.keys() | ri.keys())
+    if not (all(_is_module_map(shared, qs, n) for n in ns.values())
+            and _agree_on_cyclic_vectors(shared, qs, ns, sides)):
+        d = shared.rep.dim
+        lhs, rhs = ([(ns[x], first) for x, first in side] for side in sides)
+        for i in range(d ** 3):
+            li, ri = _product({i: 1}, lhs, d), _product({i: 1}, rhs, d)
+            if li != ri:
+                residual_entries += sum(li.get(j) != ri.get(j)
+                                        for j in li.keys() | ri.keys())
     return {"check": "yang-baxter", "u": u, "v": v,
             "ok": residual_entries == 0, "residual_entries": residual_entries}
-
-
-def _product_row(factors, i):
-    """Row i of the product of the sparse matrices ``factors``."""
-    row = factors[0].get(i, {})
-    for m in factors[1:]:
-        row = linalg.sparse_vec_mul(row, m)
-    return row
 
 
 def check_unitarity(shared: Shared, qs: QSample, u: Fraction):

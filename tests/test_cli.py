@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -224,6 +225,29 @@ class TestVerify:
                                     "error": "DecompositionError: injected"}
         assert all(s["ok"] for name, s in stages.items() if name != "parity")
 
+    @pytest.mark.parametrize("change", ["dropped", "renamed"])
+    def test_changed_component_fails_the_decomposition_stage(
+            self, tmp_path, monkeypatch, change):
+        """The decomposition stage compares the components of V (x) V with
+        the graph's nodes: one component dropped or renamed fails it."""
+        real = jimbo.decompose
+
+        def changed(rep, qs):
+            dec = real(rep, qs)
+            *kept, last = dec.components
+            if change == "renamed":
+                kept.append(dataclasses.replace(
+                    last, nu=tuple(c + 5 for c in last.nu)))
+            return dataclasses.replace(dec, components=kept)
+
+        monkeypatch.setattr(jimbo, "decompose", changed)
+        code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
+                        "--seed", "7", "--samples", "1")
+        stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+        assert code == 1 and not stages["decomposition"]["ok"]
+        assert len(stages["decomposition"]["components"]) == (
+            2 if change == "dropped" else 3)
+
     @staticmethod
     def _closed_form_mismatch(tmp_path, monkeypatch, corrupt):
         """Run a d2 l=2 seed verify with ``corrupt`` applied to the factored
@@ -335,23 +359,25 @@ class TestVerify:
 
     def test_oversized_seed_verify_refused_before_any_work(self, capsys,
                                                            monkeypatch):
-        """d2 l=6 (three-site dimension 64**3) exits 2 with its size
+        """d2 l=7 (two-site dimension 128**2) exits 2 with its size
         estimate before a Shared, which every stage reads, is built."""
         def no_work(*args, **kwargs):
             raise AssertionError("verify started work")
 
         monkeypatch.setattr(jimbo, "Shared", no_work)
-        assert main(["verify", "--family", "d2", "--l", "6"]) == 2
+        assert main(["verify", "--family", "d2", "--l", "7"]) == 2
         err = capsys.readouterr().err
-        assert "d^3 = 262,144 (d = 64), T = d^2 = 4,096, 7 components" in err
+        assert ("d^3 = 2,097,152 (d = 128), T = d^2 = 16,384, 8 components"
+                in err)
 
     def test_size_guard_bounds(self):
-        """The largest size measured to pass is accepted, and a non-seed
-        pair, which skips the three-site stages, is never refused."""
-        d2_5, d2_6 = (liealg.family_spec("d2", l) for l in (5, 6))
-        assert cli._size_refusal(d2_5, (1, 1)) is None
-        assert cli._size_refusal(d2_6, (1, 2)) is None
-        assert cli._size_refusal(d2_6, (1, 1)) is not None
+        """The largest size measured to pass, d2 l=6, is accepted, and a
+        non-seed pair, which skips the stages on V (x) V, is never
+        refused."""
+        d2_6, d2_7 = (liealg.family_spec("d2", l) for l in (6, 7))
+        assert cli._size_refusal(d2_6, (1, 1)) is None
+        assert cli._size_refusal(d2_7, (1, 2)) is None
+        assert cli._size_refusal(d2_7, (1, 1)) is not None
 
 
 class TestExport:

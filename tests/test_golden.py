@@ -19,6 +19,8 @@ GOLDEN = {
         "04dce9cb88e91e16022ea8f7fdadc37c4b9e699be8fe359f376ceaf8eccae318",
     "verify --family d2 --l 2 --samples 2":
         "aaa0c85703a367baafcd2e06c3c2a04fc2b1da54960ce844328c92b2396e3ccf",
+    "verify --family d2 --l 4 --samples 2":
+        "a0502590bb7b4a1da2cac7ce4cd0b92f744dbcf9458e7fd839bf7961038bc610",
 }
 
 

@@ -133,6 +133,20 @@ class TestCertificates:
                            match="intertwining equations"):
             jimbo.solve_rmatrix(shared, qs, Q(3, 5))
 
+    def test_substitution_detects_fixed_operator_rcheck_misses(self, qs):
+        """Mutation: one D(x) (i >= 1) of the component system changed, which
+        the small system never reads, leaves the c_nu right; the
+        fixed-subalgebra substitution must refuse the solve."""
+        shared = seed_shared("a2even", 2)
+        jimbo.solve_rmatrix(shared, qs, Q(3, 5))  # unmutated
+        system = shared.components(qs)
+        m = system.fixed[0]
+        p = min(m)
+        system.fixed[0] = bump(m, p, min(m[p]))
+        with pytest.raises(jimbo.CertificateError,
+                           match="intertwining equations"):
+            jimbo.solve_rmatrix(shared, qs, Q(3, 5))
+
     @pytest.mark.parametrize("u", [Q(0), Q(3, 5), Q(-8, 9)],
                              ids=["zero", "3_5", "-8_9"])
     def test_swap_turns_r_form_into_rcheck_form(self, ybe_case, qs, u):
@@ -357,6 +371,61 @@ class TestYangBaxterOracle:
             assert (out["ok"], out["residual_entries"]) == (want == 0, want)
             assert out["ok"] == (corrupt is None), (w, u, v)
             done += 1
+
+
+class TestCyclicVectors:
+    """check_ybe compares the braid sides on g_nu = v_nu (x) v_low only,
+    under a premise it certifies itself: each N preserves weight and
+    commutes with D(e_i), D(f_i) (i >= 1).  Negative controls of both."""
+
+    QS, U, V = QSample(Q(-7, 5)), Q(3, 5), Q(-2, 7)
+
+    @pytest.mark.parametrize("family,l,entry,residual", [
+        ("d2", 2, (5, 5), 24), ("a2even", 2, (13, 17), 50),
+        ("a2odd", 3, (16, 26), 60)], ids=["d2-l2", "a2even-l2", "a2odd-l3"])
+    def test_premise_refuses_what_cyclic_vectors_miss(
+            self, family, l, entry, residual, monkeypatch):
+        """D added to one weight-preserving entry of N(u) passes every
+        cyclic vector, so only the premise refuses it; the verdict and
+        count are then those of the row-by-row comparison."""
+        qs, u, v = self.QS, self.U, self.V
+        shared = seed_shared(family, l)
+        res = shared.solve(qs, u)
+        weights = shared.decomposition(qs).weights
+        assert weights[entry[0]] == weights[entry[1]]
+        shared._memo[("solve", qs.w, u)] = dataclasses.replace(
+            res, N=bump(res.N, *entry, res.D))
+        out = jimbo.check_ybe(shared, qs, u, v)
+        assert (out["ok"], out["residual_entries"]) == (False, residual)
+        with monkeypatch.context() as m:
+            m.setattr(jimbo, "_is_module_map", lambda *args: True)
+            out = jimbo.check_ybe(shared, qs, u, v)
+        assert (out["ok"], out["residual_entries"]) == (True, 0)
+
+    def test_lowest_vector_certified_unique(self):
+        """v_low is the one basis vector every f_i (i >= 1) kills, and only
+        while V's weights are distinct; otherwise there is none and the
+        check compares row by row."""
+        rep = seed_rep("a2even", 2)
+        assert jimbo._lowest_index(rep) == 4
+        no_f = dataclasses.replace(rep, f=rep.f[:1] + ({},) * rep.spec.l)
+        assert jimbo._lowest_index(no_f) is None
+        one_weight = dataclasses.replace(rep, weights=rep.weights[:1] * rep.dim)
+        assert jimbo._lowest_index(one_weight) is None
+
+    @pytest.mark.parametrize("family,l", [("d2", 2), ("a2even", 2),
+                                          ("a2odd", 3)],
+                             ids=["d2-l2", "a2even-l2", "a2odd-l3"])
+    def test_wrong_solve_fails_on_cyclic_vectors(self, family, l):
+        """Rcheck(uv) replaced by the solve at uv + 1/11 satisfies the
+        premise, and the braid relation must still fail."""
+        qs, u, v = self.QS, self.U, self.V
+        shared = seed_shared(family, l)
+        wrong = shared.solve(qs, u * v + Q(1, 11))
+        assert jimbo._is_module_map(shared, qs, wrong.N)
+        shared._memo[("solve", qs.w, u * v)] = wrong
+        out = jimbo.check_ybe(shared, qs, u, v)
+        assert not out["ok"] and out["residual_entries"] > 0
 
 
 class TestSampling:

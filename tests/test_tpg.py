@@ -253,26 +253,10 @@ class TestRecursion:
 
 
 class TestClosedFormAgreement:
-    def cases(self):
-        out = []
-        for l in range(2, 7):
-            for k in range(1, l + 1):
-                for r in range(k, l - k + 1):
-                    out.append(("a2even", l, (k, r)))
-        for l in range(3, 7):
-            for k in range(1, 4):
-                for r in range(k, 4):
-                    out.append(("a2odd", l, (k, r)))
-        for l in range(2, 7):
-            for a in range(1, 4):
-                for b in range(a, 4):
-                    out.append(("d2", l, (a, b)))
-        return out
-
     def test_identically_in_u(self):
         qs = QSample(Q(3, 2))
         checked = 0
-        for family, l, params in self.cases():
+        for family, l, params in CLOSED_FORM_GRID:
             spec = family_spec(family, l)
             g = tpg.build_graph(spec, params)
             rho, _ = tpg.eigenvalues_by_recursion(g, qs)
