@@ -31,8 +31,9 @@ SCHEMA = "twistr-report/1"
 # The largest two-site dimension T = d**2 of a seed verify measured to pass:
 # d2 l=6, d = 64, T = 4,096, about 30 s and 178 MB peak on one core (Python
 # 3.11).  Yang-Baxter reads the three-site space on one cyclic vector per
-# component, so the cost is the work on V (x) V at each sampled w (the
-# decomposition, the component system, the solves), which grows with T.
+# component only, whether it passes or fails, so the cost is the work on
+# V (x) V at each sampled w (the decomposition, the component system, the
+# solves), which grows with T.
 # The next size, d2 l=7 at T = 16,384, is refused before any work.
 MAX_TWO_SITE = 4_096
 

@@ -34,7 +34,7 @@ Writing Rcheck = P R and moving each swap to the left turns the right side
 into P13 R12(u) R13(uv) R23(v) and the left side into
 P13 R23(v) R13(uv) R12(u), so the braid relation is the R-form
 R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides permuted by
-P13: the two hold together, and their sides differ in as many entries.
+P13: the two hold together.
 
 Both braid sides are compared on one vector per component only, the
 cyclic vector g_nu = v_nu (x) v_low of V0(nu) (x) V, with v_nu the highest
@@ -63,9 +63,10 @@ The check certifies each premise it reads at run time: every N preserves
 weight and commutes with the integer D(e_i), D(f_i) the solves' component
 system holds, and V has exactly one basis vector killed by every f_i while
 its weights are distinct, so the joint kernel of the f_i is one line and V
-(completely reducible at a generic q) is irreducible.  If any premise or any
-cyclic vector fails, the sides are compared one row of the d**3 at a time,
-which gives the residual count.
+(completely reducible at a generic q) is irreducible.  A failed premise
+fails the check at once, and a g_nu on which the sides differ is an exact
+witness that the relation fails, so no path reads the three-site space
+beyond one vector per component.
 
 Each solve returns Rcheck as N / D: a sparse integer numerator N = D * Rcheck
 and a positive integer D, both divided by their content gcd.  The checks read
@@ -73,10 +74,10 @@ N and D only.  Each side of the braid relation is a product of one each of
 Rcheck(u), Rcheck(uv) and Rcheck(v), so it is homogeneous of degree 1 in
 each: the integer sides N12(v) N23(uv) N12(u) and N23(u) N12(uv) N23(v) are
 both D_u * D_uv * D_v times the rational sides, and as that factor is
-nonzero they agree (and differ in the same entries) exactly when the
-rational sides do.  In the same way unitarity is N(u) N(1/u) = D_u D_{1/u} I,
-spectral agreement is N(1) = D_1 I with N(u) acting as D_u * rho_nu(u) on
-V0(nu), and as D > 0 the parity signs of N(0) are those of Rcheck(0).
+nonzero they agree exactly when the rational sides do.  In the same way
+unitarity is N(u) N(1/u) = D_u D_{1/u} I, spectral agreement is
+N(1) = D_1 I with N(u) acting as D_u * rho_nu(u) on V0(nu), and as D > 0
+the parity signs of N(0) are those of Rcheck(0).
 
 All checks are exact at rational samples; "pass" means the residual is
 identically zero.  Every check and solve takes a ``Shared``, which carries
@@ -367,54 +368,34 @@ def _is_module_map(shared, qs, n):
                for m in shared.components(qs).fixed)
 
 
-def _agree_on_cyclic_vectors(shared, qs, ns, sides):
-    """True if the braid ``sides`` agree on every g_nu = v_nu (x) v_low,
-    v_nu scaled to integers.  Each side is a list of (x, first), its factors
-    ns[x] on legs 1, 2 or 2, 3 from left to right."""
-    low = _lowest_index(shared.rep)
-    if low is None:
-        return False
-    d = shared.rep.dim
-    # a side applied to a column vector: its last factor first, each as the
-    # transpose that _apply_on_legs applies to a column
-    cols = {x: linalg.sparse_transpose(n) for x, n in ns.items()}
-    lhs, rhs = ([(cols[x], first) for x, first in reversed(side)]
-                for side in sides)
-    for comp in shared.decomposition(qs).components:
-        v = _scaled(comp.basis[0], _denominator(comp.basis[0]))
-        g = {p * d + low: y for p, y in v.items()}
-        if _product(g, lhs, d) != _product(g, rhs, d):
-            return False
-    return True
-
-
 def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
     """Exact test of the braid relation
     Rcheck12(v) Rcheck23(uv) Rcheck12(u) = Rcheck23(u) Rcheck12(uv) Rcheck23(v),
     the R-form R12(u) R13(uv) R23(v) = R23(v) R13(uv) R12(u) with both sides
     permuted by P13, on the integer numerators N (module docstring).
 
-    The sides are compared on the cyclic vectors g_nu = v_nu (x) v_low
-    only, once the premise that makes this a proof is certified: each N
-    preserves weight and commutes with D(e_i), D(f_i) (i >= 1).  If any of
-    that fails, the sides are built and compared one row of the d**3 at a
-    time, and ``residual_entries`` counts the entries where they (and the
-    R-form sides) differ; it is 0 when the cyclic vectors certify."""
+    ``ok`` is True when the premise that makes the cyclic vectors a proof
+    is certified (V has one lowest weight vector v_low, and each N preserves
+    weight and commutes with D(e_i), D(f_i), i >= 1) and the sides agree on
+    every g_nu = v_nu (x) v_low, v_nu scaled to integers.  A failed premise
+    gives False at once; a g_nu where the sides differ is an exact witness
+    that the relation fails."""
     ns = {x: shared.solve(qs, x).N for x in (u, u * v, v)}
-    sides = (((v, True), (u * v, False), (u, True)),
-             ((u, False), (u * v, True), (v, False)))
-    residual_entries = 0
-    if not (all(_is_module_map(shared, qs, n) for n in ns.values())
-            and _agree_on_cyclic_vectors(shared, qs, ns, sides)):
+    low = _lowest_index(shared.rep)
+    ok = low is not None and all(
+        _is_module_map(shared, qs, n) for n in ns.values())
+    if ok:
         d = shared.rep.dim
-        lhs, rhs = ([(ns[x], first) for x, first in side] for side in sides)
-        for i in range(d ** 3):
-            li, ri = _product({i: 1}, lhs, d), _product({i: 1}, rhs, d)
-            if li != ri:
-                residual_entries += sum(li.get(j) != ri.get(j)
-                                        for j in li.keys() | ri.keys())
-    return {"check": "yang-baxter", "u": u, "v": v,
-            "ok": residual_entries == 0, "residual_entries": residual_entries}
+        # each side applied to a column vector: its last factor first, each
+        # N as the transpose that _apply_on_legs applies to a column
+        t = {x: linalg.sparse_transpose(n) for x, n in ns.items()}
+        lhs = ((t[u], True), (t[u * v], False), (t[v], True))
+        rhs = ((t[v], False), (t[u * v], True), (t[u], False))
+        vs = (c.basis[0] for c in shared.decomposition(qs).components)
+        gs = ({p * d + low: y for p, y in _scaled(b, _denominator(b)).items()}
+              for b in vs)
+        ok = all(_product(g, lhs, d) == _product(g, rhs, d) for g in gs)
+    return {"check": "yang-baxter", "u": u, "v": v, "ok": ok}
 
 
 def check_unitarity(shared: Shared, qs: QSample, u: Fraction):

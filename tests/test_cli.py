@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import cli, jimbo, liealg, tpg
+from twistr import cli, jimbo, liealg, qrep, tensor, tpg
 from twistr.cli import SCHEMA, main
 from twistr.scalars import BracketProduct, PoleError, QSample
 from twistr.tensor import DecompositionError
@@ -247,6 +247,49 @@ class TestVerify:
         assert code == 1 and not stages["decomposition"]["ok"]
         assert len(stages["decomposition"]["components"]) == (
             2 if change == "dropped" else 3)
+
+    def test_quantum_relations_failing_at_second_w_fail_the_stage(
+            self, tmp_path, monkeypatch):
+        """The relations stage checks the quantum relations at every sampled
+        w: a failure at the second sample's w alone fails it."""
+        rng = random.Random(7)   # the draws of cmd_verify: w, u, v per sample
+        ws = [(jimbo.sample_w(rng), jimbo.sample_u(rng),
+               jimbo.sample_u(rng))[0] for _ in range(2)]
+        assert ws[0] != ws[1]
+        real = qrep.check_quantum_relations
+
+        def failing_at_second_w(rep, qs):
+            report = real(rep, qs)
+            if qs.w == ws[1]:
+                report.append({"relation": "injected", "ok": False})
+            return report
+
+        monkeypatch.setattr(qrep, "check_quantum_relations",
+                            failing_at_second_w)
+        code, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
+                        "--seed", "7", "--samples", "2")
+        stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+        assert code == 1 and stages["relations"]["failures"] == ["injected"]
+        assert all(s["ok"] for name, s in stages.items() if name != "relations")
+
+    def test_flipped_classical_sign_fails_the_parity_stage(self, tmp_path,
+                                                           monkeypatch):
+        """The parity stage compares the signs of Rcheck(0) with the graph
+        parities and with the classical psi^2 signs: one classical sign
+        flipped fails it alone."""
+        real = tensor.classical_parity_signs
+
+        def flipped(rep):
+            signs = real(rep)
+            nu = min(signs)
+            return {**signs, nu: -signs[nu]}
+
+        monkeypatch.setattr(tensor, "classical_parity_signs", flipped)
+        code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
+                        "--seed", "7", "--samples", "1")
+        stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
+        assert code == 1 and not stages["parity"]["ok"]
+        assert all(s["ok"] for name, s in stages.items() if name != "parity")
 
     @staticmethod
     def _closed_form_mismatch(tmp_path, monkeypatch, corrupt):

@@ -172,6 +172,21 @@ class TestKacGenerators:
         report = liealg.check_classical_relations(gens, spec)
         assert any(not r["ok"] for r in report)
 
+    def test_cartan_entry_off_by_one_fails_serre(self, monkeypatch):
+        """Negative control: with every Cartan entry a_ij (i != j) one too
+        large, the Serre degree 1 - a_ij is one too small and both Serre
+        relations fail, while the others hold."""
+        spec = family_spec("a2even", 2)
+        gens = liealg.kac_generators(spec)
+        real = liealg.FamilySpec.cartan
+        monkeypatch.setattr(liealg.FamilySpec, "cartan",
+                            lambda self, i, j: real(self, i, j) + 1)
+        report = liealg.check_classical_relations(gens, spec)
+        bad = [r["relation"] for r in report if not r["ok"]]
+        assert any(name.startswith("(ad E") for name in bad)
+        assert any(name.startswith("(ad F") for name in bad)
+        assert all(name.startswith("(ad ") for name in bad)
+
     @pytest.mark.parametrize("family,l", GRID)
     def test_matches_dense_oracle(self, family, l):
         """Clean, and with one entry of E_0, F_l or E_1 (l >= 2) changed,

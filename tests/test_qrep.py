@@ -1,11 +1,13 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 
 from twistr import linalg, qrep
-from twistr.liealg import eps, family_spec, inner, wscale
+from twistr.liealg import eps, family_spec, inner, wadd, wscale
 from twistr.scalars import QSample
+from twistr.tensor import coproduct_action
 
 import oracles
 from conftest import GRID, seed_rep
@@ -75,6 +77,32 @@ class TestQuantumRelations:
                      if r["relation"] == "[h1,e1] weight shift")
         shift = inner(rep.spec.alpha[1], rep.spec.alpha[1])
         assert not entry["ok"] and entry["residual"] == {0: {0: -shift}}
+
+    def test_q_serre_coefficients_matter_on_the_tensor_square(
+            self, monkeypatch):
+        """Negative control.  On the seed reps each term of every q-Serre
+        sum vanishes alone, so no coefficient is tested there.  On V (x) V,
+        with D(e_i) and D(f_i), the terms cancel only with the q-divided
+        coefficients: classical factorials in place of q-factorials fail
+        q-Serre entries."""
+        rep = seed_rep("a2even", 2)
+        qs = QSample(Fraction(3, 2))
+        gens = {kind: tuple(coproduct_action(rep, kind, i, qs)
+                            for i in range(rep.spec.l + 1)) for kind in "ef"}
+        square = dataclasses.replace(
+            rep, dim=rep.dim ** 2, e=gens["e"], f=gens["f"],
+            weights=tuple(wadd(a, b) for a in rep.weights
+                          for b in rep.weights))
+
+        def serre_failures():
+            return [r["relation"]
+                    for r in qrep.check_quantum_relations(square, qs)
+                    if r["relation"].startswith("q-Serre") and not r["ok"]]
+
+        assert not serre_failures()
+        monkeypatch.setattr(qrep, "qfactorial",
+                            lambda n, q: math.factorial(n))
+        assert serre_failures()
 
     def test_build_refuses_broken_seed(self, monkeypatch):
         """Negative control: the same diagonal entry in the spinor's e_1

@@ -110,3 +110,17 @@ def test_bench_pairs_summary():
     assert out["ok_ratio"]["change_wins"] == 1
     one = module.summarize(pairs[:1], metrics)["pass_ref"]
     assert one["parent_quartiles"] == [2.0, 2.0]
+
+
+def test_mutation_gate_lines_exist():
+    """Every mutation of scripts/mutation_gate.py names a line that occurs
+    exactly once in src/twistr, in the file it names, and changes it; the
+    gate itself is not run."""
+    module = load("mutation_gate")
+    src = SCRIPTS.parent / "src" / "twistr"
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    names = [name for *_, name in module.MUTATIONS]
+    assert len(set(names)) == len(names)
+    for path, line, replacement, name in module.MUTATIONS:
+        assert sum(t.split("\n").count(line) for t in texts.values()) == 1, name
+        assert module.mutated(texts[path], line, replacement) != texts[path]
