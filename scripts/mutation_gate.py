@@ -6,22 +6,22 @@ Each entry of MUTATIONS is (a file of src/twistr, one exact source line of
 it, the line that replaces it, the certificate that the replacement
 disables or weakens).  For each entry the repository is copied (without
 .git and caches) to a temporary directory, the line is replaced there, and
-``pytest -x -q`` runs on the copy.  The mutation is killed when a test
-fails, and the first failing test is printed; it survives when every test
-passes.  ``tests/test_golden.py`` runs last, so a semantic test is the one
-printed whenever one kills the mutation.  The checkout itself is never
-modified.
+``pytest -x -q`` runs on the copy.  The mutation is killed when pytest
+exits 1 with a FAILED test, and the first failing test is printed; it
+survives when every test passes.  Any other outcome (a collection or setup
+ERROR, an interrupted or internal pytest error, no tests collected) is an
+error of the gate, not a kill.  ``tests/test_golden.py`` runs last, so a
+semantic test is the one printed whenever one kills the mutation.  The
+checkout itself is never modified.
 
 A run takes one Tier-1 run per mutation at most, so the gate is not part of
 Tier-1.  ``tests/test_scripts.py`` checks that every listed line occurs
-exactly once in src/twistr, so the list cannot rot silently.  Only the
-standard library is used.  The exit code is 1 if any mutation survives.
+exactly once in src/twistr and that each mutated file still compiles, so the
+list cannot rot silently.  Only the standard library is used.  The exit code
+is 1 unless every mutation is killed.
 
 Usage:
-    python3 scripts/mutation_gate.py [SUBSTRING ...]
-
-With arguments, only the mutations whose certificate names contain one of
-them are run.
+    python3 scripts/mutation_gate.py
 """
 
 import os
@@ -111,7 +111,8 @@ def _ignored(directory, names):
 
 
 def run_one(path, line, replacement):
-    """(killed, the first failing test or the summary line, seconds)."""
+    """("killed", "survived" or "error"; the first failing test or the
+    summary line; seconds)."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_ignored)
@@ -128,23 +129,24 @@ def run_one(path, line, replacement):
         seconds = time.perf_counter() - start
     lines = proc.stdout.splitlines()
     failed = [x.split(" - ")[0].split(" ", 1)[1] for x in lines
-              if x.startswith(("FAILED ", "ERROR "))]
-    summary = failed[0] if failed else (lines[-1] if lines else proc.stderr)
-    return proc.returncode != 0, summary, seconds
+              if x.startswith("FAILED ")]
+    if proc.returncode == 1 and failed:
+        return "killed", failed[0], seconds
+    summary = lines[-1] if lines else proc.stderr.strip()
+    if proc.returncode == 0:
+        return "survived", summary, seconds
+    return "error", f"pytest exit {proc.returncode}: {summary}", seconds
 
 
-def main(wanted):
-    survivors = 0
+def main():
+    unkilled = 0
     for path, line, replacement, name in MUTATIONS:
-        if wanted and not any(w in name for w in wanted):
-            continue
-        killed, summary, seconds = run_one(path, line, replacement)
-        survivors += not killed
-        status = "killed  " if killed else "SURVIVED"
-        print(f"{status} {name} ({path}, {seconds:.0f} s): {summary}",
+        status, summary, seconds = run_one(path, line, replacement)
+        unkilled += status != "killed"
+        print(f"{status:8} {name} ({path}, {seconds:.0f} s): {summary}",
               flush=True)
-    return 1 if survivors else 0
+    return 0 if unkilled == 0 else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -251,23 +251,24 @@ class TestVerify:
     def test_quantum_relations_failing_at_second_w_fail_the_stage(
             self, tmp_path, monkeypatch):
         """The relations stage checks the quantum relations at every sampled
-        w: a failure at the second sample's w alone fails it."""
-        rng = random.Random(7)   # the draws of cmd_verify: w, u, v per sample
-        ws = [(jimbo.sample_w(rng), jimbo.sample_u(rng),
-               jimbo.sample_u(rng))[0] for _ in range(2)]
-        assert ws[0] != ws[1]
+        w: a failure at the second sample's w alone fails it.  A second
+        sample adds one call to a one-sample run, and that call fails."""
         real = qrep.check_quantum_relations
+        calls, fail_at = [], []
 
-        def failing_at_second_w(rep, qs):
+        def counted(rep, qs):
+            calls.append(qs.w)
             report = real(rep, qs)
-            if qs.w == ws[1]:
+            if len(calls) in fail_at:
                 report.append({"relation": "injected", "ok": False})
             return report
 
-        monkeypatch.setattr(qrep, "check_quantum_relations",
-                            failing_at_second_w)
-        code, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
-                        "--seed", "7", "--samples", "2")
+        monkeypatch.setattr(qrep, "check_quantum_relations", counted)
+        args = ["verify", "--family", "a2even", "--l", "1", "--seed", "7"]
+        assert run(tmp_path, *args, "--samples", "1")[0] == 0
+        fail_at.append(len(calls) + 1)
+        calls.clear()
+        code, out = run(tmp_path, *args, "--samples", "2")
         stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
         assert code == 1 and stages["relations"]["failures"] == ["injected"]
         assert all(s["ok"] for name, s in stages.items() if name != "relations")

@@ -114,8 +114,8 @@ def test_bench_pairs_summary():
 
 def test_mutation_gate_lines_exist():
     """Every mutation of scripts/mutation_gate.py names a line that occurs
-    exactly once in src/twistr, in the file it names, and changes it; the
-    gate itself is not run."""
+    exactly once in src/twistr, in the file it names, and changes it into a
+    file that still compiles; the gate itself is not run."""
     module = load("mutation_gate")
     src = SCRIPTS.parent / "src" / "twistr"
     texts = {p.name: p.read_text() for p in src.glob("*.py")}
@@ -123,4 +123,6 @@ def test_mutation_gate_lines_exist():
     assert len(set(names)) == len(names)
     for path, line, replacement, name in module.MUTATIONS:
         assert sum(t.split("\n").count(line) for t in texts.values()) == 1, name
-        assert module.mutated(texts[path], line, replacement) != texts[path]
+        text = module.mutated(texts[path], line, replacement)
+        assert text != texts[path], name
+        compile(text, path, "exec")
