@@ -77,10 +77,13 @@ MUTATIONS = [
      "        agree = all(rho[nu] == closed[nu]",
      "eigenvalue stage: same components"),
     ("qrep.py",
-     '                report.append(relation_entry(f"q-Serre {tag}{i},'
-     '{tag}{j}", total))',
-     "                pass",
+     "        report.append(relation_entry(name, total))",
+     "        pass",
      "q-Serre relations"),
+    ("qrep.py",
+     "        qints = _q_integers(qs, rep.h[i] + (m,))",
+     "        qints = _q_integers(QSample(Q(2)), rep.h[i] + (m,))",
+     "[e_i,f_i] target at the sampled q"),
     ("liealg.py",
      '            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x))',
      "            pass",

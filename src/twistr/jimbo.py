@@ -153,21 +153,11 @@ class ComponentSystem:
     e0_split: tuple    # (X, Y), D^u(e0) = u X + Y, scaled by one integer
 
 
-def _denominator(*vs):
-    """The lcm of the denominators of the sparse vectors vs."""
-    return math.lcm(*(x.denominator for v in vs for x in v.values()))
-
-
-def _scaled(v, d):
-    """d * v for a multiple d of every denominator of the sparse vector v."""
-    return {j: x.numerator * (d // x.denominator) for j, x in v.items()}
-
-
 def _integral(*ms):
     """[d * m for m in ms] for d the lcm of all the denominators of the
     sparse matrices ms."""
-    d = _denominator(*(row for m in ms for row in m.values()))
-    return [{i: _scaled(row, d) for i, row in m.items()} for m in ms]
+    d = linalg.denominator(*(row for m in ms for row in m.values()))
+    return [{i: linalg.scaled(row, d) for i, row in m.items()} for m in ms]
 
 
 def component_system(shared, qs: QSample) -> ComponentSystem:
@@ -186,10 +176,10 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
         inv = linalg.invert([[basis[k].get(p, Q(0)) for k in ks] for p in idxs])
         for k, row in zip(ks, inv):
             dual[k] = {p: y for p, y in zip(idxs, row) if y}
-    scale = math.lcm(*(_denominator(b) * _denominator(d)
+    scale = math.lcm(*(linalg.denominator(b) * linalg.denominator(d)
                        for b, d in zip(basis, dual)))
-    terms = [(n, _scaled(b, scale // _denominator(d)),
-              _scaled(d, _denominator(d)))
+    terms = [(n, linalg.scaled(b, scale // linalg.denominator(d)),
+              linalg.scaled(d, linalg.denominator(d)))
              for n, b, d in zip(comp_of, basis, dual)]
 
     def coords(cols, v):
@@ -241,8 +231,8 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     integers as N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
     system = shared.components(qs)
     c = dict(enumerate(_solve_scalars(system, u)))
-    cd = _denominator(c)
-    c = _scaled(c, cd)
+    cd = linalg.denominator(c)
+    c = linalg.scaled(c, cd)
     acc = {}      # cd * scale * Rcheck = sum of c_nu(k) * b_k d_k^T
     for n, b, dk in system.terms:
         for p, x in b.items():
@@ -391,9 +381,8 @@ def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
         t = {x: linalg.sparse_transpose(n) for x, n in ns.items()}
         lhs = ((t[u], True), (t[u * v], False), (t[v], True))
         rhs = ((t[v], False), (t[u * v], True), (t[u], False))
-        vs = (c.basis[0] for c in shared.decomposition(qs).components)
-        gs = ({p * d + low: y for p, y in _scaled(b, _denominator(b)).items()}
-              for b in vs)
+        gs = ({p * d + low: y for p, y in basis[0].items()}
+              for basis in shared.decomposition(qs).integer_bases)
         ok = all(_product(g, lhs, d) == _product(g, rhs, d) for g in gs)
     return {"check": "yang-baxter", "u": u, "v": v, "ok": ok}
 

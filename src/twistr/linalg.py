@@ -14,6 +14,7 @@ follows the nonzeros, not the number of columns.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q = Fraction
@@ -135,6 +136,17 @@ def sparse_vector(v):
 
 def sparse(m):
     return {i: r for i, r in enumerate(map(sparse_vector, m)) if r}
+
+
+def denominator(*vs):
+    """The lcm of the denominators of the sparse vectors vs."""
+    return math.lcm(*(x.denominator for v in vs for x in v.values()))
+
+
+def scaled(v, d):
+    """d * v in ints, for a multiple d of every denominator of the sparse
+    vector v."""
+    return {j: x.numerator * (d // x.denominator) for j, x in v.items()}
 
 
 def sparse_identity(n, c=Q(1)):

@@ -12,7 +12,12 @@ stored once as ``linalg`` sparse matrices, which is the only form the
 relation checker, the coproducts and the rep export read.
 
 Undeformedness is a claim under test: build_seed_rep runs the checker at a
-sample w and aborts if any relation fails.
+sample w and aborts if any relation fails.  The checker's q-independent
+part (the h_i eigenvalue table, the weight shifts, the [e_i, f_j] for
+i != j, the classical commutators [e_i, f_i] with their gauge magnitudes,
+and the words of every q-Serre sum) is built once per Representation, on
+its first check, and every later sample computes only the [e_i, f_i]
+targets and the q-Serre sums with their coefficients.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import liealg, linalg
 from .liealg import FamilySpec, inner, relation_entry
@@ -41,13 +47,27 @@ class Representation:
     f: tuple                       # sparse f_0..f_l
     weights: tuple                 # weight of each basis vector
 
+    @cached_property
+    def h(self):
+        """h[i][p] = (weight_p, alpha_i), the eigenvalue of h_i on basis
+        vector p."""
+        return tuple(tuple(inner(mu, alpha) for mu in self.weights)
+                     for alpha in self.spec.alpha)
+
+    @cached_property
+    def relations(self):
+        """The q-independent ``RelationData`` of the quantum relations,
+        built on first read and kept for every later sample."""
+        return _relation_data(self)
+
     def h_eig(self, i, p):
         """Eigenvalue of h_i on basis vector p: (weight_p, alpha_i)."""
-        return inner(self.weights[p], self.spec.alpha[i])
+        return self.h[i][p]
 
     def qh_half_diag(self, i, qs: QSample):
-        """Diagonal of q^{h_i / 2}."""
-        return [qs.q_pow(Q(self.h_eig(i, p), 2)) for p in range(self.dim)]
+        """Diagonal of q^{h_i / 2}, one q-power per distinct eigenvalue."""
+        power = {x: qs.q_pow(Q(x, 2)) for x in set(self.h[i])}
+        return [power[x] for x in self.h[i]]
 
 
 def _weights_from_h_diagonals(spec: FamilySpec, hdiags):
@@ -145,6 +165,16 @@ def _build_spinor(spec: FamilySpec):
 # Quantum relation checker
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class RelationData:
+    """The q-independent part of the quantum relations of one rep: every
+    product of generators they read, built once by ``Representation``."""
+    shifts: tuple      # (name, residual) of each [h_i, x_j] weight shift
+    brackets: tuple    # (i, j, e_i f_j - f_j e_i) for every i, j
+    magnitudes: tuple  # the gauge magnitude m of each i
+    serre: tuple       # (name, i, m, words): x_i^(m-k) x_j x_i^k, k = 0..m
+
+
 def _weight_shift_residual(x, hdiag, shift):
     """The entries x[p][r] * (h(p) - h(r) - shift) of [h, x] - shift * x for
     the diagonal h and the sparse x, over the nonzeros of x."""
@@ -157,54 +187,34 @@ def _weight_shift_residual(x, hdiag, shift):
     return out
 
 
-def check_quantum_relations(rep: Representation, qs: QSample):
-    """Exact check of all defining relations of U_q at the sample q = w**4.
-
-    Covers Cartan commutators (as weight shifts), the [e_i, f_j] relation and
-    the quantum Serre relations with q-divided powers, each as a sparse
-    residual that is empty exactly when the relation holds.
-    """
-    spec = rep.spec
+def _relation_data(rep: Representation) -> RelationData:
+    """The weight shifts and the [e_i, f_j] for i != j as finished
+    residuals, the classical commutators [e_i, f_i] with their gauge
+    magnitudes, and the words of each q-Serre sum.  Raises
+    RepresentationError on a non-integer Cartan entry."""
+    spec, h = rep.spec, rep.h
     l, dim = spec.l, rep.dim
-    q = qs.q
-    report = []
-    hdiag = [[rep.h_eig(i, p) for p in range(dim)] for i in range(l + 1)]
+    shifts = []
     for i in range(l + 1):
         for x, tag in ((rep.e, "e"), (rep.f, "f")):
             for j in range(l + 1):
                 aij = inner(spec.alpha[i], spec.alpha[j])
                 shift = aij if tag == "e" else -aij
-                report.append(relation_entry(
-                    f"[h{i},{tag}{j}] weight shift",
-                    _weight_shift_residual(x[j], hdiag[i], shift)))
-
+                shifts.append((f"[h{i},{tag}{j}] weight shift",
+                               _weight_shift_residual(x[j], h[i], shift)))
+    brackets = tuple((i, j, linalg.sparse_commutator(rep.e[i], rep.f[j]))
+                     for i in range(l + 1) for j in range(l + 1))
+    # The stored matrices are the classical (q-independent) ones; they
+    # realize the quantum relation after the reciprocal gauge e_i -> e_i,
+    # f_i -> ([m]_q / m) f_i, where m is the common magnitude of the nonzero
+    # h_i eigenvalues.  All uses of the generators downstream are
+    # homogeneous in each f_i, so the gauge factor is the faithful target.
+    magnitudes = []
     for i in range(l + 1):
-        for j in range(l + 1):
-            ef = linalg.sparse_mul(rep.e[i], rep.f[j])
-            fe = linalg.sparse_mul(rep.f[j], rep.e[i])
-            if i == j:
-                # The stored matrices are the classical (q-independent) ones;
-                # they realize the quantum relation after the reciprocal gauge
-                # e_i -> e_i, f_i -> ([m]_q / m) f_i, where m is the common
-                # magnitude of the nonzero h_i eigenvalues.  All uses of the
-                # generators downstream are homogeneous in each f_i, so the
-                # gauge factor is the faithful target here.
-                mags = {abs(hdiag[i][p]) for p in range(dim)} - {0}
-                m = max(mags) if len(mags) == 1 else Q(1)
-                gauge = ((qs.q_pow(m) - qs.q_pow(-m)) / (q - 1 / q)) / m
-                tgt = {p: {p: (qs.q_pow(h) - qs.q_pow(-h)) / (q - 1 / q)}
-                       for p, h in enumerate(hdiag[i]) if h}
-                residual = linalg.sparse_lincomb(
-                    ((gauge, ef), (-gauge, fe), (-1, tgt)))
-                name = f"[e{i},f{i}] (gauge [{m}]/{m})"
-            else:
-                residual = linalg.sparse_lincomb(((1, ef), (-1, fe)))
-                name = f"[e{i},f{j}]"
-            report.append(relation_entry(name, residual))
-
-    coeffs = {}
+        mags = {abs(x) for x in h[i]} - {0}
+        magnitudes.append(max(mags) if len(mags) == 1 else Q(1))
+    serre = []
     for i in range(l + 1):
-        qi = qs.q_pow(Q(inner(spec.alpha[i], spec.alpha[i]), 2))
         powers = {tag: [linalg.sparse_identity(dim), x[i]]
                   for x, tag in ((rep.e, "e"), (rep.f, "f"))}
         for j in range(l + 1):
@@ -215,17 +225,62 @@ def check_quantum_relations(rep: Representation, qs: QSample):
                 raise RepresentationError(
                     f"Cartan entry a[{i}][{j}] = {aij} is not an integer")
             m = 1 - int(aij)
-            if (m, qi) not in coeffs:
-                coeffs[m, qi] = [
-                    Q((-1) ** k) / (qfactorial(m - k, qi) * qfactorial(k, qi))
-                    for k in range(m + 1)]
             for x, tag in ((rep.e, "e"), (rep.f, "f")):
                 pw = powers[tag]
                 while len(pw) <= m:
                     pw.append(linalg.sparse_mul(x[i], pw[-1]))
-                total = linalg.sparse_lincomb(
-                    (c, linalg.sparse_mul(pw[m - k],
-                                          linalg.sparse_mul(x[j], pw[k])))
-                    for k, c in enumerate(coeffs[m, qi]))
-                report.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}", total))
+                words = [linalg.sparse_mul(pw[m - k],
+                                           linalg.sparse_mul(x[j], pw[k]))
+                         for k in range(m + 1)]
+                serre.append((f"q-Serre {tag}{i},{tag}{j}", i, m, words))
+    return RelationData(tuple(shifts), brackets, tuple(magnitudes),
+                        tuple(serre))
+
+
+def _q_integers(qs: QSample, hs):
+    """{h: [h]_q} for the distinct values h of hs, one q-power per |h|."""
+    out = {}
+    for a in {abs(h) for h in hs}:
+        p = qs.q_pow(a)
+        out[a] = (p - 1 / p) / (qs.q - 1 / qs.q)
+        out[-a] = -out[a]
+    return out
+
+
+def check_quantum_relations(rep: Representation, qs: QSample):
+    """Exact check of all defining relations of U_q at the sample q = w**4.
+
+    Covers Cartan commutators (as weight shifts), the [e_i, f_j] relation and
+    the quantum Serre relations with q-divided powers, each as a sparse
+    residual that is empty exactly when the relation holds.
+
+    Only the q-dependent part is computed here: the [e_i, f_i] residual
+    gauge * [e_i, f_i] - [h_i]_q and the q-Serre sums with their
+    coefficients.  The weight shifts, the [e_i, f_j] for i != j, the
+    classical commutators [e_i, f_i] and the q-Serre words do not depend on
+    q; they are built once per rep (``Representation.relations``).
+    """
+    data = rep.relations
+    report = [relation_entry(name, r) for name, r in data.shifts]
+    for i, j, comm in data.brackets:
+        if i != j:
+            report.append(relation_entry(f"[e{i},f{j}]", comm))
+            continue
+        m = data.magnitudes[i]
+        qints = _q_integers(qs, rep.h[i] + (m,))
+        tgt = {p: {p: qints[x]} for p, x in enumerate(rep.h[i]) if x}
+        residual = linalg.sparse_lincomb(((qints[m] / m, comm), (-1, tgt)))
+        report.append(relation_entry(f"[e{i},f{i}] (gauge [{m}]/{m})",
+                                     residual))
+
+    qis = [qs.q_pow(Q(inner(a, a), 2)) for a in rep.spec.alpha]
+    coeffs = {}
+    for name, i, m, words in data.serre:
+        qi = qis[i]
+        if (m, qi) not in coeffs:
+            fact = [qfactorial(k, qi) for k in range(m + 1)]
+            coeffs[m, qi] = [Q((-1) ** k) / (fact[m - k] * fact[k])
+                             for k in range(m + 1)]
+        total = linalg.sparse_lincomb(zip(coeffs[m, qi], words))
+        report.append(relation_entry(name, total))
     return report

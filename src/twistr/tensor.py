@@ -8,9 +8,10 @@ their bases in one shared row space, so reaching rank dim V ** 2 certifies
 that the bases together form a basis of V (x) V.  An operator M then equals
 sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
-checks without forming a projector or an inverse.  The decomposition keeps
-the product weights, the weight blocks and the raising and lowering actions
-it was built from, for the solve to reuse.
+checks without forming a projector or an inverse, on the basis vectors
+scaled to integers.  The decomposition keeps the product weights, the
+weight blocks and the raising and lowering actions it was built from, for
+the solve to reuse.
 
 The classical parity oracle builds no operator: it reads the Sym^2 / Alt^2
 sign of each component off V's character (``classical_parity_signs``).
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import branching, linalg
 from .liealg import doubled, is_dominant, wadd
@@ -92,6 +94,13 @@ class IsotypicDecomposition:
     raising: list        # the actions of e_1..e_l and f_1..f_l the
     lowering: list       # decomposition was built from
 
+    @cached_property
+    def integer_bases(self):
+        """Each component's adapted basis, every vector scaled to integers
+        by the lcm of its denominators."""
+        return [[linalg.scaled(v, linalg.denominator(v)) for v in c.basis]
+                for c in self.components]
+
 
 def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     """Isotypic decomposition of V (x) V, V = rep, under the quantum fixed
@@ -155,20 +164,24 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
 def component_scalars(dec: IsotypicDecomposition, M):
     """{nu: c} where the sparse operator M acts on every adapted basis vector
     of V0(nu) as the scalar c; raises DecompositionError if M is not scalar
-    on a component."""
+    on a component.  M is applied to the integer-scaled bases, so for an
+    integer M the work is in ints: M v == (a / b) v is tested as
+    b * (M v) == a * v, and each c is one Fraction a / b."""
     cols = linalg.sparse_transpose(M)
     out = {}
-    for comp in dec.components:
-        c = None
-        for v in comp.basis:
+    for comp, basis in zip(dec.components, dec.integer_bases):
+        a = None
+        for v in basis:
             image = linalg.sparse_mat_vec(cols, v)
-            if c is None:
+            if a is None:
                 p = min(v)
-                c = image.get(p, 0) / v[p]
-            if image != ({j: c * x for j, x in v.items()} if c else {}):
+                a, b = image.get(p, 0), v[p]
+            scalar = (image.keys() == v.keys() and all(
+                b * image[j] == a * x for j, x in v.items())) if a else not image
+            if not scalar:
                 raise DecompositionError(
                     f"operator is not scalar on component {comp.nu}")
-        out[comp.nu] = c
+        out[comp.nu] = Q(a, b)
     return out
 
 

@@ -3,8 +3,9 @@ dimension closed forms, the trace pairing, the Freudenthal weight multisets
 with the brute-force tensor and symmetric-square decompositions, the
 L-parent classes of a branching table, the swap, the opposite coproduct and
 the R-form three-site Yang-Baxter product, the spinor's affine pair by
-constraint solve, the dense classical and quantum relation checkers, and a
-bracket product expanded by gcd-reducing field arithmetic."""
+constraint solve, the dense classical and quantum relation checkers, the
+component scalars in Fractions, and a bracket product expanded by
+gcd-reducing field arithmetic."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
 from twistr.linalg import (commutator, identity, mat_add, mat_mul, mat_scale,
                            mat_sub, zeros)
 from twistr.scalars import RatFun, bracket, qfactorial
+from twistr.tensor import DecompositionError
 
 Q = Fraction
 
@@ -451,6 +453,29 @@ def check_quantum_relations(rep, qs):
                     total = mat_add(total, mat_scale(term, coeff))
                 report.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}", total))
     return report
+
+
+# ---------------------------------------------------------------------------
+# Component scalars in Fractions
+# ---------------------------------------------------------------------------
+
+def component_scalars(dec, M):
+    """Fraction reference for ``tensor.component_scalars``: M applied to
+    the adapted basis vectors as stored, each image compared with c * v."""
+    cols = linalg.sparse_transpose(M)
+    out = {}
+    for comp in dec.components:
+        c = None
+        for v in comp.basis:
+            image = linalg.sparse_mat_vec(cols, v)
+            if c is None:
+                p = min(v)
+                c = image.get(p, 0) / v[p]
+            if image != ({j: c * x for j, x in v.items()} if c else {}):
+                raise DecompositionError(
+                    f"operator is not scalar on component {comp.nu}")
+        out[comp.nu] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,31 @@ class TestVerify:
         assert code == 1 and stages["relations"]["failures"] == ["injected"]
         assert all(s["ok"] for name, s in stages.items() if name != "relations")
 
+    @pytest.mark.parametrize("samples", ["1", "3"])
+    def test_relation_data_built_once_per_verify(self, tmp_path, monkeypatch,
+                                                 samples):
+        """The q-independent relation data is built once per verify, at the
+        seed rep's own check, however many samples the relations stage
+        checks: each sample reuses it, with one more checker call."""
+        built, checked = [], []
+        build, check = qrep._relation_data, qrep.check_quantum_relations
+
+        def counted_build(rep):
+            built.append(rep)
+            return build(rep)
+
+        def counted_check(rep, qs):
+            checked.append(rep)
+            return check(rep, qs)
+
+        monkeypatch.setattr(qrep, "_relation_data", counted_build)
+        monkeypatch.setattr(qrep, "check_quantum_relations", counted_check)
+        code, _ = run(tmp_path, "verify", "--family", "a2odd", "--l", "3",
+                      "--seed", "7", "--samples", samples)
+        assert code == 0
+        assert len(checked) == 1 + int(samples)
+        assert len(built) == 1 and all(r is built[0] for r in checked)
+
     def test_flipped_classical_sign_fails_the_parity_stage(self, tmp_path,
                                                            monkeypatch):
         """The parity stage compares the signs of Rcheck(0) with the graph

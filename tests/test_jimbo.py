@@ -12,6 +12,7 @@ from twistr.tensor import DecompositionError
 from conftest import YBE_CASES, seed_rep, seed_shared
 from full_solve import (full_solve, kernel_from_rowspace, product_weights,
                         top_index)
+import oracles
 from oracles import (bump, opposite_coproduct, permutation_operator,
                      ybe_residual_entries)
 
@@ -277,6 +278,30 @@ def corrupt_solve(shared, qs, x):
     N[p0][p0] += res.D
     N[p0][q] = res.D
     shared._memo[("solve", qs.w, x)] = dataclasses.replace(res, N=N)
+
+
+def scalars_or_error(scalars, dec, m):
+    """scalars(dec, m), or the message of the DecompositionError it raises."""
+    try:
+        return scalars(dec, m)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
+def test_component_scalars_match_fraction_reference(ybe_case, qs, corrupt):
+    """The integer component scalars agree with the Fraction reference on
+    N(0) and N(u), clean and corrupted by ``corrupt_solve``: the same dict,
+    or the same refusal."""
+    shared = seed_shared(*ybe_case)
+    dec = shared.decomposition(qs)
+    for x in (Q(0), Q(3, 7)):
+        if corrupt:
+            corrupt_solve(shared, qs, x)
+        n = shared.solve(qs, x).N
+        got = scalars_or_error(tensor.component_scalars, dec, n)
+        assert got == scalars_or_error(oracles.component_scalars, dec, n)
+        assert isinstance(got, str) == corrupt
 
 
 def rescale_solve(shared, qs, x, k):

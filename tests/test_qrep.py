@@ -104,6 +104,42 @@ class TestQuantumRelations:
                             lambda n, q: math.factorial(n))
         assert serre_failures()
 
+    @pytest.mark.parametrize("family,l", [("a2even", 2), ("a2odd", 3),
+                                          ("d2", 2)],
+                             ids=["a2even-l2", "a2odd-l3", "d2-l2"])
+    def test_bracket_target_follows_the_sample(self, family, l):
+        """Negative control for the per-sample [e_i, f_i] target.  On the
+        seeds the gauged target holds at every q, so a target evaluated at
+        one fixed q would pass there.  The tensor square with D(e_i) and
+        D(g_i f_i), g_i = [m_i]_q / m_i, is a module of U_q at the q of its
+        own w only: one object passes at w, fails an [e_i, f_i] entry at
+        another w, and passes again at w."""
+        rep = seed_rep(family, l)
+        w, other = Q(3, 2), Q(-5, 7)
+        qs = QSample(w)
+        fs = []
+        for i in range(rep.spec.l + 1):
+            m = max(abs(x) for x in rep.h[i])
+            g = (qs.q_pow(m) - qs.q_pow(-m)) / (qs.q - 1 / qs.q) / m
+            fs.append(linalg.sparse_lincomb(
+                ((g, coproduct_action(rep, "f", i, qs)),)))
+        square = dataclasses.replace(
+            rep, dim=rep.dim ** 2,
+            e=tuple(coproduct_action(rep, "e", i, qs)
+                    for i in range(rep.spec.l + 1)),
+            f=tuple(fs),
+            weights=tuple(wadd(a, b) for a in rep.weights
+                          for b in rep.weights))
+
+        def failures(w):
+            return [r["relation"] for r in
+                    qrep.check_quantum_relations(square, QSample(w))
+                    if not r["ok"]]
+
+        assert not failures(w)
+        assert any(x.startswith("[e") for x in failures(other))
+        assert not failures(w)
+
     def test_build_refuses_broken_seed(self, monkeypatch):
         """Negative control: the same diagonal entry in the spinor's e_1
         makes build_seed_rep refuse the seed."""
@@ -196,3 +232,27 @@ class TestAgainstDenseOracle:
                 for r in oracles.check_quantum_relations(rep, qs)]
         assert got == want
         assert all(ok for _, ok in got) == (corrupt is None)
+
+    def test_relation_data_follows_the_object(self, grid_case):
+        """One rep checked at w = 2, -3/2 and 5/7 in turn gives the dense
+        oracle's verdicts at each.  A copy with a corrupted e_0, made after
+        the clean rep has built its q-independent relation data, fails with
+        the oracle's verdicts at each w: no product built for one object is
+        read for another."""
+        rep = qrep.build_seed_rep(family_spec(*grid_case))
+        ws = (Q(2), Q(-3, 2), Q(5, 7))
+
+        def verdicts(checker, rep, w):
+            return [(r["relation"], r["ok"])
+                    for r in checker(rep, QSample(w))]
+
+        for w in ws:
+            got = verdicts(qrep.check_quantum_relations, rep, w)
+            assert got == verdicts(oracles.check_quantum_relations, rep, w)
+            assert all(ok for _, ok in got)
+        assert "relations" in vars(rep)
+        broken = corrupted(rep, "e", 0)
+        for w in ws:
+            got = verdicts(qrep.check_quantum_relations, broken, w)
+            assert got == verdicts(oracles.check_quantum_relations, broken, w)
+            assert not all(ok for _, ok in got)
