@@ -10,9 +10,11 @@ disables or weakens).  For each entry the repository is copied (without
 exits 1 with a FAILED test, and the first failing test is printed; it
 survives when every test passes.  Any other outcome (a collection or setup
 ERROR, an interrupted or internal pytest error, no tests collected) is an
-error of the gate, not a kill.  ``tests/test_golden.py`` runs last, so a
-semantic test is the one printed whenever one kills the mutation.  The
-checkout itself is never modified.
+error of the gate, not a kill.  ``tests/test_golden.py`` and
+``tests/test_scripts.py`` run last, so a semantic test is the one printed
+whenever one kills the mutation: the first fails on any changed output, and
+the second on every mutated copy, whose listed line is gone.  The checkout
+itself is never modified.
 
 A run takes one Tier-1 run per mutation at most, so the gate is not part of
 Tier-1.  ``tests/test_scripts.py`` checks that every listed line occurs
@@ -34,6 +36,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+LAST = ("test_golden.py", "test_scripts.py")
+
 MUTATIONS = [
     ("jimbo.py",
      "        _is_module_map(shared, qs, n) for n in ns.values())",
@@ -48,7 +52,7 @@ MUTATIONS = [
      "    if not low:",
      "v_low certified unique"),
     ("jimbo.py",
-     "    equations = [(m, m) for m in system.fixed] + [",
+     "    equations = [(m, m) for m in shared.decomposition(qs).fixed] + [",
      "    equations = [",
      "solve_rmatrix fixed-subalgebra equations"),
     ("jimbo.py",
@@ -60,6 +64,14 @@ MUTATIONS = [
      "and all(",
      "        ok = all(",
      "spectral agreement: N(1) = D_1 I"),
+    ("tensor.py",
+     "        if not space.add(c.basis[0]):",
+     "        if not space.add(c.basis[0]) and False:",
+     "decompose: each highest weight vector outside the other components"),
+    ("tensor.py",
+     "    if space.dim != dim:",
+     "    if False:",
+     "decompose: adapted bases span V (x) V"),
     ("cli.py",
      "        ok = spectrum == graph_parities == classical",
      "        ok = spectrum == graph_parities",
@@ -122,7 +134,7 @@ def run_one(path, line, replacement):
         target = copy / "src" / "twistr" / path
         target.write_text(mutated(target.read_text(), line, replacement))
         tests = sorted((copy / "tests").glob("test_*.py"),
-                       key=lambda p: (p.name == "test_golden.py", p.name))
+                       key=lambda p: (p.name in LAST, p.name))
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         start = time.perf_counter()
         proc = subprocess.run(

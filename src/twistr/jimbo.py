@@ -21,9 +21,9 @@ full equations solves it, so its nullity 1, a nonzero top coefficient
 (normalized to 1: Rcheck is the identity on the top weight space) and the
 exact substitution of Rcheck into the full equations certify that Rcheck
 spans their null space.  The substitution is checked in integers, on N
-below, the integer-scaled D(x), X and Y and, for u = a / b, on a X + b Y
-and b X + a Y; the e0 identity holds at u = 0 too, so the parity solve is
-certified the same way.
+below, the decomposition's integer D(x), the integer-scaled X and Y and,
+for u = a / b, on a X + b Y and b X + a Y; the e0 identity holds at u = 0
+too, so the parity solve is certified the same way.
 
 Yang-Baxter is checked in its braid form on Rcheck, which touches only
 adjacent legs of V (x) V (x) V:
@@ -60,10 +60,10 @@ module-map argument).  That proves the sides equal by four steps:
    V (x) V (x) V is the sum of the V0(nu) (x) V, each generated by its g_nu.
 
 The check certifies each premise it reads at run time: every N preserves
-weight and commutes with the integer D(e_i), D(f_i) the solves' component
-system holds, and V has exactly one basis vector killed by every f_i while
-its weights are distinct, so the joint kernel of the f_i is one line and V
-(completely reducible at a generic q) is irreducible.  A failed premise
+weight and commutes with the integer D(e_i), D(f_i) of the decomposition
+the solves read, and V has exactly one basis vector killed by every f_i
+while its weights are distinct, so the joint kernel of the f_i is one line
+and V (completely reducible at a generic q) is irreducible.  A failed premise
 fails the check at once, and a g_nu on which the sides differ is an exact
 witness that the relation fails, so no path reads the three-site space
 beyond one vector per component.
@@ -140,30 +140,25 @@ def _swapped(m, d):
 
 @dataclass
 class ComponentSystem:
-    """The u-independent part of the solves at one w, with the adapted basis
-    b_k and its dual basis d_k (b_k . d_j = delta_kj) scaled to integers:
-    P_nu is the sum of b_k d_k^T over the k in component nu, divided by
-    ``scale``.  The integer-scaled D(x) and X, Y are the operators of the
-    certificate, and X, Y also give the small system's rows."""
+    """The u-independent part of the solves at one w: the decomposition's
+    own integer basis vectors b_k and their dual basis d_k (b_k . d_j =
+    delta_kj) times ``scale``, the lcm of its denominators, so P_nu is the
+    sum of b_k d_k^T over the k in component nu, divided by ``scale``.  The
+    integer-scaled X, Y give the small system's rows and, with the
+    decomposition's integer D(x), the operators of the certificate."""
     ncomp: int         # number of components
     scale: int
-    terms: list        # (component of k, b_k, d_k), integer
+    terms: list        # (component of k, b_k, scale * d_k), integer
     e0_rows: list      # (mu, nu, x_k, y_k) of each small-system row
-    fixed: list        # integer-scaled D(x), x = e_i, f_i (i >= 1)
     e0_split: tuple    # (X, Y), D^u(e0) = u X + Y, scaled by one integer
 
 
-def _integral(*ms):
-    """[d * m for m in ms] for d the lcm of all the denominators of the
-    sparse matrices ms."""
-    d = linalg.denominator(*(row for m in ms for row in m.values()))
-    return [{i: linalg.scaled(row, d) for i, row in m.items()} for m in ms]
-
-
 def component_system(shared, qs: QSample) -> ComponentSystem:
-    """Invert the adapted basis of ``shared.decomposition(qs)`` per weight
-    block (it is a basis of weight vectors, so each block is square) for
-    the dual basis and the coordinates of X v_nu and Y v_nu."""
+    """Invert the integer adapted basis of ``shared.decomposition(qs)`` per
+    weight block (it is a basis of weight vectors, so each block is square)
+    for the dual basis and the coordinates of X v_nu and Y v_nu.  Each
+    small-system row takes x_k and y_k in the same scaled coordinates, so
+    its null space is that of the unscaled rows."""
     dec = shared.decomposition(qs)
     basis = [v for comp in dec.components for v in comp.basis]
     comp_of = [n for n, comp in enumerate(dec.components) for _ in comp.basis]
@@ -173,14 +168,12 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
     dual = [None] * len(basis)
     for eta, idxs in dec.blocks.items():
         ks = in_block[eta]
-        inv = linalg.invert([[basis[k].get(p, Q(0)) for k in ks] for p in idxs])
+        inv = linalg.invert([[basis[k].get(p, 0) for k in ks] for p in idxs])
         for k, row in zip(ks, inv):
             dual[k] = {p: y for p, y in zip(idxs, row) if y}
-    scale = math.lcm(*(linalg.denominator(b) * linalg.denominator(d)
-                       for b, d in zip(basis, dual)))
-    terms = [(n, linalg.scaled(b, scale // linalg.denominator(d)),
-              linalg.scaled(d, linalg.denominator(d)))
-             for n, b, d in zip(comp_of, basis, dual)]
+    scale = linalg.denominator(*dual)
+    dual = [linalg.scaled(d, scale) for d in dual]
+    terms = list(zip(comp_of, basis, dual))
 
     def coords(cols, v):
         z = linalg.sparse_mat_vec(cols, v)
@@ -190,16 +183,14 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
     # D^u(e0) = u X + Y: Y = D^0(e0) and X = D^1(e0) - Y
     one, y = (coproduct_action(dec.rep, "e", 0, qs, u=Q(t)) for t in (1, 0))
-    x, y = _integral(linalg.sparse_lincomb(((1, one), (-1, y))), y)
+    x, y = linalg.integral(linalg.sparse_lincomb(((1, one), (-1, y))), y)
     xcols, ycols = linalg.sparse_transpose(x), linalg.sparse_transpose(y)
     e0_rows = []
     for nu, comp in enumerate(dec.components):
         xs, ys = coords(xcols, comp.basis[0]), coords(ycols, comp.basis[0])
         e0_rows += [(comp_of[k], nu, xs.get(k, 0), ys.get(k, 0))
                     for k in sorted(xs.keys() | ys.keys())]
-    return ComponentSystem(
-        len(dec.components), scale, terms, e0_rows,
-        [_integral(a)[0] for a in dec.raising + dec.lowering], (x, y))
+    return ComponentSystem(len(dec.components), scale, terms, e0_rows, (x, y))
 
 
 def _solve_scalars(system: ComponentSystem, u: Fraction):
@@ -245,7 +236,7 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
            if (row := {j: y // g for j, y in a.items() if y})}
     a, b = u.numerator, u.denominator
     x, y = system.e0_split
-    equations = [(m, m) for m in system.fixed] + [
+    equations = [(m, m) for m in shared.decomposition(qs).fixed] + [
         (linalg.sparse_lincomb(((a, x), (b, y))),
          linalg.sparse_lincomb(((b, x), (a, y))))]
     for lhs, rhs in equations:
@@ -345,17 +336,16 @@ def _lowest_index(rep):
 
 def _is_module_map(shared, qs, n):
     """True if the sparse N preserves weight and commutes with the integer
-    D(e_i), D(f_i) (i >= 1) of ``shared.components(qs)``: the premise under
-    which the cyclic vectors certify the braid relation.  Each solve
+    D(e_i), D(f_i) (i >= 1) of ``shared.decomposition(qs)``: the premise
+    under which the cyclic vectors certify the braid relation.  Each solve
     certifies the commutation too, but a check cannot tell a memoized N
     from one its solve certified."""
-    block = {p: k for k, idxs in
-             enumerate(shared.decomposition(qs).blocks.values())
-             for p in idxs}
+    dec = shared.decomposition(qs)
+    block = {p: k for k, idxs in enumerate(dec.blocks.values()) for p in idxs}
     if any(block[p] != block[j] for p, row in n.items() for j in row):
         return False
     return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)
-               for m in shared.components(qs).fixed)
+               for m in dec.fixed)
 
 
 def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
@@ -367,9 +357,9 @@ def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
     ``ok`` is True when the premise that makes the cyclic vectors a proof
     is certified (V has one lowest weight vector v_low, and each N preserves
     weight and commutes with D(e_i), D(f_i), i >= 1) and the sides agree on
-    every g_nu = v_nu (x) v_low, v_nu scaled to integers.  A failed premise
-    gives False at once; a g_nu where the sides differ is an exact witness
-    that the relation fails."""
+    every g_nu = v_nu (x) v_low, v_nu the decomposition's integer highest
+    weight vector.  A failed premise gives False at once; a g_nu where the
+    sides differ is an exact witness that the relation fails."""
     ns = {x: shared.solve(qs, x).N for x in (u, u * v, v)}
     low = _lowest_index(shared.rep)
     ok = low is not None and all(
@@ -381,8 +371,8 @@ def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
         t = {x: linalg.sparse_transpose(n) for x, n in ns.items()}
         lhs = ((t[u], True), (t[u * v], False), (t[v], True))
         rhs = ((t[v], False), (t[u * v], True), (t[u], False))
-        gs = ({p * d + low: y for p, y in basis[0].items()}
-              for basis in shared.decomposition(qs).integer_bases)
+        gs = ({p * d + low: y for p, y in comp.basis[0].items()}
+              for comp in shared.decomposition(qs).components)
         ok = all(_product(g, lhs, d) == _product(g, rhs, d) for g in gs)
     return {"check": "yang-baxter", "u": u, "v": v, "ok": ok}
 

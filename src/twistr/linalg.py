@@ -4,12 +4,13 @@ Dense list-of-lists of Fraction serve only the construction of a seed
 representation (the Kac matrices, the Jordan-Wigner products and the
 constraint solve for the spinor's affine pair) and the small per-weight-block
 or per-component eliminations.  Everything else is sparse:
-``{row: {col: Fraction}}`` holding only the nonzero entries (a sparse vector,
-such as an adapted basis vector, is one such ``{col: Fraction}``).  That
-covers the stored seed generators, the relation checks on them, and every
-operator on V (x) V -- the coproduct actions, the swap, R and its braided
-form.  ``RowSpace`` eliminates sparse rows incrementally, so its cost
-follows the nonzeros, not the number of columns.
+``{row: {col: x}}`` holding only the nonzero entries (a sparse vector, such
+as an adapted basis vector, is one such ``{col: x}``).  That covers the
+stored seed generators, the relation checks on them, and every operator on
+V (x) V -- the coproduct actions, the swap, R and its braided form.
+``RowSpace`` eliminates sparse rows incrementally, so its cost follows the
+nonzeros, not the number of columns.  Entries are Fraction or int; a pivot
+is inverted as Fraction(1, x), so integer input never yields a float.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def rref(mat):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
+        inv = Q(1, a[r][c])
         a[r] = [x * inv if x else x for x in a[r]]
         for i in range(m):
             if i != r and a[i][c]:
@@ -147,6 +148,13 @@ def scaled(v, d):
     """d * v in ints, for a multiple d of every denominator of the sparse
     vector v."""
     return {j: x.numerator * (d // x.denominator) for j, x in v.items()}
+
+
+def integral(*ms):
+    """[d * m for m in ms] in ints, for d the lcm of all the denominators of
+    the sparse matrices ms."""
+    d = denominator(*(row for m in ms for row in m.values()))
+    return [{i: scaled(row, d) for i, row in m.items()} for m in ms]
 
 
 def sparse_identity(n, c=Q(1)):
@@ -241,7 +249,7 @@ class RowSpace:
         if not v:
             return False
         piv = min(v)
-        inv = 1 / v[piv]
+        inv = Q(1, v[piv])
         v = {j: x * inv for j, x in v.items()}
         for row in self.rows.values():
             f = row.get(piv)

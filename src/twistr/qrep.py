@@ -60,10 +60,6 @@ class Representation:
         built on first read and kept for every later sample."""
         return _relation_data(self)
 
-    def h_eig(self, i, p):
-        """Eigenvalue of h_i on basis vector p: (weight_p, alpha_i)."""
-        return self.h[i][p]
-
     def qh_half_diag(self, i, qs: QSample):
         """Diagonal of q^{h_i / 2}, one q-power per distinct eigenvalue."""
         power = {x: qs.q_pow(Q(x, 2)) for x in set(self.h[i])}

@@ -8,10 +8,12 @@ their bases in one shared row space, so reaching rank dim V ** 2 certifies
 that the bases together form a basis of V (x) V.  An operator M then equals
 sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
-checks without forming a projector or an inverse, on the basis vectors
-scaled to integers.  The decomposition keeps the product weights, the
-weight blocks and the raising and lowering actions it was built from, for
-the solve to reuse.
+checks without forming a projector or an inverse.  ``decompose`` is the one
+place where V (x) V at a sample w is put into integers: it scales each
+D(e_i), D(f_i) (i >= 1) and each highest weight vector to integers once, so
+the lowerings are integer too (P_nu does not depend on how the basis
+vectors are scaled).  It keeps the product weights, the weight blocks and
+the integer D(e_i), D(f_i), and the solve and the checks read that one form.
 
 The classical parity oracle builds no operator: it reads the Sym^2 / Alt^2
 sign of each component off V's character (``classical_parity_signs``).
@@ -29,7 +31,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import branching, linalg
 from .liealg import doubled, is_dominant, wadd
@@ -81,8 +82,8 @@ def coproduct_action(rep: Representation, kind: str, i: int, qs: QSample,
 @dataclass
 class IsotypicComponent:
     nu: tuple
-    basis: list          # adapted basis of V0(nu) as sparse vectors,
-                         # highest weight vector first
+    basis: list          # adapted basis of V0(nu) as sparse integer
+                         # vectors, highest weight vector first
 
 
 @dataclass
@@ -91,15 +92,8 @@ class IsotypicDecomposition:
     weights: tuple       # weight of each product basis vector
     blocks: dict         # weight -> product basis indices of that weight
     components: list     # IsotypicComponent, sorted by weight desc
-    raising: list        # the actions of e_1..e_l and f_1..f_l the
-    lowering: list       # decomposition was built from
-
-    @cached_property
-    def integer_bases(self):
-        """Each component's adapted basis, every vector scaled to integers
-        by the lcm of its denominators."""
-        return [[linalg.scaled(v, linalg.denominator(v)) for v in c.basis]
-                for c in self.components]
+    fixed: list          # D(e_1)..D(e_l), D(f_1)..D(f_l), each scaled to
+                         # integers
 
 
 def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
@@ -114,12 +108,12 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     blocks = {}
     for p, w in enumerate(weights):
         blocks.setdefault(w, []).append(p)
-    raising = [coproduct_action(rep, "e", i, qs) for i in range(1, l + 1)]
-    lowering = [coproduct_action(rep, "f", i, qs) for i in range(1, l + 1)]
+    fixed = [linalg.integral(coproduct_action(rep, kind, i, qs))[0]
+             for kind in "ef" for i in range(1, l + 1)]
     # the nonzero columns of each stacked raising row, grouped by the weight
     # of the column: a weight block's kernel is read from its own group
     block_rows = {}
-    for k, m in enumerate(raising):
+    for k, m in enumerate(fixed[:l]):
         for r, row in m.items():
             for p, x in row.items():
                 block_rows.setdefault(weights[p], {}).setdefault(
@@ -128,18 +122,19 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     for eta, idxs in sorted(blocks.items(), reverse=True):
         if not is_dominant(l0type, eta):
             continue
-        rows = [[entries.get(p, Q(0)) for p in idxs]
+        rows = [[entries.get(p, 0) for p in idxs]
                 for _, entries in sorted(block_rows.get(eta, {}).items())]
         for vec in linalg.kernel_basis(rows, ncols=len(idxs)):
             if components and components[-1].nu == eta:
                 raise DecompositionError(f"multiplicity >= 2 at component {eta}")
+            top = {p: c for p, c in zip(idxs, vec) if c}
             components.append(IsotypicComponent(
-                eta, [{p: c for p, c in zip(idxs, vec) if c}]))
+                eta, [linalg.scaled(top, linalg.denominator(top))]))
     # generate each component by lowering from its highest weight vector,
     # keeping the vectors that enlarge the row space shared by all components
     dim = rep.dim ** 2
     space = linalg.RowSpace(dim)
-    lowering_cols = [linalg.sparse_transpose(m) for m in lowering]
+    lowering_cols = [linalg.sparse_transpose(m) for m in fixed[l:]]
     for c in components:
         if not space.add(c.basis[0]):
             raise DecompositionError(
@@ -157,21 +152,20 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     if space.dim != dim:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {dim}")
-    return IsotypicDecomposition(rep, weights, blocks, components, raising,
-                                 lowering)
+    return IsotypicDecomposition(rep, weights, blocks, components, fixed)
 
 
 def component_scalars(dec: IsotypicDecomposition, M):
     """{nu: c} where the sparse operator M acts on every adapted basis vector
     of V0(nu) as the scalar c; raises DecompositionError if M is not scalar
-    on a component.  M is applied to the integer-scaled bases, so for an
+    on a component.  The adapted basis vectors are integers, so for an
     integer M the work is in ints: M v == (a / b) v is tested as
     b * (M v) == a * v, and each c is one Fraction a / b."""
     cols = linalg.sparse_transpose(M)
     out = {}
-    for comp, basis in zip(dec.components, dec.integer_bases):
+    for comp in dec.components:
         a = None
-        for v in basis:
+        for v in comp.basis:
             image = linalg.sparse_mat_vec(cols, v)
             if a is None:
                 p = min(v)

@@ -258,7 +258,7 @@ def opposite_coproduct(rep, kind, i, qs, u=None):
     x = rep.e[i] if kind == "e" else rep.f[i]
     c = Q(1) if i != 0 or u is None else (u if kind == "e" else 1 / u)
     n = rep.dim
-    low = [qs.q_pow(-rep.h_eig(i, p) / 2) for p in range(n)]
+    low = [qs.q_pow(-rep.h[i][p] / 2) for p in range(n)]
     high = rep.qh_half_diag(i, qs)
     left = {a * n + b: {a2 * n + b: c * y * low[b] for a2, y in row.items()}
             for a, row in x.items() for b in range(n)}
@@ -408,13 +408,12 @@ def check_quantum_relations(rep, qs):
     e = [dense(m, dim) for m in rep.e]
     f = [dense(m, dim) for m in rep.f]
     report = []
-    hdiag = [[rep.h_eig(i, p) for p in range(dim)] for i in range(l + 1)]
     for i in range(l + 1):
         for x, tag in ((e, "e"), (f, "f")):
             for j in range(l + 1):
                 aij = inner(spec.alpha[i], spec.alpha[j])
                 shift = aij if tag == "e" else -aij
-                m = [[x[j][p][r] * (hdiag[i][p] - hdiag[i][r] - shift)
+                m = [[x[j][p][r] * (rep.h[i][p] - rep.h[i][r] - shift)
                       for r in range(dim)] for p in range(dim)]
                 report.append(relation_entry(f"[h{i},{tag}{j}] weight shift", m))
 
@@ -422,13 +421,13 @@ def check_quantum_relations(rep, qs):
         for j in range(l + 1):
             comm = commutator(e[i], f[j])
             if i == j:
-                mags = {abs(hdiag[i][p]) for p in range(dim)} - {0}
+                mags = {abs(rep.h[i][p]) for p in range(dim)} - {0}
                 m = max(mags) if len(mags) == 1 else Q(1)
                 gauge = ((qs.q_pow(m) - qs.q_pow(-m)) / (q - 1 / q)) / m
                 tgt = zeros(dim, dim)
                 for p in range(dim):
-                    tgt[p][p] = (qs.q_pow(hdiag[i][p])
-                                 - qs.q_pow(-hdiag[i][p])) / (q - 1 / q)
+                    tgt[p][p] = (qs.q_pow(rep.h[i][p])
+                                 - qs.q_pow(-rep.h[i][p])) / (q - 1 / q)
                 comm = mat_scale(comm, gauge)
                 name = f"[e{i},f{i}] (gauge [{m}]/{m})"
             else:
@@ -470,7 +469,7 @@ def component_scalars(dec, M):
             image = linalg.sparse_mat_vec(cols, v)
             if c is None:
                 p = min(v)
-                c = image.get(p, 0) / v[p]
+                c = Q(image.get(p, 0), v[p])
             if image != ({j: c * x for j, x in v.items()} if c else {}):
                 raise DecompositionError(
                     f"operator is not scalar on component {comp.nu}")

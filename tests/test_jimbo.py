@@ -93,13 +93,13 @@ class TestCertificates:
 
     def test_small_system_nullity_two_raises(self):
         # two components and no e0 rows: nothing ties c_1 to c_0
-        system = jimbo.ComponentSystem(2, 1, [], [], [], ({}, {}))
+        system = jimbo.ComponentSystem(2, 1, [], [], ({}, {}))
         with pytest.raises(jimbo.SolveError, match="nullity 2"):
             jimbo._solve_scalars(system, Q(2, 3))
 
     def test_zero_top_coefficient_raises(self):
         # X v_top = b_0, Y v_top = 0: (u - 1) c_0 = 0 leaves only c_1 free
-        system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))], [],
+        system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))],
                                         ({}, {}))
         with pytest.raises(jimbo.SolveError, match="top weight vector"):
             jimbo._solve_scalars(system, Q(2, 3))
@@ -135,15 +135,16 @@ class TestCertificates:
             jimbo.solve_rmatrix(shared, qs, Q(3, 5))
 
     def test_substitution_detects_fixed_operator_rcheck_misses(self, qs):
-        """Mutation: one D(x) (i >= 1) of the component system changed, which
-        the small system never reads, leaves the c_nu right; the
-        fixed-subalgebra substitution must refuse the solve."""
+        """Mutation: one D(x) (i >= 1) of the decomposition changed after the
+        components were built from it, which the small system never reads,
+        leaves the c_nu right; the fixed-subalgebra substitution must refuse
+        the solve."""
         shared = seed_shared("a2even", 2)
         jimbo.solve_rmatrix(shared, qs, Q(3, 5))  # unmutated
-        system = shared.components(qs)
-        m = system.fixed[0]
+        dec = shared.decomposition(qs)
+        m = dec.fixed[0]
         p = min(m)
-        system.fixed[0] = bump(m, p, min(m[p]))
+        dec.fixed[0] = bump(m, p, min(m[p]))
         with pytest.raises(jimbo.CertificateError,
                            match="intertwining equations"):
             jimbo.solve_rmatrix(shared, qs, Q(3, 5))
@@ -311,6 +312,23 @@ def rescale_solve(shared, qs, x, k):
     shared._memo[("solve", qs.w, x)] = dataclasses.replace(
         res, N={p: {j: k * y for j, y in row.items()}
                 for p, row in res.N.items()}, D=k * res.D)
+
+
+def test_one_integer_form_per_w(ybe_case, qs):
+    """After a solve at w, V (x) V at w is held once, in ints: every adapted
+    basis vector, every D(e_i), D(f_i) of the decomposition and every scaled
+    dual vector is integer, and each b_k of the component system is the
+    decomposition's own vector, not a copy."""
+    shared = seed_shared(*ybe_case)
+    shared.solve(qs, Q(3, 7))
+    dec, system = shared.decomposition(qs), shared.components(qs)
+    basis = [v for comp in dec.components for v in comp.basis]
+    rows = basis + [row for m in dec.fixed for row in m.values()] + \
+        [d for _, _, d in system.terms]
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert len(dec.fixed) == 2 * shared.rep.spec.l
+    assert len(system.terms) == len(basis) == shared.rep.dim ** 2
+    assert all(b is v for (_, b, _), v in zip(system.terms, basis))
 
 
 class TestIntegerForm:

@@ -115,6 +115,52 @@ class TestRowSpace:
                 for p in sorted(rs.rows)] == red[:len(pivots)]
 
 
+def int_matrices(n_min=1, n_max=4):
+    return st.integers(n_min, n_max).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n,
+                                    max_size=n),
+                           min_size=n, max_size=n))
+
+
+def _no_float(x):
+    if isinstance(x, dict):
+        return all(map(_no_float, x.values()))
+    if isinstance(x, (list, tuple)):
+        return all(map(_no_float, x))
+    return type(x) in (int, Fraction)
+
+
+class TestIntegerInput:
+    """Integer entries are inverted exactly: every pivot becomes a Fraction,
+    never a float, and the results equal those of the Fraction input."""
+
+    def test_rref_and_row_space_of_one_row(self):
+        red, pivots = linalg.rref([[2, 1]])
+        assert (red, pivots) == ([[1, Q(1, 2)]], [0])
+        assert _no_float(red)
+        rs = linalg.RowSpace(2)
+        assert rs.add({0: 2, 1: 1})
+        assert rs.rows == {0: {0: 1, 1: Q(1, 2)}} and _no_float(rs.rows)
+
+    @given(m=int_matrices())
+    @settings(max_examples=40)
+    def test_no_float_anywhere(self, m):
+        fm = [[Q(x) for x in row] for row in m]
+        red = linalg.rref(m)
+        kern = linalg.kernel_basis(m, ncols=len(m))
+        assert red == linalg.rref(fm) and _no_float(red)
+        assert kern == linalg.kernel_basis(fm, ncols=len(m))
+        assert _no_float(kern)
+        rs, frs = linalg.RowSpace(len(m)), linalg.RowSpace(len(m))
+        for row, frow in zip(m, fm):
+            assert rs.add(linalg.sparse_vector(row)) == \
+                frs.add(linalg.sparse_vector(frow))
+        assert rs.rows == frs.rows and _no_float(rs.rows)
+        if not kern:
+            inv = linalg.invert(m)
+            assert inv == linalg.invert(fm) and _no_float(inv)
+
+
 class TestSparse:
     @given(m=matrices())
     @settings(max_examples=30)

@@ -43,8 +43,8 @@ class TestSeedStructure:
         rep = seed_rep("d2", 3)
         for p in range(rep.dim):
             for i in range(rep.spec.l + 1):
-                assert rep.h_eig(i, p) == inner(rep.weights[p],
-                                                rep.spec.alpha[i])
+                assert rep.h[i][p] == inner(rep.weights[p],
+                                            rep.spec.alpha[i])
 
 
 class TestQuantumRelations:
