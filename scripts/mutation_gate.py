@@ -52,9 +52,19 @@ MUTATIONS = [
      "    if not low:",
      "v_low certified unique"),
     ("jimbo.py",
-     "    equations = [(m, m) for m in shared.decomposition(qs).fixed] + [",
-     "    equations = [",
-     "solve_rmatrix fixed-subalgebra equations"),
+     "    return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)",
+     "    return True or all(linalg.sparse_mul(n, m) == "
+     "linalg.sparse_mul(m, n)",
+     "solve_rmatrix fixed-subalgebra equations: the e-half"),
+    ("jimbo.py",
+     "        if not same:",
+     "        if False:",
+     "contravariant form at w: D(f_i) = c_i G^-1 D(e_i)^T G"),
+    ("jimbo.py",
+     "    if any(G(p) * y != G(j) * n.get(j, {}).get(p, 0)",
+     "    if False and any(G(p) * y != G(j) * "
+     "n.get(j, {}).get(p, 0)",
+     "module map: N is G-symmetric"),
     ("jimbo.py",
      "    ok = linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(",
      "    ok = True or linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(",
@@ -88,6 +98,10 @@ MUTATIONS = [
      "        agree = set(rho) == set(closed) and all(rho[nu] == closed[nu]",
      "        agree = all(rho[nu] == closed[nu]",
      "eigenvalue stage: same components"),
+    ("qrep.py",
+     '                raise RepresentationError(f"f_{i} is not g^-1 e_{i}^T g")',
+     "                pass",
+     "contravariant form on V: f_i = g^-1 e_i^T g"),
     ("qrep.py",
      "        report.append(relation_entry(name, total))",
      "        pass",

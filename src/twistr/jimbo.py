@@ -21,9 +21,22 @@ full equations solves it, so its nullity 1, a nonzero top coefficient
 (normalized to 1: Rcheck is the identity on the top weight space) and the
 exact substitution of Rcheck into the full equations certify that Rcheck
 spans their null space.  The substitution is checked in integers, on N
-below, the decomposition's integer D(x), the integer-scaled X and Y and,
-for u = a / b, on a X + b Y and b X + a Y; the e0 identity holds at u = 0
-too, so the parity solve is certified the same way.
+below: N preserves weight, N D(e_i) = D(e_i) N with the decomposition's
+integer D(e_i) and, for u = a / b, N (a X + b Y) = (b X + a Y) N with the
+integer-scaled X and Y; the e0 identity holds at u = 0 too, so the parity
+solve is certified the same way.
+
+The f-half needs no product.  V carries a contravariant form, a diagonal g
+with f_i = g^-1 e_i^T g (i >= 1), so with G = g (x) g the coproducts give
+D(f_i) = c_i G^-1 D(e_i)^T G, one c_i != 0 per i; ``contravariant_form``
+certifies this once per w on the decomposition's integer D(e_i), D(f_i).
+If N commutes with D(e_i) and is G-symmetric, G_p N_pj = G_j N_jp (one
+integer test per nonzero of N), then
+
+    N D(f_i) = c_i G^-1 (D(e_i) N)^T G = c_i G^-1 (N D(e_i))^T G = D(f_i) N.
+
+The true Rcheck passes: G is contravariant on V (x) V, so components with
+distinct highest weights are G-orthogonal and each P_nu is G-symmetric.
 
 Yang-Baxter is checked in its braid form on Rcheck, which touches only
 adjacent legs of V (x) V (x) V:
@@ -45,7 +58,9 @@ module-map argument).  That proves the sides equal by four steps:
    V (x) V (x) V for x = e_i, f_i (i >= 1), and the same with the legs
    mirrored.  So N (x) 1 and 1 (x) N commute with D2(x) once N preserves
    weight (then it commutes with D(q^{-h/2})) and commutes with D(x); both
-   sides of the braid relation then do, and so does their difference.
+   sides of the braid relation then do, and so does their difference.  N
+   commutes with D(f_i) once it commutes with D(e_i) and is G-symmetric,
+   by the solve's argument above.
 2. For irreducible modules M with highest weight vector m and V with
    lowest weight vector v_low, M (x) V is generated by m (x) v_low: as
    f_i v_low = 0, D(f_i)(m' (x) v_low) = f_i m' (x) q^{h/2} v_low reaches
@@ -59,9 +74,10 @@ module-map argument).  That proves the sides equal by four steps:
 4. The certified decomposition gives V (x) V = sum of the V0(nu), so
    V (x) V (x) V is the sum of the V0(nu) (x) V, each generated by its g_nu.
 
-The check certifies each premise it reads at run time: every N preserves
-weight and commutes with the integer D(e_i), D(f_i) of the decomposition
-the solves read, and V has exactly one basis vector killed by every f_i
+The check certifies each premise it reads at run time, by the solve's own
+module-map certificate: every N preserves weight, commutes with the integer
+D(e_i) of the decomposition the solves read and is G-symmetric for the form
+certified at that w, and V has exactly one basis vector killed by every f_i
 while its weights are distinct, so the joint kernel of the f_i is one line
 and V (completely reducible at a generic q) is irreducible.  A failed premise
 fails the check at once, and a g_nu on which the sides differ is an exact
@@ -96,7 +112,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg, qrep, tpg
-from .qrep import Representation
+from .qrep import Representation, RepresentationError
 from .scalars import PoleError, QSample
 from .tensor import (DecompositionError, component_scalars, coproduct_action,
                      decompose)
@@ -218,8 +234,10 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
 
     Raises SolveError if the small system is degenerate at this sample, and
     CertificateError unless Rcheck commutes with D(x) for x = e_i, f_i
-    (i >= 1) and Rcheck * (u X + Y) == (X + u Y) * Rcheck, checked in
-    integers as N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
+    (i >= 1), certified by ``_is_module_map``, and
+    Rcheck * (u X + Y) == (X + u Y) * Rcheck, checked in integers as
+    N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
+    shared.form(qs)   # refuses a V without a contravariant form at once
     system = shared.components(qs)
     c = dict(enumerate(_solve_scalars(system, u)))
     cd = linalg.denominator(c)
@@ -236,13 +254,40 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
            if (row := {j: y // g for j, y in a.items() if y})}
     a, b = u.numerator, u.denominator
     x, y = system.e0_split
-    equations = [(m, m) for m in shared.decomposition(qs).fixed] + [
-        (linalg.sparse_lincomb(((a, x), (b, y))),
-         linalg.sparse_lincomb(((b, x), (a, y))))]
-    for lhs, rhs in equations:
-        if linalg.sparse_mul(num, lhs) != linalg.sparse_mul(rhs, num):
-            raise CertificateError("Rcheck fails the intertwining equations")
+    lhs = linalg.sparse_lincomb(((a, x), (b, y)))
+    rhs = linalg.sparse_lincomb(((b, x), (a, y)))
+    if not (_is_module_map(shared, qs, num) and
+            linalg.sparse_mul(num, lhs) == linalg.sparse_mul(rhs, num)):
+        raise CertificateError("Rcheck fails the intertwining equations")
     return RMatrixResult(num, d // g, shared.rep.dim)
+
+
+def contravariant_form(shared, qs: QSample):
+    """The integer diagonal g of V's contravariant form
+    (``Representation.g``), certified at w on the integer D(e_i), D(f_i)
+    (i >= 1) of ``shared.decomposition(qs)``: with G = g (x) g,
+    D(f_i) = c_i G^-1 D(e_i)^T G for one c_i != 0 per i, that is D(f_i) and
+    D(e_i)^T have the same nonzeros and G_p F_pj / (G_j E_jp) is the same
+    at each.  Raises CertificateError otherwise."""
+    try:
+        g = shared.rep.g
+    except RepresentationError as exc:
+        raise CertificateError(f"V has no contravariant form: {exc}") from None
+    d = len(g)
+    fixed = shared.decomposition(qs).fixed
+    l = len(fixed) // 2
+    for i, (e, f) in enumerate(zip(fixed[:l], fixed[l:]), 1):
+        # (G_p F_pj, G_j E_jp) at each nonzero F_pj
+        ratios = [(g[p // d] * g[p % d] * y,
+                   g[j // d] * g[j % d] * e.get(j, {}).get(p, 0))
+                  for p, row in f.items() for j, y in row.items()]
+        a, b = ratios[0] if ratios else (0, 1)
+        same = sum(map(len, e.values())) == len(ratios) and all(
+            t and s * b == t * a for s, t in ratios)
+        if not same:
+            raise CertificateError(
+                f"D(f_{i}) is not c G^-1 D(e_{i})^T G at w = {qs.w}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +298,9 @@ class Shared:
     """The work the checks of one verification run share, each piece built
     on first use and kept for the life of the object: the seed rep, the
     graph of ``params`` (the seed pair unless given), each R(w, u) solved
-    once, and the decomposition and the solves' ``ComponentSystem`` once
-    per w.  The recursion is not kept: each caller evaluates it on the
-    shared graph where it needs it."""
+    once, and the decomposition, the solves' ``ComponentSystem`` and the
+    certified contravariant form once per w.  The recursion is not kept:
+    each caller evaluates it on the shared graph where it needs it."""
 
     def __init__(self, spec, params=None, rep=None):
         self.spec = spec
@@ -287,6 +332,9 @@ class Shared:
     def components(self, qs: QSample) -> ComponentSystem:
         return self._get(("components", qs.w),
                          lambda: component_system(self, qs))
+
+    def form(self, qs: QSample):
+        return self._get(("form", qs.w), lambda: contravariant_form(self, qs))
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +383,28 @@ def _lowest_index(rep):
 
 
 def _is_module_map(shared, qs, n):
-    """True if the sparse N preserves weight and commutes with the integer
-    D(e_i), D(f_i) (i >= 1) of ``shared.decomposition(qs)``: the premise
-    under which the cyclic vectors certify the braid relation.  Each solve
-    certifies the commutation too, but a check cannot tell a memoized N
-    from one its solve certified."""
+    """True if the sparse N preserves weight, commutes with the integer
+    D(e_i) (i >= 1) of ``shared.decomposition(qs)`` and is G-symmetric,
+    G_p N_pj = G_j N_jp for G = g (x) g, g from ``shared.form(qs)``: then
+    it commutes with D(f_i) too (module docstring).  This is the module-map
+    certificate of the solve and the premise under which the cyclic vectors
+    certify the braid relation: a check cannot tell a memoized N from one
+    its solve certified."""
     dec = shared.decomposition(qs)
+    g = shared.form(qs)
+    d = len(g)
+
+    def G(p):
+        return g[p // d] * g[p % d]
+
     block = {p: k for k, idxs in enumerate(dec.blocks.values()) for p in idxs}
     if any(block[p] != block[j] for p, row in n.items() for j in row):
         return False
+    if any(G(p) * y != G(j) * n.get(j, {}).get(p, 0)
+           for p, row in n.items() for j, y in row.items()):
+        return False
     return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)
-               for m in dec.fixed)
+               for m in dec.fixed[:len(dec.fixed) // 2])
 
 
 def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
@@ -355,11 +414,12 @@ def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):
     permuted by P13, on the integer numerators N (module docstring).
 
     ``ok`` is True when the premise that makes the cyclic vectors a proof
-    is certified (V has one lowest weight vector v_low, and each N preserves
-    weight and commutes with D(e_i), D(f_i), i >= 1) and the sides agree on
-    every g_nu = v_nu (x) v_low, v_nu the decomposition's integer highest
-    weight vector.  A failed premise gives False at once; a g_nu where the
-    sides differ is an exact witness that the relation fails."""
+    is certified (V has one lowest weight vector v_low, and each N passes
+    ``_is_module_map``, so it commutes with D(e_i), D(f_i), i >= 1) and
+    the sides agree on every g_nu = v_nu (x) v_low, v_nu the
+    decomposition's integer highest weight vector.  A failed premise gives
+    False at once; a g_nu where the sides differ is an exact witness that
+    the relation fails."""
     ns = {x: shared.solve(qs, x).N for x in (u, u * v, v)}
     low = _lowest_index(shared.rep)
     ok = low is not None and all(

@@ -66,10 +66,6 @@ def mat_vec(a, v):
     return [sum((row[j] * x for j, x in nz), Q(0)) for row in a]
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

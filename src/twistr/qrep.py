@@ -18,6 +18,11 @@ i != j, the classical commutators [e_i, f_i] with their gauge magnitudes,
 and the words of every q-Serre sum) is built once per Representation, on
 its first check, and every later sample computes only the [e_i, f_i]
 targets and the q-Serre sums with their coefficients.
+
+Each Representation also carries the integer diagonal g of its
+contravariant form, f_i = g^-1 e_i^T g for i >= 1 (``Representation.g``),
+from which the solves certify the f-half of their module maps without a
+product.
 """
 
 from __future__ import annotations
@@ -53,6 +58,42 @@ class Representation:
         vector p."""
         return tuple(tuple(inner(mu, alpha) for mu in self.weights)
                      for alpha in self.spec.alpha)
+
+    @cached_property
+    def g(self):
+        """The integer diagonal g of the contravariant form on V:
+        f_i = g^-1 e_i^T g for i >= 1, that is g_p f_i[p][j] = g_j e_i[j][p]
+        at every entry.  Built by propagating g_p / g_j = e_i[j][p] /
+        f_i[p][j] along the nonzeros of the f_i from index 0, then scaled to
+        ints; raises RepresentationError unless that reaches every index
+        and every entry of the e_i and f_i agrees with it."""
+        pairs = list(zip(self.e[1:], self.f[1:]))
+        steps = {}     # p -> [(j, g_j / g_p)]
+        for e, f in pairs:
+            for p, row in f.items():
+                for j, y in row.items():
+                    if x := e.get(j, {}).get(p):
+                        steps.setdefault(p, []).append((j, Q(y, x)))
+                        steps.setdefault(j, []).append((p, Q(x, y)))
+        g, frontier = {0: Q(1)}, [0]
+        while frontier:
+            p = frontier.pop()
+            for j, ratio in steps.get(p, ()):
+                if j not in g:
+                    g[j] = g[p] * ratio
+                    frontier.append(j)
+        if len(g) != self.dim:
+            raise RepresentationError(
+                f"contravariant form reaches {len(g)} of {self.dim} indices")
+        d = linalg.denominator(g)
+        g = tuple(x.numerator * (d // x.denominator)
+                  for _, x in sorted(g.items()))
+        for i, (e, f) in enumerate(pairs, 1):
+            if sum(map(len, e.values())) != sum(map(len, f.values())) or any(
+                    g[p] * y != g[j] * e.get(j, {}).get(p, 0)
+                    for p, row in f.items() for j, y in row.items()):
+                raise RepresentationError(f"f_{i} is not g^-1 e_{i}^T g")
+        return g
 
     @cached_property
     def relations(self):

@@ -282,13 +282,6 @@ def poly_gcd(p, q):
     return a
 
 
-def poly_eval(p, x):
-    out = 0 * x if not isinstance(x, (int, Fraction)) else Q(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 def _poly_str(p, var="u"):
     if not p:
         return "0"
@@ -427,10 +420,6 @@ class RatFun:
 
     def __bool__(self):
         return bool(self.num)
-
-    def subs(self, x):
-        """Evaluate at a rational point."""
-        return poly_eval(self.num, x) / poly_eval(self.den, x)
 
     def __repr__(self):
         return f"RatFun({self})"

@@ -5,7 +5,7 @@ L-parent classes of a branching table, the swap, the opposite coproduct and
 the R-form three-site Yang-Baxter product, the spinor's affine pair by
 constraint solve, the dense classical and quantum relation checkers, the
 component scalars in Fractions, and a bracket product expanded by
-gcd-reducing field arithmetic."""
+gcd-reducing field arithmetic, with RatFun evaluation at a rational point."""
 
 import itertools
 import math
@@ -16,8 +16,8 @@ from twistr import linalg
 from twistr.branching import BranchingError
 from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
                            wsub)
-from twistr.linalg import (commutator, identity, mat_add, mat_mul, mat_scale,
-                           mat_sub, zeros)
+from twistr.linalg import (identity, mat_add, mat_mul, mat_scale, mat_sub,
+                           zeros)
 from twistr.scalars import RatFun, bracket, qfactorial
 from twistr.tensor import DecompositionError
 
@@ -345,6 +345,11 @@ def is_zero(a):
     return all(not x for row in a for x in row)
 
 
+def commutator(a, b):
+    """ab - ba for the dense matrices a, b."""
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
 def dense(m, n):
     """The n x n dense form of the sparse matrix m."""
     return [[m.get(i, {}).get(j, Q(0)) for j in range(n)] for i in range(n)]
@@ -480,6 +485,16 @@ def component_scalars(dec, M):
 # ---------------------------------------------------------------------------
 # Bracket products by field arithmetic
 # ---------------------------------------------------------------------------
+
+def subs(r, x):
+    """The RatFun r evaluated at the rational x, by Horner's rule."""
+    def value(p):
+        out = Q(0)
+        for c in reversed(p):
+            out = out * x + c
+        return out
+    return value(r.num) / value(r.den)
+
 
 def bracket_product(product, u, qs):
     """A ``BracketProduct`` expanded the slow way: sign * prod <a>_s ** k,

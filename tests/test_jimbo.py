@@ -2,10 +2,11 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from twistr import jimbo, linalg, tensor, tpg
+from twistr import jimbo, linalg, qrep, tensor, tpg
 from twistr.scalars import PoleError, QSample
 from twistr.tensor import DecompositionError
 
@@ -75,7 +76,6 @@ class TestSolve:
 
     def test_generator_rescaling_invariance(self, qs):
         """e0 -> 2 e0, f0 -> f0/2 leaves the solved R unchanged."""
-        from twistr import qrep
         rep = seed_rep("d2", 2)
         e, f = list(rep.e), list(rep.f)
         e[0] = linalg.sparse_lincomb(((Q(2), e[0]),))
@@ -181,6 +181,131 @@ class TestCertificates:
         assert d.denominator == 1 and d > 0
         assert (xs, ys) == tuple(linalg.sparse_lincomb(((d, m),))
                                  for m in (x, y))
+
+
+def g_symmetric(n, g):
+    """True if G N is a symmetric matrix, G = g (x) g: the sparse N is
+    G-symmetric, by the tests' own transpose."""
+    d = len(g)
+    gn = {p: {j: g[p // d] * g[p % d] * y for j, y in row.items()}
+          for p, row in n.items()}
+    return gn == linalg.sparse_transpose(gn)
+
+
+class TestContravariantForm:
+    """The f-half of the module-map certificate: V's form g, certified at
+    each w as D(f_i) = c_i G^-1 D(e_i)^T G, and N certified G-symmetric in
+    place of the products N D(f_i) = D(f_i) N."""
+
+    def test_seed_reps_have_the_form(self, ybe_case):
+        """f_i = g^-1 e_i^T g on every seed V, in Fractions."""
+        rep = seed_rep(*ybe_case)
+        g = rep.g
+        assert len(g) == rep.dim and all(type(x) is int and x for x in g)
+        for e, f in zip(rep.e[1:], rep.f[1:]):
+            assert f == {p: {j: x * Q(g[j], g[p]) for j, x in row.items()}
+                         for p, row in linalg.sparse_transpose(e).items()}
+
+    @pytest.mark.parametrize("u", [Q(0), Q(1), jimbo.sample_u(
+        random.Random(21))], ids=["zero", "one", "sampled"])
+    def test_rcheck_is_g_symmetric(self, ybe_case, qs, u):
+        shared = seed_shared(*ybe_case)
+        assert g_symmetric(shared.solve(qs, u).N, shared.rep.g)
+
+    def test_rescaled_f_entry_has_no_form(self, qs):
+        """One entry of f_1 tripled on the d2 l=3 spinor, whose weight graph
+        has a cycle through it: no g exists, and the solve refuses."""
+        rep = seed_rep("d2", 3)
+        f = list(rep.f)
+        f[1] = bump(f[1], 2, 4, 2 * f[1][2][4])
+        bad = qrep.Representation(rep.spec, rep.lam, rep.dim, rep.e,
+                                  tuple(f), rep.weights)
+        with pytest.raises(qrep.RepresentationError, match=r"is not g\^-1"):
+            bad.g
+        with pytest.raises(jimbo.CertificateError,
+                           match="no contravariant form"):
+            jimbo.solve_rmatrix(jimbo.Shared(rep.spec, rep=bad), qs, Q(3, 5))
+
+    def test_wrong_lowering_operator_at_w_refused(self, qs):
+        """One entry of the decomposition's integer D(f_1) changed: V still
+        has its g, and the certificate at w must refuse the solve, which
+        never multiplies by D(f_1)."""
+        shared = seed_shared("a2even", 2)
+        dec = shared.decomposition(qs)
+        l = shared.rep.spec.l
+        m = dec.fixed[l]
+        p = min(m)
+        dec.fixed[l] = bump(m, p, min(m[p]))
+        with pytest.raises(jimbo.CertificateError, match=r"D\(f_1\)"):
+            jimbo.solve_rmatrix(shared, qs, Q(3, 5))
+
+    def test_one_ratio_per_generator(self, qs):
+        """D(f_1) scaled by 3 is still c_1 G^-1 D(e_1)^T G, for another
+        c_1: the certificate passes and the solve is unchanged."""
+        want = jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))
+        shared = seed_shared("a2even", 2)
+        dec = shared.decomposition(qs)
+        l = shared.rep.spec.l
+        dec.fixed[l] = linalg.sparse_lincomb(((3, dec.fixed[l]),))
+        assert shared.form(qs) == shared.rep.g
+        assert jimbo.solve_rmatrix(shared, qs, Q(3, 5)).N == want.N
+
+    def test_refuses_a_module_map_that_is_not_g_symmetric(self, qs):
+        """On V = 1 (+) W, V (x) V holds W twice, as 1 (x) W and W (x) 1.
+        The map copying the first onto the second preserves weight and
+        commutes with every D(e_i), D(f_i), yet is not G-symmetric, and only
+        that refuses it; with its transpose added it passes."""
+        w = seed_rep("a2even", 1)
+
+        def padded(m):
+            return {p + 1: {j + 1: x for j, x in row.items()}
+                    for p, row in m.items()}
+
+        rep = qrep.Representation(
+            w.spec, w.lam, w.dim + 1, tuple(map(padded, w.e)),
+            tuple(map(padded, w.f)), ((Q(0),) * w.spec.l,) + w.weights)
+        fixed = [linalg.integral(tensor.coproduct_action(rep, kind, i, qs))[0]
+                 for kind in "ef" for i in range(1, w.spec.l + 1)]
+        blocks = {}
+        for p, (a, b) in enumerate((a, b) for a in rep.weights
+                                   for b in rep.weights):
+            blocks.setdefault(tuple(x + y for x, y in zip(a, b)), []).append(p)
+        dec = SimpleNamespace(blocks=blocks, fixed=fixed)
+        g = (1,) + w.g
+        shared = SimpleNamespace(decomposition=lambda qs: dec,
+                                 form=lambda qs: g)
+        d = rep.dim
+        copy = {b * d: {b: 1} for b in range(1, d)}   # 1 (x) w -> w (x) 1
+        assert all(linalg.sparse_mul(copy, m) == linalg.sparse_mul(m, copy)
+                   for m in fixed)
+        assert not g_symmetric(copy, g)
+        assert not jimbo._is_module_map(shared, qs, copy)
+        both = linalg.sparse_lincomb(
+            ((1, copy), (1, linalg.sparse_transpose(copy))))
+        assert jimbo._is_module_map(shared, qs, both)
+
+    def test_one_helper_and_no_lowering_product(self, qs, monkeypatch):
+        """The solve and the Yang-Baxter premise both go through
+        ``_is_module_map``, and no product reads a D(f_i)."""
+        shared = seed_shared("d2", 2)
+        dec = shared.decomposition(qs)
+        lowering = {id(m) for m in dec.fixed[shared.rep.spec.l:]}
+        real = linalg.sparse_mul
+        seen = []
+
+        def recorded(a, b):
+            seen.append(bool({id(a), id(b)} & lowering))
+            return real(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "sparse_mul", recorded)
+            assert jimbo.check_ybe(shared, qs, Q(3, 5), Q(-2, 7))["ok"]
+        assert seen and not any(seen)
+        monkeypatch.setattr(jimbo, "_is_module_map", lambda *args: False)
+        with pytest.raises(jimbo.CertificateError,
+                           match="intertwining equations"):
+            jimbo.solve_rmatrix(shared, qs, Q(1, 3))
+        assert not jimbo.check_ybe(shared, qs, Q(3, 5), Q(-2, 7))["ok"]
 
 
 class TestChecks:
