@@ -85,9 +85,8 @@ class Representation:
         if len(g) != self.dim:
             raise RepresentationError(
                 f"contravariant form reaches {len(g)} of {self.dim} indices")
-        d = linalg.denominator(g)
-        g = tuple(x.numerator * (d // x.denominator)
-                  for _, x in sorted(g.items()))
+        g = linalg.scaled(g, linalg.denominator(g))
+        g = tuple(g[p] for p in range(self.dim))
         for i, (e, f) in enumerate(pairs, 1):
             if sum(map(len, e.values())) != sum(map(len, f.values())) or any(
                     g[p] * y != g[j] * e.get(j, {}).get(p, 0)
