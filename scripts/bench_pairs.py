@@ -51,6 +51,14 @@ def run_side(checkout, workload, seed, seconds, trace=False):
             "metrics": {k: v["value"] for k, v in record["metrics"].items()}}
 
 
+def _progress(side, record):
+    """One side's pass_ref, peak_rss_mb and attempted count, for the
+    per-pair progress line."""
+    m = record["metrics"]
+    return (f"{side} pass_ref {m['pass_ref']:.4f} peak_rss_mb "
+            f"{m['peak_rss_mb']:.2f} attempted {record['attempted']}")
+
+
 def _quartiles(values):
     if len(values) < 2:
         return [values[0], values[0]]
@@ -117,9 +125,8 @@ def main(argv=None):
             pairs.append({side: run_side(checkouts[side], args.workload, seed,
                                          seconds) for side in order})
             print(f"{args.workload} seed {seed} pair {i + 1}/{args.pairs}: "
-                  + ", ".join(f"{s} pass_ref "
-                              f"{pairs[-1][s]['metrics']['pass_ref']:.4f}"
-                              for s in SIDES), flush=True)
+                  + ", ".join(_progress(s, pairs[-1][s]) for s in SIDES),
+                  flush=True)
         key = f"{args.workload} seed {seed}"
         doc.setdefault("workloads", {})[key] = summarize(
             pairs, bench["end_to_end"])

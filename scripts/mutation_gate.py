@@ -74,6 +74,14 @@ MUTATIONS = [
      "and all(",
      "        ok = all(",
      "spectral agreement: N(1) = D_1 I"),
+    ("jimbo.py",
+     "    if len(kern) != 1:",
+     "    if False:",
+     "small system: null space one-dimensional"),
+    ("jimbo.py",
+     "    if not c[0]:",
+     "    if False:",
+     "small system: c_top nonzero"),
     ("tensor.py",
      "        if not space.add(c.basis[0]):",
      "        if not space.add(c.basis[0]) and False:",

@@ -15,6 +15,7 @@ product graph are constant on parent classes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,16 +186,9 @@ def decompose_tensor_closed_form(spec: FamilySpec, params) -> tuple:
 
 
 def _ladders(l, a):
-    out = []
-
-    def rec(prefix, hi):
-        if len(prefix) == l:
-            out.append(tuple(prefix))
-            return
-        for v in range(hi, -1, -1):
-            rec(prefix + [v], v)
-    rec([], a)
-    return out
+    """The non-increasing l-tuples with entries in a..0, in descending
+    lexicographic order."""
+    return list(itertools.combinations_with_replacement(range(a, -1, -1), l))
 
 
 def _d2_parent(l, a, Lam):

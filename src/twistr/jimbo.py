@@ -211,20 +211,24 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
 def _solve_scalars(system: ComponentSystem, u: Fraction):
     """The c_nu, normalized to c_top = 1, from the small system's null
-    space, certified one-dimensional."""
+    space, certified one-dimensional.  Each row, the equation
+    c_mu (u x + y) = c_nu (x + u y), is built times b for u = a / b, so in
+    ints; scaling a row leaves the null space unchanged."""
     n = system.ncomp
+    a, b = u.numerator, u.denominator
     rows = []
     for mu, nu, x, y in system.e0_rows:
-        row = [Q(0)] * n
-        row[mu] += u * x + y
-        row[nu] -= x + u * y
+        row = [0] * n
+        row[mu] += a * x + b * y
+        row[nu] -= b * x + a * y
         rows.append(row)
     kern = linalg.kernel_basis(rows, ncols=n)
     if len(kern) != 1:
         raise SolveError(f"component system has nullity {len(kern)}, "
                          f"expected 1 (sample may be degenerate)")
     c = kern[0]
-    if not c[0]:   # components[0] is spanned by v_top (x) v_top
+    # components[0] is spanned by v_top (x) v_top
+    if not c[0]:
         raise SolveError("solution vanishes on the top weight vector")
     return [x / c[0] for x in c]
 

@@ -8,9 +8,17 @@ or per-component eliminations.  Everything else is sparse:
 as an adapted basis vector, is one such ``{col: x}``).  That covers the
 stored seed generators, the relation checks on them, and every operator on
 V (x) V -- the coproduct actions, the swap, R and its braided form.
-``RowSpace`` eliminates sparse rows incrementally, so its cost follows the
-nonzeros, not the number of columns.  Entries are Fraction or int; a pivot
-is inverted as Fraction(1, x), so integer input never yields a float.
+
+There is one elimination, ``RowSpace.add``, and it is fraction-free, as in
+Bareiss (Math. Comp. 22, 1968), though it divides each updated row by its
+content gcd rather than by the previous pivot: a row is scaled to integers
+by the lcm of its denominators (an integer row is taken as it is) and
+reduced against the stored rows by integer cross-multiplication.  ``rref``,
+and through it ``kernel_basis`` and ``invert``, run their rows through a
+``RowSpace`` and build one Fraction(x, pivot) per nonzero entry only when
+they write out the reduced rows, so integer or Fraction input never yields
+a float.  The sparse rows make the cost follow the nonzeros, not the number
+of columns.
 """
 
 from __future__ import annotations
@@ -19,17 +27,11 @@ import math
 from fractions import Fraction
 
 Q = Fraction
+ZERO = Q(0)
 
 
 def zeros(m, n):
     return [[Q(0)] * n for _ in range(m)]
-
-
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Q(1)
-    return out
 
 
 def mat_add(a, b):
@@ -71,42 +73,37 @@ def transpose(a):
 
 
 def rref(mat):
-    """Reduced row echelon form (in place on a copy); returns (rref, pivot cols)."""
-    a = [row[:] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Q(1, a[r][c])
-        a[r] = [x * inv if x else x for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
+    """Reduced row echelon form of the rows of mat; returns (rref, pivot
+    cols).  The nonzero rows, 1 at their pivots and in Fractions, are those
+    of a ``RowSpace`` of the rows of mat, sorted by pivot; zero rows follow,
+    so there are as many rows as in mat."""
+    ncols = len(mat[0]) if mat else 0
+    space = RowSpace(ncols)
+    for row in mat:
+        space.add(sparse_vector(row))
+    pivots = sorted(space.pivots)
+    red = []
+    for p in pivots:
+        row = space.primitive[p]
+        red.append([Q(row[j], row[p]) if j in row else ZERO
+                    for j in range(ncols)])
+    red += [[ZERO] * ncols for _ in range(len(mat) - len(pivots))]
+    return red, pivots
 
 
 def kernel_basis(mat, ncols):
     """Basis of the right null space of mat, whose rows (there may be none,
-    and they may come from a generator) have ncols entries."""
+    and they may come from a generator) have ncols entries: one vector per
+    free column of ``rref``, 1 there."""
     rows = [row for row in mat if any(row)]
     if not rows:
-        return [[Q(1) if j == i else Q(0) for j in range(ncols)]
+        return [[Q(1) if j == i else ZERO for j in range(ncols)]
                 for i in range(ncols)]
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Q(0)] * ncols
+        v = [ZERO] * ncols
         v[fc] = Q(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
@@ -115,9 +112,11 @@ def kernel_basis(mat, ncols):
 
 
 def invert(mat):
+    """The inverse of the square matrix mat, read from ``rref`` of
+    [mat | I]; raises ValueError if mat is singular."""
     n = len(mat)
-    aug = [row[:] + ident_row for row, ident_row in zip(mat, identity(n))]
-    red, pivots = rref(aug)
+    red, pivots = rref([[*row, *(int(i == j) for j in range(n))]
+                        for i, row in enumerate(mat)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
@@ -210,55 +209,91 @@ def sparse_mat_vec(cols, v):
     return {i: x for i, x in out.items() if x}
 
 
-class RowSpace:
-    """Incrementally maintained row space of sparse rows.
+def _primitive(v):
+    """The nonzero sparse integer vector v divided by its content gcd and
+    signed so that its first nonzero entry is positive."""
+    g = math.gcd(*v.values())
+    if v[min(v)] < 0:
+        g = -g
+    return v if g == 1 else {j: x // g for j, x in v.items()}
 
-    The rows are kept fully reduced: each is keyed by its pivot (its first
-    nonzero column), is 1 there and 0 at every other pivot, so the pivots
-    are those of ``rref`` of the rows added."""
+
+def _subtract(out, f, row):
+    """out -= f * row in place, for sparse integer vectors."""
+    for j, y in row.items():
+        z = out.get(j, 0) - f * y
+        if z:
+            out[j] = z
+        else:
+            del out[j]
+
+
+class RowSpace:
+    """Incrementally maintained row space of sparse rows, by fraction-free
+    elimination.
+
+    Each stored row is a primitive integer row keyed by its pivot (its first
+    nonzero column): positive there, 0 at every other pivot, with content
+    gcd 1.  Divided by its pivot entry it is a row of ``rref`` of the rows
+    added, and ``rows`` reads the stored rows so."""
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = {}       # pivot column -> reduced sparse row
+        self.primitive = {}   # pivot column -> primitive integer row
+        self._in_col = {}     # column -> pivots of the rows nonzero there
 
     @property
     def pivots(self):
-        return self.rows.keys()
+        return self.primitive.keys()
 
-    def reduce(self, v):
-        """The sparse vector v minus its part along the stored rows."""
-        out = dict(v)
-        for p in [p for p in v if p in self.rows]:
-            f = v[p]
-            for j, x in self.rows[p].items():
-                y = out.get(j, 0) - f * x
-                if y:
-                    out[j] = y
-                else:
-                    del out[j]
-        return out
+    @property
+    def rows(self):
+        """{pivot: reduced row}, 1 at the pivot, in Fractions."""
+        return {p: {j: Q(x, row[p]) for j, x in row.items()}
+                for p, row in self.primitive.items()}
 
     def add(self, v):
         """Add the sparse vector v if independent; returns True if it
-        enlarged the space."""
-        v = self.reduce(v)
+        enlarged the space.
+
+        v, scaled to integers, is reduced at once against every stored row
+        whose pivot it touches (the stored rows vanish at each other's
+        pivots, so those entries of v are the multipliers): times the lcm m
+        of the denominators of v[p] / row[p], m * v - sum (m * v[p] /
+        row[p]) * row is in integers.  A new row then clears its pivot from
+        the stored rows by the same cross-multiplication."""
+        if any(type(x) is not int for x in v.values()):
+            v = scaled(v, denominator(v))
+        hits = [(v[p], self.primitive[p][p], self.primitive[p])
+                for p in v if p in self.primitive]
+        m = math.lcm(*(a // math.gcd(x, a) for x, a, _ in hits))
+        v = {j: m * x for j, x in v.items()}
+        for x, a, row in hits:
+            _subtract(v, m * x // a, row)
         if not v:
             return False
+        v = _primitive(v)
         piv = min(v)
-        inv = Q(1, v[piv])
-        v = {j: x * inv for j, x in v.items()}
-        for row in self.rows.values():
-            f = row.get(piv)
-            if f:
-                for j, x in v.items():
-                    y = row.get(j, 0) - f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-        self.rows[piv] = v
+        a = v[piv]
+        for p in self._in_col.pop(piv, ()):
+            row = self.primitive[p]
+            g = math.gcd(a, row[piv])
+            out = {j: a // g * y for j, y in row.items()}
+            _subtract(out, row[piv] // g, v)
+            self._store(p, _primitive(out))
+        self._store(piv, v)
         return True
+
+    def _store(self, p, row):
+        """Store the row with pivot p, indexing its columns other than p."""
+        old = self.primitive.get(p, {p: 1})
+        for j in row.keys() - old.keys():
+            self._in_col.setdefault(j, set()).add(p)
+        for j in old.keys() - row.keys():
+            if j in self._in_col:
+                self._in_col[j].discard(p)
+        self.primitive[p] = row
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.primitive)

@@ -5,7 +5,9 @@ L-parent classes of a branching table, the swap, the opposite coproduct and
 the R-form three-site Yang-Baxter product, the spinor's affine pair by
 constraint solve, the dense classical and quantum relation checkers, the
 component scalars in Fractions, and a bracket product expanded by
-gcd-reducing field arithmetic, with RatFun evaluation at a rational point."""
+gcd-reducing field arithmetic, with RatFun evaluation at a rational point.
+It also holds the dense identity and Gauss-Jordan elimination in Fractions,
+with the kernel, inverse and component-solve small system read from it."""
 
 import itertools
 import math
@@ -14,10 +16,10 @@ from operator import add, mul, sub
 
 from twistr import linalg
 from twistr.branching import BranchingError
+from twistr.jimbo import SolveError
 from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
                            wsub)
-from twistr.linalg import (identity, mat_add, mat_mul, mat_scale, mat_sub,
-                           zeros)
+from twistr.linalg import mat_add, mat_mul, mat_scale, mat_sub, zeros
 from twistr.scalars import RatFun, bracket, qfactorial
 from twistr.tensor import DecompositionError
 
@@ -310,7 +312,7 @@ def spinor_affine_pair(rep):
     """Dense (e0, f0) of the d2 spinor ``rep``, solved from constraints on
     the {0,1}^l basis: e0 sends |1, t> to x_t |0, t> and commutes with
     f_1..f_l, which fixes x up to scale (the null space is certified
-    one-dimensional, its vector as ``kernel_basis`` normalizes it), and
+    one-dimensional, its vector as ``kernel_basis`` below normalizes it), and
     [e0, f0] = h0 fixes the scale of f0 = e0^T."""
     l, dim = rep.spec.l, rep.dim
     f = [dense(m, dim) for m in rep.f]
@@ -328,7 +330,7 @@ def spinor_affine_pair(rep):
         unit = lowering_matrix([Q(int(s == t)) for s in range(len(rest))])
         rows.append([x for i in range(1, l + 1)
                      for row in commutator(unit, f[i]) for x in row])
-    kern = linalg.kernel_basis(linalg.transpose(rows), ncols=len(rest))
+    kern = kernel_basis(linalg.transpose(rows), ncols=len(rest))
     assert len(kern) == 1, f"e0 constraints leave nullity {len(kern)}"
     e0 = lowering_matrix(kern[0])
     f0 = linalg.transpose(e0)
@@ -480,6 +482,83 @@ def component_scalars(dec, M):
                     f"operator is not scalar on component {comp.nu}")
         out[comp.nu] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination in Fractions
+# ---------------------------------------------------------------------------
+
+def identity(n):
+    """The dense n x n identity in Fractions."""
+    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def rref(mat):
+    """Reduced row echelon form by Gauss-Jordan in Fractions, one Fraction
+    per entry (in place on a copy); returns (rref, pivot cols)."""
+    a = [row[:] for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Q(1, a[r][c])
+        a[r] = [x * inv if x else x for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, pivots
+
+
+def kernel_basis(mat, ncols):
+    """Basis of the right null space of mat from ``rref``: one vector per
+    free column, 1 there."""
+    rows = [row for row in mat if any(row)]
+    if not rows:
+        return [[Q(int(j == i)) for j in range(ncols)] for i in range(ncols)]
+    red, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Q(0)] * ncols
+        v[fc] = Q(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def invert(mat):
+    """The inverse from ``rref`` of [mat | I]; ValueError if singular."""
+    n = len(mat)
+    red, pivots = rref([row[:] + ident for row, ident in zip(mat, identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def solve_scalars(system, u):
+    """Fraction reference for ``jimbo._solve_scalars``: the rows
+    c_mu (u x + y) - c_nu (x + u y) in Fractions, their null space from
+    ``kernel_basis``, certified one-dimensional, normalized to c_top = 1."""
+    rows = []
+    for mu, nu, x, y in system.e0_rows:
+        row = [Q(0)] * system.ncomp
+        row[mu] += u * x + y
+        row[nu] -= x + u * y
+        rows.append(row)
+    kern = kernel_basis(rows, system.ncomp)
+    if len(kern) != 1 or not kern[0][0]:
+        raise SolveError(f"nullity {len(kern)} or a vanishing top")
+    return [x / kern[0][0] for x in kern[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import gc
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -155,6 +157,30 @@ class TestClosedFormTables:
                             lambda l, a: ladders(l, a) + ladders(l, a)[:1])
         with pytest.raises(BranchingError, match="multiplicity >= 2"):
             decompose_tensor_closed_form(family_spec("d2", 2), (1, 1))
+
+    def test_ladders_in_descending_order(self):
+        """The d2 ladders are the non-increasing l-tuples with entries in
+        a..0, in descending lexicographic order, the order of the table."""
+        assert branching._ladders(2, 2) == [(2, 2), (2, 1), (2, 0), (1, 1),
+                                            (1, 0), (0, 0)]
+        for l in range(1, 8):
+            for a in range(5):
+                want = sorted((t for t in itertools.product(range(a + 1),
+                                                            repeat=l)
+                               if all(x >= y for x, y in zip(t, t[1:]))),
+                              reverse=True)
+                assert branching._ladders(l, a) == want
+
+    def test_d2_table_leaves_no_garbage(self):
+        """A d2 closed-form table makes no reference cycle, so the garbage
+        collector finds nothing after it."""
+        gc.collect()
+        gc.disable()
+        try:
+            list(branching.closed_form_table(family_spec("d2", 4), (2, 3)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_dimension_sum_mismatch_refused(self, monkeypatch):
         """Negative control: one component one dimension too large breaks

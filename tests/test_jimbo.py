@@ -104,6 +104,17 @@ class TestCertificates:
         with pytest.raises(jimbo.SolveError, match="top weight vector"):
             jimbo._solve_scalars(system, Q(2, 3))
 
+    @pytest.mark.parametrize("u", [Q(0), Q(1), jimbo.sample_u(
+        random.Random(22))], ids=["zero", "one", "sampled"])
+    def test_small_system_matches_fraction_oracle(self, ybe_case, qs, u):
+        """The small system solved in ints gives the c_nu of the same rows
+        built and eliminated in Fractions."""
+        system = seed_shared(*ybe_case).components(qs)
+        assert all(type(x) is int and type(y) is int
+                   for _, _, x, y in system.e0_rows)
+        assert jimbo._solve_scalars(system, u) == \
+            oracles.solve_scalars(system, u)
+
     def test_substitution_detects_corrupted_coefficient(self, qs,
                                                        monkeypatch):
         """Mutation: one wrong c_nu still gives an Rcheck that commutes with

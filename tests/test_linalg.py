@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,8 @@ class TestBasics:
     @settings(max_examples=30)
     def test_identity_neutral(self, m):
         n = len(m)
-        assert linalg.mat_mul(m, linalg.identity(n)) == m
-        assert linalg.mat_mul(linalg.identity(n), m) == m
+        assert linalg.mat_mul(m, oracles.identity(n)) == m
+        assert linalg.mat_mul(oracles.identity(n), m) == m
 
     @given(m=matrices())
     @settings(max_examples=30)
@@ -68,7 +69,7 @@ class TestKernelAndInverse:
     def test_invert_round_trip(self):
         m = [[Q(2), Q(1)], [Q(7), Q(4)]]
         inv = linalg.invert(m)
-        assert linalg.mat_mul(m, inv) == linalg.identity(2)
+        assert linalg.mat_mul(m, inv) == oracles.identity(2)
 
     def test_invert_singular_raises(self):
         with pytest.raises(Exception):
@@ -159,6 +160,81 @@ class TestIntegerInput:
         if not kern:
             inv = linalg.invert(m)
             assert inv == linalg.invert(fm) and _no_float(inv)
+
+
+ENTRIES = (0, 0, 1, -2, 3, Q(1, 3), Q(-5, 2))
+
+
+@st.composite
+def exact_matrices(draw, max_rows=5, max_cols=5, square=False):
+    """Rectangular int or Fraction matrices, often rank-deficient: each row
+    is an integer combination of k <= rows random rows.  An int matrix has
+    int entries only; a Fraction one Fraction entries, 1/3 among them."""
+    m = draw(st.integers(1, max_rows))
+    n = m if square else draw(st.integers(1, max_cols))
+    k = draw(st.integers(1, m))
+    ints = draw(st.booleans())
+    entries = [x for x in ENTRIES if type(x) is int] if ints else ENTRIES
+    base = draw(st.lists(st.lists(st.sampled_from(entries), min_size=n,
+                                  max_size=n), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k,
+                                    max_size=k), min_size=m, max_size=m))
+    rows = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(n)]
+            for cs in coeffs]
+    return rows if ints else [[Q(x) for x in row] for row in rows]
+
+
+class TestAgainstOracle:
+    """The fraction-free elimination equals Gauss-Jordan in Fractions
+    (``oracles.rref`` and the kernel and inverse read from it) exactly, with
+    no float, on int and Fraction matrices."""
+
+    @given(m=exact_matrices())
+    @settings(max_examples=100)
+    def test_rref(self, m):
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == oracles.rref(m) and _no_float(red)
+        assert [red[r][p] for r, p in enumerate(pivots)] == [1] * len(pivots)
+
+    @given(m=exact_matrices())
+    @settings(max_examples=100)
+    def test_kernel_basis(self, m):
+        ncols = len(m[0])
+        kern = linalg.kernel_basis(m, ncols=ncols)
+        assert kern == oracles.kernel_basis(m, ncols) and _no_float(kern)
+
+    @given(m=exact_matrices(square=True))
+    @settings(max_examples=100)
+    def test_invert(self, m):
+        try:
+            want = oracles.invert(m)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                linalg.invert(m)
+            return
+        inv = linalg.invert(m)
+        assert inv == want and _no_float(inv)
+
+    @given(m=exact_matrices())
+    @settings(max_examples=100)
+    def test_row_space_rows_are_primitive(self, m):
+        """RowSpace reads as the oracle's rref, and each stored row is an
+        integer row, positive at its pivot, 0 at every other pivot, with
+        content gcd 1."""
+        ncols = len(m[0])
+        rs = linalg.RowSpace(ncols)
+        for row in m:
+            rs.add(linalg.sparse_vector(row))
+        red, pivots = oracles.rref(m)
+        assert sorted(rs.pivots) == pivots and rs.dim == len(pivots)
+        assert [[rs.rows[p].get(j, 0) for j in range(ncols)]
+                for p in sorted(rs.rows)] == red[:len(pivots)]
+        assert _no_float(rs.rows)
+        for p, row in rs.primitive.items():
+            assert all(type(x) is int and x for x in row.values())
+            assert min(row) == p and row[p] > 0
+            assert math.gcd(*row.values()) == 1
+            assert not any(q in row for q in rs.pivots if q != p)
 
 
 class TestSparse:

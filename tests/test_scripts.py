@@ -78,7 +78,7 @@ def test_output_digests(tmp_path, monkeypatch):
 def test_bench_pairs_summary():
     """The BENCH summary of canned records: runs, medians, inclusive
     quartiles and wins in each metric's direction, with the attempted
-    counts beside peak_rss_mb."""
+    counts beside peak_rss_mb; the progress line of one side of a pair."""
     module = load("bench_pairs")
 
     def record(attempted, pass_ref, rss, ok):
@@ -110,6 +110,8 @@ def test_bench_pairs_summary():
     assert out["ok_ratio"]["change_wins"] == 1
     one = module.summarize(pairs[:1], metrics)["pass_ref"]
     assert one["parent_quartiles"] == [2.0, 2.0]
+    assert module._progress("change", pairs[0]["change"]) == \
+        "change pass_ref 1.0000 peak_rss_mb 9.50 attempted 120"
 
 
 def test_mutation_gate_lines_exist():
