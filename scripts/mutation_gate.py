@@ -61,8 +61,8 @@ MUTATIONS = [
      "        if False:",
      "contravariant form at w: D(f_i) = c_i G^-1 D(e_i)^T G"),
     ("jimbo.py",
-     "    if any(G(p) * y != G(j) * n.get(j, {}).get(p, 0)",
-     "    if False and any(G(p) * y != G(j) * "
+     "    if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)",
+     "    if False and any(G[p] * y != G[j] * "
      "n.get(j, {}).get(p, 0)",
      "module map: N is G-symmetric"),
     ("jimbo.py",
@@ -90,6 +90,10 @@ MUTATIONS = [
      "    if space.dim != dim:",
      "    if False:",
      "decompose: adapted bases span V (x) V"),
+    ("linalg.py",
+     "    if pivots[:n] != list(range(n)):",
+     "    if False:",
+     "invert: a singular matrix refused"),
     ("cli.py",
      "        ok = spectrum == graph_parities == classical",
      "        ok = spectrum == graph_parities",

@@ -23,7 +23,7 @@ exact substitution of Rcheck into the full equations certify that Rcheck
 spans their null space.  The substitution is checked in integers, on N
 below: N preserves weight, N D(e_i) = D(e_i) N with the decomposition's
 integer D(e_i) and, for u = a / b, N (a X + b Y) = (b X + a Y) N with the
-integer-scaled X and Y; the e0 identity holds at u = 0 too, so the parity
+integer numerators X and Y; the e0 identity holds at u = 0 too, so the parity
 solve is certified the same way.
 
 The f-half needs no product.  V carries a contravariant form, a diagonal g
@@ -156,17 +156,16 @@ def _swapped(m, d):
 
 @dataclass
 class ComponentSystem:
-    """The u-independent part of the solves at one w: the decomposition's
-    own integer basis vectors b_k and their dual basis d_k (b_k . d_j =
-    delta_kj) times ``scale``, the lcm of its denominators, so P_nu is the
-    sum of b_k d_k^T over the k in component nu, divided by ``scale``.  The
-    integer-scaled X, Y give the small system's rows and, with the
-    decomposition's integer D(x), the operators of the certificate."""
+    """The u-independent part of the solves at one w, in ints: the
+    decomposition's basis vectors b_k and their dual basis d_k (b_k . d_j =
+    delta_kj) times ``scale``, so P_nu is the sum of b_k d_k^T over the k in
+    component nu, over ``scale``.  The numerators X, Y of D^u(e0) give the
+    small system's rows and, with the decomposition's D(x), the certificate."""
     ncomp: int         # number of components
     scale: int
     terms: list        # (component of k, b_k, scale * d_k), integer
     e0_rows: list      # (mu, nu, x_k, y_k) of each small-system row
-    e0_split: tuple    # (X, Y), D^u(e0) = u X + Y, scaled by one integer
+    e0_split: tuple    # (X, Y), D^u(e0) = (u X + Y) / d for one integer d
 
 
 def component_system(shared, qs: QSample) -> ComponentSystem:
@@ -181,14 +180,16 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
     in_block = {}
     for k, v in enumerate(basis):
         in_block.setdefault(dec.weights[min(v)], []).append(k)
-    dual = [None] * len(basis)
+    dual, den = [None] * len(basis), [1] * len(basis)
     for eta, idxs in dec.blocks.items():
         ks = in_block[eta]
-        inv = linalg.invert([[basis[k].get(p, 0) for k in ks] for p in idxs])
+        inv, d = linalg.invert([[basis[k].get(p, 0) for k in ks]
+                                for p in idxs])
         for k, row in zip(ks, inv):
-            dual[k] = {p: y for p, y in zip(idxs, row) if y}
-    scale = linalg.denominator(*dual)
-    dual = [linalg.scaled(d, scale) for d in dual]
+            dual[k], den[k] = {p: y for p, y in zip(idxs, row) if y}, d
+    scale = math.lcm(*den)
+    dual = [{p: y * (scale // d) for p, y in v.items()}
+            for v, d in zip(dual, den)]
     terms = list(zip(comp_of, basis, dual))
 
     def coords(cols, v):
@@ -197,9 +198,10 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
         return {k: x for k in ks
                 if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
 
-    # D^u(e0) = u X + Y: Y = D^0(e0) and X = D^1(e0) - Y
-    one, y = (coproduct_action(dec.rep, "e", 0, qs, u=Q(t)) for t in (1, 0))
-    x, y = linalg.integral(linalg.sparse_lincomb(((1, one), (-1, y))), y)
+    # D^u(e0) = (u X + Y) / d: Y = d D^0(e0), X = d D^1(e0) - Y (one d)
+    (one, _), (y, _) = (coproduct_action(dec.rep, "e", 0, qs, u=Q(t))
+                        for t in (1, 0))
+    x = linalg.sparse_lincomb(((1, one), (-1, y)))
     xcols, ycols = linalg.sparse_transpose(x), linalg.sparse_transpose(y)
     e0_rows = []
     for nu, comp in enumerate(dec.components):
@@ -210,10 +212,10 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
 
 def _solve_scalars(system: ComponentSystem, u: Fraction):
-    """The c_nu, normalized to c_top = 1, from the small system's null
-    space, certified one-dimensional.  Each row, the equation
-    c_mu (u x + y) = c_nu (x + u y), is built times b for u = a / b, so in
-    ints; scaling a row leaves the null space unchanged."""
+    """The c_nu, up to c_top > 0, as the primitive integer vector of the
+    small system's null space, certified one-dimensional.  Each row, the
+    equation c_mu (u x + y) = c_nu (x + u y), is built times b for u = a / b,
+    so in ints; scaling a row leaves the null space unchanged."""
     n = system.ncomp
     a, b = u.numerator, u.denominator
     rows = []
@@ -230,7 +232,7 @@ def _solve_scalars(system: ComponentSystem, u: Fraction):
     # components[0] is spanned by v_top (x) v_top
     if not c[0]:
         raise SolveError("solution vanishes on the top weight vector")
-    return [x / c[0] for x in c]
+    return c if c[0] > 0 else [-x for x in c]
 
 
 def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
@@ -243,16 +245,14 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
     shared.form(qs)   # refuses a V without a contravariant form at once
     system = shared.components(qs)
-    c = dict(enumerate(_solve_scalars(system, u)))
-    cd = linalg.denominator(c)
-    c = linalg.scaled(c, cd)
-    acc = {}      # cd * scale * Rcheck = sum of c_nu(k) * b_k d_k^T
+    c = _solve_scalars(system, u)
+    acc = {}      # c_top * scale * Rcheck = sum of c_nu(k) * b_k d_k^T
     for n, b, dk in system.terms:
         for p, x in b.items():
             a, xc = acc.setdefault(p, {}), x * c[n]
             for j, y in dk.items():
                 a[j] = a.get(j, 0) + xc * y
-    d = cd * system.scale
+    d = c[0] * system.scale
     g = math.gcd(d, *(y for a in acc.values() for y in a.values()))
     num = {p: row for p, a in acc.items()
            if (row := {j: y // g for j, y in a.items() if y})}
@@ -277,13 +277,12 @@ def contravariant_form(shared, qs: QSample):
         g = shared.rep.g
     except RepresentationError as exc:
         raise CertificateError(f"V has no contravariant form: {exc}") from None
-    d = len(g)
+    G = [x * y for x in g for y in g]
     fixed = shared.decomposition(qs).fixed
     l = len(fixed) // 2
     for i, (e, f) in enumerate(zip(fixed[:l], fixed[l:]), 1):
         # (G_p F_pj, G_j E_jp) at each nonzero F_pj
-        ratios = [(g[p // d] * g[p % d] * y,
-                   g[j // d] * g[j % d] * e.get(j, {}).get(p, 0))
+        ratios = [(G[p] * y, G[j] * e.get(j, {}).get(p, 0))
                   for p, row in f.items() for j, y in row.items()]
         a, b = ratios[0] if ratios else (0, 1)
         same = sum(map(len, e.values())) == len(ratios) and all(
@@ -302,9 +301,9 @@ class Shared:
     """The work the checks of one verification run share, each piece built
     on first use and kept for the life of the object: the seed rep, the
     graph of ``params`` (the seed pair unless given), each R(w, u) solved
-    once, and the decomposition, the solves' ``ComponentSystem`` and the
-    certified contravariant form once per w.  The recursion is not kept:
-    each caller evaluates it on the shared graph where it needs it."""
+    once, and per w the decomposition, the solves' ``ComponentSystem``, the
+    certified contravariant form and ``_index_data``.  The recursion is not
+    kept: each caller evaluates it on the shared graph where it needs it."""
 
     def __init__(self, spec, params=None, rep=None):
         self.spec = spec
@@ -339,6 +338,10 @@ class Shared:
 
     def form(self, qs: QSample):
         return self._get(("form", qs.w), lambda: contravariant_form(self, qs))
+
+    def indices(self, qs: QSample):
+        return self._get(("indices", qs.w), lambda: _index_data(
+            self.decomposition(qs), self.form(qs)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +389,13 @@ def _lowest_index(rep):
     return low[0]
 
 
+def _index_data(dec, g):
+    """(block, G): the weight block number of each index p of V (x) V in
+    the decomposition dec, and G_p = g_a g_b for p = a * dim V + b."""
+    return ({p: k for k, idxs in enumerate(dec.blocks.values()) for p in idxs},
+            [x * y for x in g for y in g])
+
+
 def _is_module_map(shared, qs, n):
     """True if the sparse N preserves weight, commutes with the integer
     D(e_i) (i >= 1) of ``shared.decomposition(qs)`` and is G-symmetric,
@@ -394,21 +404,15 @@ def _is_module_map(shared, qs, n):
     certificate of the solve and the premise under which the cyclic vectors
     certify the braid relation: a check cannot tell a memoized N from one
     its solve certified."""
-    dec = shared.decomposition(qs)
-    g = shared.form(qs)
-    d = len(g)
-
-    def G(p):
-        return g[p // d] * g[p % d]
-
-    block = {p: k for k, idxs in enumerate(dec.blocks.values()) for p in idxs}
+    fixed = shared.decomposition(qs).fixed
+    block, G = shared.indices(qs)
     if any(block[p] != block[j] for p, row in n.items() for j in row):
         return False
-    if any(G(p) * y != G(j) * n.get(j, {}).get(p, 0)
+    if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)
            for p, row in n.items() for j, y in row.items()):
         return False
     return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)
-               for m in dec.fixed[:len(dec.fixed) // 2])
+               for m in fixed[:len(fixed) // 2])
 
 
 def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):

@@ -1,6 +1,6 @@
 """Exact linear algebra over Q.
 
-Dense list-of-lists of Fraction serve only the construction of a seed
+Dense list-of-lists serve only the construction of a seed
 representation (the Kac matrices, the Jordan-Wigner products and the
 constraint solve for the spinor's affine pair) and the small per-weight-block
 or per-component eliminations.  Everything else is sparse:
@@ -15,10 +15,10 @@ content gcd rather than by the previous pivot: a row is scaled to integers
 by the lcm of its denominators (an integer row is taken as it is) and
 reduced against the stored rows by integer cross-multiplication.  ``rref``,
 and through it ``kernel_basis`` and ``invert``, run their rows through a
-``RowSpace`` and build one Fraction(x, pivot) per nonzero entry only when
-they write out the reduced rows, so integer or Fraction input never yields
-a float.  The sparse rows make the cost follow the nonzeros, not the number
-of columns.
+``RowSpace`` and hand out integers: the primitive reduced rows, primitive
+kernel vectors, and an inverse as integer rows over one denominator.  Only
+``RowSpace.rows`` builds Fractions, one per nonzero entry.  The sparse rows
+make the cost follow the nonzeros, not the number of columns.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from fractions import Fraction
 
 Q = Fraction
-ZERO = Q(0)
 
 
 def zeros(m, n):
@@ -73,53 +72,53 @@ def transpose(a):
 
 
 def rref(mat):
-    """Reduced row echelon form of the rows of mat; returns (rref, pivot
-    cols).  The nonzero rows, 1 at their pivots and in Fractions, are those
-    of a ``RowSpace`` of the rows of mat, sorted by pivot; zero rows follow,
-    so there are as many rows as in mat."""
+    """Fraction-free reduced row echelon form of mat, (rows, pivot cols):
+    the primitive integer rows of a ``RowSpace`` of the rows of mat, sorted
+    by pivot, each a reduced row times its positive pivot entry, then zero
+    rows, as many rows as in mat."""
     ncols = len(mat[0]) if mat else 0
     space = RowSpace(ncols)
     for row in mat:
         space.add(sparse_vector(row))
     pivots = sorted(space.pivots)
-    red = []
-    for p in pivots:
-        row = space.primitive[p]
-        red.append([Q(row[j], row[p]) if j in row else ZERO
-                    for j in range(ncols)])
-    red += [[ZERO] * ncols for _ in range(len(mat) - len(pivots))]
+    red = [[space.primitive[p].get(j, 0) for j in range(ncols)]
+           for p in pivots]
+    red += [[0] * ncols for _ in range(len(mat) - len(pivots))]
     return red, pivots
 
 
 def kernel_basis(mat, ncols):
-    """Basis of the right null space of mat, whose rows (there may be none,
-    and they may come from a generator) have ncols entries: one vector per
-    free column of ``rref``, 1 there."""
+    """Basis of the right null space of mat, whose rows (maybe none, maybe
+    a generator) have ncols entries: per free column of ``rref``, the vector
+    1 there times the lcm of its denominators, primitive and in ints."""
     rows = [row for row in mat if any(row)]
     if not rows:
-        return [[Q(1) if j == i else ZERO for j in range(ncols)]
-                for i in range(ncols)]
+        return [[int(j == i) for j in range(ncols)] for i in range(ncols)]
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    tops = [red[r][pc] for r, pc in enumerate(pivots)]
     basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        m = math.lcm(*(a // math.gcd(row[fc], a) for row, a in zip(red, tops)))
+        v = [0] * ncols
+        v[fc] = m
+        for row, a, pc in zip(red, tops, pivots):
+            v[pc] = -row[fc] * m // a
         basis.append(v)
     return basis
 
 
 def invert(mat):
-    """The inverse of the square matrix mat, read from ``rref`` of
-    [mat | I]; raises ValueError if mat is singular."""
+    """The inverse of the square mat as (rows, d), integer rows over the
+    least denominator d > 0: the lcm of the pivot entries of ``rref`` of
+    [mat | I].  Raises ValueError if mat is singular."""
     n = len(mat)
     red, pivots = rref([[*row, *(int(i == j) for j in range(n))]
                         for i, row in enumerate(mat)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    d = math.lcm(*(red[r][r] for r in range(n)))
+    return [[x * (d // row[r]) for x in row[n:]]
+            for r, row in enumerate(red[:n])], d
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +142,6 @@ def scaled(v, d):
     """d * v in ints, for a multiple d of every denominator of the sparse
     vector v."""
     return {j: x.numerator * (d // x.denominator) for j, x in v.items()}
-
-
-def integral(*ms):
-    """[d * m for m in ms] in ints, for d the lcm of all the denominators of
-    the sparse matrices ms."""
-    d = denominator(*(row for m in ms for row in m.values()))
-    return [{i: scaled(row, d) for i, row in m.items()} for m in ms]
 
 
 def sparse_identity(n, c=Q(1)):

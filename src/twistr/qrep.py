@@ -100,10 +100,16 @@ class Representation:
         built on first read and kept for every later sample."""
         return _relation_data(self)
 
-    def qh_half_diag(self, i, qs: QSample):
-        """Diagonal of q^{h_i / 2}, one q-power per distinct eigenvalue."""
-        power = {x: qs.q_pow(Q(x, 2)) for x in set(self.h[i])}
-        return [power[x] for x in self.h[i]]
+    @cached_property
+    def integer_generators(self):
+        """{(kind, i): (s, s * x)} for x = e_i (kind "e") and f_i ("f"),
+        s the lcm of the denominators of x."""
+        out = {}
+        for k, xs in (("e", self.e), ("f", self.f)):
+            for i, x in enumerate(xs):
+                s = linalg.denominator(*x.values())
+                out[k, i] = s, {r: linalg.scaled(y, s) for r, y in x.items()}
+        return out
 
 
 def _weights_from_h_diagonals(spec: FamilySpec, hdiags):
@@ -111,12 +117,12 @@ def _weights_from_h_diagonals(spec: FamilySpec, hdiags):
     Cartan diagonals, solving (mu, alpha_i) = h_i[p] for i = 1..l."""
     l = spec.l
     gram = [[spec.alpha[i][j] for j in range(l)] for i in range(1, l + 1)]
-    inv = linalg.invert(gram)
+    inv, den = linalg.invert(gram)
     dim = len(hdiags[1])
     out = []
     for p in range(dim):
         d = [hdiags[i][p] for i in range(1, l + 1)]
-        out.append(tuple(linalg.mat_vec(inv, d)))
+        out.append(tuple(x / den for x in linalg.mat_vec(inv, d)))
     return tuple(out)
 
 

@@ -8,19 +8,17 @@ their bases in one shared row space, so reaching rank dim V ** 2 certifies
 that the bases together form a basis of V (x) V.  An operator M then equals
 sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
-checks without forming a projector or an inverse.  ``decompose`` is the one
-place where V (x) V at a sample w is put into integers: it scales each
-D(e_i), D(f_i) (i >= 1) and each highest weight vector to integers once, so
-the lowerings are integer too (P_nu does not depend on how the basis
-vectors are scaled).  It keeps the product weights, the weight blocks and
-the integer D(e_i), D(f_i), and the solve and the checks read that one form.
+checks without forming a projector or an inverse.  V (x) V at a sample w
+is in integers from the coproducts on: ``decompose`` keeps the integer
+numerators of D(e_i), D(f_i) (i >= 1) and the primitive integer highest
+weight vectors, so the lowerings are integer too (P_nu does not depend on
+how the basis vectors are scaled), with the product weights and the weight
+blocks; the solve and the checks read that one form.  The coproduct
+numerators are sparse ``linalg`` matrices {row: {col: x}}, built from the
+nonzeros of V's generators; adapted basis vectors are sparse {col: x}.
 
 The classical parity oracle builds no operator: it reads the Sym^2 / Alt^2
 sign of each component off V's character (``classical_parity_signs``).
-
-The coproduct actions on V (x) V are sparse matrices in the ``linalg`` form
-{row: {col: x}}, built from the nonzeros of V's generators; adapted basis
-vectors are sparse vectors {col: x}.
 
 Basis convention: index p = i * dim V + j for v_i (x) v_j; the weight of a
 product vector is the sum of the factor weights.
@@ -46,37 +44,38 @@ class DecompositionError(RuntimeError):
 
 def coproduct_action(rep: Representation, kind: str, i: int, qs: QSample,
                      u=None):
-    """Sparse matrix of Delta^u on the product basis of V (x) V, V = rep,
-    for kind "e" or "f":
-
-        Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2},
-
-    built as x (x) diag(d) + diag(1/d) (x) x from the nonzeros of the sparse
-    matrix x, d the q^{h/2} diagonal.  The spectral parameter u enters only
-    for i == 0 (factor u on e0, 1/u on f0, acting on the first leg).
-    """
-    x = rep.e[i] if kind == "e" else rep.f[i]
-    high = rep.qh_half_diag(i, qs)
-    low = [1 / d for d in high]
-    if i == 0 and u is not None:
-        # (c x) (x) diag(d) = x (x) diag(c d)
-        c = u if kind == "e" else 1 / u
-        high = [c * d for d in high]
-    n = rep.dim
-    out = {}
-    for a, row in x.items():
-        for a2, y in row.items():
-            for b, d in enumerate(high):
-                out.setdefault(a * n + b, {})[a2 * n + b] = y * d
-    for a, d in enumerate(low):
-        for b, row in x.items():
-            r = out.setdefault(a * n + b, {})
-            for b2, y in row.items():
-                r[a * n + b2] = r.get(a * n + b2, 0) + d * y
+    """Delta^u(x) on the product basis of V (x) V, V = rep, for x = e_i
+    (kind "e") or f_i ("f"), as (N, d): N sparse integer, d > 0 and
+    Delta^u(x) = N / d, Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2}.  u enters
+    only for i == 0 (factor c = u on e0, 1/u on f0, on the first leg).  N is
+    built from s * x (``Representation.integer_generators``) and w = a / b:
+    q^{h/2} = w^{2h}, and |a b|^m w^k is an integer for m the largest |2h|
+    and |k| <= m: d = |a b|^m s r, r the denominator of c (1 at u = 0, 1)."""
+    s, x = rep.integer_generators[kind, i]
+    c = Q(1) if i != 0 or u is None else (Q(u) if kind == "e" else 1 / Q(u))
+    ks = [int(2 * h) for h in rep.h[i]]
+    if ks != [2 * h for h in rep.h[i]]:
+        raise ValueError(f"q^(h_{i}/2) is not an integer power of w")
+    a, b, m = qs.w.numerator, qs.w.denominator, max(map(abs, ks))
+    sign = -1 if a < 0 and m % 2 else 1
+    pw = {k: sign * a ** (m + k) * b ** (m - k) for k in range(-m, m + 1)}
+    high = [c.numerator * pw[k] for k in ks]     # r |a b|^m c w^{2h}
+    low = [c.denominator * pw[-k] for k in ks]   # r |a b|^m w^{-2h}
+    n, out = rep.dim, {}
+    for p, row in x.items():
+        for p2, y in row.items():
+            for t, z in enumerate(high):
+                out.setdefault(p * n + t, {})[p2 * n + t] = y * z
+    for p, z in enumerate(low):
+        for t, row in x.items():
+            r = out.setdefault(p * n + t, {})
+            for t2, y in row.items():
+                r[p * n + t2] = r.get(p * n + t2, 0) + z * y
     for r in out.values():
         for j in [j for j, y in r.items() if not y]:
             del r[j]
-    return {p: r for p, r in out.items() if r}
+    return ({p: r for p, r in out.items() if r},
+            abs(a * b) ** m * s * c.denominator)
 
 
 @dataclass
@@ -92,8 +91,8 @@ class IsotypicDecomposition:
     weights: tuple       # weight of each product basis vector
     blocks: dict         # weight -> product basis indices of that weight
     components: list     # IsotypicComponent, sorted by weight desc
-    fixed: list          # D(e_1)..D(e_l), D(f_1)..D(f_l), each scaled to
-                         # integers
+    fixed: list          # D(e_1)..D(e_l), D(f_1)..D(f_l), each as the
+                         # integer numerator of coproduct_action
 
 
 def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
@@ -108,7 +107,7 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     blocks = {}
     for p, w in enumerate(weights):
         blocks.setdefault(w, []).append(p)
-    fixed = [linalg.integral(coproduct_action(rep, kind, i, qs))[0]
+    fixed = [coproduct_action(rep, kind, i, qs)[0]
              for kind in "ef" for i in range(1, l + 1)]
     # the nonzero columns of each stacked raising row, grouped by the weight
     # of the column: a weight block's kernel is read from its own group
@@ -127,9 +126,8 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
         for vec in linalg.kernel_basis(rows, ncols=len(idxs)):
             if components and components[-1].nu == eta:
                 raise DecompositionError(f"multiplicity >= 2 at component {eta}")
-            top = {p: c for p, c in zip(idxs, vec) if c}
             components.append(IsotypicComponent(
-                eta, [linalg.scaled(top, linalg.denominator(top))]))
+                eta, [{p: c for p, c in zip(idxs, vec) if c}]))
     # generate each component by lowering from its highest weight vector,
     # keeping the vectors that enlarge the row space shared by all components
     dim = rep.dim ** 2

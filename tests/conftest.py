@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import jimbo, liealg, qrep
+from twistr import jimbo, liealg, qrep, tensor
 from twistr.scalars import QSample
 
 Q = Fraction
@@ -44,6 +44,13 @@ def seed_shared(family, l):
     decomposition carries over from one test to another."""
     rep = seed_rep(family, l)
     return jimbo.Shared(rep.spec, rep=rep)
+
+
+def fraction_coproduct(rep, kind, i, qs, u=None):
+    """``tensor.coproduct_action`` as one sparse matrix in Fractions: its
+    integer numerator divided by its denominator."""
+    num, d = tensor.coproduct_action(rep, kind, i, qs, u=u)
+    return {p: {j: Q(y, d) for j, y in row.items()} for p, row in num.items()}
 
 
 @pytest.fixture(params=GRID, ids=lambda c: f"{c[0]}-l{c[1]}")

@@ -15,8 +15,8 @@ from fractions import Fraction
 from twistr import linalg
 from twistr.jimbo import SolveError
 from twistr.liealg import wadd
-from twistr.tensor import coproduct_action
 
+from conftest import fraction_coproduct
 from oracles import opposite_coproduct, permutation_operator
 
 Q = Fraction
@@ -57,7 +57,7 @@ def full_solve(rep, qs, u):
     equations = {}
     for kind, i in generators:
         uu = u if i == 0 else None
-        A = coproduct_action(rep, kind, i, qs, u=uu)
+        A = fraction_coproduct(rep, kind, i, qs, u=uu)
         B = opposite_coproduct(rep, kind, i, qs, u=uu)
         # equation (s, t): sum_p R[s][p] A[p][t] - sum_p B[s][p] R[p][t] = 0,
         # with R[x][y] an unknown only for weight(x) == weight(y)

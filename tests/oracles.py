@@ -261,7 +261,7 @@ def opposite_coproduct(rep, kind, i, qs, u=None):
     c = Q(1) if i != 0 or u is None else (u if kind == "e" else 1 / u)
     n = rep.dim
     low = [qs.q_pow(-rep.h[i][p] / 2) for p in range(n)]
-    high = rep.qh_half_diag(i, qs)
+    high = [qs.q_pow(rep.h[i][p] / 2) for p in range(n)]
     left = {a * n + b: {a2 * n + b: c * y * low[b] for a2, y in row.items()}
             for a, row in x.items() for b in range(n)}
     right = {a * n + b: {a * n + b2: high[a] * y for b2, y in row.items()}

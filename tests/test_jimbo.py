@@ -10,7 +10,7 @@ from twistr import jimbo, linalg, qrep, tensor, tpg
 from twistr.scalars import PoleError, QSample
 from twistr.tensor import DecompositionError
 
-from conftest import YBE_CASES, seed_rep, seed_shared
+from conftest import YBE_CASES, fraction_coproduct, seed_rep, seed_shared
 from full_solve import (full_solve, kernel_from_rowspace, product_weights,
                         top_index)
 import oracles
@@ -45,7 +45,7 @@ class TestSolve:
                [("f", i) for i in range(1, 3)] + [("e", 0), ("f", 0)]
         for kind, i in gens:
             uu = u if i == 0 else None
-            A = tensor.coproduct_action(rep, kind, i, qs, u=uu)
+            A = fraction_coproduct(rep, kind, i, qs, u=uu)
             B = opposite_coproduct(rep, kind, i, qs, u=uu)
             lhs = linalg.sparse_mul(res.R, A)
             rhs = linalg.sparse_mul(B, res.R)
@@ -107,13 +107,16 @@ class TestCertificates:
     @pytest.mark.parametrize("u", [Q(0), Q(1), jimbo.sample_u(
         random.Random(22))], ids=["zero", "one", "sampled"])
     def test_small_system_matches_fraction_oracle(self, ybe_case, qs, u):
-        """The small system solved in ints gives the c_nu of the same rows
-        built and eliminated in Fractions."""
+        """The small system solved in ints gives c_top times the c_nu of the
+        same rows built and eliminated in Fractions: a primitive integer
+        vector with c_top > 0."""
         system = seed_shared(*ybe_case).components(qs)
         assert all(type(x) is int and type(y) is int
                    for _, _, x, y in system.e0_rows)
-        assert jimbo._solve_scalars(system, u) == \
-            oracles.solve_scalars(system, u)
+        c = jimbo._solve_scalars(system, u)
+        assert all(type(x) is int for x in c) and c[0] > 0
+        assert math.gcd(*c) == 1
+        assert c == [c[0] * x for x in oracles.solve_scalars(system, u)]
 
     def test_substitution_detects_corrupted_coefficient(self, qs,
                                                        monkeypatch):
@@ -177,11 +180,11 @@ class TestCertificates:
         for i in range(1, rep.spec.l + 1):
             for kind in ("e", "f"):
                 assert conj(opposite_coproduct(rep, kind, i, qs)) == \
-                    tensor.coproduct_action(rep, kind, i, qs), (kind, i)
-        y = tensor.coproduct_action(rep, "e", 0, qs, u=Q(0))
+                    fraction_coproduct(rep, kind, i, qs), (kind, i)
+        y = fraction_coproduct(rep, "e", 0, qs, u=Q(0))
         x = linalg.sparse_lincomb(
-            ((1, tensor.coproduct_action(rep, "e", 0, qs, u=Q(1))), (-1, y)))
-        assert tensor.coproduct_action(rep, "e", 0, qs, u=u) == \
+            ((1, fraction_coproduct(rep, "e", 0, qs, u=Q(1))), (-1, y)))
+        assert fraction_coproduct(rep, "e", 0, qs, u=u) == \
             linalg.sparse_lincomb(((u, x), (1, y)))
         assert conj(opposite_coproduct(rep, "e", 0, qs, u=u)) == \
             linalg.sparse_lincomb(((1, x), (u, y)))
@@ -275,7 +278,7 @@ class TestContravariantForm:
         rep = qrep.Representation(
             w.spec, w.lam, w.dim + 1, tuple(map(padded, w.e)),
             tuple(map(padded, w.f)), ((Q(0),) * w.spec.l,) + w.weights)
-        fixed = [linalg.integral(tensor.coproduct_action(rep, kind, i, qs))[0]
+        fixed = [tensor.coproduct_action(rep, kind, i, qs)[0]
                  for kind in "ef" for i in range(1, w.spec.l + 1)]
         blocks = {}
         for p, (a, b) in enumerate((a, b) for a in rep.weights
@@ -284,7 +287,7 @@ class TestContravariantForm:
         dec = SimpleNamespace(blocks=blocks, fixed=fixed)
         g = (1,) + w.g
         shared = SimpleNamespace(decomposition=lambda qs: dec,
-                                 form=lambda qs: g)
+                                 indices=lambda qs: jimbo._index_data(dec, g))
         d = rep.dim
         copy = {b * d: {b: 1} for b in range(1, d)}   # 1 (x) w -> w (x) 1
         assert all(linalg.sparse_mul(copy, m) == linalg.sparse_mul(m, copy)
@@ -452,16 +455,19 @@ def rescale_solve(shared, qs, x, k):
 
 def test_one_integer_form_per_w(ybe_case, qs):
     """After a solve at w, V (x) V at w is held once, in ints: every adapted
-    basis vector, every D(e_i), D(f_i) of the decomposition and every scaled
-    dual vector is integer, and each b_k of the component system is the
-    decomposition's own vector, not a copy."""
+    basis vector, every D(e_i), D(f_i) of the decomposition, every scaled
+    dual vector, X and Y and the c_nu are integer, and each b_k of the
+    component system is the decomposition's own vector, not a copy."""
     shared = seed_shared(*ybe_case)
     shared.solve(qs, Q(3, 7))
     dec, system = shared.decomposition(qs), shared.components(qs)
     basis = [v for comp in dec.components for v in comp.basis]
     rows = basis + [row for m in dec.fixed for row in m.values()] + \
-        [d for _, _, d in system.terms]
+        [d for _, _, d in system.terms] + \
+        [row for m in system.e0_split for row in m.values()]
     assert all(type(x) is int for row in rows for x in row.values())
+    assert type(system.scale) is int
+    assert all(type(c) is int for c in jimbo._solve_scalars(system, Q(3, 7)))
     assert len(dec.fixed) == 2 * shared.rep.spec.l
     assert len(system.terms) == len(basis) == shared.rep.dim ** 2
     assert all(b is v for (_, b, _), v in zip(system.terms, basis))

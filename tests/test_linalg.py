@@ -67,12 +67,15 @@ class TestKernelAndInverse:
         assert 0 <= rank <= len(m)
 
     def test_invert_round_trip(self):
-        m = [[Q(2), Q(1)], [Q(7), Q(4)]]
-        inv = linalg.invert(m)
-        assert linalg.mat_mul(m, inv) == oracles.identity(2)
+        for m, det in (([[Q(2), Q(1)], [Q(7), Q(4)]], 1),
+                       ([[Q(2), Q(1)], [Q(7), Q(5)]], 3)):
+            inv, d = linalg.invert(m)
+            assert d == det
+            assert linalg.mat_mul(m, inv) == linalg.mat_scale(
+                oracles.identity(2), d)
 
     def test_invert_singular_raises(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="singular"):
             linalg.invert([[Q(1), Q(2)], [Q(2), Q(4)]])
 
 
@@ -112,8 +115,9 @@ class TestRowSpace:
         red, pivots = linalg.rref(m)
         assert rs.dim == len(pivots)
         assert sorted(rs.pivots) == pivots
-        assert [[rs.rows[p].get(j, 0) for j in range(ncols)]
-                for p in sorted(rs.rows)] == red[:len(pivots)]
+        assert [[rs.primitive[p].get(j, 0) for j in range(ncols)]
+                for p in pivots] == red[:len(pivots)]
+        assert not any(map(any, red[len(pivots):]))
 
 
 def int_matrices(n_min=1, n_max=4):
@@ -132,12 +136,13 @@ def _no_float(x):
 
 
 class TestIntegerInput:
-    """Integer entries are inverted exactly: every pivot becomes a Fraction,
-    never a float, and the results equal those of the Fraction input."""
+    """Integer entries are eliminated exactly: rref, kernel_basis and invert
+    hand out ints, RowSpace.rows Fractions, never a float, and the results
+    equal those of the Fraction input."""
 
     def test_rref_and_row_space_of_one_row(self):
         red, pivots = linalg.rref([[2, 1]])
-        assert (red, pivots) == ([[1, Q(1, 2)]], [0])
+        assert (red, pivots) == ([[2, 1]], [0])
         assert _no_float(red)
         rs = linalg.RowSpace(2)
         assert rs.add({0: 2, 1: 1})
@@ -184,36 +189,61 @@ def exact_matrices(draw, max_rows=5, max_cols=5, square=False):
     return rows if ints else [[Q(x) for x in row] for row in rows]
 
 
+def _ints(x):
+    """True if x (nested lists and tuples) holds ints only."""
+    if isinstance(x, (list, tuple)):
+        return all(map(_ints, x))
+    return type(x) is int
+
+
 class TestAgainstOracle:
     """The fraction-free elimination equals Gauss-Jordan in Fractions
-    (``oracles.rref`` and the kernel and inverse read from it) exactly, with
-    no float, on int and Fraction matrices."""
+    (``oracles.rref`` and the kernel and inverse read from it) exactly, up
+    to the integer scale each result is handed out at, on int and Fraction
+    matrices: every result is in ints."""
 
     @given(m=exact_matrices())
     @settings(max_examples=100)
     def test_rref(self, m):
+        """Each row is the oracle's row times its pivot entry, a primitive
+        integer row positive at its pivot."""
         red, pivots = linalg.rref(m)
-        assert (red, pivots) == oracles.rref(m) and _no_float(red)
-        assert [red[r][p] for r, p in enumerate(pivots)] == [1] * len(pivots)
+        want, want_pivots = oracles.rref(m)
+        assert pivots == want_pivots and _ints(red)
+        tops = [red[r][p] for r, p in enumerate(pivots)]
+        assert all(a > 0 for a in tops)
+        assert all(math.gcd(*red[r]) == 1 for r in range(len(pivots)))
+        assert red == [[a * x for x in row] for a, row in zip(tops, want)] + \
+            want[len(pivots):]
 
     @given(m=exact_matrices())
     @settings(max_examples=100)
     def test_kernel_basis(self, m):
+        """Each vector is the oracle's times the lcm of its denominators."""
         ncols = len(m[0])
         kern = linalg.kernel_basis(m, ncols=ncols)
-        assert kern == oracles.kernel_basis(m, ncols) and _no_float(kern)
+        want = oracles.kernel_basis(m, ncols)
+        assert len(kern) == len(want) and _ints(kern)
+        for v, x in zip(kern, want):
+            lcm = math.lcm(*(Q(y).denominator for y in x))
+            assert v == [lcm * y for y in x]
 
     @given(m=exact_matrices(square=True))
     @settings(max_examples=100)
     def test_invert(self, m):
+        """The integer rows over their denominator are the oracle's
+        inverse, and no smaller denominator would do."""
         try:
             want = oracles.invert(m)
         except ValueError:
             with pytest.raises(ValueError, match="singular"):
                 linalg.invert(m)
             return
-        inv = linalg.invert(m)
-        assert inv == want and _no_float(inv)
+        inv, d = linalg.invert(m)
+        assert _ints(inv) and type(d) is int and d > 0
+        assert [[Q(x, d) for x in row] for row in inv] == want
+        assert d == math.lcm(*(Q(x).denominator for row in want
+                               for x in row))
 
     @given(m=exact_matrices())
     @settings(max_examples=100)

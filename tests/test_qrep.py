@@ -7,10 +7,9 @@ import pytest
 from twistr import linalg, qrep
 from twistr.liealg import eps, family_spec, inner, wadd, wscale
 from twistr.scalars import QSample
-from twistr.tensor import coproduct_action
 
 import oracles
-from conftest import GRID, seed_rep
+from conftest import GRID, fraction_coproduct, seed_rep
 
 Q = Fraction
 
@@ -87,7 +86,7 @@ class TestQuantumRelations:
         q-Serre entries."""
         rep = seed_rep("a2even", 2)
         qs = QSample(Fraction(3, 2))
-        gens = {kind: tuple(coproduct_action(rep, kind, i, qs)
+        gens = {kind: tuple(fraction_coproduct(rep, kind, i, qs)
                             for i in range(rep.spec.l + 1)) for kind in "ef"}
         square = dataclasses.replace(
             rep, dim=rep.dim ** 2, e=gens["e"], f=gens["f"],
@@ -122,10 +121,10 @@ class TestQuantumRelations:
             m = max(abs(x) for x in rep.h[i])
             g = (qs.q_pow(m) - qs.q_pow(-m)) / (qs.q - 1 / qs.q) / m
             fs.append(linalg.sparse_lincomb(
-                ((g, coproduct_action(rep, "f", i, qs)),)))
+                ((g, fraction_coproduct(rep, "f", i, qs)),)))
         square = dataclasses.replace(
             rep, dim=rep.dim ** 2,
-            e=tuple(coproduct_action(rep, "e", i, qs)
+            e=tuple(fraction_coproduct(rep, "e", i, qs)
                     for i in range(rep.spec.l + 1)),
             f=tuple(fs),
             weights=tuple(wadd(a, b) for a in rep.weights

@@ -5,9 +5,10 @@ import pytest
 
 from twistr import branching, linalg, tensor
 from twistr.liealg import is_dominant, weyl_dim
+from twistr.scalars import QSample
 
 import oracles
-from conftest import seed_rep
+from conftest import YBE_CASES, fraction_coproduct, seed_rep
 
 Q = Fraction
 
@@ -76,17 +77,39 @@ class TestCoproduct:
                 for transpose in (False, True):
                     want = _dense_coproduct(rep, kind, i, qs, u, transpose)
                     build = (oracles.opposite_coproduct if transpose
-                             else tensor.coproduct_action)
+                             else fraction_coproduct)
                     got = build(rep, kind, i, qs, u=u)
                     assert got == linalg.sparse(want), (kind, i, transpose)
+
+    @pytest.mark.parametrize("w", [Q(3, 2), Q(-7, 5), Q(-1, 3)],
+                             ids=["3_2", "-7_5", "-1_3"])
+    @pytest.mark.parametrize("case", YBE_CASES,
+                             ids=lambda c: f"{c[0]}-l{c[1]}")
+    def test_numerator_over_denominator(self, case, w):
+        """The integer numerator N over the positive denominator d equals
+        Delta^u(x) built in Fractions, for every generator, also at a
+        negative w where 2h is odd (the d2 spinor's short root)."""
+        rep = seed_rep(*case)
+        qs = QSample(w)
+        for i in range(rep.spec.l + 1):
+            for kind in ("e", "f"):
+                for u in ((None,) if i else (Q(-5, 3), Q(7)) +
+                          ((Q(0),) if kind == "e" else ())):
+                    num, d = tensor.coproduct_action(rep, kind, i, qs, u=u)
+                    assert type(d) is int and d > 0
+                    assert all(type(y) is int and y
+                               for row in num.values() for y in row.values())
+                    want = _dense_coproduct(rep, kind, i, qs, u, False)
+                    assert num == linalg.sparse(linalg.mat_scale(want, d)), \
+                        (kind, i, u)
 
     def test_cartan_weight_conservation(self, qs):
         """Delta(e_i) raises the total weight by alpha_i."""
         rep = seed_rep("a2even", 2)
         spec, weights = rep.spec, tensor.decompose(rep, qs).weights
         for i in range(spec.l + 1):
-            m = tensor.coproduct_action(rep, "e", i, qs,
-                                        u=Q(1) if i == 0 else None)
+            m = fraction_coproduct(rep, "e", i, qs,
+                                   u=Q(1) if i == 0 else None)
             for p, row in m.items():
                 for r, x in row.items():
                     assert x
@@ -101,8 +124,8 @@ class TestCoproduct:
             for j in range(1, 4):
                 if i == j:
                     continue
-                a = tensor.coproduct_action(rep, "e", i, qs)
-                b = tensor.coproduct_action(rep, "f", j, qs)
+                a = fraction_coproduct(rep, "e", i, qs)
+                b = fraction_coproduct(rep, "f", j, qs)
                 assert linalg.sparse_mul(a, b) == linalg.sparse_mul(b, a)
 
     def test_transpose_is_swap_conjugate(self, qs):
@@ -111,7 +134,7 @@ class TestCoproduct:
         P = oracles.permutation_operator(rep)
         for i in range(1, 3):
             for kind in ("e", "f"):
-                d = tensor.coproduct_action(rep, kind, i, qs)
+                d = fraction_coproduct(rep, kind, i, qs)
                 dt = oracles.opposite_coproduct(rep, kind, i, qs)
                 assert dt == linalg.sparse_mul(P, linalg.sparse_mul(d, P))
 
@@ -147,7 +170,7 @@ class TestDecomposition:
         lowerings below it, so it is not scalar on any component."""
         rep = seed_rep("a2even", 2)
         dec = tensor.decompose(rep, qs)
-        raising = tensor.coproduct_action(rep, "e", 1, qs)
+        raising, _ = tensor.coproduct_action(rep, "e", 1, qs)
         with pytest.raises(tensor.DecompositionError):
             tensor.component_scalars(dec, raising)
 
@@ -186,7 +209,7 @@ class TestDecompositionRefusals:
         top, second = dec.components[0].basis[0], dec.components[1].basis[0]
         p0 = min(top)
         lowered = {r: row[p0] for r, row in
-                   tensor.coproduct_action(rep, "f", 1, qs).items()
+                   tensor.coproduct_action(rep, "f", 1, qs)[0].items()
                    if p0 in row}
         idxs = dec.blocks[dec.weights[min(second)]]
         assert dec.weights[min(lowered)] == dec.weights[min(second)]
@@ -196,7 +219,7 @@ class TestDecompositionRefusals:
         def replaced(rows, ncols):
             kern = real(rows, ncols)
             if len(kern) == 1 and _parallel(kern[0], hw):
-                return [[lowered.get(p, Q(0)) for p in idxs]]
+                return [[lowered.get(p, 0) for p in idxs]]
             return kern
 
         monkeypatch.setattr(linalg, "kernel_basis", replaced)
