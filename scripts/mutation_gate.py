@@ -61,6 +61,11 @@ MUTATIONS = [
      "        if False:",
      "contravariant form at w: D(f_i) = c_i G^-1 D(e_i)^T G"),
     ("jimbo.py",
+     "    if any(block[p] != block[j] for p, row in n.items() for j in row):",
+     "    if False and any(block[p] != block[j] for p, row in n.items() "
+     "for j in row):",
+     "module map: N preserves weight"),
+    ("jimbo.py",
      "    if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)",
      "    if False and any(G[p] * y != G[j] * "
      "n.get(j, {}).get(p, 0)",

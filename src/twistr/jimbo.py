@@ -28,8 +28,9 @@ solve is certified the same way.
 
 The f-half needs no product.  V carries a contravariant form, a diagonal g
 with f_i = g^-1 e_i^T g (i >= 1), so with G = g (x) g the coproducts give
-D(f_i) = c_i G^-1 D(e_i)^T G, one c_i != 0 per i; ``contravariant_form``
-certifies this once per w on the decomposition's integer D(e_i), D(f_i).
+D(f_i) = c_i G^-1 D(e_i)^T G, one c_i != 0 per i; ``component_system``
+certifies this once per w on the decomposition's integer D(e_i), D(f_i)
+(``contravariant_form``) and keeps G.
 If N commutes with D(e_i) and is G-symmetric, G_p N_pj = G_j N_jp (one
 integer test per nonzero of N), then
 
@@ -98,9 +99,10 @@ the parity signs of N(0) are those of Rcheck(0).
 All checks are exact at rational samples; "pass" means the residual is
 identically zero.  Every check and solve takes a ``Shared``, which carries
 what the checks of one run have in common, so each R(w, u) is solved once
-however many checks read it.  N and the Fraction forms of Rcheck and R,
-built from N on first read for the rmatrix export and the tests, are sparse
-``linalg`` matrices {row: {col: x}}.
+however many checks read it, and each w has two records: the decomposition
+and the ``ComponentSystem`` (dual basis, small system and G).  N and the
+Fraction forms of Rcheck and R, built from N on first read for the rmatrix
+export and the tests, are sparse ``linalg`` matrices {row: {col: x}}.
 """
 
 from __future__ import annotations
@@ -160,29 +162,32 @@ class ComponentSystem:
     decomposition's basis vectors b_k and their dual basis d_k (b_k . d_j =
     delta_kj) times ``scale``, so P_nu is the sum of b_k d_k^T over the k in
     component nu, over ``scale``.  The numerators X, Y of D^u(e0) give the
-    small system's rows and, with the decomposition's D(x), the certificate."""
+    small system's rows and, with the decomposition's D(x) and the form G
+    certified at w, the certificate."""
     ncomp: int         # number of components
     scale: int
     terms: list        # (component of k, b_k, scale * d_k), integer
     e0_rows: list      # (mu, nu, x_k, y_k) of each small-system row
     e0_split: tuple    # (X, Y), D^u(e0) = (u X + Y) / d for one integer d
+    G: list            # G_p = g_a g_b, p = a * dim V + b (contravariant_form)
 
 
 def component_system(shared, qs: QSample) -> ComponentSystem:
-    """Invert the integer adapted basis of ``shared.decomposition(qs)`` per
-    weight block (it is a basis of weight vectors, so each block is square)
-    for the dual basis and the coordinates of X v_nu and Y v_nu.  Each
-    small-system row takes x_k and y_k in the same scaled coordinates, so
-    its null space is that of the unscaled rows."""
+    """Certify the form G at w (``contravariant_form``), then invert the
+    integer adapted basis of ``shared.decomposition(qs)`` per weight block
+    (it is a basis of weight vectors, so each block is square) for the dual
+    basis and the coordinates of X v_nu and Y v_nu.  Each small-system row
+    takes x_k and y_k in the same scaled coordinates, so its null space is
+    that of the unscaled rows."""
+    G = contravariant_form(shared, qs)
     dec = shared.decomposition(qs)
     basis = [v for comp in dec.components for v in comp.basis]
     comp_of = [n for n, comp in enumerate(dec.components) for _ in comp.basis]
-    in_block = {}
+    in_block = [[] for _ in dec.blocks]    # basis numbers k per weight block
     for k, v in enumerate(basis):
-        in_block.setdefault(dec.weights[min(v)], []).append(k)
+        in_block[dec.block[min(v)]].append(k)
     dual, den = [None] * len(basis), [1] * len(basis)
-    for eta, idxs in dec.blocks.items():
-        ks = in_block[eta]
+    for ks, idxs in zip(in_block, dec.blocks.values()):
         inv, d = linalg.invert([[basis[k].get(p, 0) for k in ks]
                                 for p in idxs])
         for k, row in zip(ks, inv):
@@ -194,7 +199,7 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
     def coords(cols, v):
         z = linalg.sparse_mat_vec(cols, v)
-        ks = in_block[dec.weights[min(z)]] if z else []
+        ks = in_block[dec.block[min(z)]] if z else []
         return {k: x for k in ks
                 if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
 
@@ -208,7 +213,8 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
         xs, ys = coords(xcols, comp.basis[0]), coords(ycols, comp.basis[0])
         e0_rows += [(comp_of[k], nu, xs.get(k, 0), ys.get(k, 0))
                     for k in sorted(xs.keys() | ys.keys())]
-    return ComponentSystem(len(dec.components), scale, terms, e0_rows, (x, y))
+    return ComponentSystem(len(dec.components), scale, terms, e0_rows, (x, y),
+                           G)
 
 
 def _solve_scalars(system: ComponentSystem, u: Fraction):
@@ -243,7 +249,6 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     (i >= 1), certified by ``_is_module_map``, and
     Rcheck * (u X + Y) == (X + u Y) * Rcheck, checked in integers as
     N * (a X + b Y) == (b X + a Y) * N for u = a / b."""
-    shared.form(qs)   # refuses a V without a contravariant form at once
     system = shared.components(qs)
     c = _solve_scalars(system, u)
     acc = {}      # c_top * scale * Rcheck = sum of c_nu(k) * b_k d_k^T
@@ -267,9 +272,9 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
 
 
 def contravariant_form(shared, qs: QSample):
-    """The integer diagonal g of V's contravariant form
-    (``Representation.g``), certified at w on the integer D(e_i), D(f_i)
-    (i >= 1) of ``shared.decomposition(qs)``: with G = g (x) g,
+    """G = g (x) g for the integer diagonal g of V's contravariant form
+    (``Representation.g``), read before any decomposition, certified at w
+    on the integer D(e_i), D(f_i) (i >= 1) of ``shared.decomposition(qs)``:
     D(f_i) = c_i G^-1 D(e_i)^T G for one c_i != 0 per i, that is D(f_i) and
     D(e_i)^T have the same nonzeros and G_p F_pj / (G_j E_jp) is the same
     at each.  Raises CertificateError otherwise."""
@@ -290,7 +295,7 @@ def contravariant_form(shared, qs: QSample):
         if not same:
             raise CertificateError(
                 f"D(f_{i}) is not c G^-1 D(e_{i})^T G at w = {qs.w}")
-    return g
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +306,10 @@ class Shared:
     """The work the checks of one verification run share, each piece built
     on first use and kept for the life of the object: the seed rep, the
     graph of ``params`` (the seed pair unless given), each R(w, u) solved
-    once, and per w the decomposition, the solves' ``ComponentSystem``, the
-    certified contravariant form and ``_index_data``.  The recursion is not
-    kept: each caller evaluates it on the shared graph where it needs it."""
+    once, and per w two records: the decomposition and the solves'
+    ``ComponentSystem``, which holds the contravariant form certified at w.
+    The recursion is not kept: each caller evaluates it on the shared graph
+    where it needs it."""
 
     def __init__(self, spec, params=None, rep=None):
         self.spec = spec
@@ -335,13 +341,6 @@ class Shared:
     def components(self, qs: QSample) -> ComponentSystem:
         return self._get(("components", qs.w),
                          lambda: component_system(self, qs))
-
-    def form(self, qs: QSample):
-        return self._get(("form", qs.w), lambda: contravariant_form(self, qs))
-
-    def indices(self, qs: QSample):
-        return self._get(("indices", qs.w), lambda: _index_data(
-            self.decomposition(qs), self.form(qs)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,30 +388,24 @@ def _lowest_index(rep):
     return low[0]
 
 
-def _index_data(dec, g):
-    """(block, G): the weight block number of each index p of V (x) V in
-    the decomposition dec, and G_p = g_a g_b for p = a * dim V + b."""
-    return ({p: k for k, idxs in enumerate(dec.blocks.values()) for p in idxs},
-            [x * y for x in g for y in g])
-
-
 def _is_module_map(shared, qs, n):
-    """True if the sparse N preserves weight, commutes with the integer
-    D(e_i) (i >= 1) of ``shared.decomposition(qs)`` and is G-symmetric,
-    G_p N_pj = G_j N_jp for G = g (x) g, g from ``shared.form(qs)``: then
-    it commutes with D(f_i) too (module docstring).  This is the module-map
-    certificate of the solve and the premise under which the cyclic vectors
-    certify the braid relation: a check cannot tell a memoized N from one
-    its solve certified."""
-    fixed = shared.decomposition(qs).fixed
-    block, G = shared.indices(qs)
+    """True if the sparse N preserves weight (keeps each index in its
+    weight block), commutes with the integer D(e_i) (i >= 1) of
+    ``shared.decomposition(qs)`` and is G-symmetric, G_p N_pj = G_j N_jp
+    for the G certified at w in ``shared.components(qs)``: then it commutes
+    with D(f_i) too (module docstring).  This is the module-map certificate
+    of the solve and the premise under which the cyclic vectors certify the
+    braid relation: a check cannot tell a memoized N from one its solve
+    certified."""
+    dec = shared.decomposition(qs)
+    block, G = dec.block, shared.components(qs).G
     if any(block[p] != block[j] for p, row in n.items() for j in row):
         return False
     if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)
            for p, row in n.items() for j, y in row.items()):
         return False
     return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)
-               for m in fixed[:len(fixed) // 2])
+               for m in dec.fixed[:len(dec.fixed) // 2])
 
 
 def check_ybe(shared: Shared, qs: QSample, u: Fraction, v: Fraction):

@@ -10,12 +10,13 @@ sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
 every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
 checks without forming a projector or an inverse.  V (x) V at a sample w
 is in integers from the coproducts on: ``decompose`` keeps the integer
-numerators of D(e_i), D(f_i) (i >= 1) and the primitive integer highest
-weight vectors, so the lowerings are integer too (P_nu does not depend on
-how the basis vectors are scaled), with the product weights and the weight
-blocks; the solve and the checks read that one form.  The coproduct
-numerators are sparse ``linalg`` matrices {row: {col: x}}, built from the
-nonzeros of V's generators; adapted basis vectors are sparse {col: x}.
+numerators of D(e_i), D(f_i) (i >= 1) and the adapted basis as primitive
+integer vectors, each lowering divided by its content gcd (P_nu does not
+depend on how the basis vectors are scaled), with the weight blocks and the
+block number of each index; the solve and the checks read that one form.
+The coproduct numerators are sparse ``linalg`` matrices {row: {col: x}},
+built from the nonzeros of V's generators; adapted basis vectors are sparse
+{col: x}.
 
 The classical parity oracle builds no operator: it reads the Sym^2 / Alt^2
 sign of each component off V's character (``classical_parity_signs``).
@@ -88,8 +89,9 @@ class IsotypicComponent:
 @dataclass
 class IsotypicDecomposition:
     rep: Representation  # the seed V of V (x) V
-    weights: tuple       # weight of each product basis vector
     blocks: dict         # weight -> product basis indices of that weight
+    block: dict          # index -> number of its weight block, in the
+                         # order of ``blocks``
     components: list     # IsotypicComponent, sorted by weight desc
     fixed: list          # D(e_1)..D(e_l), D(f_1)..D(f_l), each as the
                          # integer numerator of coproduct_action
@@ -107,6 +109,7 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     blocks = {}
     for p, w in enumerate(weights):
         blocks.setdefault(w, []).append(p)
+    block = {p: k for k, idxs in enumerate(blocks.values()) for p in idxs}
     fixed = [coproduct_action(rep, kind, i, qs)[0]
              for kind in "ef" for i in range(1, l + 1)]
     # the nonzero columns of each stacked raising row, grouped by the weight
@@ -144,13 +147,13 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
                 for cols in lowering_cols:
                     w = linalg.sparse_mat_vec(cols, v)
                     if space.add(w):
-                        nxt.append(w)
+                        nxt.append(linalg._primitive(w))
             c.basis.extend(nxt)
             frontier = nxt
     if space.dim != dim:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {dim}")
-    return IsotypicDecomposition(rep, weights, blocks, components, fixed)
+    return IsotypicDecomposition(rep, blocks, block, components, fixed)
 
 
 def component_scalars(dec: IsotypicDecomposition, M):

@@ -360,11 +360,12 @@ class TestVerify:
 
     def test_shared_work_runs_once_per_call(self, tmp_path, monkeypatch):
         """One verify solves each distinct (w, u) once, builds one graph,
-        decomposes once per distinct w and evaluates the recursion once for
-        the eigenvalue stage and once per spectral sample; a second
-        identical verify does all of it again, so nothing outlives the
-        call."""
-        calls = {"solve": [], "decompose": [], "graph": [], "recursion": []}
+        decomposes and certifies the contravariant form once per distinct w
+        and evaluates the recursion once for the eigenvalue stage and once
+        per spectral sample; a second identical verify does all of it again,
+        so nothing outlives the call."""
+        calls = {"solve": [], "decompose": [], "form": [], "graph": [],
+                 "recursion": []}
 
         def counted(name, module, attr, key):
             real = getattr(module, attr)
@@ -376,6 +377,7 @@ class TestVerify:
 
         counted("solve", jimbo, "solve_rmatrix", lambda shared, qs, u: (qs.w, u))
         counted("decompose", jimbo, "decompose", lambda T, qs: qs.w)
+        counted("form", jimbo, "contravariant_form", lambda shared, qs: qs.w)
         counted("graph", tpg, "build_graph", lambda spec, params: params)
         counted("recursion", tpg, "eigenvalues_by_recursion",
                 lambda graph, qs: qs.w)
@@ -402,6 +404,7 @@ class TestVerify:
         assert set(first["solve"]) == wanted
         assert len(first["graph"]) == 1
         assert sorted(first["decompose"]) == sorted(ws)
+        assert sorted(first["form"]) == sorted(ws)
         spectral = [Fraction(r["w"])
                     for r in stages["spectral-agreement"]["certificates"]]
         assert sorted(first["recursion"]) == sorted([w0] + spectral)

@@ -93,14 +93,14 @@ class TestCertificates:
 
     def test_small_system_nullity_two_raises(self):
         # two components and no e0 rows: nothing ties c_1 to c_0
-        system = jimbo.ComponentSystem(2, 1, [], [], ({}, {}))
+        system = jimbo.ComponentSystem(2, 1, [], [], ({}, {}), G=[])
         with pytest.raises(jimbo.SolveError, match="nullity 2"):
             jimbo._solve_scalars(system, Q(2, 3))
 
     def test_zero_top_coefficient_raises(self):
         # X v_top = b_0, Y v_top = 0: (u - 1) c_0 = 0 leaves only c_1 free
         system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))],
-                                        ({}, {}))
+                                        ({}, {}), G=[])
         with pytest.raises(jimbo.SolveError, match="top weight vector"):
             jimbo._solve_scalars(system, Q(2, 3))
 
@@ -197,6 +197,16 @@ class TestCertificates:
                                  for m in (x, y))
 
 
+def fake_shared(block, fixed, g):
+    """A stand-in for ``jimbo.Shared`` that holds only what
+    ``_is_module_map`` reads at any w: a label of each index's weight block
+    (``block[p]``), the integer D(e_i), D(f_i) and G = g (x) g."""
+    dec = SimpleNamespace(block=block, fixed=fixed)
+    system = SimpleNamespace(G=[x * y for x in g for y in g])
+    return SimpleNamespace(decomposition=lambda qs: dec,
+                           components=lambda qs: system)
+
+
 def g_symmetric(n, g):
     """True if G N is a symmetric matrix, G = g (x) g: the sparse N is
     G-symmetric, by the tests' own transpose."""
@@ -261,7 +271,8 @@ class TestContravariantForm:
         dec = shared.decomposition(qs)
         l = shared.rep.spec.l
         dec.fixed[l] = linalg.sparse_lincomb(((3, dec.fixed[l]),))
-        assert shared.form(qs) == shared.rep.g
+        g = shared.rep.g
+        assert shared.components(qs).G == [x * y for x in g for y in g]
         assert jimbo.solve_rmatrix(shared, qs, Q(3, 5)).N == want.N
 
     def test_refuses_a_module_map_that_is_not_g_symmetric(self, qs):
@@ -280,14 +291,10 @@ class TestContravariantForm:
             tuple(map(padded, w.f)), ((Q(0),) * w.spec.l,) + w.weights)
         fixed = [tensor.coproduct_action(rep, kind, i, qs)[0]
                  for kind in "ef" for i in range(1, w.spec.l + 1)]
-        blocks = {}
-        for p, (a, b) in enumerate((a, b) for a in rep.weights
-                                   for b in rep.weights):
-            blocks.setdefault(tuple(x + y for x, y in zip(a, b)), []).append(p)
-        dec = SimpleNamespace(blocks=blocks, fixed=fixed)
+        weights = [tuple(x + y for x, y in zip(a, b)) for a in rep.weights
+                   for b in rep.weights]
         g = (1,) + w.g
-        shared = SimpleNamespace(decomposition=lambda qs: dec,
-                                 indices=lambda qs: jimbo._index_data(dec, g))
+        shared = fake_shared(weights, fixed, g)
         d = rep.dim
         copy = {b * d: {b: 1} for b in range(1, d)}   # 1 (x) w -> w (x) 1
         assert all(linalg.sparse_mul(copy, m) == linalg.sparse_mul(m, copy)
@@ -297,6 +304,16 @@ class TestContravariantForm:
         both = linalg.sparse_lincomb(
             ((1, copy), (1, linalg.sparse_transpose(copy))))
         assert jimbo._is_module_map(shared, qs, both)
+
+    def test_refuses_a_g_symmetric_map_across_weight_blocks(self, qs):
+        """With no D(e_i) to commute with and G = 1, the swap of indices 0
+        and 1 is G-symmetric and commutes with every D(e_i), so only the
+        weight clause refuses it while the two lie in different weight
+        blocks; in one block it passes."""
+        swap = {0: {1: 1}, 1: {0: 1}}
+        apart = fake_shared([0, 1, 2, 3], [], (1, 1))
+        assert not jimbo._is_module_map(apart, qs, swap)
+        assert jimbo._is_module_map(fake_shared([0] * 4, [], (1, 1)), qs, swap)
 
     def test_one_helper_and_no_lowering_product(self, qs, monkeypatch):
         """The solve and the Yang-Baxter premise both go through
@@ -584,8 +601,8 @@ class TestCyclicVectors:
         qs, u, v = self.QS, self.U, self.V
         shared = seed_shared(family, l)
         res = shared.solve(qs, u)
-        weights = shared.decomposition(qs).weights
-        assert weights[entry[0]] == weights[entry[1]]
+        block = shared.decomposition(qs).block
+        assert block[entry[0]] == block[entry[1]]
         shared._memo[("solve", qs.w, u)] = dataclasses.replace(
             res, N=bump(res.N, *entry, res.D))
         Rs = [shared.solve(qs, x).R for x in (u, u * v, v)]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from twistr.scalars import QSample
 
 import oracles
 from conftest import YBE_CASES, fraction_coproduct, seed_rep
+from full_solve import product_weights
 
 Q = Fraction
 
@@ -18,13 +20,17 @@ class TestTensorModule:
     the swap of V (x) V."""
 
     def test_weights_add(self, qs):
+        """Each index lies in the block of the sum of its factor weights,
+        and ``block`` numbers it by that block's place in ``blocks``."""
         rep = seed_rep("a2even", 1)
         dec = tensor.decompose(rep, qs)
+        weights = list(dec.blocks)
         for i in range(rep.dim):
             for j in range(rep.dim):
                 want = tuple(a + b for a, b in
                              zip(rep.weights[i], rep.weights[j]))
-                assert dec.weights[i * rep.dim + j] == want
+                assert weights[dec.block[i * rep.dim + j]] == want
+                assert i * rep.dim + j in dec.blocks[want]
 
     def test_weight_blocks_partition(self, qs):
         rep = seed_rep("d2", 2)
@@ -106,7 +112,7 @@ class TestCoproduct:
     def test_cartan_weight_conservation(self, qs):
         """Delta(e_i) raises the total weight by alpha_i."""
         rep = seed_rep("a2even", 2)
-        spec, weights = rep.spec, tensor.decompose(rep, qs).weights
+        spec, weights = rep.spec, product_weights(rep)
         for i in range(spec.l + 1):
             m = fraction_coproduct(rep, "e", i, qs,
                                    u=Q(1) if i == 0 else None)
@@ -165,6 +171,17 @@ class TestDecomposition:
         assert len(vectors) == dim
         assert len(oracles.rref(vectors)[1]) == dim
 
+    @pytest.mark.parametrize("family,l", [("d2", 4), ("a2even", 4),
+                                          ("a2odd", 4)],
+                             ids=["d2-l4", "a2even-l4", "a2odd-l4"])
+    def test_adapted_basis_is_primitive(self, family, l):
+        """Every adapted basis vector, each lowering included, is an integer
+        vector with content gcd 1."""
+        dec = tensor.decompose(seed_rep(family, l), QSample(Q(-7, 5)))
+        assert all(type(x) is int and math.gcd(*v.values()) == 1
+                   for c in dec.components for v in c.basis
+                   for x in v.values())
+
     def test_component_scalars_rejects_non_scalar(self, qs):
         """A raising coproduct kills each highest weight vector but not the
         lowerings below it, so it is not scalar on any component."""
@@ -211,8 +228,8 @@ class TestDecompositionRefusals:
         lowered = {r: row[p0] for r, row in
                    tensor.coproduct_action(rep, "f", 1, qs)[0].items()
                    if p0 in row}
-        idxs = dec.blocks[dec.weights[min(second)]]
-        assert dec.weights[min(lowered)] == dec.weights[min(second)]
+        idxs = list(dec.blocks.values())[dec.block[min(second)]]
+        assert dec.block[min(lowered)] == dec.block[min(second)]
         real = linalg.kernel_basis
         hw = [second.get(p, 0) for p in idxs]
 
