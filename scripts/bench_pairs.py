@@ -9,7 +9,9 @@ pairs the change.  For each seed and each end-to-end metric of that file,
 the output gives every run, each side's median and inclusive quartiles, and
 the number of pairs the change wins (is better in the metric's direction).
 ``peak_rss_mb`` grows with the number of case runs a measuring worker
-makes, so each side's ``attempted`` counts stand beside it.  With ``--trace`` each side also makes one ``--trace 1`` run per
+makes, so each side's ``attempted`` counts stand beside it.  Every run
+starts with no ``__pycache__`` under its checkout's src/, so both sides
+import twistr from the same bytecode state.  With ``--trace`` each side also makes one ``--trace 1`` run per
 seed, and all of its per-layer metrics are kept.
 
 The results are merged into the output file under "<workload> seed <seed>",
@@ -29,6 +31,7 @@ import json
 import os
 import pathlib
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,9 +39,18 @@ import sys
 SIDES = ("parent", "change")
 
 
+def clear_bytecode(checkout):
+    """Remove every ``__pycache__`` directory under the checkout's src/, so
+    that both sides of a pair start from the same bytecode state."""
+    for cache in list((pathlib.Path(checkout) / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
 def run_side(checkout, workload, seed, seconds, trace=False):
-    """One ``perfbench/run.py`` run in ``checkout``; returns its record:
+    """One ``perfbench/run.py`` run in ``checkout``, from source with no
+    bytecode left by an earlier run; returns its record:
     {"attempted": n, "metrics": {name: value}}."""
+    clear_bytecode(checkout)
     t = int(trace)
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                     "--seed", str(seed), "--seconds", str(seconds),
@@ -117,7 +129,10 @@ def main(argv=None):
                 "quartiles over each side's runs; change_wins counts pairs "
                 "where the change is better in the metric's direction; "
                 "attempted is the number of case runs the measuring worker "
-                "made, which peak_rss_mb grows with"))
+                "made, which peak_rss_mb grows with; before every run the "
+                "__pycache__ directories under each checkout's src/ are "
+                "removed, so stale bytecode on one side cannot move its "
+                "peak_rss_mb"))
     for seed in args.seeds:
         pairs = []
         for i in range(args.pairs):

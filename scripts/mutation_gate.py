@@ -4,11 +4,13 @@ fails.
 
 Each entry of MUTATIONS is (a file of src/twistr, one exact source line of
 it, the line that replaces it, the certificate that the replacement
-disables or weakens).  For each entry the repository is copied (without
-.git and caches) to a temporary directory, the line is replaced there, and
-``pytest -x -q`` runs on the copy.  The mutation is killed when pytest
-exits 1 with a FAILED test, and the first failing test is printed; it
-survives when every test passes.  Any other outcome (a collection or setup
+disables or weakens).  The repository is copied once, at the start of a
+run (without .git and caches), into a snapshot, so every entry of one run
+tests the same tree even if the checkout is edited meanwhile.  For each
+entry the snapshot is copied to a temporary directory, the line is replaced
+there, and ``pytest -x -q`` runs on the copy.  The mutation is killed when
+pytest exits 1 with a FAILED test, and the first failing test is printed;
+it survives when every test passes.  Any other outcome (a collection or setup
 ERROR, an interrupted or internal pytest error, no tests collected) is an
 error of the gate, not a kill.  ``tests/test_golden.py`` and
 ``tests/test_scripts.py`` run last, so a semantic test is the one printed
@@ -120,19 +122,32 @@ MUTATIONS = [
      "                pass",
      "contravariant form on V: f_i = g^-1 e_i^T g"),
     ("qrep.py",
-     "        report.append(relation_entry(name, total))",
+     "        report.append(relation_entry(name, total, d * scale))",
      "        pass",
      "q-Serre relations"),
     ("qrep.py",
-     "        qints = _q_integers(qs, rep.h[i] + (m,))",
-     "        qints = _q_integers(QSample(Q(2)), rep.h[i] + (m,))",
+     "                              si ** m * sj, words if any(words) else ()))",
+     "                              si ** m * sj, words if all(words) else ()))",
+     "q-Serre: a sum skipped only when every word is zero"),
+    ("qrep.py",
+     "        qints = _q_integers(qs, (*(groups or rep.h[i]), m))",
+     "        qints = _q_integers(QSample(Q(2)), (*(groups or rep.h[i]), m))",
      "[e_i,f_i] target at the sampled q"),
+    ("qrep.py",
+     "        if groups is not None and all(gauge * c == scale * qints[x]",
+     "        if groups is not None and all(True or gauge * c == scale * "
+     "qints[x]",
+     "[e_i,f_i]: one comparison per group of the diagonal"),
+    ("qrep.py",
+     "                    if tuple(map(sub, wt[p], wt[c])) != shift])",
+     "                    if False])",
+     "weight shifts: the weight test of each nonzero"),
     ("liealg.py",
-     '            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x))',
+     '            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x, s))',
      "            pass",
      "classical Serre relations of E"),
     ("liealg.py",
-     '            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y))',
+     '            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y, s))',
      "            pass",
      "classical Serre relations of F"),
 ]
@@ -156,12 +171,12 @@ def _ignored(directory, names):
     return [n for n in names if n in skip]
 
 
-def run_one(path, line, replacement):
+def run_one(snapshot, path, line, replacement):
     """("killed", "survived" or "error"; the first failing test or the
-    summary line; seconds)."""
+    summary line; seconds), on a copy of the snapshot directory."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=_ignored)
+        shutil.copytree(snapshot, copy)
         target = copy / "src" / "twistr" / path
         target.write_text(mutated(target.read_text(), line, replacement))
         tests = sorted((copy / "tests").glob("test_*.py"),
@@ -186,11 +201,15 @@ def run_one(path, line, replacement):
 
 def main():
     unkilled = 0
-    for path, line, replacement, name in MUTATIONS:
-        status, summary, seconds = run_one(path, line, replacement)
-        unkilled += status != "killed"
-        print(f"{status:8} {name} ({path}, {seconds:.0f} s): {summary}",
-              flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, snapshot, ignore=_ignored)
+        for path, line, replacement, name in MUTATIONS:
+            status, summary, seconds = run_one(snapshot, path, line,
+                                               replacement)
+            unkilled += status != "killed"
+            print(f"{status:8} {name} ({path}, {seconds:.0f} s): {summary}",
+                  flush=True)
     return 0 if unkilled == 0 else 1
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import (mat_scale, mat_sub, sparse_commutator, sparse_lincomb,
-                     zeros)
+                     sparse_mul, zeros)
 
 Q = Fraction
 
@@ -149,6 +149,13 @@ def doubled(v):
     return tuple(out)
 
 
+def doubled_gram(spec: FamilySpec):
+    """The Gram matrix of the simple roots times 4, (2 alpha_i, 2 alpha_j)
+    for i, j = 0..l, in ints."""
+    two = [doubled(a) for a in spec.alpha]
+    return [[inner(a, b) for b in two] for a in two]
+
+
 def weyl_dim(l0type, l, nu) -> int:
     """Weyl's product prod_alpha (nu + rho, alpha) / (rho, alpha) over the
     positive roots e_i -+ e_j (i < j) and e_i (B) or 2 e_i (C), taken on the
@@ -242,47 +249,72 @@ def kac_generators(spec: FamilySpec):
     return {"E": E, "F": F, "H": H}
 
 
-def relation_entry(name, residual):
+def relation_entry(name, residual, scale=1):
     """The report entry {relation, ok, residual} of one defining relation
-    from its sparse residual matrix, which holds nonzero entries only: the
-    relation holds exactly when the residual is empty, and the residual is
-    kept only when it is not."""
-    ok = not residual
-    return {"relation": name, "ok": ok, "residual": None if ok else residual}
+    from its sparse residual matrix times the positive integer scale, which
+    holds nonzero entries only: the relation holds exactly when the residual
+    is empty, and the residual is divided back by the scale, into
+    Fractions, only when it is not."""
+    if not residual:
+        return {"relation": name, "ok": True, "residual": None}
+    return {"relation": name, "ok": False, "residual": {
+        i: {j: Q(x, scale) for j, x in row.items()}
+        for i, row in residual.items()}}
+
+
+def integral(m):
+    """(s, s m) in ints for the sparse matrix m, s the lcm of its
+    denominators."""
+    s = linalg.denominator(*m.values())
+    return s, {i: linalg.scaled(row, s) for i, row in m.items()}
+
+
+def _bracket(a, b, c=1):
+    """The terms (c, a b) and (-c, b a) of c [a, b] for ``sparse_lincomb``."""
+    return (c, sparse_mul(a, b)), (-c, sparse_mul(b, a))
 
 
 def check_classical_relations(gens, spec: FamilySpec):
     """Verify every defining relation of the classical generator set.
 
-    The n x n matrices of ``gens`` are converted to sparse once and every
-    relation is checked on the sparse forms.  Returns a list of report
-    entries {"relation": str, "ok": bool, "residual"}.
+    Each n x n matrix x of ``gens`` is made sparse and scaled to integers
+    once (``integral``: s x, s the lcm of its denominators), and every
+    relation is checked on integer products.  Its residual times the
+    product of the scales s it reads, and of the denominator d of (alpha_i,
+    alpha_j) for [H_i, x], is an integer matrix, divided back by that scale
+    only when it is not empty.  Returns a list of report entries
+    {"relation": str, "ok": bool, "residual"}.
     """
-    E, F, H = ([linalg.sparse(m) for m in gens[k]] for k in "EFH")
-    l = spec.l
+    E, F, H = ([integral(linalg.sparse(m)) for m in gens[k]] for k in "EFH")
+    l, gram = spec.l, doubled_gram(spec)
     report = []
     for i in range(l + 1):
+        (sh, h), (se, e) = H[i], E[i]
         for j in range(l + 1):
-            aij = inner(spec.alpha[i], spec.alpha[j])
-            target = H[i] if i == j else {}
+            (sej, ej), (sf, f) = E[j], F[j]
+            aij = Q(gram[i][j], 4)
+            d, n = aij.denominator, aij.numerator * sh
+            target = h if i == j else {}
             report += [
                 relation_entry(f"[H{i},E{j}]=(a{i},a{j})E{j}", sparse_lincomb(
-                    ((1, sparse_commutator(H[i], E[j])), (-aij, E[j])))),
+                    (*_bracket(h, ej, d), (-n, ej))), d * sh * sej),
                 relation_entry(f"[H{i},F{j}]=-(a{i},a{j})F{j}", sparse_lincomb(
-                    ((1, sparse_commutator(H[i], F[j])), (aij, F[j])))),
+                    (*_bracket(h, f, d), (n, f))), d * sh * sf),
                 relation_entry(f"[E{i},F{j}]=delta*H{i}", sparse_lincomb(
-                    ((1, sparse_commutator(E[i], F[j])), (-1, target))))]
+                    (*_bracket(e, f, sh), (-se * sf, target))), se * sf * sh)]
     for i in range(l + 1):
         for j in range(l + 1):
             if i == j:
                 continue
             m = 1 - int(spec.cartan(i, j))
-            x = E[j]
+            (si, ei), (sj, x) = E[i], E[j]
             for _ in range(m):
-                x = sparse_commutator(E[i], x)
-            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x))
-            y = F[j]
+                x = sparse_commutator(ei, x)
+            s = si ** m * sj
+            report.append(relation_entry(f"(ad E{i})^{m} E{j}=0", x, s))
+            (si, fi), (sj, y) = F[i], F[j]
             for _ in range(m):
-                y = sparse_commutator(F[i], y)
-            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y))
+                y = sparse_commutator(fi, y)
+            s = si ** m * sj
+            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y, s))
     return report

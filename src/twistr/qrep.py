@@ -14,10 +14,15 @@ relation checker, the coproducts and the rep export read.
 Undeformedness is a claim under test: build_seed_rep runs the checker at a
 sample w and aborts if any relation fails.  The checker's q-independent
 part (the h_i eigenvalue table, the weight shifts, the [e_i, f_j] for
-i != j, the classical commutators [e_i, f_i] with their gauge magnitudes,
-and the words of every q-Serre sum) is built once per Representation, on
-its first check, and every later sample computes only the [e_i, f_i]
-targets and the q-Serre sums with their coefficients.
+i != j, the classical commutators [e_i, f_i] with their gauge magnitudes
+and diagonal groups, and the words of every q-Serre sum) is built once per
+Representation, on its first check, and every later sample computes only
+the [e_i, f_i] comparisons and the q-Serre sums that have a nonzero word.
+Every product is built in integers, from s * x with s the lcm of the
+denominators of the generator x, and kept with its scale, the product of
+the s it reads; a residual is divided back by its scale only when it is
+not empty.  A weight shift [h_i, x_j] is one weight test per nonzero of
+x_j, exact because h_i(p) = (wt_p, alpha_i).
 
 Each Representation also carries the integer diagonal g of its
 contravariant form, f_i = g^-1 e_i^T g for i >= 1 (``Representation.g``),
@@ -28,12 +33,14 @@ product.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from . import liealg, linalg
-from .liealg import FamilySpec, inner, relation_entry
+from .liealg import FamilySpec, doubled, inner, relation_entry
 from .scalars import QSample, qfactorial
 
 Q = Fraction
@@ -53,11 +60,16 @@ class Representation:
     weights: tuple                 # weight of each basis vector
 
     @cached_property
+    def doubled_weights(self):
+        """2 * weight_p of each basis vector p, in ints."""
+        return tuple(map(doubled, self.weights))
+
+    @cached_property
     def h(self):
         """h[i][p] = (weight_p, alpha_i), the eigenvalue of h_i on basis
-        vector p."""
-        return tuple(tuple(inner(mu, alpha) for mu in self.weights)
-                     for alpha in self.spec.alpha)
+        vector p, from the doubled weights and roots."""
+        return tuple(tuple(Q(inner(mu, a), 4) for mu in self.doubled_weights)
+                     for a in map(doubled, self.spec.alpha))
 
     @cached_property
     def g(self):
@@ -104,12 +116,9 @@ class Representation:
     def integer_generators(self):
         """{(kind, i): (s, s * x)} for x = e_i (kind "e") and f_i ("f"),
         s the lcm of the denominators of x."""
-        out = {}
-        for k, xs in (("e", self.e), ("f", self.f)):
-            for i, x in enumerate(xs):
-                s = linalg.denominator(*x.values())
-                out[k, i] = s, {r: linalg.scaled(y, s) for r, y in x.items()}
-        return out
+        return {(k, i): liealg.integral(x)
+                for k, xs in (("e", self.e), ("f", self.f))
+                for i, x in enumerate(xs)}
 
 
 def _weights_from_h_diagonals(spec: FamilySpec, hdiags):
@@ -209,43 +218,85 @@ def _build_spinor(spec: FamilySpec):
 
 @dataclass(frozen=True)
 class RelationData:
-    """The q-independent part of the quantum relations of one rep: every
-    product of generators they read, built once by ``Representation``."""
+    """The q-independent part of the quantum relations of one rep, built
+    once by ``Representation``.  Every product of generators is built in
+    integers from ``Representation.integer_generators`` and kept with its
+    scale: the product of the scales s of the generators it multiplies."""
     shifts: tuple      # (name, residual) of each [h_i, x_j] weight shift
-    brackets: tuple    # (i, j, e_i f_j - f_j e_i) for every i, j
+    brackets: tuple    # (i, j, scale, scale * [e_i, f_j]) for every i, j
     magnitudes: tuple  # the gauge magnitude m of each i
-    serre: tuple       # (name, i, m, words): x_i^(m-k) x_j x_i^k, k = 0..m
+    groups: tuple      # per i: {h: c} or None, see _diagonal_groups
+    serre: tuple       # (name, m, d_i, scale, words): see _relation_data
 
 
-def _weight_shift_residual(x, hdiag, shift):
-    """The entries x[p][r] * (h(p) - h(r) - shift) of [h, x] - shift * x for
-    the diagonal h and the sparse x, over the nonzeros of x."""
-    out = {}
-    for p, row in x.items():
-        r = {c: y * t for c, y in row.items()
-             if (t := hdiag[p] - hdiag[c] - shift)}
-        if r:
-            out[p] = r
+def _weight_shift_failures(rep, xs, sign):
+    """Per generator x_j of xs: the nonzeros (p, c, x[p][c]) of x_j where
+    wt_p - wt_c is not sign * alpha_j, compared once per nonzero on doubled
+    integer weights.  Only these can hold a residual entry of any [h_i,
+    x_j] - sign (alpha_i, alpha_j) x_j, as h_i(p) = (wt_p, alpha_i)."""
+    wt = rep.doubled_weights
+    out = []
+    for alpha, x in zip(rep.spec.alpha, xs):
+        shift = tuple(sign * a for a in doubled(alpha))
+        out.append([(p, c, y) for p, row in x.items() for c, y in row.items()
+                    if tuple(map(sub, wt[p], wt[c])) != shift])
     return out
 
 
+def _diagonal_groups(h, comm):
+    """The diagonal of comm = s * [e_i, f_i] grouped by the value of h_i:
+    {h: c} when comm is diagonal and comm[p][p] = c at every p with
+    h_i(p) = h, else None.  At a sample the residual of [e_i, f_i] is then
+    empty exactly when gauge * c = s * [h]_q for every group."""
+    if any(r.keys() != {p} for p, r in comm.items()):
+        return None
+    groups = {}
+    for p, x in enumerate(h):
+        c = comm.get(p, {}).get(p, 0)
+        if groups.setdefault(x, c) != c:
+            return None
+    return groups
+
+
+def _product(a, b):
+    """a b for sparse a and b, with no product when either is 0."""
+    return linalg.sparse_mul(a, b) if a and b else {}
+
+
 def _relation_data(rep: Representation) -> RelationData:
-    """The weight shifts and the [e_i, f_j] for i != j as finished
-    residuals, the classical commutators [e_i, f_i] with their gauge
-    magnitudes, and the words of each q-Serre sum.  Raises
-    RepresentationError on a non-integer Cartan entry."""
-    spec, h = rep.spec, rep.h
-    l, dim = spec.l, rep.dim
+    """The weight shifts as finished residuals, every s * [e_i, f_j] in
+    integers with the groups of its diagonal for i = j, the gauge
+    magnitudes, and the integer words of each q-Serre sum.
+
+    The weight shift [h_i, x_j] = sign (alpha_i, alpha_j) x_j is computed
+    per i only at the nonzeros of x_j that fail the weight test of
+    ``_weight_shift_failures``.  A q-Serre sum of x_i, x_j (x = e or f)
+    has degree m = 1 - a_ij and the words s_i^m s_j x_i^(m-k) x_j x_i^k,
+    k = 0..m, over the scale s_i^m s_j, built with no product by x_i^0 = I
+    or by a zero power; ``words`` is empty when every word is 0, for then
+    the sum is 0 at any q.  Its coefficients read q_i = q^d_i, d_i =
+    (alpha_i, alpha_i) / 2.  Raises RepresentationError on a non-integer
+    Cartan entry."""
+    spec, h, gens = rep.spec, rep.h, rep.integer_generators
+    l, gram = spec.l, liealg.doubled_gram(spec)
+    failures = {"e": _weight_shift_failures(rep, rep.e, 1),
+                "f": _weight_shift_failures(rep, rep.f, -1)}
     shifts = []
     for i in range(l + 1):
-        for x, tag in ((rep.e, "e"), (rep.f, "f")):
-            for j in range(l + 1):
-                aij = inner(spec.alpha[i], spec.alpha[j])
-                shift = aij if tag == "e" else -aij
-                shifts.append((f"[h{i},{tag}{j}] weight shift",
-                               _weight_shift_residual(x[j], h[i], shift)))
-    brackets = tuple((i, j, linalg.sparse_commutator(rep.e[i], rep.f[j]))
-                     for i in range(l + 1) for j in range(l + 1))
+        for tag, sign in (("e", 1), ("f", -1)):
+            for j, bad in enumerate(failures[tag]):
+                residual = {}
+                for p, c, y in bad:
+                    shift = sign * Q(gram[i][j], 4)
+                    if t := h[i][p] - h[i][c] - shift:
+                        residual.setdefault(p, {})[c] = y * t
+                shifts.append((f"[h{i},{tag}{j}] weight shift", residual))
+    brackets = []
+    for i in range(l + 1):
+        se, e = gens["e", i]
+        for j in range(l + 1):
+            sf, f = gens["f", j]
+            brackets.append((i, j, se * sf, linalg.sparse_commutator(e, f)))
     # The stored matrices are the classical (q-independent) ones; they
     # realize the quantum relation after the reciprocal gauge e_i -> e_i,
     # f_i -> ([m]_q / m) f_i, where m is the common magnitude of the nonzero
@@ -255,28 +306,32 @@ def _relation_data(rep: Representation) -> RelationData:
     for i in range(l + 1):
         mags = {abs(x) for x in h[i]} - {0}
         magnitudes.append(max(mags) if len(mags) == 1 else Q(1))
+    groups = tuple(_diagonal_groups(h[i], comm)
+                   for i, j, _, comm in brackets if i == j)
     serre = []
     for i in range(l + 1):
-        powers = {tag: [linalg.sparse_identity(dim), x[i]]
-                  for x, tag in ((rep.e, "e"), (rep.f, "f"))}
+        di = Q(gram[i][i], 8)
+        powers = {tag: [None, gens[tag, i][1]] for tag in "ef"}
         for j in range(l + 1):
             if i == j:
                 continue
-            aij = spec.cartan(i, j)
+            aij = Q(2 * gram[i][j], gram[i][i])
             if aij.denominator != 1:
                 raise RepresentationError(
                     f"Cartan entry a[{i}][{j}] = {aij} is not an integer")
             m = 1 - int(aij)
-            for x, tag in ((rep.e, "e"), (rep.f, "f")):
+            for tag in "ef":
+                (si, xi), (sj, xj) = gens[tag, i], gens[tag, j]
                 pw = powers[tag]
                 while len(pw) <= m:
-                    pw.append(linalg.sparse_mul(x[i], pw[-1]))
-                words = [linalg.sparse_mul(pw[m - k],
-                                           linalg.sparse_mul(x[j], pw[k]))
-                         for k in range(m + 1)]
-                serre.append((f"q-Serre {tag}{i},{tag}{j}", i, m, words))
-    return RelationData(tuple(shifts), brackets, tuple(magnitudes),
-                        tuple(serre))
+                    pw.append(_product(xi, pw[-1]))
+                right = [xj] + [_product(xj, pw[k]) for k in range(1, m + 1)]
+                words = [_product(pw[m - k], r) if k < m else r
+                         for k, r in enumerate(right)]
+                serre.append((f"q-Serre {tag}{i},{tag}{j}", m, di,
+                              si ** m * sj, words if any(words) else ()))
+    return RelationData(tuple(shifts), tuple(brackets), tuple(magnitudes),
+                        groups, tuple(serre))
 
 
 def _q_integers(qs: QSample, hs):
@@ -294,35 +349,46 @@ def check_quantum_relations(rep: Representation, qs: QSample):
 
     Covers Cartan commutators (as weight shifts), the [e_i, f_j] relation and
     the quantum Serre relations with q-divided powers, each as a sparse
-    residual that is empty exactly when the relation holds.
+    residual that is empty exactly when the relation holds.  A relation
+    computed in integers, times the scale of its products, is divided back
+    by that scale only when its residual is not empty.
 
-    Only the q-dependent part is computed here: the [e_i, f_i] residual
-    gauge * [e_i, f_i] - [h_i]_q and the q-Serre sums with their
-    coefficients.  The weight shifts, the [e_i, f_j] for i != j, the
-    classical commutators [e_i, f_i] and the q-Serre words do not depend on
-    q; they are built once per rep (``Representation.relations``).
+    Only the q-dependent part is computed here, from the q-independent
+    ``Representation.relations``: the [e_i, f_i] residual gauge * [e_i, f_i]
+    - [h_i]_q, first as one comparison per group of the diagonal (built in
+    full only when a comparison fails), and the q-Serre sums that have a
+    nonzero word, with their coefficients scaled to integers.
     """
     data = rep.relations
     report = [relation_entry(name, r) for name, r in data.shifts]
-    for i, j, comm in data.brackets:
+    for i, j, scale, comm in data.brackets:
         if i != j:
-            report.append(relation_entry(f"[e{i},f{j}]", comm))
+            report.append(relation_entry(f"[e{i},f{j}]", comm, scale))
             continue
-        m = data.magnitudes[i]
-        qints = _q_integers(qs, rep.h[i] + (m,))
-        tgt = {p: {p: qints[x]} for p, x in enumerate(rep.h[i]) if x}
-        residual = linalg.sparse_lincomb(((qints[m] / m, comm), (-1, tgt)))
+        m, groups = data.magnitudes[i], data.groups[i]
+        qints = _q_integers(qs, (*(groups or rep.h[i]), m))
+        gauge = qints[m] / m
+        if groups is not None and all(gauge * c == scale * qints[x]
+                                      for x, c in groups.items()):
+            residual = {}
+        else:
+            tgt = {p: {p: qints[x]} for p, x in enumerate(rep.h[i]) if x}
+            residual = linalg.sparse_lincomb(((gauge, comm), (-scale, tgt)))
         report.append(relation_entry(f"[e{i},f{i}] (gauge [{m}]/{m})",
-                                     residual))
+                                     residual, scale))
 
-    qis = [qs.q_pow(Q(inner(a, a), 2)) for a in rep.spec.alpha]
     coeffs = {}
-    for name, i, m, words in data.serre:
-        qi = qis[i]
-        if (m, qi) not in coeffs:
+    for name, m, di, scale, words in data.serre:
+        if not words:
+            report.append(relation_entry(name, {}))
+            continue
+        if (m, di) not in coeffs:
+            qi = qs.q_pow(di)
             fact = [qfactorial(k, qi) for k in range(m + 1)]
-            coeffs[m, qi] = [Q((-1) ** k) / (fact[m - k] * fact[k])
-                             for k in range(m + 1)]
-        total = linalg.sparse_lincomb(zip(coeffs[m, qi], words))
-        report.append(relation_entry(name, total))
+            cs = [Q((-1) ** k) / (fact[m - k] * fact[k]) for k in range(m + 1)]
+            d = math.lcm(*(c.denominator for c in cs))
+            coeffs[m, di] = d, [c.numerator * (d // c.denominator) for c in cs]
+        d, cs = coeffs[m, di]
+        total = linalg.sparse_lincomb(zip(cs, words))
+        report.append(relation_entry(name, total, d * scale))
     return report

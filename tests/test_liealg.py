@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import liealg
+from twistr import liealg, linalg
 from twistr.branching import decompose_tensor_closed_form, input_weight
 from twistr.liealg import (FamilyError, casimir_eigenvalue, doubled, eps,
                            family_spec, inner, wadd, weyl_dim, wscale)
@@ -190,19 +190,21 @@ class TestKacGenerators:
     @pytest.mark.parametrize("family,l", GRID)
     def test_matches_dense_oracle(self, family, l):
         """Clean, and with one entry of E_0, F_l or E_1 (l >= 2) changed,
-        the sparse checker gives every relation the dense oracle's
-        verdict."""
+        the sparse checker gives every relation the dense oracle's verdict
+        and residual: the integer residuals are divided back by their
+        scale, which only the residual would show wrong."""
         spec = family_spec(family, l)
         for corruption in [None, ("E", 0), ("F", l)] + ([("E", 1)] if l >= 2 else []):
             gens = liealg.kac_generators(spec)
             if corruption is not None:
                 corrupt(gens, *corruption)
-            got = [(r["relation"], r["ok"])
+            got = [(r["relation"], r["ok"], r["residual"])
                    for r in liealg.check_classical_relations(gens, spec)]
-            want = [(r["relation"], r["ok"])
+            want = [(r["relation"], r["ok"], r["residual"] and
+                     linalg.sparse(r["residual"]))
                     for r in oracles.check_classical_relations(gens, spec)]
             assert got == want, corruption
-            assert all(ok for _, ok in got) == (corruption is None), corruption
+            assert all(ok for _, ok, _ in got) == (corruption is None), corruption
 
     def test_trace_pairing_normalization(self):
         spec = family_spec("a2even", 2)

@@ -14,6 +14,26 @@ from conftest import GRID, fraction_coproduct, seed_rep
 Q = Fraction
 
 
+def corrupted(rep, tag, i):
+    """rep with 1 added to the first stored entry of generator tag_i."""
+    p = min(getattr(rep, tag)[i])
+    return corrupted_at(rep, tag, i, p, min(getattr(rep, tag)[i][p]))
+
+
+def corrupted_at(rep, tag, i, p, c):
+    """rep with 1 added to the entry (p, c) of generator tag_i."""
+    gens = list(getattr(rep, tag))
+    gens[i] = oracles.bump(gens[i], p, c)
+    return dataclasses.replace(rep, **{tag: tuple(gens)})
+
+
+def entries(report, dense=False):
+    """(relation, ok, residual) of each report entry, a dense residual (the
+    oracle's) made sparse."""
+    return [(r["relation"], r["ok"], linalg.sparse(r["residual"])
+             if dense and r["residual"] else r["residual"]) for r in report]
+
+
 class TestSeedStructure:
     def test_dimensions(self):
         assert seed_rep("a2even", 2).dim == 5
@@ -65,8 +85,9 @@ class TestQuantumRelations:
         assert any(not r["ok"] for r in report)
 
     def test_reports_weight_shift_residual(self):
-        """Negative control: a diagonal entry in e_1 does not shift the
-        weight by alpha_1, and [h1,e1] reports it with its residual."""
+        """Negative control for the weight test: a diagonal entry in e_1
+        does not shift the weight by alpha_1, and [h1,e1] reports it with
+        its residual."""
         rep = seed_rep("d2", 2)
         e = list(rep.e)
         e[1] = oracles.bump(e[1], 0, 0)
@@ -77,10 +98,48 @@ class TestQuantumRelations:
         shift = inner(rep.spec.alpha[1], rep.spec.alpha[1])
         assert not entry["ok"] and entry["residual"] == {0: {0: -shift}}
 
+    def test_q_serre_sum_with_a_zero_word(self):
+        """Negative control for the zero-word skip: a q-Serre sum is taken
+        as 0 at every q only when each of its words is 0.  A diagonal entry
+        in e_0 of a2even l=2 gives the sum of e_0, e_1 a zero word beside
+        nonzero ones, and that sum fails with the dense oracle's residual."""
+        rep = seed_rep("a2even", 2)
+        broken = corrupted_at(rep, "e", 0, 0, 0)
+        name = "q-Serre e0,e1"
+        words = next(w for n, *_, w in broken.relations.serre if n == name)
+        assert any(words) and not all(words)
+        qs = QSample(Q(3, 2))
+        got = entries(qrep.check_quantum_relations(broken, qs))
+        want = entries(oracles.check_quantum_relations(broken, qs),
+                       dense=True)
+        entry = next(e for e in got if e[0] == name)
+        assert not entry[1] and entry in want
+
+    def test_bracket_groups_decide_a_doubled_f(self):
+        """Negative control for the grouped [e_i, f_i] comparison.  With
+        f_1 doubled on a2even l=2, s * [e_1, f_1] is still diagonal and
+        constant on each value of h_1, so one comparison per group decides
+        the relation: it fails there alone, with the dense oracle's
+        residual, at every w."""
+        rep = seed_rep("a2even", 2)
+        f = list(rep.f)
+        f[1] = linalg.sparse_lincomb(((2, f[1]),))
+        broken = dataclasses.replace(rep, f=tuple(f))
+        assert broken.relations.groups[1] is not None
+        for w in (Q(2), Q(-3, 2), Q(5, 7)):
+            qs = QSample(w)
+            got = entries(qrep.check_quantum_relations(broken, qs))
+            assert got == entries(oracles.check_quantum_relations(broken, qs),
+                                  dense=True)
+            assert [name for name, ok, _ in got if not ok] == [
+                "[e1,f1] (gauge [1]/1)"]
+
     def test_q_serre_coefficients_matter_on_the_tensor_square(
             self, monkeypatch):
-        """Negative control.  On the seed reps each term of every q-Serre
-        sum vanishes alone, so no coefficient is tested there.  On V (x) V,
+        """Negative control.  On the seed reps each word of every q-Serre
+        sum of degree m >= 2 vanishes alone, and the m = 1 sums x_i x_j -
+        x_j x_i have coefficients +-1 at every q, so no q-dependent
+        coefficient is tested there.  On V (x) V,
         with D(e_i) and D(f_i), the terms cancel only with the q-divided
         coefficients: classical factorials in place of q-factorials fail
         q-Serre entries."""
@@ -198,14 +257,6 @@ def _corruptions(l):
     return [None, ("e", 0), ("f", l)] + ([("e", 1)] if l >= 2 else [])
 
 
-def corrupted(rep, tag, i):
-    """rep with 1 added to the first stored entry of generator tag_i."""
-    gens = list(getattr(rep, tag))
-    p = min(gens[i])
-    gens[i] = oracles.bump(gens[i], p, min(gens[i][p]))
-    return dataclasses.replace(rep, **{tag: tuple(gens)})
-
-
 DIFFERENTIAL = [(case, w, c) for case in GRID
                 for w in (Q(2), Q(-3, 2), Q(5, 7)) for c in _corruptions(case[1])]
 
@@ -220,17 +271,17 @@ class TestAgainstDenseOracle:
                              ids=[_differential_id(*c) for c in DIFFERENTIAL])
     def test_same_verdicts(self, case, w, corrupt):
         """The sparse checker gives every relation the dense oracle's
-        verdict, and a corrupted generator fails some relation."""
+        verdict and residual, and a corrupted generator fails some
+        relation.  The residuals are computed in integers and divided back
+        by their scale, which only the residual would show wrong."""
         rep = seed_rep(*case)
         if corrupt is not None:
             rep = corrupted(rep, *corrupt)
         qs = QSample(w)
-        got = [(r["relation"], r["ok"])
-               for r in qrep.check_quantum_relations(rep, qs)]
-        want = [(r["relation"], r["ok"])
-                for r in oracles.check_quantum_relations(rep, qs)]
-        assert got == want
-        assert all(ok for _, ok in got) == (corrupt is None)
+        got = entries(qrep.check_quantum_relations(rep, qs))
+        assert got == entries(oracles.check_quantum_relations(rep, qs),
+                              dense=True)
+        assert all(ok for _, ok, _ in got) == (corrupt is None)
 
     def test_relation_data_follows_the_object(self, grid_case):
         """One rep checked at w = 2, -3/2 and 5/7 in turn gives the dense

@@ -114,6 +114,20 @@ def test_bench_pairs_summary():
         "change pass_ref 1.0000 peak_rss_mb 9.50 attempted 120"
 
 
+def test_bench_pairs_clears_bytecode(tmp_path):
+    """Before a run, bench_pairs removes every __pycache__ under the
+    checkout's src/ and nothing else."""
+    module = load("bench_pairs")
+    for d in ("src", "src/twistr", "perfbench"):
+        (tmp_path / d / "__pycache__").mkdir(parents=True)
+        (tmp_path / d / "__pycache__" / "m.pyc").write_bytes(b"")
+    (tmp_path / "src" / "twistr" / "m.py").write_text("")
+    module.clear_bytecode(tmp_path)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.is_file()) == ["perfbench/__pycache__/m.pyc",
+                                      "src/twistr/m.py"]
+
+
 def test_mutation_gate_lines_exist():
     """Every mutation of scripts/mutation_gate.py names a line that occurs
     exactly once in src/twistr, in the file it names, and changes it into a
