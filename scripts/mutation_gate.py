@@ -54,9 +54,8 @@ MUTATIONS = [
      "    if not low:",
      "v_low certified unique"),
     ("jimbo.py",
-     "    return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)",
-     "    return True or all(linalg.sparse_mul(n, m) == "
-     "linalg.sparse_mul(m, n)",
+     "    return all(linalg.mat_mul(n, m) == linalg.mat_mul(m, n)",
+     "    return True or all(linalg.mat_mul(n, m) == linalg.mat_mul(m, n)",
      "solve_rmatrix fixed-subalgebra equations: the e-half"),
     ("jimbo.py",
      "        if not same:",
@@ -73,8 +72,8 @@ MUTATIONS = [
      "n.get(j, {}).get(p, 0)",
      "module map: N is G-symmetric"),
     ("jimbo.py",
-     "    ok = linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(",
-     "    ok = True or linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(",
+     "    ok = linalg.mat_mul(a.N, b.N) == linalg.sparse_identity(",
+     "    ok = True or linalg.mat_mul(a.N, b.N) == linalg.sparse_identity(",
      "unitarity"),
     ("jimbo.py",
      "        ok = b.N == linalg.sparse_identity(shared.rep.dim ** 2, b.D) "
@@ -86,7 +85,7 @@ MUTATIONS = [
      "    if False:",
      "small system: null space one-dimensional"),
     ("jimbo.py",
-     "    if not c[0]:",
+     "    if 0 not in c:",
      "    if False:",
      "small system: c_top nonzero"),
     ("tensor.py",
@@ -98,7 +97,7 @@ MUTATIONS = [
      "    if False:",
      "decompose: adapted bases span V (x) V"),
     ("linalg.py",
-     "    if pivots[:n] != list(range(n)):",
+     "    if any(p >= n for p in red):",
      "    if False:",
      "invert: a singular matrix refused"),
     ("cli.py",
@@ -150,6 +149,10 @@ MUTATIONS = [
      '            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y, s))',
      "            pass",
      "classical Serre relations of F"),
+    ("qrep.py",
+     "    if any(row.keys() != {i} for i, row in m.items()):",
+     "    if False:",
+     "seed rep: each Cartan matrix H_i diagonal"),
 ]
 
 

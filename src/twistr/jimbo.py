@@ -176,9 +176,11 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
     """Certify the form G at w (``contravariant_form``), then invert the
     integer adapted basis of ``shared.decomposition(qs)`` per weight block
     (it is a basis of weight vectors, so each block is square) for the dual
-    basis and the coordinates of X v_nu and Y v_nu.  Each small-system row
-    takes x_k and y_k in the same scaled coordinates, so its null space is
-    that of the unscaled rows."""
+    basis and the coordinates of X v_nu and Y v_nu.  ``invert`` hands out
+    each d_k over its own pivot entry a_k, so ``scale`` is the lcm of the
+    a_k and each entry takes one product to reach it.  Each small-system
+    row takes x_k and y_k in the same scaled coordinates, so its null space
+    is that of the unscaled rows."""
     G = contravariant_form(shared, qs)
     dec = shared.decomposition(qs)
     basis = [v for comp in dec.components for v in comp.basis]
@@ -186,19 +188,23 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
     in_block = [[] for _ in dec.blocks]    # basis numbers k per weight block
     for k, v in enumerate(basis):
         in_block[dec.block[min(v)]].append(k)
-    dual, den = [None] * len(basis), [1] * len(basis)
+    dual, den = [None] * len(basis), [None] * len(basis)
     for ks, idxs in zip(in_block, dec.blocks.values()):
-        inv, d = linalg.invert([[basis[k].get(p, 0) for k in ks]
-                                for p in idxs])
-        for k, row in zip(ks, inv):
-            dual[k], den[k] = {p: y for p, y in zip(idxs, row) if y}, d
+        # the block as sparse rows p, its columns the places of the ks
+        at = {p: r for r, p in enumerate(idxs)}
+        rows = [{} for _ in idxs]
+        for c, k in enumerate(ks):
+            for p, x in basis[k].items():
+                rows[at[p]][c] = x
+        for k, (row, a) in zip(ks, linalg.invert(rows, len(ks))):
+            dual[k], den[k] = {idxs[c]: y for c, y in row.items()}, a
     scale = math.lcm(*den)
-    dual = [{p: y * (scale // d) for p, y in v.items()}
-            for v, d in zip(dual, den)]
+    dual = [{p: y * (scale // a) for p, y in v.items()}
+            for v, a in zip(dual, den)]
     terms = list(zip(comp_of, basis, dual))
 
     def coords(cols, v):
-        z = linalg.sparse_mat_vec(cols, v)
+        z = linalg.mat_vec(cols, v)
         ks = in_block[dec.block[min(z)]] if z else []
         return {k: x for k in ks
                 if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
@@ -218,27 +224,26 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
 
 def _solve_scalars(system: ComponentSystem, u: Fraction):
-    """The c_nu, up to c_top > 0, as the primitive integer vector of the
-    small system's null space, certified one-dimensional.  Each row, the
-    equation c_mu (u x + y) = c_nu (x + u y), is built times b for u = a / b,
-    so in ints; scaling a row leaves the null space unchanged."""
-    n = system.ncomp
+    """The c_nu, up to c_top > 0, as the primitive integer vector {nu: c_nu}
+    of the small system's null space, certified one-dimensional, its zero
+    entries left out.  Each row, the equation c_mu (u x + y) = c_nu (x + u
+    y), is built times b for u = a / b, so in ints; scaling a row leaves the
+    null space unchanged."""
     a, b = u.numerator, u.denominator
     rows = []
     for mu, nu, x, y in system.e0_rows:
-        row = [0] * n
-        row[mu] += a * x + b * y
-        row[nu] -= b * x + a * y
-        rows.append(row)
-    kern = linalg.kernel_basis(rows, ncols=n)
+        row = {mu: a * x + b * y}
+        row[nu] = row.get(nu, 0) - (b * x + a * y)
+        rows.append({k: z for k, z in row.items() if z})
+    kern = linalg.kernel_basis(rows, range(system.ncomp))
     if len(kern) != 1:
         raise SolveError(f"component system has nullity {len(kern)}, "
                          f"expected 1 (sample may be degenerate)")
     c = kern[0]
     # components[0] is spanned by v_top (x) v_top
-    if not c[0]:
+    if 0 not in c:
         raise SolveError("solution vanishes on the top weight vector")
-    return c if c[0] > 0 else [-x for x in c]
+    return c if c[0] > 0 else {k: -x for k, x in c.items()}
 
 
 def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
@@ -253,6 +258,8 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     c = _solve_scalars(system, u)
     acc = {}      # c_top * scale * Rcheck = sum of c_nu(k) * b_k d_k^T
     for n, b, dk in system.terms:
+        if n not in c:
+            continue
         for p, x in b.items():
             a, xc = acc.setdefault(p, {}), x * c[n]
             for j, y in dk.items():
@@ -266,7 +273,7 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     lhs = linalg.sparse_lincomb(((a, x), (b, y)))
     rhs = linalg.sparse_lincomb(((b, x), (a, y)))
     if not (_is_module_map(shared, qs, num) and
-            linalg.sparse_mul(num, lhs) == linalg.sparse_mul(rhs, num)):
+            linalg.mat_mul(num, lhs) == linalg.mat_mul(rhs, num)):
         raise CertificateError("Rcheck fails the intertwining equations")
     return RMatrixResult(num, d // g, shared.rep.dim)
 
@@ -404,7 +411,7 @@ def _is_module_map(shared, qs, n):
     if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)
            for p, row in n.items() for j, y in row.items()):
         return False
-    return all(linalg.sparse_mul(n, m) == linalg.sparse_mul(m, n)
+    return all(linalg.mat_mul(n, m) == linalg.mat_mul(m, n)
                for m in dec.fixed[:len(dec.fixed) // 2])
 
 
@@ -442,7 +449,7 @@ def check_unitarity(shared: Shared, qs: QSample, u: Fraction):
     """Rcheck(u) * Rcheck(1/u) = identity, as N(u) N(1/u) = D_u D_{1/u} I."""
     a = shared.solve(qs, u)
     b = shared.solve(qs, 1 / u)
-    ok = linalg.sparse_mul(a.N, b.N) == linalg.sparse_identity(
+    ok = linalg.mat_mul(a.N, b.N) == linalg.sparse_identity(
         shared.rep.dim ** 2, a.D * b.D)
     return {"check": "unitarity", "u": u, "ok": ok}
 

@@ -14,6 +14,10 @@ C(nu) = (nu, nu + 2*rho0).
 The sqrt(2) factors in the Kac generator lists are removed by a reciprocal
 rescaling of each (E, F) pair; this preserves [E, F] = H and the trace pairing
 (E_i, F_j) = delta_ij, and the intertwiner solve is invariant under it.
+The generators are sparse ``linalg`` matrices, sums of matrix units.  The
+Cartan entries a_ij, and with them the Serre degrees 1 - a_ij of both the
+classical and the quantum relation checker, come from one place: the
+doubled integer Gram matrix of the simple roots (``cartan_entry``).
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import (mat_scale, mat_sub, sparse_commutator, sparse_lincomb,
-                     sparse_mul, zeros)
+from .linalg import mat_mul, sparse_commutator, sparse_lincomb
 
 Q = Fraction
 
@@ -79,9 +82,6 @@ class FamilySpec:
     theta0: tuple
     alpha: tuple              # simple roots alpha_0..alpha_l, eps-basis length l
     rho0: tuple
-
-    def cartan(self, i, j):
-        return 2 * inner(self.alpha[i], self.alpha[j]) / inner(self.alpha[i], self.alpha[i])
 
     def admissible(self, params):
         """Table-2 admissibility of a tensor-factor parameter pair."""
@@ -156,6 +156,17 @@ def doubled_gram(spec: FamilySpec):
     return [[inner(a, b) for b in two] for a in two]
 
 
+def cartan_entry(gram, i, j):
+    """The Cartan entry a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) as
+    an int, read from the ``doubled_gram`` gram; raises FamilyError unless
+    it is an integer."""
+    a, r = divmod(2 * gram[i][j], gram[i][i])
+    if r:
+        raise FamilyError(f"Cartan entry a[{i}][{j}] = "
+                          f"{Q(2 * gram[i][j], gram[i][i])} is not an integer")
+    return a
+
+
 def weyl_dim(l0type, l, nu) -> int:
     """Weyl's product prod_alpha (nu + rho, alpha) / (rho, alpha) over the
     positive roots e_i -+ e_j (i < j) and e_i (B) or 2 e_i (C), taken on the
@@ -182,70 +193,58 @@ def weyl_dim(l0type, l, nu) -> int:
 # Kac generators inside gl(n)
 # ---------------------------------------------------------------------------
 
-def _e(n, i, j):
-    m = zeros(n, n)
-    m[i - 1][j - 1] = Q(1)
-    return m
+def _e(i, j):
+    """The matrix unit e_ij (1-based)."""
+    return {i - 1: {j - 1: Q(1)}}
 
 
-def _a(n, i, j, bar_n=None):
+def _a(bar_n, i, j):
     """a_ij = e_ij - (-1)^(i+j) e_{jbar, ibar} with ibar = bar_n + 1 - i."""
-    if bar_n is None:
-        bar_n = n
     ib, jb = bar_n + 1 - i, bar_n + 1 - j
-    m = _e(n, i, j)
-    s = (-1) ** (i + j)
-    m[jb - 1][ib - 1] -= Q(s)
-    return m
+    return sparse_lincomb(((1, _e(i, j)), (-(-1) ** (i + j), _e(jb, ib))))
 
 
 def kac_generators(spec: FamilySpec):
     """The (rationally rescaled) generators {E_i, F_i, H_i : 0 <= i <= l}.
 
-    Returns a dict with keys "E", "F", "H", each a list indexed 0..l of n x n
-    matrices over Q.
+    Returns a dict with keys "E", "F", "H", each a list indexed 0..l of
+    sparse n x n matrices over Q, sums of matrix units.
     """
     l, n = spec.l, spec.n
+    # d2: the bar for the a_ij block runs over 1..2l+1 (ibar = 2l+2-i),
+    # leaving the extra index 2l+2 outside the bar involution
+    bar_n = 2 * l + 1 if spec.family == "d2" else n
     E = [None] * (l + 1)
     F = [None] * (l + 1)
     H = [None] * (l + 1)
-    if spec.family in ("a2even", "a2odd"):
-        for i in range(1, l):
-            E[i] = _a(n, i, i + 1)
-            F[i] = _a(n, i + 1, i)
-            H[i] = mat_sub(_a(n, i, i), _a(n, i + 1, i + 1))
-        if spec.family == "a2even":
-            E[l] = _a(n, l, l + 1)
-            F[l] = _a(n, l + 1, l)
-            H[l] = _a(n, l, l)
-            # E0 = sqrt(2) e_{n,1}, F0 = sqrt(2) e_{1,n}, rescaled to (2, 1)
-            E[0] = mat_scale(_e(n, n, 1), Q(2))
-            F[0] = _e(n, 1, n)
-            H[0] = mat_scale(_a(n, 1, 1), Q(-2))
-        else:
-            # E_l = a_{l,l+1}/sqrt2, F_l = a_{l+1,l}/sqrt2, rescaled to (1, 1/2)
-            E[l] = _a(n, l, l + 1)
-            F[l] = mat_scale(_a(n, l + 1, l), Q(1, 2))
-            H[l] = mat_scale(_a(n, l, l), Q(2))
-            # b_{2l-1,1} = e_{2l-1,1} + e_{2l,2}
-            E[0] = linalg.mat_add(_e(n, 2 * l - 1, 1), _e(n, 2 * l, 2))
-            F[0] = linalg.mat_add(_e(n, 1, 2 * l - 1), _e(n, 2, 2 * l))
-            H[0] = mat_scale(linalg.mat_add(_a(n, 1, 1), _a(n, 2, 2)), Q(-1))
+    for i in range(1, l):
+        E[i] = _a(bar_n, i, i + 1)
+        F[i] = _a(bar_n, i + 1, i)
+        H[i] = sparse_lincomb(((1, _a(bar_n, i, i)),
+                               (-1, _a(bar_n, i + 1, i + 1))))
+    E[l] = _a(bar_n, l, l + 1)
+    F[l] = _a(bar_n, l + 1, l)
+    H[l] = _a(bar_n, l, l)
+    if spec.family == "a2even":
+        # E0 = sqrt(2) e_{n,1}, F0 = sqrt(2) e_{1,n}, rescaled to (2, 1)
+        E[0] = sparse_lincomb(((2, _e(n, 1)),))
+        F[0] = _e(1, n)
+        H[0] = sparse_lincomb(((-2, _a(n, 1, 1)),))
+    elif spec.family == "a2odd":
+        # E_l = a_{l,l+1}/sqrt2, F_l = a_{l+1,l}/sqrt2, rescaled to (1, 1/2)
+        F[l] = sparse_lincomb(((Q(1, 2), F[l]),))
+        H[l] = sparse_lincomb(((2, H[l]),))
+        # b_{2l-1,1} = e_{2l-1,1} + e_{2l,2}
+        E[0] = sparse_lincomb(((1, _e(2 * l - 1, 1)), (1, _e(2 * l, 2))))
+        F[0] = sparse_lincomb(((1, _e(1, 2 * l - 1)), (1, _e(2, 2 * l))))
+        H[0] = sparse_lincomb(((-1, _a(n, 1, 1)), (-1, _a(n, 2, 2))))
     else:
-        # d2: the bar for the a_ij block runs over 1..2l+1 (ibar = 2l+2-i),
-        # leaving the extra index 2l+2 outside the bar involution
-        bar_n = 2 * l + 1
-        for i in range(1, l):
-            E[i] = _a(n, i, i + 1, bar_n)
-            F[i] = _a(n, i + 1, i, bar_n)
-            H[i] = mat_sub(_a(n, i, i, bar_n), _a(n, i + 1, i + 1, bar_n))
-        E[l] = _a(n, l, l + 1, bar_n)
-        F[l] = _a(n, l + 1, l, bar_n)
-        H[l] = _a(n, l, l, bar_n)
         # affine pair built from e_{2l+1,2l+2} + e_{2l+2,1}
-        E[0] = linalg.mat_add(_e(n, 2 * l + 1, 2 * l + 2), _e(n, 2 * l + 2, 1))
-        F[0] = linalg.mat_add(_e(n, 2 * l + 2, 2 * l + 1), _e(n, 1, 2 * l + 2))
-        H[0] = mat_scale(_a(n, 1, 1, bar_n), Q(-1))
+        E[0] = sparse_lincomb(((1, _e(2 * l + 1, 2 * l + 2)),
+                               (1, _e(2 * l + 2, 1))))
+        F[0] = sparse_lincomb(((1, _e(2 * l + 2, 2 * l + 1)),
+                               (1, _e(1, 2 * l + 2))))
+        H[0] = sparse_lincomb(((-1, _a(bar_n, 1, 1)),))
     return {"E": E, "F": F, "H": H}
 
 
@@ -271,21 +270,21 @@ def integral(m):
 
 def _bracket(a, b, c=1):
     """The terms (c, a b) and (-c, b a) of c [a, b] for ``sparse_lincomb``."""
-    return (c, sparse_mul(a, b)), (-c, sparse_mul(b, a))
+    return (c, mat_mul(a, b)), (-c, mat_mul(b, a))
 
 
 def check_classical_relations(gens, spec: FamilySpec):
     """Verify every defining relation of the classical generator set.
 
-    Each n x n matrix x of ``gens`` is made sparse and scaled to integers
-    once (``integral``: s x, s the lcm of its denominators), and every
+    Each sparse n x n matrix x of ``gens`` is scaled to integers once
+    (``integral``: s x, s the lcm of its denominators), and every
     relation is checked on integer products.  Its residual times the
     product of the scales s it reads, and of the denominator d of (alpha_i,
     alpha_j) for [H_i, x], is an integer matrix, divided back by that scale
     only when it is not empty.  Returns a list of report entries
     {"relation": str, "ok": bool, "residual"}.
     """
-    E, F, H = ([integral(linalg.sparse(m)) for m in gens[k]] for k in "EFH")
+    E, F, H = ([integral(m) for m in gens[k]] for k in "EFH")
     l, gram = spec.l, doubled_gram(spec)
     report = []
     for i in range(l + 1):
@@ -306,7 +305,7 @@ def check_classical_relations(gens, spec: FamilySpec):
         for j in range(l + 1):
             if i == j:
                 continue
-            m = 1 - int(spec.cartan(i, j))
+            m = 1 - cartan_entry(gram, i, j)
             (si, ei), (sj, x) = E[i], E[j]
             for _ in range(m):
                 x = sparse_commutator(ei, x)

@@ -1,24 +1,24 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q, on one matrix type.
 
-Dense list-of-lists serve only the construction of a seed
-representation (the Kac matrices, the Jordan-Wigner products and the
-constraint solve for the spinor's affine pair) and the small per-weight-block
-or per-component eliminations.  Everything else is sparse:
-``{row: {col: x}}`` holding only the nonzero entries (a sparse vector, such
-as an adapted basis vector, is one such ``{col: x}``).  That covers the
-stored seed generators, the relation checks on them, and every operator on
-V (x) V -- the coproduct actions, the swap, R and its braided form.
+A matrix is sparse, ``{row: {col: x}}`` holding only the nonzero entries,
+and a vector, such as a row or an adapted basis vector, is one such
+``{col: x}``.  That covers the seed generators from their construction on
+(the Kac matrices, the Jordan-Wigner products, the spinor's affine pair),
+the relation checks on them, every operator on V (x) V -- the coproduct
+actions, the swap, R and its braided form -- and the small eliminations per
+weight block or per component system.
 
 There is one elimination, ``RowSpace.add``, and it is fraction-free, as in
 Bareiss (Math. Comp. 22, 1968), though it divides each updated row by its
 content gcd rather than by the previous pivot: a row is scaled to integers
 by the lcm of its denominators (an integer row is taken as it is) and
 reduced against the stored rows by integer cross-multiplication.  ``rref``,
-and through it ``kernel_basis`` and ``invert``, run their rows through a
-``RowSpace`` and hand out integers: the primitive reduced rows, primitive
-kernel vectors, and an inverse as integer rows over one denominator.  Only
-``RowSpace.rows`` builds Fractions, one per nonzero entry.  The sparse rows
-make the cost follow the nonzeros, not the number of columns.
+and through it ``kernel_basis`` and ``invert``, take sparse rows, run them
+through a ``RowSpace`` and hand out sparse integer rows: the primitive
+reduced rows, primitive kernel vectors, and each row of an inverse over its
+own denominator.  Only ``RowSpace.rows`` builds Fractions, one per nonzero
+entry.  Column keys are any sortable keys, compared in their sort order, so
+the cost follows the nonzeros, not the number of columns.
 """
 
 from __future__ import annotations
@@ -29,108 +29,45 @@ from fractions import Fraction
 Q = Fraction
 
 
-def zeros(m, n):
-    return [[Q(0)] * n for _ in range(m)]
+def rref(rows):
+    """Fraction-free reduced row echelon form of the sparse rows, as
+    {pivot: row}: the primitive integer rows of a ``RowSpace`` of rows,
+    sorted by pivot, each a reduced row times its positive pivot entry."""
+    space = RowSpace()
+    for row in rows:
+        space.add(row)
+    return {p: space.primitive[p] for p in sorted(space.pivots)}
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c if x else x for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a, v):
-    """a . v, skipping the zero entries of v."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((row[j] * x for j, x in nz), Q(0)) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def rref(mat):
-    """Fraction-free reduced row echelon form of mat, (rows, pivot cols):
-    the primitive integer rows of a ``RowSpace`` of the rows of mat, sorted
-    by pivot, each a reduced row times its positive pivot entry, then zero
-    rows, as many rows as in mat."""
-    ncols = len(mat[0]) if mat else 0
-    space = RowSpace(ncols)
-    for row in mat:
-        space.add(sparse_vector(row))
-    pivots = sorted(space.pivots)
-    red = [[space.primitive[p].get(j, 0) for j in range(ncols)]
-           for p in pivots]
-    red += [[0] * ncols for _ in range(len(mat) - len(pivots))]
-    return red, pivots
-
-
-def kernel_basis(mat, ncols):
-    """Basis of the right null space of mat, whose rows (maybe none, maybe
-    a generator) have ncols entries: per free column of ``rref``, the vector
-    1 there times the lcm of its denominators, primitive and in ints."""
-    rows = [row for row in mat if any(row)]
-    if not rows:
-        return [[int(j == i) for j in range(ncols)] for i in range(ncols)]
-    red, pivots = rref(rows)
-    tops = [red[r][pc] for r, pc in enumerate(pivots)]
+def kernel_basis(rows, cols):
+    """Basis of the right null space of the sparse rows (maybe none), whose
+    column keys lie among the sorted keys cols: per free column c of
+    ``rref``, in the order of cols, the vector 1 at c times the lcm of its
+    denominators, primitive and in ints, with its keys in column order."""
+    red = rref(rows)
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        m = math.lcm(*(a // math.gcd(row[fc], a) for row, a in zip(red, tops)))
-        v = [0] * ncols
-        v[fc] = m
-        for row, a, pc in zip(red, tops, pivots):
-            v[pc] = -row[fc] * m // a
+    for c in cols:
+        if c in red:
+            continue
+        # a row holding c has its pivot before c, so v is in column order
+        hits = [(p, row[c], row[p]) for p, row in red.items() if c in row]
+        m = math.lcm(*(a // math.gcd(x, a) for _, x, a in hits))
+        v = {p: -x * m // a for p, x, a in hits}
+        v[c] = m
         basis.append(v)
     return basis
 
 
-def invert(mat):
-    """The inverse of the square mat as (rows, d), integer rows over the
-    least denominator d > 0: the lcm of the pivot entries of ``rref`` of
-    [mat | I].  Raises ValueError if mat is singular."""
-    n = len(mat)
-    red, pivots = rref([[*row, *(int(i == j) for j in range(n))]
-                        for i, row in enumerate(mat)])
-    if pivots[:n] != list(range(n)):
+def invert(rows, n):
+    """The inverse of the n x n matrix of the sparse rows, whose columns
+    are 0..n-1, as n pairs (row, a): row r of the inverse is row / a, a
+    sparse integer row over a > 0, the pivot entry of row r of ``rref`` of
+    [mat | I].  Raises ValueError if the matrix is singular."""
+    red = rref({**row, n + i: 1} for i, row in enumerate(rows))
+    if any(p >= n for p in red):
         raise ValueError("matrix is singular")
-    d = math.lcm(*(red[r][r] for r in range(n)))
-    return [[x * (d // row[r]) for x in row[n:]]
-            for r, row in enumerate(red[:n])], d
-
-
-# ---------------------------------------------------------------------------
-# Sparse matrices {row: {col: x}} and vectors {col: x}, nonzero entries only
-# ---------------------------------------------------------------------------
-
-def sparse_vector(v):
-    return {j: x for j, x in enumerate(v) if x}
-
-
-def sparse(m):
-    return {i: r for i, r in enumerate(map(sparse_vector, m)) if r}
+    return [({j - n: x for j, x in row.items() if j >= n}, row[p])
+            for p, row in red.items()]
 
 
 def denominator(*vs):
@@ -160,7 +97,8 @@ def sparse_vec_mul(v, b):
     return {j: x for j, x in acc.items() if x}
 
 
-def sparse_mul(a, b):
+def mat_mul(a, b):
+    """The product a b of the sparse matrices a and b."""
     return {i: row for i, ra in a.items() if (row := sparse_vec_mul(ra, b))}
 
 
@@ -178,7 +116,7 @@ def sparse_lincomb(terms):
 
 
 def sparse_commutator(a, b):
-    return sparse_lincomb(((1, sparse_mul(a, b)), (-1, sparse_mul(b, a))))
+    return sparse_lincomb(((1, mat_mul(a, b)), (-1, mat_mul(b, a))))
 
 
 def sparse_transpose(a):
@@ -190,7 +128,7 @@ def sparse_transpose(a):
     return out
 
 
-def sparse_mat_vec(cols, v):
+def mat_vec(cols, v):
     """a . v for the sparse vector v and the sparse matrix a given by its
     columns ``sparse_transpose(a)``, at a cost that follows the columns v
     touches: transpose a once to apply it to many vectors."""
@@ -229,8 +167,7 @@ class RowSpace:
     gcd 1.  Divided by its pivot entry it is a row of ``rref`` of the rows
     added, and ``rows`` reads the stored rows so."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.primitive = {}   # pivot column -> primitive integer row
         self._in_col = {}     # column -> pivots of the rows nonzero there
 

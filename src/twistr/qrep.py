@@ -7,9 +7,9 @@ action.  The spinor is built on the sign-vector basis {0,1}^l via
 Jordan-Wigner fermions; its affine pair is e0 = (-1)^l c_1 (-1)^N and
 f0 = e0^T / 2, certified, like every seed, by the quantum relation checker.
 
-The construction works on dense matrices; the finished generators are
-stored once as ``linalg`` sparse matrices, which is the only form the
-relation checker, the coproducts and the rep export read.
+The generators are built, stored and read as ``linalg`` sparse matrices,
+from the Kac matrices and the fermion products to the relation checker,
+the coproducts and the rep export.
 
 Undeformedness is a claim under test: build_seed_rep runs the checker at a
 sample w and aborts if any relation fails.  The checker's q-independent
@@ -125,33 +125,32 @@ def _weights_from_h_diagonals(spec: FamilySpec, hdiags):
     """Recover the eps-basis weight of each basis vector from the classical
     Cartan diagonals, solving (mu, alpha_i) = h_i[p] for i = 1..l."""
     l = spec.l
-    gram = [[spec.alpha[i][j] for j in range(l)] for i in range(1, l + 1)]
-    inv, den = linalg.invert(gram)
-    dim = len(hdiags[1])
+    inv = linalg.invert([{j: x for j, x in enumerate(spec.alpha[i]) if x}
+                         for i in range(1, l + 1)], l)
     out = []
-    for p in range(dim):
-        d = [hdiags[i][p] for i in range(1, l + 1)]
-        out.append(tuple(x / den for x in linalg.mat_vec(inv, d)))
+    for p in range(len(hdiags[1])):
+        out.append(tuple(sum((x * hdiags[k + 1][p] for k, x in row.items()),
+                             Q(0)) / a for row, a in inv))
     return tuple(out)
 
 
-def _diag_of(m):
-    if any(m[i][j] for i in range(len(m)) for j in range(len(m)) if i != j):
+def _diag_of(m, n):
+    """The diagonal of the sparse n x n matrix m; raises
+    RepresentationError unless m is diagonal."""
+    if any(row.keys() != {i} for i, row in m.items()):
         raise RepresentationError("Cartan matrix is not diagonal")
-    return [m[i][i] for i in range(len(m))]
+    return [m.get(i, {}).get(i, 0) for i in range(n)]
 
 
 def build_seed_rep(spec: FamilySpec) -> Representation:
     if spec.family in ("a2even", "a2odd"):
         gens = liealg.kac_generators(spec)
-        hdiags = [_diag_of(h) for h in gens["H"]]
+        hdiags = [_diag_of(h, spec.n) for h in gens["H"]]
         weights = _weights_from_h_diagonals(spec, hdiags)
         lam, e, f = liealg.eps(1, spec.l), gens["E"], gens["F"]
     else:
         lam, e, f, weights = _build_spinor(spec)
-    rep = Representation(spec, lam, len(weights),
-                         tuple(linalg.sparse(m) for m in e),
-                         tuple(linalg.sparse(m) for m in f), weights)
+    rep = Representation(spec, lam, len(weights), tuple(e), tuple(f), weights)
     report = check_quantum_relations(rep, QSample(Q(2)))
     bad = [r["relation"] for r in report if not r["ok"]]
     if bad:
@@ -168,29 +167,20 @@ def _spinor_basis(l):
 
 
 def _fermion_ops(l):
-    """Jordan-Wigner annihilators c_1..c_l on the {0,1}^l basis."""
+    """Jordan-Wigner annihilators c_1..c_l on the {0,1}^l basis, sparse."""
     basis = _spinor_basis(l)
     index = {b: i for i, b in enumerate(basis)}
-    dim = len(basis)
-    cs = []
-    for j in range(l):
-        m = linalg.zeros(dim, dim)
-        for b in basis:
-            if b[j] == 1:
-                tgt = b[:j] + (0,) + b[j + 1:]
-                sign = (-1) ** sum(b[:j])
-                m[index[tgt]][index[b]] = Q(sign)
-        cs.append(m)
-    return cs
+    return [{index[b[:j] + (0,) + b[j + 1:]]: {index[b]: Q((-1) ** sum(b[:j]))}
+             for b in basis if b[j] == 1} for j in range(l)]
 
 
 def _build_spinor(spec: FamilySpec):
-    """Highest weight, dense e_0..e_l and f_0..f_l, and weights of the
+    """Highest weight, sparse e_0..e_l and f_0..f_l, and weights of the
     spinor."""
     l, dim = spec.l, 2 ** spec.l
     basis = _spinor_basis(l)
     cs = _fermion_ops(l)
-    dag = [linalg.transpose(c) for c in cs]
+    dag = [linalg.sparse_transpose(c) for c in cs]
     e = [None] * (l + 1)
     f = [None] * (l + 1)
     for i in range(1, l):
@@ -198,17 +188,15 @@ def _build_spinor(spec: FamilySpec):
         f[i] = linalg.mat_mul(dag[i], cs[i - 1])
     # short root eps_l: sl2 pair with [e_l, f_l] = n_l - 1/2
     e[l] = dag[l - 1]
-    f[l] = linalg.mat_scale(cs[l - 1], Q(1, 2))
+    f[l] = linalg.sparse_lincomb(((Q(1, 2), cs[l - 1]),))
     weights = tuple(tuple(Q(2 * n - 1, 2) for n in b) for b in basis)
 
     # e0 = (-1)^l c_1 (-1)^N sends |1, t> to (-1)^{#zeros(t)} |0, t>, and
     # f0 = e0^T / 2; |0, t> and |1, t> are basis vectors k and half + k
     half = dim // 2
-    e[0], f[0] = linalg.zeros(dim, dim), linalg.zeros(dim, dim)
-    for k, tail in enumerate(_spinor_basis(l - 1)):
-        sign = Q((-1) ** tail.count(0))
-        e[0][k][half + k] = sign
-        f[0][half + k][k] = sign / 2
+    signs = [Q((-1) ** tail.count(0)) for tail in _spinor_basis(l - 1)]
+    e[0] = {k: {half + k: sign} for k, sign in enumerate(signs)}
+    f[0] = {half + k: {k: sign / 2} for k, sign in enumerate(signs)}
     return weights[-1], e, f, weights
 
 
@@ -260,7 +248,7 @@ def _diagonal_groups(h, comm):
 
 def _product(a, b):
     """a b for sparse a and b, with no product when either is 0."""
-    return linalg.sparse_mul(a, b) if a and b else {}
+    return linalg.mat_mul(a, b) if a and b else {}
 
 
 def _relation_data(rep: Representation) -> RelationData:
@@ -275,8 +263,8 @@ def _relation_data(rep: Representation) -> RelationData:
     k = 0..m, over the scale s_i^m s_j, built with no product by x_i^0 = I
     or by a zero power; ``words`` is empty when every word is 0, for then
     the sum is 0 at any q.  Its coefficients read q_i = q^d_i, d_i =
-    (alpha_i, alpha_i) / 2.  Raises RepresentationError on a non-integer
-    Cartan entry."""
+    (alpha_i, alpha_i) / 2.  Raises FamilyError on a non-integer Cartan
+    entry (``liealg.cartan_entry``)."""
     spec, h, gens = rep.spec, rep.h, rep.integer_generators
     l, gram = spec.l, liealg.doubled_gram(spec)
     failures = {"e": _weight_shift_failures(rep, rep.e, 1),
@@ -315,11 +303,7 @@ def _relation_data(rep: Representation) -> RelationData:
         for j in range(l + 1):
             if i == j:
                 continue
-            aij = Q(2 * gram[i][j], gram[i][i])
-            if aij.denominator != 1:
-                raise RepresentationError(
-                    f"Cartan entry a[{i}][{j}] = {aij} is not an integer")
-            m = 1 - int(aij)
+            m = 1 - liealg.cartan_entry(gram, i, j)
             for tag in "ef":
                 (si, xi), (sj, xj) = gens[tag, i], gens[tag, j]
                 pw = powers[tag]

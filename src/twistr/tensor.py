@@ -124,17 +124,15 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     for eta, idxs in sorted(blocks.items(), reverse=True):
         if not is_dominant(l0type, eta):
             continue
-        rows = [[entries.get(p, 0) for p in idxs]
-                for _, entries in sorted(block_rows.get(eta, {}).items())]
-        for vec in linalg.kernel_basis(rows, ncols=len(idxs)):
+        for vec in linalg.kernel_basis(block_rows.get(eta, {}).values(),
+                                       idxs):
             if components and components[-1].nu == eta:
                 raise DecompositionError(f"multiplicity >= 2 at component {eta}")
-            components.append(IsotypicComponent(
-                eta, [{p: c for p, c in zip(idxs, vec) if c}]))
+            components.append(IsotypicComponent(eta, [vec]))
     # generate each component by lowering from its highest weight vector,
     # keeping the vectors that enlarge the row space shared by all components
     dim = rep.dim ** 2
-    space = linalg.RowSpace(dim)
+    space = linalg.RowSpace()
     lowering_cols = [linalg.sparse_transpose(m) for m in fixed[l:]]
     for c in components:
         if not space.add(c.basis[0]):
@@ -145,7 +143,7 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
             nxt = []
             for v in frontier:
                 for cols in lowering_cols:
-                    w = linalg.sparse_mat_vec(cols, v)
+                    w = linalg.mat_vec(cols, v)
                     if space.add(w):
                         nxt.append(linalg._primitive(w))
             c.basis.extend(nxt)
@@ -167,7 +165,7 @@ def component_scalars(dec: IsotypicDecomposition, M):
     for comp in dec.components:
         a = None
         for v in comp.basis:
-            image = linalg.sparse_mat_vec(cols, v)
+            image = linalg.mat_vec(cols, v)
             if a is None:
                 p = min(v)
                 a, b = image.get(p, 0), v[p]

@@ -81,14 +81,14 @@ def full_solve(rep, qs, u):
     for (p, r), v in var_index.items():
         if v in sol:
             R.setdefault(p, {})[r] = sol[v] / top
-    return R, linalg.sparse_mul(permutation_operator(rep), R)
+    return R, linalg.mat_mul(permutation_operator(rep), R)
 
 
 def solve_nullity_one(equations, var_index):
     """Sparse null vector {var: x} of the sparse system, certifying the
     nullity is exactly 1."""
     nvars = len(var_index)
-    space = linalg.RowSpace(nvars)
+    space = linalg.RowSpace()
     kernel = None
     for key in sorted(equations):
         coeffs = {var_index[var]: c for var, c in equations[key].items() if c}
@@ -99,7 +99,7 @@ def solve_nullity_one(equations, var_index):
             if space.dim == nvars:
                 raise SolveError("null space is trivial (degenerate sample)")
             if space.dim == nvars - 1:
-                kernel = kernel_from_rowspace(space)
+                kernel = kernel_from_rowspace(space, nvars)
         elif sum(c * kernel[j] for j, c in coeffs.items() if j in kernel):
             raise SolveError("null space is trivial (degenerate sample)")
     if kernel is None:
@@ -107,8 +107,10 @@ def solve_nullity_one(equations, var_index):
     return kernel
 
 
-def kernel_from_rowspace(space):
-    free = [j for j in range(space.ncols) if j not in space.pivots]
+def kernel_from_rowspace(space, ncols):
+    """The null vector, 1 at its free column, of the row space of rows over
+    the columns 0..ncols-1, certifying it has one free column."""
+    free = [j for j in range(ncols) if j not in space.pivots]
     if len(free) != 1:
         raise SolveError(f"row space leaves {len(free)} free columns, expected 1")
     fc = free[0]

@@ -6,8 +6,10 @@ the R-form three-site Yang-Baxter product, the spinor's affine pair by
 constraint solve, the dense classical and quantum relation checkers, the
 component scalars in Fractions, and a bracket product expanded by
 gcd-reducing field arithmetic, with RatFun evaluation at a rational point.
-It also holds the dense identity and Gauss-Jordan elimination in Fractions,
-with the kernel, inverse and component-solve small system read from it."""
+It also holds the dense matrix arithmetic in Fractions that these compute
+with (list-of-lists, with ``dense`` and ``sparse`` to and from the library's
+sparse matrices), and Gauss-Jordan elimination, with the kernel, inverse and
+component-solve small system read from it."""
 
 import itertools
 import math
@@ -19,7 +21,6 @@ from twistr.branching import BranchingError
 from twistr.jimbo import SolveError
 from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
                            wsub)
-from twistr.linalg import mat_add, mat_mul, mat_scale, mat_sub, zeros
 from twistr.scalars import RatFun, bracket, qfactorial
 from twistr.tensor import DecompositionError
 
@@ -293,8 +294,8 @@ def ybe_residual_entries(Ru, Ruv, Rv, d):
     r12 = embed_three(Ru, d, (0, 1))
     r13 = embed_three(Ruv, d, (0, 2))
     r23 = embed_three(Rv, d, (1, 2))
-    lhs = linalg.sparse_mul(linalg.sparse_mul(r12, r13), r23)
-    rhs = linalg.sparse_mul(linalg.sparse_mul(r23, r13), r12)
+    lhs = linalg.mat_mul(linalg.mat_mul(r12, r13), r23)
+    rhs = linalg.mat_mul(linalg.mat_mul(r23, r13), r12)
     residual_entries = 0
     for i in set(lhs) | set(rhs):
         li, ri = lhs.get(i, {}), rhs.get(i, {})
@@ -330,18 +331,83 @@ def spinor_affine_pair(rep):
         unit = lowering_matrix([Q(int(s == t)) for s in range(len(rest))])
         rows.append([x for i in range(1, l + 1)
                      for row in commutator(unit, f[i]) for x in row])
-    kern = kernel_basis(linalg.transpose(rows), ncols=len(rest))
+    kern = kernel_basis(transpose(rows), ncols=len(rest))
     assert len(kern) == 1, f"e0 constraints leave nullity {len(kern)}"
     e0 = lowering_matrix(kern[0])
-    f0 = linalg.transpose(e0)
+    f0 = transpose(e0)
     p = index[(1,) + rest[0]]
     h0 = -rep.weights[p][0]
     return e0, mat_scale(f0, h0 / commutator(e0, f0)[p][p])
 
 
 # ---------------------------------------------------------------------------
+# Dense matrices in Fractions, to and from the library's sparse ones
+# ---------------------------------------------------------------------------
+
+def zeros(m, n):
+    return [[Q(0)] * n for _ in range(m)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[x * c if x else x for x in row] for row in a]
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    out = zeros(n, m)
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            c = ai[t]
+            if c:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += c * bt[j]
+    return out
+
+
+def mat_vec(a, v):
+    """a . v, skipping the zero entries of v."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nz), Q(0)) for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def dense(m, n):
+    """The n x n dense form of the sparse matrix m."""
+    return [[m.get(i, {}).get(j, Q(0)) for j in range(n)] for i in range(n)]
+
+
+def sparse(m):
+    """The sparse form {row: {col: x}} of the dense matrix m, its nonzero
+    entries only."""
+    rows = ({j: x for j, x in enumerate(row) if x} for row in m)
+    return {i: row for i, row in enumerate(rows) if row}
+
+
+# ---------------------------------------------------------------------------
 # Dense relation checkers: every product a full matrix product
 # ---------------------------------------------------------------------------
+
+def cartan(spec, i, j):
+    """The Cartan entry a_ij = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)
+    of the simple roots of spec, in Fractions."""
+    return 2 * inner(spec.alpha[i], spec.alpha[j]) / inner(spec.alpha[i],
+                                                           spec.alpha[i])
+
 
 def is_zero(a):
     return all(not x for row in a for x in row)
@@ -350,11 +416,6 @@ def is_zero(a):
 def commutator(a, b):
     """ab - ba for the dense matrices a, b."""
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def dense(m, n):
-    """The n x n dense form of the sparse matrix m."""
-    return [[m.get(i, {}).get(j, Q(0)) for j in range(n)] for i in range(n)]
 
 
 def bump(m, i, j, c=1):
@@ -373,8 +434,9 @@ def relation_entry(name, residual):
 
 
 def check_classical_relations(gens, spec):
-    """Dense reference for ``liealg.check_classical_relations``."""
-    E, F, H = gens["E"], gens["F"], gens["H"]
+    """Dense reference for ``liealg.check_classical_relations``, on the
+    dense forms of the sparse Kac matrices."""
+    E, F, H = ([dense(m, spec.n) for m in gens[k]] for k in "EFH")
     l = spec.l
     report = []
     for i in range(l + 1):
@@ -394,7 +456,7 @@ def check_classical_relations(gens, spec):
         for j in range(l + 1):
             if i == j:
                 continue
-            m = 1 - int(spec.cartan(i, j))
+            m = 1 - int(cartan(spec, i, j))
             x = E[j]
             for _ in range(m):
                 x = commutator(E[i], x)
@@ -446,7 +508,7 @@ def check_quantum_relations(rep, qs):
         for j in range(l + 1):
             if i == j:
                 continue
-            m = 1 - int(spec.cartan(i, j))
+            m = 1 - int(cartan(spec, i, j))
             qi = qs.q_pow(Q(inner(spec.alpha[i], spec.alpha[i]), 2))
             for x, tag in ((e, "e"), (f, "f")):
                 powers = [identity(dim)]
@@ -473,7 +535,7 @@ def component_scalars(dec, M):
     for comp in dec.components:
         c = None
         for v in comp.basis:
-            image = linalg.sparse_mat_vec(cols, v)
+            image = linalg.mat_vec(cols, v)
             if c is None:
                 p = min(v)
                 c = Q(image.get(p, 0), v[p])

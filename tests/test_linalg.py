@@ -20,63 +20,95 @@ def matrices(n_min=1, n_max=4):
             min_size=n, max_size=n))
 
 
+def rows_of(m, keys=None):
+    """The rows of the dense matrix m as sparse rows, empty ones kept, with
+    column j keyed keys[j] (j itself by default)."""
+    keys = keys or range(len(m[0]) if m else 0)
+    return [{k: x for k, x in zip(keys, row) if x} for row in m]
+
+
 class TestBasics:
     @given(m=matrices())
     @settings(max_examples=30)
     def test_transpose_involution(self, m):
-        assert linalg.transpose(linalg.transpose(m)) == m
+        t = linalg.sparse_transpose(oracles.sparse(m))
+        assert t == oracles.sparse(oracles.transpose(m))
+        assert linalg.sparse_transpose(t) == oracles.sparse(m)
 
     @given(m=matrices())
     @settings(max_examples=30)
     def test_identity_neutral(self, m):
-        n = len(m)
-        assert linalg.mat_mul(m, oracles.identity(n)) == m
-        assert linalg.mat_mul(oracles.identity(n), m) == m
+        s, one = oracles.sparse(m), linalg.sparse_identity(len(m))
+        assert linalg.mat_mul(s, one) == s
+        assert linalg.mat_mul(one, s) == s
 
     @given(m=matrices())
     @settings(max_examples=30)
     def test_commutator_with_self_vanishes(self, m):
-        assert oracles.is_zero(oracles.commutator(m, m))
+        s = oracles.sparse(m)
+        assert linalg.sparse_commutator(s, s) == {}
 
     @given(m=matrices())
     @settings(max_examples=30)
     def test_mat_vec_matches_mat_mul(self, m):
-        v = [row[0] for row in m]
-        want = [row[0] for row in linalg.mat_mul(m, [[x] for x in v])]
-        got = linalg.mat_vec(m, v)
+        """a . v from the columns of a is the product of a with v as a
+        one-column matrix, in Fractions."""
+        s = oracles.sparse(m)
+        v = {j: row[0] for j, row in enumerate(m) if row[0]}
+        want = {i: row[0] for i, row in linalg.mat_mul(
+            s, {j: {0: x} for j, x in v.items()}).items()}
+        got = linalg.mat_vec(linalg.sparse_transpose(s), v)
         assert got == want
-        assert all(isinstance(x, Fraction) for x in got)
+        assert all(isinstance(x, Fraction) for x in got.values())
 
 
 class TestKernelAndInverse:
     def test_kernel_of_rank_one(self):
-        m = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)], [Q(0), Q(0), Q(0)]]
-        kern = linalg.kernel_basis(m, ncols=3)
-        assert len(kern) == 2
+        """A rank-one system with an empty row, over the non-contiguous
+        column keys 2, 5, 9."""
+        rows = [{2: Q(1), 5: Q(2), 9: Q(3)}, {2: Q(2), 5: Q(4), 9: Q(6)}, {}]
+        kern = linalg.kernel_basis(rows, [2, 5, 9])
+        assert kern == [{2: -2, 5: 1}, {2: -3, 9: 1}]
         for v in kern:
-            assert all(not x for x in linalg.mat_vec(m, v))
+            assert all(not _dot(row, v) for row in rows)
+
+    def test_kernel_of_no_rows(self):
+        """With no rows (or only empty ones) every column is free."""
+        assert linalg.kernel_basis([], [1, 4]) == [{1: 1}, {4: 1}]
+        assert linalg.kernel_basis([{}, {}], [3]) == [{3: 1}]
 
     @given(m=matrices())
     @settings(max_examples=30)
     def test_kernel_vectors_annihilate(self, m):
-        kern = linalg.kernel_basis(m, ncols=len(m))
+        rows = rows_of(m)
+        kern = linalg.kernel_basis(rows, range(len(m)))
         for v in kern:
-            assert all(not x for x in linalg.mat_vec(m, v))
+            assert all(not _dot(row, v) for row in rows)
         # rank-nullity against rref
-        rank = len(m) - len(kern)
-        assert 0 <= rank <= len(m)
+        assert len(linalg.rref(rows)) == len(m) - len(kern)
 
     def test_invert_round_trip(self):
+        """Each row over its own pivot entry; the lcm of the pivots is the
+        least common denominator of the inverse."""
         for m, det in (([[Q(2), Q(1)], [Q(7), Q(4)]], 1),
                        ([[Q(2), Q(1)], [Q(7), Q(5)]], 3)):
-            inv, d = linalg.invert(m)
-            assert d == det
-            assert linalg.mat_mul(m, inv) == linalg.mat_scale(
-                oracles.identity(2), d)
+            inv = linalg.invert(rows_of(m), 2)
+            assert math.lcm(*(a for _, a in inv)) == det
+            over = {r: {j: Q(x, a) for j, x in row.items()}
+                    for r, (row, a) in enumerate(inv)}
+            assert linalg.mat_mul(oracles.sparse(m), over) == \
+                linalg.sparse_identity(2)
 
     def test_invert_singular_raises(self):
         with pytest.raises(ValueError, match="singular"):
-            linalg.invert([[Q(1), Q(2)], [Q(2), Q(4)]])
+            linalg.invert([{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(4)}], 2)
+        with pytest.raises(ValueError, match="singular"):
+            linalg.invert([{0: 1}, {}], 2)
+
+
+def _dot(row, v):
+    """The dot product of the sparse vectors row and v."""
+    return sum(x * v[j] for j, x in row.items() if j in v)
 
 
 def rectangular(max_rows=5, max_cols=5):
@@ -89,35 +121,33 @@ def rectangular(max_rows=5, max_cols=5):
 
 class TestRowSpace:
     def test_incremental_rank(self):
-        rs = linalg.RowSpace(3)
+        rs = linalg.RowSpace()
         assert rs.add({0: Q(1), 2: Q(1)})
         assert not rs.add({0: Q(2), 2: Q(2)})   # dependent
+        assert not rs.add({})                    # empty
         assert rs.add({1: Q(1)})
         assert rs.dim == 2
 
     @given(m=matrices())
     @settings(max_examples=30)
     def test_matches_batch_rank(self, m):
-        rs = linalg.RowSpace(len(m))
-        for row in m:
-            rs.add(linalg.sparse_vector(row))
-        assert rs.dim == len(m) - len(linalg.kernel_basis(
-            linalg.transpose(m), ncols=len(m)))
+        rs = linalg.RowSpace()
+        for row in rows_of(m):
+            rs.add(row)
+        assert rs.dim == len(m) - len(linalg.kernel_basis(rows_of(m),
+                                                          range(len(m))))
 
     @given(m=rectangular())
     @settings(max_examples=60)
     def test_matches_rref(self, m):
-        """The sparse rows, sorted by pivot, are the nonzero rows of rref."""
-        ncols = len(m[0])
-        rs = linalg.RowSpace(ncols)
-        for row in m:
-            rs.add(linalg.sparse_vector(row))
-        red, pivots = linalg.rref(m)
-        assert rs.dim == len(pivots)
-        assert sorted(rs.pivots) == pivots
-        assert [[rs.primitive[p].get(j, 0) for j in range(ncols)]
-                for p in pivots] == red[:len(pivots)]
-        assert not any(map(any, red[len(pivots):]))
+        """rref is the primitive rows of the row space, sorted by pivot."""
+        rs = linalg.RowSpace()
+        for row in rows_of(m):
+            rs.add(row)
+        red = linalg.rref(rows_of(m))
+        assert rs.dim == len(red)
+        assert list(red) == sorted(rs.pivots)
+        assert red == rs.primitive
 
 
 def int_matrices(n_min=1, n_max=4):
@@ -141,30 +171,28 @@ class TestIntegerInput:
     equal those of the Fraction input."""
 
     def test_rref_and_row_space_of_one_row(self):
-        red, pivots = linalg.rref([[2, 1]])
-        assert (red, pivots) == ([[2, 1]], [0])
-        assert _no_float(red)
-        rs = linalg.RowSpace(2)
+        red = linalg.rref([{0: 2, 1: 1}])
+        assert red == {0: {0: 2, 1: 1}} and _ints(red)
+        rs = linalg.RowSpace()
         assert rs.add({0: 2, 1: 1})
         assert rs.rows == {0: {0: 1, 1: Q(1, 2)}} and _no_float(rs.rows)
 
     @given(m=int_matrices())
     @settings(max_examples=40)
     def test_no_float_anywhere(self, m):
-        fm = [[Q(x) for x in row] for row in m]
-        red = linalg.rref(m)
-        kern = linalg.kernel_basis(m, ncols=len(m))
-        assert red == linalg.rref(fm) and _no_float(red)
-        assert kern == linalg.kernel_basis(fm, ncols=len(m))
-        assert _no_float(kern)
-        rs, frs = linalg.RowSpace(len(m)), linalg.RowSpace(len(m))
-        for row, frow in zip(m, fm):
-            assert rs.add(linalg.sparse_vector(row)) == \
-                frs.add(linalg.sparse_vector(frow))
+        n = len(m)
+        rows, frows = rows_of(m), rows_of([[Q(x) for x in row] for row in m])
+        red = linalg.rref(rows)
+        kern = linalg.kernel_basis(rows, range(n))
+        assert red == linalg.rref(frows) and _ints(red)
+        assert kern == linalg.kernel_basis(frows, range(n)) and _ints(kern)
+        rs, frs = linalg.RowSpace(), linalg.RowSpace()
+        for row, frow in zip(rows, frows):
+            assert rs.add(row) == frs.add(frow)
         assert rs.rows == frs.rows and _no_float(rs.rows)
         if not kern:
-            inv = linalg.invert(m)
-            assert inv == linalg.invert(fm) and _no_float(inv)
+            inv = linalg.invert(rows, n)
+            assert inv == linalg.invert(frows, n) and _ints(inv)
 
 
 ENTRIES = (0, 0, 1, -2, 3, Q(1, 3), Q(-5, 2))
@@ -172,9 +200,10 @@ ENTRIES = (0, 0, 1, -2, 3, Q(1, 3), Q(-5, 2))
 
 @st.composite
 def exact_matrices(draw, max_rows=5, max_cols=5, square=False):
-    """Rectangular int or Fraction matrices, often rank-deficient: each row
-    is an integer combination of k <= rows random rows.  An int matrix has
-    int entries only; a Fraction one Fraction entries, 1/3 among them."""
+    """Rectangular int or Fraction matrices, often rank-deficient, with
+    zero rows among them: each row is an integer combination of k <= rows
+    random rows.  An int matrix has int entries only; a Fraction one
+    Fraction entries, 1/3 among them."""
     m = draw(st.integers(1, max_rows))
     n = m if square else draw(st.integers(1, max_cols))
     k = draw(st.integers(1, m))
@@ -189,76 +218,101 @@ def exact_matrices(draw, max_rows=5, max_cols=5, square=False):
     return rows if ints else [[Q(x) for x in row] for row in rows]
 
 
+@st.composite
+def keyed_matrices(draw):
+    """(m, keys): an ``exact_matrices`` m and sorted, distinct, often
+    non-contiguous column keys for it, negative ones among them."""
+    m = draw(exact_matrices())
+    keys = draw(st.lists(st.integers(-6, 30), min_size=len(m[0]),
+                         max_size=len(m[0]), unique=True))
+    return m, sorted(keys)
+
+
 def _ints(x):
-    """True if x (nested lists and tuples) holds ints only."""
+    """True if x (nested lists, tuples and dicts) holds ints only."""
+    if isinstance(x, dict):
+        return all(map(_ints, x.values()))
     if isinstance(x, (list, tuple)):
         return all(map(_ints, x))
     return type(x) is int
 
 
+def _keyed(v, keys):
+    """The dense vector v as a sparse one, entry j keyed keys[j]."""
+    return {k: x for k, x in zip(keys, v) if x}
+
+
 class TestAgainstOracle:
-    """The fraction-free elimination equals Gauss-Jordan in Fractions
-    (``oracles.rref`` and the kernel and inverse read from it) exactly, up
-    to the integer scale each result is handed out at, on int and Fraction
-    matrices: every result is in ints."""
+    """The fraction-free elimination on sparse rows equals Gauss-Jordan in
+    Fractions on the dense matrix (``oracles.rref`` and the kernel and
+    inverse read from it) exactly, up to the integer scale each result is
+    handed out at, on int and Fraction matrices with zero and empty rows and
+    any sorted column keys: every result is in ints."""
 
-    @given(m=exact_matrices())
+    @given(mk=keyed_matrices())
     @settings(max_examples=100)
-    def test_rref(self, m):
-        """Each row is the oracle's row times its pivot entry, a primitive
-        integer row positive at its pivot."""
-        red, pivots = linalg.rref(m)
+    def test_rref(self, mk):
+        """Each row, keyed by its pivot in pivot order, is the oracle's row
+        times its pivot entry, a primitive integer row positive at its
+        pivot."""
+        m, keys = mk
+        red = linalg.rref(rows_of(m, keys))
         want, want_pivots = oracles.rref(m)
-        assert pivots == want_pivots and _ints(red)
-        tops = [red[r][p] for r, p in enumerate(pivots)]
-        assert all(a > 0 for a in tops)
-        assert all(math.gcd(*red[r]) == 1 for r in range(len(pivots)))
-        assert red == [[a * x for x in row] for a, row in zip(tops, want)] + \
-            want[len(pivots):]
+        assert list(red) == [keys[p] for p in want_pivots] and _ints(red)
+        for (p, row), x in zip(red.items(), want):
+            assert min(row) == p and row[p] > 0
+            assert math.gcd(*row.values()) == 1
+            assert row == {k: row[p] * y for k, y in _keyed(x, keys).items()}
 
-    @given(m=exact_matrices())
+    @given(mk=keyed_matrices())
     @settings(max_examples=100)
-    def test_kernel_basis(self, m):
-        """Each vector is the oracle's times the lcm of its denominators."""
-        ncols = len(m[0])
-        kern = linalg.kernel_basis(m, ncols=ncols)
-        want = oracles.kernel_basis(m, ncols)
+    def test_kernel_basis(self, mk):
+        """Each vector is the oracle's times the lcm of its denominators,
+        with its keys in column order."""
+        m, keys = mk
+        kern = linalg.kernel_basis(rows_of(m, keys), keys)
+        want = oracles.kernel_basis(m, len(keys))
         assert len(kern) == len(want) and _ints(kern)
         for v, x in zip(kern, want):
             lcm = math.lcm(*(Q(y).denominator for y in x))
-            assert v == [lcm * y for y in x]
+            assert v == _keyed([lcm * y for y in x], keys)
+            assert list(v) == sorted(v)
 
     @given(m=exact_matrices(square=True))
     @settings(max_examples=100)
     def test_invert(self, m):
-        """The integer rows over their denominator are the oracle's
-        inverse, and no smaller denominator would do."""
+        """Each integer row over its pivot entry is the oracle's row of the
+        inverse, and no smaller denominator would do; a singular matrix is
+        refused."""
+        n = len(m)
         try:
             want = oracles.invert(m)
         except ValueError:
             with pytest.raises(ValueError, match="singular"):
-                linalg.invert(m)
+                linalg.invert(rows_of(m), n)
             return
-        inv, d = linalg.invert(m)
-        assert _ints(inv) and type(d) is int and d > 0
-        assert [[Q(x, d) for x in row] for row in inv] == want
-        assert d == math.lcm(*(Q(x).denominator for row in want
-                               for x in row))
+        inv = linalg.invert(rows_of(m), n)
+        assert len(inv) == n and _ints(inv)
+        for (row, a), x in zip(inv, want):
+            assert type(a) is int and a > 0
+            assert {j: Q(y, a) for j, y in row.items()} == _keyed(x, range(n))
+            assert a == math.lcm(*(Q(y).denominator for y in x))
 
-    @given(m=exact_matrices())
+    @given(mk=keyed_matrices())
     @settings(max_examples=100)
-    def test_row_space_rows_are_primitive(self, m):
+    def test_row_space_rows_are_primitive(self, mk):
         """RowSpace reads as the oracle's rref, and each stored row is an
         integer row, positive at its pivot, 0 at every other pivot, with
         content gcd 1."""
-        ncols = len(m[0])
-        rs = linalg.RowSpace(ncols)
-        for row in m:
-            rs.add(linalg.sparse_vector(row))
+        m, keys = mk
+        rs = linalg.RowSpace()
+        for row in rows_of(m, keys):
+            rs.add(row)
         red, pivots = oracles.rref(m)
-        assert sorted(rs.pivots) == pivots and rs.dim == len(pivots)
-        assert [[rs.rows[p].get(j, 0) for j in range(ncols)]
-                for p in sorted(rs.rows)] == red[:len(pivots)]
+        assert sorted(rs.pivots) == [keys[p] for p in pivots]
+        assert rs.dim == len(pivots)
+        assert [rs.rows[p] for p in sorted(rs.rows)] == \
+            [_keyed(x, keys) for x in red[:len(pivots)]]
         assert _no_float(rs.rows)
         for p, row in rs.primitive.items():
             assert all(type(x) is int and x for x in row.values())
@@ -268,46 +322,53 @@ class TestAgainstOracle:
 
 
 class TestSparse:
+    """The sparse products, sums and commutator against the tests' dense
+    arithmetic in Fractions (``oracles``)."""
+
     @given(m=matrices())
     @settings(max_examples=30)
     def test_round_trip_drops_zeros(self, m):
-        s = linalg.sparse(m)
+        """The tests' ``oracles.sparse`` and ``oracles.dense`` are inverse
+        to each other, and a sparse matrix holds no zero entry."""
+        s = oracles.sparse(m)
         assert all(x for row in s.values() for x in row.values())
-        assert [[s.get(i, {}).get(j, 0) for j in range(len(m))]
-                for i in range(len(m))] == m
+        assert oracles.dense(s, len(m)) == m
 
     @given(m=matrices(3, 3), n=matrices(3, 3))
     @settings(max_examples=30)
     def test_mul_matches_dense(self, m, n):
-        assert linalg.sparse_mul(linalg.sparse(m), linalg.sparse(n)) == \
-            linalg.sparse(linalg.mat_mul(m, n))
+        assert linalg.mat_mul(oracles.sparse(m), oracles.sparse(n)) == \
+            oracles.sparse(oracles.mat_mul(m, n))
 
     @given(m=matrices())
     @settings(max_examples=30)
     def test_mat_vec_matches_dense(self, m):
         v = [row[-1] for row in m]
-        cols = linalg.sparse_transpose(linalg.sparse(m))
-        assert linalg.sparse_mat_vec(cols, linalg.sparse_vector(v)) \
-            == linalg.sparse_vector(linalg.mat_vec(m, v))
+        cols = linalg.sparse_transpose(oracles.sparse(m))
+        assert linalg.mat_vec(cols, _keyed(v, range(len(v)))) \
+            == _keyed(oracles.mat_vec(m, v), range(len(m)))
 
     @given(m=matrices(3, 3), n=matrices(3, 3),
            c=st.fractions(min_value=-3, max_value=3, max_denominator=3))
     @settings(max_examples=30)
     def test_lincomb_matches_dense(self, m, n, c):
         """The sum of scaled matrices, with cancelled entries dropped."""
-        want = linalg.mat_sub(linalg.mat_scale(m, c), n)
-        got = linalg.sparse_lincomb(((c, linalg.sparse(m)), (-1, linalg.sparse(n))))
-        assert got == linalg.sparse(want)
-        assert linalg.sparse_lincomb(((1, linalg.sparse(m)),
-                                      (-1, linalg.sparse(m)))) == {}
+        want = oracles.mat_sub(oracles.mat_scale(m, c), n)
+        got = linalg.sparse_lincomb(((c, oracles.sparse(m)),
+                                     (-1, oracles.sparse(n))))
+        assert got == oracles.sparse(want)
+        assert linalg.sparse_lincomb(((1, oracles.sparse(m)),
+                                      (-1, oracles.sparse(m)))) == {}
 
     @given(m=matrices(3, 3), n=matrices(3, 3))
     @settings(max_examples=30)
     def test_commutator_matches_dense(self, m, n):
-        assert linalg.sparse_commutator(linalg.sparse(m), linalg.sparse(n)) == \
-            linalg.sparse(oracles.commutator(m, n))
+        assert linalg.sparse_commutator(oracles.sparse(m),
+                                        oracles.sparse(n)) == \
+            oracles.sparse(oracles.commutator(m, n))
 
     def test_mat_scale_keeps_zero_entries(self):
+        """The dense reference scaling keeps each zero entry as it is."""
         zero = Q(0)
-        scaled = linalg.mat_scale([[zero, Q(2)]], Q(3, 2))
+        scaled = oracles.mat_scale([[zero, Q(2)]], Q(3, 2))
         assert scaled == [[0, Q(3)]] and scaled[0][0] is zero

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistr import linalg, qrep
+from twistr import liealg, linalg, qrep
 from twistr.liealg import eps, family_spec, inner, wadd, wscale
 from twistr.scalars import QSample
 
@@ -30,7 +30,7 @@ def corrupted_at(rep, tag, i, p, c):
 def entries(report, dense=False):
     """(relation, ok, residual) of each report entry, a dense residual (the
     oracle's) made sparse."""
-    return [(r["relation"], r["ok"], linalg.sparse(r["residual"])
+    return [(r["relation"], r["ok"], oracles.sparse(r["residual"])
              if dense and r["residual"] else r["residual"]) for r in report]
 
 
@@ -205,13 +205,30 @@ class TestQuantumRelations:
 
         def broken(spec):
             lam, e, f, weights = build(spec)
-            e[1][0][0] += 1
+            e[1] = oracles.bump(e[1], 0, 0)
             return lam, e, f, weights
 
         monkeypatch.setattr(qrep, "_build_spinor", broken)
         with pytest.raises(qrep.RepresentationError,
                            match="violates quantum relations"):
             qrep.build_seed_rep(family_spec("d2", 2))
+
+    @pytest.mark.parametrize("family,l", [("a2even", 2), ("a2odd", 3)])
+    def test_build_refuses_non_diagonal_cartan(self, family, l, monkeypatch):
+        """Negative control: one off-diagonal entry in the Kac matrix H_1
+        makes build_seed_rep refuse the seed.  E and F are untouched and the
+        diagonal of H_1, which gives the weights, is too, so only the
+        diagonal check can refuse it."""
+        kac = liealg.kac_generators
+
+        def broken(spec):
+            gens = kac(spec)
+            gens["H"][1] = oracles.bump(gens["H"][1], 0, 1)
+            return gens
+
+        monkeypatch.setattr(liealg, "kac_generators", broken)
+        with pytest.raises(qrep.RepresentationError, match="not diagonal"):
+            qrep.build_seed_rep(family_spec(family, l))
 
 
 class TestAffineAction:
@@ -242,7 +259,7 @@ class TestAffineAction:
         the constraint solve finds, scale and signs included."""
         rep = seed_rep("d2", l)
         e0, f0 = oracles.spinor_affine_pair(rep)
-        assert (rep.e[0], rep.f[0]) == (linalg.sparse(e0), linalg.sparse(f0))
+        assert (rep.e[0], rep.f[0]) == (oracles.sparse(e0), oracles.sparse(f0))
 
     def test_spinor_build_is_deterministic(self):
         spec = family_spec("d2", 3)
