@@ -20,11 +20,15 @@ def matrices(n_min=1, n_max=4):
             min_size=n, max_size=n))
 
 
+def _keyed(v, keys=None):
+    """The dense vector v as a sparse one, entry j keyed keys[j] (j itself
+    by default)."""
+    return {k: x for k, x in zip(keys or range(len(v)), v) if x}
+
+
 def rows_of(m, keys=None):
-    """The rows of the dense matrix m as sparse rows, empty ones kept, with
-    column j keyed keys[j] (j itself by default)."""
-    keys = keys or range(len(m[0]) if m else 0)
-    return [{k: x for k, x in zip(keys, row) if x} for row in m]
+    """The rows of the dense matrix m as sparse rows, empty ones kept."""
+    return [_keyed(row, keys) for row in m]
 
 
 class TestBasics:
@@ -131,11 +135,13 @@ class TestRowSpace:
     @given(m=matrices())
     @settings(max_examples=30)
     def test_matches_batch_rank(self, m):
+        """The rank of m is n minus the nullity of its transpose, found by
+        a second elimination of a different matrix."""
         rs = linalg.RowSpace()
         for row in rows_of(m):
             rs.add(row)
-        assert rs.dim == len(m) - len(linalg.kernel_basis(rows_of(m),
-                                                          range(len(m))))
+        assert rs.dim == len(m) - len(linalg.kernel_basis(
+            rows_of(oracles.transpose(m)), range(len(m))))
 
     @given(m=rectangular())
     @settings(max_examples=60)
@@ -237,11 +243,6 @@ def _ints(x):
     return type(x) is int
 
 
-def _keyed(v, keys):
-    """The dense vector v as a sparse one, entry j keyed keys[j]."""
-    return {k: x for k, x in zip(keys, v) if x}
-
-
 class TestAgainstOracle:
     """The fraction-free elimination on sparse rows equals Gauss-Jordan in
     Fractions on the dense matrix (``oracles.rref`` and the kernel and
@@ -295,7 +296,7 @@ class TestAgainstOracle:
         assert len(inv) == n and _ints(inv)
         for (row, a), x in zip(inv, want):
             assert type(a) is int and a > 0
-            assert {j: Q(y, a) for j, y in row.items()} == _keyed(x, range(n))
+            assert {j: Q(y, a) for j, y in row.items()} == _keyed(x)
             assert a == math.lcm(*(Q(y).denominator for y in x))
 
     @given(mk=keyed_matrices())
@@ -345,8 +346,7 @@ class TestSparse:
     def test_mat_vec_matches_dense(self, m):
         v = [row[-1] for row in m]
         cols = linalg.sparse_transpose(oracles.sparse(m))
-        assert linalg.mat_vec(cols, _keyed(v, range(len(v)))) \
-            == _keyed(oracles.mat_vec(m, v), range(len(m)))
+        assert linalg.mat_vec(cols, _keyed(v)) == _keyed(oracles.mat_vec(m, v))
 
     @given(m=matrices(3, 3), n=matrices(3, 3),
            c=st.fractions(min_value=-3, max_value=3, max_denominator=3))
