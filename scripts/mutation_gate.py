@@ -54,8 +54,8 @@ MUTATIONS = [
      "    if not low:",
      "v_low certified unique"),
     ("jimbo.py",
-     "    return all(linalg.mat_mul(n, m) == linalg.mat_mul(m, n)",
-     "    return True or all(linalg.mat_mul(n, m) == linalg.mat_mul(m, n)",
+     "    return all(linalg.products_equal(n, m, m, n)",
+     "    return True or all(linalg.products_equal(n, m, m, n)",
      "solve_rmatrix fixed-subalgebra equations: the e-half"),
     ("jimbo.py",
      "        if not same:",
@@ -125,8 +125,10 @@ MUTATIONS = [
      "        pass",
      "q-Serre relations"),
     ("qrep.py",
-     "                              si ** m * sj, words if any(words) else ()))",
-     "                              si ** m * sj, words if all(words) else ()))",
+     "                             if any(words) else "
+     "(name, m, di, scale, {}, ()))",
+     "                             if all(words) else "
+     "(name, m, di, scale, {}, ()))",
      "q-Serre: a sum skipped only when every word is zero"),
     ("qrep.py",
      "        qints = _q_integers(qs, (*(groups or rep.h[i]), m))",
@@ -149,6 +151,26 @@ MUTATIONS = [
      '            report.append(relation_entry(f"(ad F{i})^{m} F{j}=0", y, s))',
      "            pass",
      "classical Serre relations of F"),
+    ("qrep.py",
+     "        abs(x) in (0, m) and c == scale * x for x, c in groups.items())",
+     "        abs(x) in (0, m) and True for x, c in groups.items())",
+     "[e_i,f_i] for all q: c = s x in every group"),
+    ("qrep.py",
+     "        abs(x) in (0, m) and c == scale * x for x, c in groups.items())",
+     "        True and c == scale * x for x, c in groups.items())",
+     "[e_i,f_i] for all q: |x| in {0, m} in every group"),
+    ("qrep.py",
+     "                                  linalg.sparse_commutator(xi, xj), ()))",
+     "                                  {}, ()))",
+     "q-Serre of degree 1: finished once as the commutator"),
+    ("linalg.py",
+     "                    acc[j] = acc.get(j, 0) - x * y",
+     "                    acc[j] = acc.get(j, 0) + x * y",
+     "products_equal: a b - c d, the subtraction"),
+    ("linalg.py",
+     "    for i in a.keys() | c.keys():",
+     "    for i in a.keys():",
+     "products_equal: rows that only c holds"),
     ("qrep.py",
      "    if any(row.keys() != {i} for i, row in m.items()):",
      "    if False:",

@@ -15,10 +15,12 @@ One line per output, ``sha256  command``.  The outputs are:
 
 Run it on two checkouts and diff what it prints: a change that keeps every
 report and export byte-identical prints the same lines.  A command that
-exits nonzero gets its exit code after the command.
+exits nonzero gets its exit code after the command.  twistr is imported
+from src/ of the checkout this file sits in, whatever PYTHONPATH holds, and
+the script exits with an error if twistr was imported from anywhere else.
 
 Usage:
-    PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
+    python3 scripts/output_digests.py > digests.txt
 """
 
 import hashlib
@@ -27,7 +29,13 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT / "tests")]
+
+import twistr  # noqa: E402
+
+if pathlib.Path(twistr.__file__).resolve().parent != ROOT / "src" / "twistr":
+    raise SystemExit(f"twistr was imported from {twistr.__file__}, "
+                     f"not from {ROOT / 'src'}")
 
 from conftest import CLOSED_FORM_GRID, YBE_CASES  # noqa: E402
 from run_verification_grid import GRID  # noqa: E402

@@ -150,9 +150,11 @@ def cmd_verify(args, spec, params) -> int:
         return {"ok": all(r["ok"] for r in records), "certificates": records}
 
     def run_relations():
-        gens = liealg.kac_generators(spec)
-        classical = liealg.check_classical_relations(gens, spec)
+        # the Kac generators of the vector seeds are the ones the seed rep
+        # was built from; the spinor's classical check builds its own
         rep = shared.rep
+        gens = rep.kac or liealg.kac_generators(spec)
+        classical = liealg.check_classical_relations(gens, spec)
         failures = [r["relation"] for r in classical if not r["ok"]]
         checked = len(classical)
         for w, _, _ in samples:

@@ -24,7 +24,9 @@ spans their null space.  The substitution is checked in integers, on N
 below: N preserves weight, N D(e_i) = D(e_i) N with the decomposition's
 integer D(e_i) and, for u = a / b, N (a X + b Y) = (b X + a Y) N with the
 integer numerators X and Y; the e0 identity holds at u = 0 too, so the parity
-solve is certified the same way.
+solve is certified the same way.  Each of these identities of products is
+tested row by row (``linalg.products_equal``), so neither side is built as
+a matrix.
 
 The f-half needs no product.  V carries a contravariant form, a diagonal g
 with f_i = g^-1 e_i^T g (i >= 1), so with G = g (x) g the coproducts give
@@ -273,7 +275,7 @@ def solve_rmatrix(shared: Shared, qs: QSample, u: Fraction) -> RMatrixResult:
     lhs = linalg.sparse_lincomb(((a, x), (b, y)))
     rhs = linalg.sparse_lincomb(((b, x), (a, y)))
     if not (_is_module_map(shared, qs, num) and
-            linalg.mat_mul(num, lhs) == linalg.mat_mul(rhs, num)):
+            linalg.products_equal(num, lhs, rhs, num)):
         raise CertificateError("Rcheck fails the intertwining equations")
     return RMatrixResult(num, d // g, shared.rep.dim)
 
@@ -411,7 +413,7 @@ def _is_module_map(shared, qs, n):
     if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)
            for p, row in n.items() for j, y in row.items()):
         return False
-    return all(linalg.mat_mul(n, m) == linalg.mat_mul(m, n)
+    return all(linalg.products_equal(n, m, m, n)
                for m in dec.fixed[:len(dec.fixed) // 2])
 
 

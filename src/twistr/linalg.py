@@ -6,7 +6,9 @@ and a vector, such as a row or an adapted basis vector, is one such
 (the Kac matrices, the Jordan-Wigner products, the spinor's affine pair),
 the relation checks on them, every operator on V (x) V -- the coproduct
 actions, the swap, R and its braided form -- and the small eliminations per
-weight block or per component system.
+weight block or per component system.  An identity a b == c d between
+products, as in a commutator or an intertwining equation, is tested row by
+row (``products_equal``) without building either product.
 
 There is one elimination, ``RowSpace.add``, and it is fraction-free, as in
 Bareiss (Math. Comp. 22, 1968), though it divides each updated row by its
@@ -100,6 +102,27 @@ def sparse_vec_mul(v, b):
 def mat_mul(a, b):
     """The product a b of the sparse matrices a and b."""
     return {i: row for i, ra in a.items() if (row := sparse_vec_mul(ra, b))}
+
+
+def products_equal(a, b, c, d):
+    """True if a b == c d for the sparse matrices a, b, c, d, with no
+    product matrix built: row i of a b - c d is accumulated from row i of a
+    and row i of c, and the test stops at the first row that is not 0."""
+    for i in a.keys() | c.keys():
+        acc = {}
+        for k, x in a.get(i, {}).items():
+            rb = b.get(k)
+            if rb:
+                for j, y in rb.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        for k, x in c.get(i, {}).items():
+            rd = d.get(k)
+            if rd:
+                for j, y in rd.items():
+                    acc[j] = acc.get(j, 0) - x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def sparse_lincomb(terms):

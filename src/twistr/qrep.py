@@ -13,16 +13,28 @@ the coproducts and the rep export.
 
 Undeformedness is a claim under test: build_seed_rep runs the checker at a
 sample w and aborts if any relation fails.  The checker's q-independent
-part (the h_i eigenvalue table, the weight shifts, the [e_i, f_j] for
-i != j, the classical commutators [e_i, f_i] with their gauge magnitudes
-and diagonal groups, and the words of every q-Serre sum) is built once per
-Representation, on its first check, and every later sample computes only
-the [e_i, f_i] comparisons and the q-Serre sums that have a nonzero word.
-Every product is built in integers, from s * x with s the lcm of the
-denominators of the generator x, and kept with its scale, the product of
-the s it reads; a residual is divided back by its scale only when it is
-not empty.  A weight shift [h_i, x_j] is one weight test per nonzero of
-x_j, exact because h_i(p) = (wt_p, alpha_i).
+part is built once per Representation, on its first check: the h_i
+eigenvalue table, the weight shifts, the [e_i, f_j] for i != j, the
+classical commutators [e_i, f_i] with their gauge magnitudes and diagonal
+groups, and the q-Serre sums.  Two kinds of relation are decided there for
+every q.  An [e_i, f_i] whose groups (x, c) all have |x| in {0, m} and
+c = s * x holds at every q by substitution, and a q-Serre sum of degree
+m = 1 has the coefficients +-1 at every q, so it is finished there.  Every
+later sample computes only the [e_i, f_i] comparisons left and the q-Serre
+sums of degree m >= 2 that have a nonzero word; on the seeds there are
+none, and the relations are decided once per rep, though each sample
+still reports its own entries.  Every product is built in integers, from
+s * x with s the lcm of the denominators of the generator x, and kept with
+its scale, the product of the s it reads; a residual is divided back by
+its scale only when it is not empty.  A weight shift [h_i, x_j] is one
+weight test per nonzero of x_j, exact because h_i(p) = (wt_p, alpha_i).
+
+Each Representation also keeps the q-independent skeleton of V (x) V that
+every decomposition reads (``Representation.square``): the weight blocks,
+the block of each product index, the dominant blocks in descending order
+and the integer exponents 2 h_i of the coproducts.  The vector seeds keep
+the Kac generators they were built from (``Representation.kac``), so a
+verify builds them once.
 
 Each Representation also carries the integer diagonal g of its
 contravariant form, f_i = g^-1 e_i^T g for i >= 1 (``Representation.g``),
@@ -34,13 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
 from . import liealg, linalg
-from .liealg import FamilySpec, doubled, inner, relation_entry
+from .liealg import (FamilySpec, doubled, inner, is_dominant, relation_entry,
+                     wadd)
 from .scalars import QSample, qfactorial
 
 Q = Fraction
@@ -58,6 +71,8 @@ class Representation:
     e: tuple                       # sparse {row: {col: x}} e_0..e_l
     f: tuple                       # sparse f_0..f_l
     weights: tuple                 # weight of each basis vector
+    # the Kac generators {"E", "F", "H"} a vector seed was built from
+    kac: dict = field(default=None, compare=False, repr=False)
 
     @cached_property
     def doubled_weights(self):
@@ -107,6 +122,31 @@ class Representation:
         return g
 
     @cached_property
+    def square(self):
+        """The q-independent ``Square`` skeleton of V (x) V, built on first
+        read and kept for every later sample."""
+        blocks = {}
+        for p, wt in enumerate(wadd(a, b) for a in self.weights
+                               for b in self.weights):
+            blocks.setdefault(wt, []).append(p)
+        block = [0] * self.dim ** 2
+        for k, idxs in enumerate(blocks.values()):
+            for p in idxs:
+                block[p] = k
+        dominant = sorted(((wt, k, idxs)
+                           for k, (wt, idxs) in enumerate(blocks.items())
+                           if is_dominant(self.spec.l0type, wt)), reverse=True)
+        exponents = []
+        for i, a in enumerate(map(doubled, self.spec.alpha)):
+            # 2 h_i(p) = (2 wt_p, 2 alpha_i) / 2
+            ks, odd = zip(*(divmod(inner(mu, a), 2)
+                            for mu in self.doubled_weights))
+            if any(odd):
+                raise ValueError(f"q^(h_{i}/2) is not an integer power of w")
+            exponents.append(ks)
+        return Square(blocks, tuple(block), tuple(dominant), tuple(exponents))
+
+    @cached_property
     def relations(self):
         """The q-independent ``RelationData`` of the quantum relations,
         built on first read and kept for every later sample."""
@@ -119,6 +159,19 @@ class Representation:
         return {(k, i): liealg.integral(x)
                 for k, xs in (("e", self.e), ("f", self.f))
                 for i, x in enumerate(xs)}
+
+
+@dataclass(frozen=True)
+class Square:
+    """What V (x) V's decompositions share at every w, V a
+    ``Representation``, on the product basis p = i * dim V + j."""
+    blocks: dict       # weight -> product basis indices of that weight: the
+                       # weights of V (x) V, sums of two weights of V
+    block: tuple       # index -> number of its weight block, in the order of
+                       # ``blocks``
+    dominant: tuple    # (weight, block number, indices) of each dominant
+                       # block, by weight descending
+    exponents: tuple   # per i, 2 h_i(p) of each basis vector p of V, in ints
 
 
 def _weights_from_h_diagonals(spec: FamilySpec, hdiags):
@@ -143,6 +196,7 @@ def _diag_of(m, n):
 
 
 def build_seed_rep(spec: FamilySpec) -> Representation:
+    gens = None
     if spec.family in ("a2even", "a2odd"):
         gens = liealg.kac_generators(spec)
         hdiags = [_diag_of(h, spec.n) for h in gens["H"]]
@@ -150,7 +204,8 @@ def build_seed_rep(spec: FamilySpec) -> Representation:
         lam, e, f = liealg.eps(1, spec.l), gens["E"], gens["F"]
     else:
         lam, e, f, weights = _build_spinor(spec)
-    rep = Representation(spec, lam, len(weights), tuple(e), tuple(f), weights)
+    rep = Representation(spec, lam, len(weights), tuple(e), tuple(f), weights,
+                         gens)
     report = check_quantum_relations(rep, QSample(Q(2)))
     bad = [r["relation"] for r in report if not r["ok"]]
     if bad:
@@ -214,7 +269,9 @@ class RelationData:
     brackets: tuple    # (i, j, scale, scale * [e_i, f_j]) for every i, j
     magnitudes: tuple  # the gauge magnitude m of each i
     groups: tuple      # per i: {h: c} or None, see _diagonal_groups
-    serre: tuple       # (name, m, d_i, scale, words): see _relation_data
+    for_all_q: tuple   # per i: [e_i, f_i] holds at every q, see _for_all_q
+    serre: tuple       # (name, m, d_i, scale, residual, words): see
+                       # _relation_data
 
 
 def _weight_shift_failures(rep, xs, sign):
@@ -246,6 +303,15 @@ def _diagonal_groups(h, comm):
     return groups
 
 
+def _for_all_q(groups, m, scale):
+    """True if the grouped [e_i, f_i] relation gauge * c = scale * [x]_q,
+    gauge = [m]_q / m, holds at every q by substitution: every group (x, c)
+    has |x| in {0, m} and c = scale * x, for [+-m]_q = +-[m]_q and [0]_q =
+    0.  Otherwise each sample compares the groups at its own q."""
+    return groups is not None and all(
+        abs(x) in (0, m) and c == scale * x for x, c in groups.items())
+
+
 def _product(a, b):
     """a b for sparse a and b, with no product when either is 0."""
     return linalg.mat_mul(a, b) if a and b else {}
@@ -253,18 +319,27 @@ def _product(a, b):
 
 def _relation_data(rep: Representation) -> RelationData:
     """The weight shifts as finished residuals, every s * [e_i, f_j] in
-    integers with the groups of its diagonal for i = j, the gauge
-    magnitudes, and the integer words of each q-Serre sum.
+    integers with the groups of its diagonal for i = j and whether those
+    decide it at every q (``_for_all_q``), the gauge magnitudes, and each
+    q-Serre sum, finished where no coefficient depends on q.
 
     The weight shift [h_i, x_j] = sign (alpha_i, alpha_j) x_j is computed
     per i only at the nonzeros of x_j that fail the weight test of
     ``_weight_shift_failures``.  A q-Serre sum of x_i, x_j (x = e or f)
     has degree m = 1 - a_ij and the words s_i^m s_j x_i^(m-k) x_j x_i^k,
-    k = 0..m, over the scale s_i^m s_j, built with no product by x_i^0 = I
-    or by a zero power; ``words`` is empty when every word is 0, for then
-    the sum is 0 at any q.  Its coefficients read q_i = q^d_i, d_i =
-    (alpha_i, alpha_i) / 2.  Raises FamilyError on a non-integer Cartan
-    entry (``liealg.cartan_entry``)."""
+    k = 0..m, over the scale s_i^m s_j; its coefficients read q_i = q^d_i,
+    d_i = (alpha_i, alpha_i) / 2.  Each sum is kept as (name, m, d_i,
+    scale, residual, words):
+    - m = 1: the coefficients are +-1 at every q, so the sum is the
+      finished commutator s_i s_j [x_i, x_j] in ``residual``, and ``words``
+      is empty;
+    - m >= 2 with every word 0: the sum is 0 at every q, ``residual`` is
+      {} and ``words`` empty;
+    - otherwise ``residual`` is None and ``words`` holds the words, built
+      with no product by x_i^0 = I or by a zero power, for each sample to
+      sum with its coefficients.
+    Raises FamilyError on a non-integer Cartan entry
+    (``liealg.cartan_entry``)."""
     spec, h, gens = rep.spec, rep.h, rep.integer_generators
     l, gram = spec.l, liealg.doubled_gram(spec)
     failures = {"e": _weight_shift_failures(rep, rep.e, 1),
@@ -294,8 +369,11 @@ def _relation_data(rep: Representation) -> RelationData:
     for i in range(l + 1):
         mags = {abs(x) for x in h[i]} - {0}
         magnitudes.append(max(mags) if len(mags) == 1 else Q(1))
+    diagonal = [(scale, comm) for i, j, scale, comm in brackets if i == j]
     groups = tuple(_diagonal_groups(h[i], comm)
-                   for i, j, _, comm in brackets if i == j)
+                   for i, (_, comm) in enumerate(diagonal))
+    for_all_q = tuple(_for_all_q(g, m, scale) for g, m, (scale, _)
+                      in zip(groups, magnitudes, diagonal))
     serre = []
     for i in range(l + 1):
         di = Q(gram[i][i], 8)
@@ -306,16 +384,21 @@ def _relation_data(rep: Representation) -> RelationData:
             m = 1 - liealg.cartan_entry(gram, i, j)
             for tag in "ef":
                 (si, xi), (sj, xj) = gens[tag, i], gens[tag, j]
+                name, scale = f"q-Serre {tag}{i},{tag}{j}", si ** m * sj
+                if m == 1:
+                    serre.append((name, m, di, scale,
+                                  linalg.sparse_commutator(xi, xj), ()))
+                    continue
                 pw = powers[tag]
                 while len(pw) <= m:
                     pw.append(_product(xi, pw[-1]))
                 right = [xj] + [_product(xj, pw[k]) for k in range(1, m + 1)]
                 words = [_product(pw[m - k], r) if k < m else r
                          for k, r in enumerate(right)]
-                serre.append((f"q-Serre {tag}{i},{tag}{j}", m, di,
-                              si ** m * sj, words if any(words) else ()))
+                serre.append((name, m, di, scale, None, words)
+                             if any(words) else (name, m, di, scale, {}, ()))
     return RelationData(tuple(shifts), tuple(brackets), tuple(magnitudes),
-                        groups, tuple(serre))
+                        groups, for_all_q, tuple(serre))
 
 
 def _q_integers(qs: QSample, hs):
@@ -339,9 +422,12 @@ def check_quantum_relations(rep: Representation, qs: QSample):
 
     Only the q-dependent part is computed here, from the q-independent
     ``Representation.relations``: the [e_i, f_i] residual gauge * [e_i, f_i]
-    - [h_i]_q, first as one comparison per group of the diagonal (built in
-    full only when a comparison fails), and the q-Serre sums that have a
-    nonzero word, with their coefficients scaled to integers.
+    - [h_i]_q where its groups do not decide it at every q, first as one
+    comparison per group of the diagonal (built in full only when a
+    comparison fails), and the q-Serre sums of degree m >= 2 that have a
+    nonzero word, with their coefficients scaled to integers.  Every other
+    entry is read from the q-independent data: on the seeds that is all of
+    them, so a sample computes no q-integer and no product.
     """
     data = rep.relations
     report = [relation_entry(name, r) for name, r in data.shifts]
@@ -350,6 +436,10 @@ def check_quantum_relations(rep: Representation, qs: QSample):
             report.append(relation_entry(f"[e{i},f{j}]", comm, scale))
             continue
         m, groups = data.magnitudes[i], data.groups[i]
+        name = f"[e{i},f{i}] (gauge [{m}]/{m})"
+        if data.for_all_q[i]:
+            report.append(relation_entry(name, {}))
+            continue
         qints = _q_integers(qs, (*(groups or rep.h[i]), m))
         gauge = qints[m] / m
         if groups is not None and all(gauge * c == scale * qints[x]
@@ -358,13 +448,12 @@ def check_quantum_relations(rep: Representation, qs: QSample):
         else:
             tgt = {p: {p: qints[x]} for p, x in enumerate(rep.h[i]) if x}
             residual = linalg.sparse_lincomb(((gauge, comm), (-scale, tgt)))
-        report.append(relation_entry(f"[e{i},f{i}] (gauge [{m}]/{m})",
-                                     residual, scale))
+        report.append(relation_entry(name, residual, scale))
 
     coeffs = {}
-    for name, m, di, scale, words in data.serre:
+    for name, m, di, scale, total, words in data.serre:
         if not words:
-            report.append(relation_entry(name, {}))
+            report.append(relation_entry(name, total, scale))
             continue
         if (m, di) not in coeffs:
             qi = qs.q_pow(di)

@@ -12,8 +12,12 @@ checks without forming a projector or an inverse.  V (x) V at a sample w
 is in integers from the coproducts on: ``decompose`` keeps the integer
 numerators of D(e_i), D(f_i) (i >= 1) and the adapted basis as primitive
 integer vectors, each lowering divided by its content gcd (P_nu does not
-depend on how the basis vectors are scaled), with the weight blocks and the
-block number of each index; the solve and the checks read that one form.
+depend on how the basis vectors are scaled); the solve and the checks read
+that one form.  What no sample changes is built once per V, by
+``Representation.square``: the weight blocks, the block number of each
+index, the dominant blocks in descending order and the integer exponents
+2 h_i that ``coproduct_action`` reads.  So a decomposition at w does only
+w-dependent integer work, and it reads weights as block numbers.
 The coproduct numerators are sparse ``linalg`` matrices {row: {col: x}},
 built from the nonzeros of V's generators; adapted basis vectors are sparse
 {col: x}.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import branching, linalg
-from .liealg import doubled, is_dominant, wadd
+from .liealg import doubled
 from .qrep import Representation
 from .scalars import QSample
 
@@ -50,13 +54,13 @@ def coproduct_action(rep: Representation, kind: str, i: int, qs: QSample,
     Delta^u(x) = N / d, Delta(x) = q^{-h/2} (x) x + x (x) q^{h/2}.  u enters
     only for i == 0 (factor c = u on e0, 1/u on f0, on the first leg).  N is
     built from s * x (``Representation.integer_generators``) and w = a / b:
-    q^{h/2} = w^{2h}, and |a b|^m w^k is an integer for m the largest |2h|
-    and |k| <= m: d = |a b|^m s r, r the denominator of c (1 at u = 0, 1)."""
+    q^{h/2} = w^{2h}, with the integer exponents 2h of
+    ``Representation.square``, and |a b|^m w^k is an integer for m the
+    largest |2h| and |k| <= m: d = |a b|^m s r, r the denominator of c (1 at
+    u = 0, 1)."""
     s, x = rep.integer_generators[kind, i]
     c = Q(1) if i != 0 or u is None else (Q(u) if kind == "e" else 1 / Q(u))
-    ks = [int(2 * h) for h in rep.h[i]]
-    if ks != [2 * h for h in rep.h[i]]:
-        raise ValueError(f"q^(h_{i}/2) is not an integer power of w")
+    ks = rep.square.exponents[i]
     a, b, m = qs.w.numerator, qs.w.denominator, max(map(abs, ks))
     sign = -1 if a < 0 and m % 2 else 1
     pw = {k: sign * a ** (m + k) * b ** (m - k) for k in range(-m, m + 1)}
@@ -89,43 +93,44 @@ class IsotypicComponent:
 @dataclass
 class IsotypicDecomposition:
     rep: Representation  # the seed V of V (x) V
-    blocks: dict         # weight -> product basis indices of that weight
-    block: dict          # index -> number of its weight block, in the
-                         # order of ``blocks``
     components: list     # IsotypicComponent, sorted by weight desc
     fixed: list          # D(e_1)..D(e_l), D(f_1)..D(f_l), each as the
                          # integer numerator of coproduct_action
 
+    @property
+    def blocks(self):
+        """weight -> product basis indices of that weight (``rep.square``)."""
+        return self.rep.square.blocks
+
+    @property
+    def block(self):
+        """index -> number of its weight block, in the order of ``blocks``
+        (``rep.square``)."""
+        return self.rep.square.block
+
 
 def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     """Isotypic decomposition of V (x) V, V = rep, under the quantum fixed
-    subalgebra at sample w, with highest weight vectors sought at dominant
-    weights only.  Raises DecompositionError unless the adapted bases of the
-    components together form a basis of V (x) V (rank dim V ** 2 in the
-    shared row space): V (x) V is completely reducible, as q is no root of
-    unity, so a missed highest weight vector would leave that rank short."""
-    l0type, l = rep.spec.l0type, rep.spec.l
-    weights = tuple(wadd(w1, w2) for w1 in rep.weights for w2 in rep.weights)
-    blocks = {}
-    for p, w in enumerate(weights):
-        blocks.setdefault(w, []).append(p)
-    block = {p: k for k, idxs in enumerate(blocks.values()) for p in idxs}
+    subalgebra at sample w, with highest weight vectors sought in the
+    dominant blocks of ``rep.square`` only.  Raises DecompositionError
+    unless the adapted bases of the components together form a basis of
+    V (x) V (rank dim V ** 2 in the shared row space): V (x) V is
+    completely reducible, as q is no root of unity, so a missed highest
+    weight vector would leave that rank short."""
+    l, square = rep.spec.l, rep.square
     fixed = [coproduct_action(rep, kind, i, qs)[0]
              for kind in "ef" for i in range(1, l + 1)]
     # the nonzero columns of each stacked raising row, grouped by the weight
-    # of the column: a weight block's kernel is read from its own group
-    block_rows = {}
+    # block of the column: a weight block's kernel is read from its own group
+    block, block_rows = square.block, {}
     for k, m in enumerate(fixed[:l]):
         for r, row in m.items():
             for p, x in row.items():
-                block_rows.setdefault(weights[p], {}).setdefault(
+                block_rows.setdefault(block[p], {}).setdefault(
                     (k, r), {})[p] = x
     components = []
-    for eta, idxs in sorted(blocks.items(), reverse=True):
-        if not is_dominant(l0type, eta):
-            continue
-        for vec in linalg.kernel_basis(block_rows.get(eta, {}).values(),
-                                       idxs):
+    for eta, n, idxs in square.dominant:
+        for vec in linalg.kernel_basis(block_rows.get(n, {}).values(), idxs):
             if components and components[-1].nu == eta:
                 raise DecompositionError(f"multiplicity >= 2 at component {eta}")
             components.append(IsotypicComponent(eta, [vec]))
@@ -151,7 +156,7 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     if space.dim != dim:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {dim}")
-    return IsotypicDecomposition(rep, blocks, block, components, fixed)
+    return IsotypicDecomposition(rep, components, fixed)
 
 
 def component_scalars(dec: IsotypicDecomposition, M):

@@ -298,6 +298,28 @@ class TestVerify:
         assert len(checked) == 1 + int(samples)
         assert len(built) == 1 and all(r is built[0] for r in checked)
 
+    @pytest.mark.parametrize("family,l", [("a2even", 1), ("a2odd", 3),
+                                          ("d2", 2)])
+    def test_kac_generators_built_once_per_verify(self, tmp_path,
+                                                  monkeypatch, family, l):
+        """A verify builds the Kac generators once: the vector seeds keep
+        the ones they were built from for the relations stage, and the
+        spinor's classical check builds its own.  Nothing carries over
+        from one verify to the next."""
+        real, calls = liealg.kac_generators, []
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(liealg, "kac_generators", counted)
+        args = ["verify", "--family", family, "--l", str(l), "--seed", "7",
+                "--samples", "1"]
+        assert run(tmp_path, *args)[0] == 0
+        assert len(calls) == 1
+        assert run(tmp_path, *args)[0] == 0
+        assert len(calls) == 2
+
     def test_flipped_classical_sign_fails_the_parity_stage(self, tmp_path,
                                                            monkeypatch):
         """The parity stage compares the signs of Rcheck(0) with the graph

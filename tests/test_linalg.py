@@ -372,3 +372,40 @@ class TestSparse:
         zero = Q(0)
         scaled = oracles.mat_scale([[zero, Q(2)]], Q(3, 2))
         assert scaled == [[0, Q(3)]] and scaled[0][0] is zero
+
+
+class TestProductsEqual:
+    """``products_equal`` against the dense oracle's two products."""
+
+    @given(a=matrices(3, 3), b=matrices(3, 3),
+           bump=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    @settings(max_examples=60)
+    def test_matches_dense(self, a, b, bump):
+        """a b == (a b) I, where the entries of row i of the difference
+        cancel, and, with one entry of I bumped, the oracle's verdict."""
+        c, d = oracles.mat_mul(a, b), oracles.identity(3)
+        if bump is not None:
+            d = oracles.dense(oracles.bump(oracles.sparse(d), *bump), 3)
+        want = oracles.mat_mul(a, b) == oracles.mat_mul(c, d)
+        assert want or bump is not None
+        got = linalg.products_equal(*map(oracles.sparse, (a, b, c, d)))
+        assert got == want
+
+    @given(a=matrices(3, 3), b=matrices(3, 3), c=matrices(3, 3),
+           d=matrices(3, 3))
+    @settings(max_examples=25)
+    def test_matches_dense_on_any_four(self, a, b, c, d):
+        assert linalg.products_equal(*map(oracles.sparse, (a, b, c, d))) == \
+            (oracles.mat_mul(a, b) == oracles.mat_mul(c, d))
+
+    def test_rows_on_one_side_only(self):
+        """A row that only a or only c holds is compared with 0; the entries
+        of a row of a b may cancel to 0."""
+        one = {0: {0: 1}}
+        assert not linalg.products_equal({}, one, one, one)
+        assert not linalg.products_equal(one, one, {}, one)
+        assert linalg.products_equal({1: {0: 1}}, {}, {}, one)
+        assert linalg.products_equal({}, one, {2: {1: 3}}, one)
+        cancel = {0: {0: 1, 1: 1}}, {0: {0: 2}, 1: {0: -2}}
+        assert linalg.products_equal(*cancel, {}, {})
+        assert not linalg.products_equal(*cancel, one, one)

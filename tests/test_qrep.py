@@ -126,6 +126,8 @@ class TestQuantumRelations:
         f[1] = linalg.sparse_lincomb(((2, f[1]),))
         broken = dataclasses.replace(rep, f=tuple(f))
         assert broken.relations.groups[1] is not None
+        assert all(rep.relations.for_all_q)
+        assert not broken.relations.for_all_q[1]    # c = 2 s x, not s x
         for w in (Q(2), Q(-3, 2), Q(5, 7)):
             qs = QSample(w)
             got = entries(qrep.check_quantum_relations(broken, qs))
@@ -133,6 +135,67 @@ class TestQuantumRelations:
                                   dense=True)
             assert [name for name, ok, _ in got if not ok] == [
                 "[e1,f1] (gauge [1]/1)"]
+
+    def test_bracket_with_a_second_magnitude_needs_its_sample(self):
+        """Negative control for the q-independent decision of [e_i, f_i].
+        V (x) V with the classical coproduct x (x) 1 + 1 (x) x is a module
+        of the classical algebra only: s * [e_i, f_i] is diagonal with
+        c = s * x on every group x of h_i, but h_i takes a value |x| not
+        in {0, m}, so no group decides the relation for all q.  Each sample
+        compares the groups at its own q, with the dense oracle's entries,
+        and every [e_i, f_i] fails at every w."""
+        rep = seed_rep("a2even", 1)
+        n, eye = rep.dim, linalg.sparse_identity(rep.dim)
+
+        def kron(a, b):
+            return {i * n + k: {j * n + t: x * y for j, x in ra.items()
+                                for t, y in rb.items()}
+                    for i, ra in a.items() for k, rb in b.items()}
+
+        def delta(x):
+            return linalg.sparse_lincomb(((1, kron(x, eye)),
+                                          (1, kron(eye, x))))
+
+        square = dataclasses.replace(
+            rep, dim=n * n, e=tuple(map(delta, rep.e)),
+            f=tuple(map(delta, rep.f)),
+            weights=tuple(wadd(a, b) for a in rep.weights
+                          for b in rep.weights))
+        data = square.relations
+        for i, groups in enumerate(data.groups):
+            scale = next(s for a, b, s, _ in data.brackets if a == b == i)
+            assert groups is not None and not data.for_all_q[i]
+            assert all(c == scale * x for x, c in groups.items())
+            assert any(abs(x) not in (0, data.magnitudes[i]) for x in groups)
+        for w in (Q(2), Q(-3, 2)):
+            qs = QSample(w)
+            got = entries(qrep.check_quantum_relations(square, qs))
+            assert got == entries(oracles.check_quantum_relations(square, qs),
+                                  dense=True)
+            assert not any(ok for name, ok, _ in got
+                           if name.startswith("[e0,f0]")
+                           or name.startswith("[e1,f1]"))
+
+    def test_seed_samples_compute_no_q_integer(self, grid_case, monkeypatch):
+        """On every seed each [e_i, f_i] is decided for all q and every
+        q-Serre sum is finished once per rep (degree 1, or every word 0),
+        so a sample, once the relation data is built, computes no
+        q-integer and no q-factorial."""
+        rep = seed_rep(*grid_case)
+        data = rep.relations
+        assert all(data.for_all_q)
+        assert all(not words and (m == 1 or residual == {})
+                   for _, m, _, _, residual, words in data.serre)
+        calls = []
+
+        def counted(name):
+            real = getattr(qrep, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_q_integers", "qfactorial"):
+            monkeypatch.setattr(qrep, name, counted(name))
+        report = qrep.check_quantum_relations(rep, QSample(Q(-3, 2)))
+        assert all(r["ok"] for r in report) and not calls
 
     def test_q_serre_coefficients_matter_on_the_tensor_square(
             self, monkeypatch):

@@ -4,7 +4,10 @@ module and run on small inputs."""
 import hashlib
 import importlib.util
 import io
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 from twistr.cli import main as twistr_main
@@ -73,6 +76,32 @@ def test_output_digests(tmp_path, monkeypatch):
                         "--out", str(out)]) == 0
     assert runs[0][-1] == (f"{hashlib.sha256(out.read_bytes()).hexdigest()}"
                            "  export rep --family d2 --l 2")
+
+
+def test_output_digests_reads_its_own_checkout(tmp_path):
+    """output_digests imports twistr from src/ of its own checkout with no
+    PYTHONPATH, and a copy of it whose checkout has no src/ refuses to run
+    on the twistr that PYTHONPATH holds, before it digests anything."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = str(SCRIPTS / "output_digests.py")
+    code = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('d', {script!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print(sys.modules['twistr'].__file__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert pathlib.Path(proc.stdout.strip()).resolve() == \
+        SCRIPTS.parent / "src" / "twistr" / "__init__.py"
+
+    (tmp_path / "scripts").mkdir()
+    stale = tmp_path / "scripts" / "output_digests.py"
+    stale.write_text((SCRIPTS / "output_digests.py").read_text())
+    env["PYTHONPATH"] = str(SCRIPTS.parent / "src")
+    proc = subprocess.run([sys.executable, str(stale)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and not proc.stdout
+    assert "twistr was imported from" in proc.stderr
 
 
 def test_bench_pairs_summary():

@@ -38,6 +38,32 @@ class TestTensorModule:
         assert sorted(p for idxs in blocks.values() for p in idxs) == \
             list(range(rep.dim ** 2))
 
+    def test_one_skeleton_per_rep(self, ybe_case):
+        """Two decompositions of one rep at different w read one skeleton,
+        built on first read, and it equals a recomputation from scratch:
+        the blocks of the product weights in order of first occurrence,
+        the block of each index, the dominant blocks by weight descending
+        and 2 h_i of each basis vector of V."""
+        rep = dataclasses.replace(seed_rep(*ybe_case))
+        assert "square" not in vars(rep)
+        a = tensor.decompose(rep, QSample(Q(3, 2)))
+        b = tensor.decompose(rep, QSample(Q(-5, 7)))
+        sq = rep.square
+        assert a.blocks is b.blocks is sq.blocks
+        assert a.block is b.block is sq.block
+        weights = product_weights(rep)
+        blocks = {}
+        for p, wt in enumerate(weights):
+            blocks.setdefault(wt, []).append(p)
+        assert list(sq.blocks.items()) == list(blocks.items())
+        assert sq.block == tuple(list(blocks).index(wt) for wt in weights)
+        assert sq.dominant == tuple(sorted(
+            ((wt, k, blocks[wt]) for k, wt in enumerate(blocks)
+             if is_dominant(rep.spec.l0type, wt)), reverse=True))
+        assert sq.exponents == tuple(tuple(int(2 * h) for h in hs)
+                                     for hs in rep.h)
+        assert all(2 * h == int(2 * h) for hs in rep.h for h in hs)
+
     def test_permutation_squares_to_identity(self):
         rep = seed_rep("a2odd", 3)
         P = oracles.permutation_operator(rep)
@@ -242,18 +268,20 @@ class TestDecompositionRefusals:
                            match="lies in other components"):
             tensor.decompose(rep, qs)
 
-    def test_missed_dominant_block(self, qs, monkeypatch):
-        """``is_dominant`` rejecting V0(0,0)'s weight: the rank certificate
-        that the dominant-only search relies on refuses the decomposition."""
-        real = tensor.is_dominant
+    def test_missed_dominant_block(self, qs):
+        """The skeleton's dominant blocks without V0(0,0)'s weight: the rank
+        certificate that the dominant-only search relies on refuses the
+        decomposition."""
+        rep = dataclasses.replace(seed_rep("a2even", 2))   # a fresh skeleton
         zero = (Q(0), Q(0))
-        monkeypatch.setattr(tensor, "is_dominant",
-                            lambda l0type, eta: eta != zero
-                            and real(l0type, eta))
+        dominant = [d for d in rep.square.dominant if d[0] != zero]
+        assert len(dominant) == len(rep.square.dominant) - 1
+        vars(rep)["square"] = dataclasses.replace(rep.square,
+                                                  dominant=tuple(dominant))
         with pytest.raises(tensor.DecompositionError,
                            match="adapted bases span dimension 24, "
                                  "expected 25"):
-            tensor.decompose(seed_rep("a2even", 2), qs)
+            tensor.decompose(rep, qs)
 
     def test_no_highest_weight_vector_off_dominant_weights(self, ybe_case,
                                                            qs):
