@@ -121,23 +121,20 @@ MUTATIONS = [
      "                pass",
      "contravariant form on V: f_i = g^-1 e_i^T g"),
     ("qrep.py",
-     "        report.append(relation_entry(name, total, d * scale))",
-     "        pass",
+     "    return relation_entry(name, total, d * scale)",
+     "    return relation_entry(name, {}, d * scale)",
      "q-Serre relations"),
     ("qrep.py",
-     "                             if any(words) else "
-     "(name, m, di, scale, {}, ()))",
-     "                             if all(words) else "
-     "(name, m, di, scale, {}, ()))",
+     "                           if any(words) else relation_entry(name, {}))",
+     "                           if all(words) else relation_entry(name, {}))",
      "q-Serre: a sum skipped only when every word is zero"),
     ("qrep.py",
-     "        qints = _q_integers(qs, (*(groups or rep.h[i]), m))",
-     "        qints = _q_integers(QSample(Q(2)), (*(groups or rep.h[i]), m))",
+     "    qints = _q_integers(qs, (*(groups or h), m))",
+     "    qints = _q_integers(QSample(Q(2)), (*(groups or h), m))",
      "[e_i,f_i] target at the sampled q"),
     ("qrep.py",
-     "        if groups is not None and all(gauge * c == scale * qints[x]",
-     "        if groups is not None and all(True or gauge * c == scale * "
-     "qints[x]",
+     "    if groups is not None and all(gauge * c == scale * qints[x]",
+     "    if groups is not None and all(True or gauge * c == scale * qints[x]",
      "[e_i,f_i]: one comparison per group of the diagonal"),
     ("qrep.py",
      "                    if tuple(map(sub, wt[p], wt[c])) != shift])",
@@ -152,16 +149,16 @@ MUTATIONS = [
      "            pass",
      "classical Serre relations of F"),
     ("qrep.py",
-     "        abs(x) in (0, m) and c == scale * x for x, c in groups.items())",
-     "        abs(x) in (0, m) and True for x, c in groups.items())",
+     "                    abs(x) in (0, m) and c == scale * x",
+     "                    abs(x) in (0, m) and True",
      "[e_i,f_i] for all q: c = s x in every group"),
     ("qrep.py",
-     "        abs(x) in (0, m) and c == scale * x for x, c in groups.items())",
-     "        True and c == scale * x for x, c in groups.items())",
+     "                    abs(x) in (0, m) and c == scale * x",
+     "                    True and c == scale * x",
      "[e_i,f_i] for all q: |x| in {0, m} in every group"),
     ("qrep.py",
-     "                                  linalg.sparse_commutator(xi, xj), ()))",
-     "                                  {}, ()))",
+     "                        name, linalg.sparse_commutator(xi, xj), scale))",
+     "                        name, {}, scale))",
      "q-Serre of degree 1: finished once as the commutator"),
     ("linalg.py",
      "                    acc[j] = acc.get(j, 0) - x * y",

@@ -18,13 +18,10 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import branching, jimbo, liealg, qrep, tensor, tpg
 from .liealg import FamilyError, family_spec
 from .scalars import QSample, format_scalar
-
-Q = Fraction
 
 SCHEMA = "twistr-report/1"
 
@@ -66,9 +63,10 @@ def _spec_and_params(args):
 
 
 def _size_refusal(spec, params):
-    """The size estimate of a seed-pair verify whose two-site space V (x) V
-    has more than MAX_TWO_SITE dimensions, else None.  Non-seed pairs skip the
-    stages that work on V (x) V and beyond, so they are never refused."""
+    """The size estimate of a seed-pair verify or rmatrix export whose
+    two-site space V (x) V has more than MAX_TWO_SITE dimensions, else None.
+    Non-seed pairs skip the stages that work on V (x) V and beyond, so they
+    are never refused."""
     if tuple(params) != spec.seed_params():
         return None
     d = liealg.weyl_dim(spec.l0type, spec.l,
@@ -76,7 +74,7 @@ def _size_refusal(spec, params):
     if d * d <= MAX_TWO_SITE:
         return None
     comps = branching.decompose_tensor_closed_form(spec, params)
-    return (f"seed verify too large: three-site dimension d^3 = {d ** 3:,} "
+    return (f"seed pair too large: three-site dimension d^3 = {d ** 3:,} "
             f"(d = {d}), T = d^2 = {d * d:,}, {len(comps)} "
             f"components; at most T = {MAX_TWO_SITE:,} is accepted")
 
@@ -94,10 +92,6 @@ def _emit(text, out):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, spec, params) -> int:
-    refusal = _size_refusal(spec, params)
-    if refusal:
-        print(f"error: {refusal}", file=sys.stderr)
-        return 2
     rng = random.Random(args.seed)
 
     def draw(r):
@@ -377,6 +371,11 @@ def main(argv=None) -> int:
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.command == "verify" or args.what == "rmatrix":
+        refusal = _size_refusal(spec, params)
+        if refusal:
+            print(f"error: {refusal}", file=sys.stderr)
+            return 2
     command = cmd_verify if args.command == "verify" else cmd_export
     return command(args, spec, params)
 

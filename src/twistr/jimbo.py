@@ -187,11 +187,12 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
     dec = shared.decomposition(qs)
     basis = [v for comp in dec.components for v in comp.basis]
     comp_of = [n for n, comp in enumerate(dec.components) for _ in comp.basis]
-    in_block = [[] for _ in dec.blocks]    # basis numbers k per weight block
+    square = dec.rep.square
+    in_block = [[] for _ in square.blocks]  # basis numbers k per weight block
     for k, v in enumerate(basis):
-        in_block[dec.block[min(v)]].append(k)
+        in_block[square.block[min(v)]].append(k)
     dual, den = [None] * len(basis), [None] * len(basis)
-    for ks, idxs in zip(in_block, dec.blocks.values()):
+    for ks, idxs in zip(in_block, square.blocks.values()):
         # the block as sparse rows p, its columns the places of the ks
         at = {p: r for r, p in enumerate(idxs)}
         rows = [{} for _ in idxs]
@@ -207,7 +208,7 @@ def component_system(shared, qs: QSample) -> ComponentSystem:
 
     def coords(cols, v):
         z = linalg.mat_vec(cols, v)
-        ks = in_block[dec.block[min(z)]] if z else []
+        ks = in_block[square.block[min(z)]] if z else []
         return {k: x for k in ks
                 if (x := sum(dual[k].get(p, 0) * y for p, y in z.items()))}
 
@@ -407,7 +408,7 @@ def _is_module_map(shared, qs, n):
     braid relation: a check cannot tell a memoized N from one its solve
     certified."""
     dec = shared.decomposition(qs)
-    block, G = dec.block, shared.components(qs).G
+    block, G = shared.rep.square.block, shared.components(qs).G
     if any(block[p] != block[j] for p, row in n.items() for j in row):
         return False
     if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)

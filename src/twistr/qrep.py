@@ -12,22 +12,20 @@ from the Kac matrices and the fermion products to the relation checker,
 the coproducts and the rep export.
 
 Undeformedness is a claim under test: build_seed_rep runs the checker at a
-sample w and aborts if any relation fails.  The checker's q-independent
-part is built once per Representation, on its first check: the h_i
-eigenvalue table, the weight shifts, the [e_i, f_j] for i != j, the
-classical commutators [e_i, f_i] with their gauge magnitudes and diagonal
-groups, and the q-Serre sums.  Two kinds of relation are decided there for
-every q.  An [e_i, f_i] whose groups (x, c) all have |x| in {0, m} and
-c = s * x holds at every q by substitution, and a q-Serre sum of degree
-m = 1 has the coefficients +-1 at every q, so it is finished there.  Every
-later sample computes only the [e_i, f_i] comparisons left and the q-Serre
-sums of degree m >= 2 that have a nonzero word; on the seeds there are
-none, and the relations are decided once per rep, though each sample
-still reports its own entries.  Every product is built in integers, from
-s * x with s the lcm of the denominators of the generator x, and kept with
-its scale, the product of the s it reads; a residual is divided back by
-its scale only when it is not empty.  A weight shift [h_i, x_j] is one
-weight test per nonzero of x_j, exact because h_i(p) = (wt_p, alpha_i).
+sample w and aborts if any relation fails.  The relations of a
+Representation are one tuple of report entries, built once, on its first
+check (``Representation.relations``).  An entry that does not depend on q
+is finished there: the weight shifts, the [e_i, f_j] for i != j, an
+[e_i, f_i] whose diagonal groups (x, c) all have |x| in {0, m} and
+c = s * x, which holds at every q by substitution, and a q-Serre sum of
+degree m = 1 (coefficients +-1 at every q) or with every word 0.  Every
+other entry is a function of the sample; on the seeds there is none, so
+a sample only lists the finished entries.  Every product is built in
+integers, from s * x with s the lcm of the denominators of the generator
+x, and kept with its scale, the product of the s it reads; a residual is
+divided back by its scale only when it is not empty.  A weight shift
+[h_i, x_j] is one weight test per nonzero of x_j, exact because h_i(p) =
+(wt_p, alpha_i).
 
 Each Representation also keeps the q-independent skeleton of V (x) V that
 every decomposition reads (``Representation.square``): the weight blocks,
@@ -48,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import sub
 
 from . import liealg, linalg
@@ -148,8 +146,9 @@ class Representation:
 
     @cached_property
     def relations(self):
-        """The q-independent ``RelationData`` of the quantum relations,
-        built on first read and kept for every later sample."""
+        """The entries of the quantum relations in report order, each
+        finished or taking the sample (``_relation_data``), built on first
+        read and kept for every later sample."""
         return _relation_data(self)
 
     @cached_property
@@ -259,21 +258,6 @@ def _build_spinor(spec: FamilySpec):
 # Quantum relation checker
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationData:
-    """The q-independent part of the quantum relations of one rep, built
-    once by ``Representation``.  Every product of generators is built in
-    integers from ``Representation.integer_generators`` and kept with its
-    scale: the product of the scales s of the generators it multiplies."""
-    shifts: tuple      # (name, residual) of each [h_i, x_j] weight shift
-    brackets: tuple    # (i, j, scale, scale * [e_i, f_j]) for every i, j
-    magnitudes: tuple  # the gauge magnitude m of each i
-    groups: tuple      # per i: {h: c} or None, see _diagonal_groups
-    for_all_q: tuple   # per i: [e_i, f_i] holds at every q, see _for_all_q
-    serre: tuple       # (name, m, d_i, scale, residual, words): see
-                       # _relation_data
-
-
 def _weight_shift_failures(rep, xs, sign):
     """Per generator x_j of xs: the nonzeros (p, c, x[p][c]) of x_j where
     wt_p - wt_c is not sign * alpha_j, compared once per nonzero on doubled
@@ -303,48 +287,33 @@ def _diagonal_groups(h, comm):
     return groups
 
 
-def _for_all_q(groups, m, scale):
-    """True if the grouped [e_i, f_i] relation gauge * c = scale * [x]_q,
-    gauge = [m]_q / m, holds at every q by substitution: every group (x, c)
-    has |x| in {0, m} and c = scale * x, for [+-m]_q = +-[m]_q and [0]_q =
-    0.  Otherwise each sample compares the groups at its own q."""
-    return groups is not None and all(
-        abs(x) in (0, m) and c == scale * x for x, c in groups.items())
-
-
-def _product(a, b):
-    """a b for sparse a and b, with no product when either is 0."""
-    return linalg.mat_mul(a, b) if a and b else {}
-
-
-def _relation_data(rep: Representation) -> RelationData:
-    """The weight shifts as finished residuals, every s * [e_i, f_j] in
-    integers with the groups of its diagonal for i = j and whether those
-    decide it at every q (``_for_all_q``), the gauge magnitudes, and each
-    q-Serre sum, finished where no coefficient depends on q.
+def _relation_data(rep: Representation) -> tuple:
+    """The report entries of the quantum relations of rep, in report order:
+    the weight shifts [h_i, x_j], every [e_i, f_j], then every q-Serre sum.
+    An entry that does not depend on q is a finished ``relation_entry``;
+    any other is a ``functools.partial`` of ``_bracket_at`` or
+    ``_serre_at`` that takes the sample last.  Every product is built in
+    integers from ``Representation.integer_generators`` and kept with its
+    scale, the product of the scales s of the generators it multiplies.
 
     The weight shift [h_i, x_j] = sign (alpha_i, alpha_j) x_j is computed
     per i only at the nonzeros of x_j that fail the weight test of
-    ``_weight_shift_failures``.  A q-Serre sum of x_i, x_j (x = e or f)
-    has degree m = 1 - a_ij and the words s_i^m s_j x_i^(m-k) x_j x_i^k,
-    k = 0..m, over the scale s_i^m s_j; its coefficients read q_i = q^d_i,
-    d_i = (alpha_i, alpha_i) / 2.  Each sum is kept as (name, m, d_i,
-    scale, residual, words):
-    - m = 1: the coefficients are +-1 at every q, so the sum is the
-      finished commutator s_i s_j [x_i, x_j] in ``residual``, and ``words``
-      is empty;
-    - m >= 2 with every word 0: the sum is 0 at every q, ``residual`` is
-      {} and ``words`` empty;
-    - otherwise ``residual`` is None and ``words`` holds the words, built
-      with no product by x_i^0 = I or by a zero power, for each sample to
-      sum with its coefficients.
-    Raises FamilyError on a non-integer Cartan entry
-    (``liealg.cartan_entry``)."""
+    ``_weight_shift_failures``.  [e_i, f_j] with i != j is finished.  The
+    gauge of [e_i, f_i] is [m]_q / m, m the gauge magnitude of h_i, so
+    the relation reads gauge * c = s * [x]_q on each group (x, c) of
+    ``_diagonal_groups``; it is finished when every group has |x| in
+    {0, m} and c = s * x, for [+-m]_q = +-[m]_q and [0]_q = 0.  A q-Serre
+    sum of x_i, x_j (x = e or f) has degree m = 1 - a_ij and the words
+    s_i^m s_j x_i^(m-k) x_j x_i^k, k = 0..m, over the scale s_i^m s_j; its
+    coefficients read q_i = q^d_i, d_i = (alpha_i, alpha_i) / 2.  It is
+    finished when m = 1, as the commutator s_i s_j [x_i, x_j] (the
+    coefficients are +-1 at every q), or when every word is 0.  Raises
+    FamilyError on a non-integer Cartan entry (``liealg.cartan_entry``)."""
     spec, h, gens = rep.spec, rep.h, rep.integer_generators
     l, gram = spec.l, liealg.doubled_gram(spec)
     failures = {"e": _weight_shift_failures(rep, rep.e, 1),
                 "f": _weight_shift_failures(rep, rep.f, -1)}
-    shifts = []
+    out = []
     for i in range(l + 1):
         for tag, sign in (("e", 1), ("f", -1)):
             for j, bad in enumerate(failures[tag]):
@@ -353,28 +322,32 @@ def _relation_data(rep: Representation) -> RelationData:
                     shift = sign * Q(gram[i][j], 4)
                     if t := h[i][p] - h[i][c] - shift:
                         residual.setdefault(p, {})[c] = y * t
-                shifts.append((f"[h{i},{tag}{j}] weight shift", residual))
-    brackets = []
-    for i in range(l + 1):
-        se, e = gens["e", i]
-        for j in range(l + 1):
-            sf, f = gens["f", j]
-            brackets.append((i, j, se * sf, linalg.sparse_commutator(e, f)))
+                out.append(relation_entry(f"[h{i},{tag}{j}] weight shift",
+                                          residual))
     # The stored matrices are the classical (q-independent) ones; they
     # realize the quantum relation after the reciprocal gauge e_i -> e_i,
     # f_i -> ([m]_q / m) f_i, where m is the common magnitude of the nonzero
     # h_i eigenvalues.  All uses of the generators downstream are
     # homogeneous in each f_i, so the gauge factor is the faithful target.
-    magnitudes = []
     for i in range(l + 1):
+        se, e = gens["e", i]
         mags = {abs(x) for x in h[i]} - {0}
-        magnitudes.append(max(mags) if len(mags) == 1 else Q(1))
-    diagonal = [(scale, comm) for i, j, scale, comm in brackets if i == j]
-    groups = tuple(_diagonal_groups(h[i], comm)
-                   for i, (_, comm) in enumerate(diagonal))
-    for_all_q = tuple(_for_all_q(g, m, scale) for g, m, (scale, _)
-                      in zip(groups, magnitudes, diagonal))
-    serre = []
+        m = max(mags) if len(mags) == 1 else Q(1)
+        for j in range(l + 1):
+            sf, f = gens["f", j]
+            scale, comm = se * sf, linalg.sparse_commutator(e, f)
+            if i != j:
+                out.append(relation_entry(f"[e{i},f{j}]", comm, scale))
+                continue
+            name = f"[e{i},f{i}] (gauge [{m}]/{m})"
+            groups = _diagonal_groups(h[i], comm)
+            if groups is not None and all(
+                    abs(x) in (0, m) and c == scale * x
+                    for x, c in groups.items()):
+                out.append(relation_entry(name, {}))
+            else:
+                out.append(partial(_bracket_at, name, h[i], m, groups, scale,
+                                   comm))
     for i in range(l + 1):
         di = Q(gram[i][i], 8)
         powers = {tag: [None, gens[tag, i][1]] for tag in "ef"}
@@ -386,19 +359,19 @@ def _relation_data(rep: Representation) -> RelationData:
                 (si, xi), (sj, xj) = gens[tag, i], gens[tag, j]
                 name, scale = f"q-Serre {tag}{i},{tag}{j}", si ** m * sj
                 if m == 1:
-                    serre.append((name, m, di, scale,
-                                  linalg.sparse_commutator(xi, xj), ()))
+                    out.append(relation_entry(
+                        name, linalg.sparse_commutator(xi, xj), scale))
                     continue
                 pw = powers[tag]
                 while len(pw) <= m:
-                    pw.append(_product(xi, pw[-1]))
-                right = [xj] + [_product(xj, pw[k]) for k in range(1, m + 1)]
-                words = [_product(pw[m - k], r) if k < m else r
+                    pw.append(linalg.mat_mul(xi, pw[-1]))
+                right = [xj] + [linalg.mat_mul(xj, pw[k])
+                                for k in range(1, m + 1)]
+                words = [linalg.mat_mul(pw[m - k], r) if k < m else r
                          for k, r in enumerate(right)]
-                serre.append((name, m, di, scale, None, words)
-                             if any(words) else (name, m, di, scale, {}, ()))
-    return RelationData(tuple(shifts), tuple(brackets), tuple(magnitudes),
-                        groups, for_all_q, tuple(serre))
+                out.append(partial(_serre_at, name, m, di, scale, words)
+                           if any(words) else relation_entry(name, {}))
+    return tuple(out)
 
 
 def _q_integers(qs: QSample, hs):
@@ -411,6 +384,33 @@ def _q_integers(qs: QSample, hs):
     return out
 
 
+def _bracket_at(name, h, m, groups, scale, comm, qs):
+    """The entry of [e_i, f_i] at qs: the residual gauge * [e_i, f_i] -
+    [h_i]_q, h = h_i, comm = scale * [e_i, f_i], first as one comparison
+    per group of the diagonal, built in full only when one fails."""
+    qints = _q_integers(qs, (*(groups or h), m))
+    gauge = qints[m] / m
+    if groups is not None and all(gauge * c == scale * qints[x]
+                                  for x, c in groups.items()):
+        residual = {}
+    else:
+        tgt = {p: {p: qints[x]} for p, x in enumerate(h) if x}
+        residual = linalg.sparse_lincomb(((gauge, comm), (-scale, tgt)))
+    return relation_entry(name, residual, scale)
+
+
+def _serre_at(name, m, di, scale, words, qs):
+    """The entry of a q-Serre sum of degree m at qs: its words summed with
+    the q_i-divided coefficients, q_i = q^di, scaled to integers."""
+    qi = qs.q_pow(di)
+    fact = [qfactorial(k, qi) for k in range(m + 1)]
+    cs = [Q((-1) ** k) / (fact[m - k] * fact[k]) for k in range(m + 1)]
+    d = math.lcm(*(c.denominator for c in cs))
+    cs = [c.numerator * (d // c.denominator) for c in cs]
+    total = linalg.sparse_lincomb(zip(cs, words))
+    return relation_entry(name, total, d * scale)
+
+
 def check_quantum_relations(rep: Representation, qs: QSample):
     """Exact check of all defining relations of U_q at the sample q = w**4.
 
@@ -420,48 +420,9 @@ def check_quantum_relations(rep: Representation, qs: QSample):
     computed in integers, times the scale of its products, is divided back
     by that scale only when its residual is not empty.
 
-    Only the q-dependent part is computed here, from the q-independent
-    ``Representation.relations``: the [e_i, f_i] residual gauge * [e_i, f_i]
-    - [h_i]_q where its groups do not decide it at every q, first as one
-    comparison per group of the diagonal (built in full only when a
-    comparison fails), and the q-Serre sums of degree m >= 2 that have a
-    nonzero word, with their coefficients scaled to integers.  Every other
-    entry is read from the q-independent data: on the seeds that is all of
-    them, so a sample computes no q-integer and no product.
+    Returns a fresh list of the entries of ``Representation.relations``,
+    with each one that depends on q evaluated at qs; the finished entries
+    are shared by every sample and not copied.  On the seeds every entry is
+    finished, so a sample computes no q-integer and no product.
     """
-    data = rep.relations
-    report = [relation_entry(name, r) for name, r in data.shifts]
-    for i, j, scale, comm in data.brackets:
-        if i != j:
-            report.append(relation_entry(f"[e{i},f{j}]", comm, scale))
-            continue
-        m, groups = data.magnitudes[i], data.groups[i]
-        name = f"[e{i},f{i}] (gauge [{m}]/{m})"
-        if data.for_all_q[i]:
-            report.append(relation_entry(name, {}))
-            continue
-        qints = _q_integers(qs, (*(groups or rep.h[i]), m))
-        gauge = qints[m] / m
-        if groups is not None and all(gauge * c == scale * qints[x]
-                                      for x, c in groups.items()):
-            residual = {}
-        else:
-            tgt = {p: {p: qints[x]} for p, x in enumerate(rep.h[i]) if x}
-            residual = linalg.sparse_lincomb(((gauge, comm), (-scale, tgt)))
-        report.append(relation_entry(name, residual, scale))
-
-    coeffs = {}
-    for name, m, di, scale, total, words in data.serre:
-        if not words:
-            report.append(relation_entry(name, total, scale))
-            continue
-        if (m, di) not in coeffs:
-            qi = qs.q_pow(di)
-            fact = [qfactorial(k, qi) for k in range(m + 1)]
-            cs = [Q((-1) ** k) / (fact[m - k] * fact[k]) for k in range(m + 1)]
-            d = math.lcm(*(c.denominator for c in cs))
-            coeffs[m, di] = d, [c.numerator * (d // c.denominator) for c in cs]
-        d, cs = coeffs[m, di]
-        total = linalg.sparse_lincomb(zip(cs, words))
-        report.append(relation_entry(name, total, d * scale))
-    return report
+    return [r(qs) if callable(r) else r for r in rep.relations]

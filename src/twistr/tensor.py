@@ -97,17 +97,6 @@ class IsotypicDecomposition:
     fixed: list          # D(e_1)..D(e_l), D(f_1)..D(f_l), each as the
                          # integer numerator of coproduct_action
 
-    @property
-    def blocks(self):
-        """weight -> product basis indices of that weight (``rep.square``)."""
-        return self.rep.square.blocks
-
-    @property
-    def block(self):
-        """index -> number of its weight block, in the order of ``blocks``
-        (``rep.square``)."""
-        return self.rep.square.block
-
 
 def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
     """Isotypic decomposition of V (x) V, V = rep, under the quantum fixed

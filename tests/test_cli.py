@@ -464,6 +464,19 @@ class TestVerify:
         assert ("d^3 = 2,097,152 (d = 128), T = d^2 = 16,384, 8 components"
                 in err)
 
+    def test_oversized_rmatrix_export_refused_before_any_work(
+            self, capsys, monkeypatch):
+        """An rmatrix export of d2 l=7 exits 2 with the verify's size
+        estimate before the Shared of its solve is built."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("export started work")
+
+        monkeypatch.setattr(jimbo, "Shared", no_work)
+        assert main(["export", "rmatrix", "--family", "d2", "--l", "7"]) == 2
+        err = capsys.readouterr().err
+        assert ("d^3 = 2,097,152 (d = 128), T = d^2 = 16,384, 8 components"
+                in err)
+
     def test_size_guard_bounds(self):
         """The largest size measured to pass, d2 l=6, is accepted, and a
         non-seed pair, which skips the stages on V (x) V, is never

@@ -203,9 +203,10 @@ def fake_shared(block, fixed, g):
     """A stand-in for ``jimbo.Shared`` that holds only what
     ``_is_module_map`` reads at any w: a label of each index's weight block
     (``block[p]``), the integer D(e_i), D(f_i) and G = g (x) g."""
-    dec = SimpleNamespace(block=block, fixed=fixed)
+    rep = SimpleNamespace(square=SimpleNamespace(block=block))
+    dec = SimpleNamespace(fixed=fixed)
     system = SimpleNamespace(G=[x * y for x in g for y in g])
-    return SimpleNamespace(decomposition=lambda qs: dec,
+    return SimpleNamespace(rep=rep, decomposition=lambda qs: dec,
                            components=lambda qs: system)
 
 
@@ -604,7 +605,7 @@ class TestCyclicVectors:
         qs, u, v = self.QS, self.U, self.V
         shared = seed_shared(family, l)
         res = shared.solve(qs, u)
-        block = shared.decomposition(qs).block
+        block = shared.rep.square.block
         assert block[entry[0]] == block[entry[1]]
         shared._memo[("solve", qs.w, u)] = dataclasses.replace(
             res, N=bump(res.N, *entry, res.D))

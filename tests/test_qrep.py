@@ -27,6 +27,13 @@ def corrupted_at(rep, tag, i, p, c):
     return dataclasses.replace(rep, **{tag: tuple(gens)})
 
 
+def relation_items(rep):
+    """{relation name: item} of rep.relations, each item a finished report
+    entry or a partial of the sample."""
+    return {r["relation"] if isinstance(r, dict) else r.args[0]: r
+            for r in rep.relations}
+
+
 def entries(report, dense=False):
     """(relation, ok, residual) of each report entry, a dense residual (the
     oracle's) made sparse."""
@@ -106,7 +113,9 @@ class TestQuantumRelations:
         rep = seed_rep("a2even", 2)
         broken = corrupted_at(rep, "e", 0, 0, 0)
         name = "q-Serre e0,e1"
-        words = next(w for n, *_, w in broken.relations.serre if n == name)
+        item = relation_items(broken)[name]
+        assert item.func is qrep._serre_at
+        words = item.args[-1]
         assert any(words) and not all(words)
         qs = QSample(Q(3, 2))
         got = entries(qrep.check_quantum_relations(broken, qs))
@@ -125,16 +134,19 @@ class TestQuantumRelations:
         f = list(rep.f)
         f[1] = linalg.sparse_lincomb(((2, f[1]),))
         broken = dataclasses.replace(rep, f=tuple(f))
-        assert broken.relations.groups[1] is not None
-        assert all(rep.relations.for_all_q)
-        assert not broken.relations.for_all_q[1]    # c = 2 s x, not s x
+        name = "[e1,f1] (gauge [1]/1)"
+        items = relation_items(broken)
+        assert not any(map(callable, rep.relations))
+        assert [n for n, r in items.items() if callable(r)] == [name]
+        # c = 2 s x, not s x, on groups that still decide it
+        assert items[name].func is qrep._bracket_at
+        assert items[name].args[3] is not None
         for w in (Q(2), Q(-3, 2), Q(5, 7)):
             qs = QSample(w)
             got = entries(qrep.check_quantum_relations(broken, qs))
             assert got == entries(oracles.check_quantum_relations(broken, qs),
                                   dense=True)
-            assert [name for name, ok, _ in got if not ok] == [
-                "[e1,f1] (gauge [1]/1)"]
+            assert [n for n, ok, _ in got if not ok] == [name]
 
     def test_bracket_with_a_second_magnitude_needs_its_sample(self):
         """Negative control for the q-independent decision of [e_i, f_i].
@@ -161,12 +173,15 @@ class TestQuantumRelations:
             f=tuple(map(delta, rep.f)),
             weights=tuple(wadd(a, b) for a in rep.weights
                           for b in rep.weights))
-        data = square.relations
-        for i, groups in enumerate(data.groups):
-            scale = next(s for a, b, s, _ in data.brackets if a == b == i)
-            assert groups is not None and not data.for_all_q[i]
+        brackets = [r for r in square.relations
+                    if callable(r) and r.func is qrep._bracket_at]
+        assert [r.args[0].split()[0] for r in brackets] == ["[e0,f0]",
+                                                            "[e1,f1]"]
+        for r in brackets:
+            _, _, m, groups, scale, _ = r.args
+            assert groups is not None
             assert all(c == scale * x for x, c in groups.items())
-            assert any(abs(x) not in (0, data.magnitudes[i]) for x in groups)
+            assert any(abs(x) not in (0, m) for x in groups)
         for w in (Q(2), Q(-3, 2)):
             qs = QSample(w)
             got = entries(qrep.check_quantum_relations(square, qs))
@@ -179,13 +194,11 @@ class TestQuantumRelations:
     def test_seed_samples_compute_no_q_integer(self, grid_case, monkeypatch):
         """On every seed each [e_i, f_i] is decided for all q and every
         q-Serre sum is finished once per rep (degree 1, or every word 0),
-        so a sample, once the relation data is built, computes no
+        so every relation is a finished entry, and samples at two w, once
+        the relations are built, give equal reports and compute no
         q-integer and no q-factorial."""
         rep = seed_rep(*grid_case)
-        data = rep.relations
-        assert all(data.for_all_q)
-        assert all(not words and (m == 1 or residual == {})
-                   for _, m, _, _, residual, words in data.serre)
+        assert all(isinstance(r, dict) for r in rep.relations)
         calls = []
 
         def counted(name):
@@ -195,6 +208,7 @@ class TestQuantumRelations:
         for name in ("_q_integers", "qfactorial"):
             monkeypatch.setattr(qrep, name, counted(name))
         report = qrep.check_quantum_relations(rep, QSample(Q(-3, 2)))
+        assert report == qrep.check_quantum_relations(rep, QSample(Q(5, 7)))
         assert all(r["ok"] for r in report) and not calls
 
     def test_q_serre_coefficients_matter_on_the_tensor_square(

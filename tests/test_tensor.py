@@ -16,25 +16,26 @@ Q = Fraction
 
 
 class TestTensorModule:
-    """The product weights and weight blocks that ``decompose`` keeps, and
-    the swap of V (x) V."""
+    """The product weights and weight blocks of ``rep.square`` that
+    ``decompose`` reads, and the swap of V (x) V."""
 
     def test_weights_add(self, qs):
         """Each index lies in the block of the sum of its factor weights,
         and ``block`` numbers it by that block's place in ``blocks``."""
         rep = seed_rep("a2even", 1)
         dec = tensor.decompose(rep, qs)
-        weights = list(dec.blocks)
+        square = dec.rep.square
+        weights = list(square.blocks)
         for i in range(rep.dim):
             for j in range(rep.dim):
                 want = tuple(a + b for a, b in
                              zip(rep.weights[i], rep.weights[j]))
-                assert weights[dec.block[i * rep.dim + j]] == want
-                assert i * rep.dim + j in dec.blocks[want]
+                assert weights[square.block[i * rep.dim + j]] == want
+                assert i * rep.dim + j in square.blocks[want]
 
     def test_weight_blocks_partition(self, qs):
         rep = seed_rep("d2", 2)
-        blocks = tensor.decompose(rep, qs).blocks
+        blocks = tensor.decompose(rep, qs).rep.square.blocks
         assert sorted(p for idxs in blocks.values() for p in idxs) == \
             list(range(rep.dim ** 2))
 
@@ -47,10 +48,9 @@ class TestTensorModule:
         rep = dataclasses.replace(seed_rep(*ybe_case))
         assert "square" not in vars(rep)
         a = tensor.decompose(rep, QSample(Q(3, 2)))
+        sq = vars(rep)["square"]     # built by the first decomposition
         b = tensor.decompose(rep, QSample(Q(-5, 7)))
-        sq = rep.square
-        assert a.blocks is b.blocks is sq.blocks
-        assert a.block is b.block is sq.block
+        assert a.rep is b.rep is rep and rep.square is sq
         weights = product_weights(rep)
         blocks = {}
         for p, wt in enumerate(weights):
@@ -254,7 +254,8 @@ class TestDecompositionRefusals:
         lowered = {r: row[p0] for r, row in
                    tensor.coproduct_action(rep, "f", 1, qs)[0].items()
                    if p0 in row}
-        assert dec.block[min(lowered)] == dec.block[min(second)]
+        block = rep.square.block
+        assert block[min(lowered)] == block[min(second)]
         real = linalg.kernel_basis
 
         def replaced(rows, cols):
@@ -288,7 +289,7 @@ class TestDecompositionRefusals:
         """The blocks the search skips hold no highest weight vector."""
         rep = seed_rep(*ybe_case)
         dec = tensor.decompose(rep, qs)
-        for eta, idxs in dec.blocks.items():
+        for eta, idxs in rep.square.blocks.items():
             if is_dominant(rep.spec.l0type, eta):
                 continue
             rows = [{p: row[p] for p in idxs if p in row}
