@@ -172,6 +172,22 @@ MUTATIONS = [
      "    if any(row.keys() != {i} for i, row in m.items()):",
      "    if False:",
      "seed rep: each Cartan matrix H_i diagonal"),
+    ("branching.py",
+     "    if any(m < 0 for m in mults.values()):",
+     "    if False:",
+     "containment: a negative Klimyk multiplicity refused"),
+    ("tpg.py",
+     "    if not all(parity):",
+     "    if False:",
+     "graph: every node reached (connected)"),
+    ("tpg.py",
+     "    if (any(parity[a] * parity[b] != rule(a, b) for a, b in pairs)",
+     "    if (False",
+     "graph: every containment pair obeys the parity rule"),
+    ("tpg.py",
+     "            or len(set(zip(parents, parity))) != len(set(parents))):",
+     "            or False):",
+     "graph: one parity per L-parent class (bipartite quotient)"),
 ]
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import FamilySpec, doubled, wadd, weyl_dim, weyl_vector
+from .liealg import FamilySpec, wadd, weyl_dim
 
 Q = Fraction
 
@@ -81,13 +81,13 @@ def _dominant_reflection(x):
     return tuple(vals[i] for i in order), sign
 
 
-def klimyk_tensor_with(l0type, l, weights, nu):
+def klimyk_tensor_with(rho, weights, nu):
     """Signed Klimyk accumulation: multiplicities of components of
-    M (x) V0(nu) where M has the weight multiset ``weights`` (doubled
-    coordinates, as from ``theta0_weights``).  The sum runs on doubled
-    integers; only the returned highest weights are halved back to eps."""
-    rho = doubled(weyl_vector(l0type, l))
-    shifted = [a + b for a, b in zip(doubled(nu), rho)]
+    M (x) V0(nu), where M has the weight multiset ``weights``.  All of it is
+    on doubled integer coordinates: ``rho`` is 2*rho0, ``nu`` is 2*nu, and
+    ``weights`` (as from ``theta0_weights``) and the result are keyed by
+    doubled int tuples."""
+    shifted = [a + b for a, b in zip(nu, rho)]
     out = {}
     for phi, m in weights.items():
         ref = _dominant_reflection([a + b for a, b in zip(shifted, phi)])
@@ -96,14 +96,14 @@ def klimyk_tensor_with(l0type, l, weights, nu):
         dom, det = ref
         cand = tuple(a - b for a, b in zip(dom, rho))
         out[cand] = out.get(cand, 0) + det * m
-    return {tuple(Q(a, 2) for a in w): m for w, m in out.items() if m}
+    return {w: m for w, m in out.items() if m}
 
 
-def contains_in_theta_tensor(spec: FamilySpec, weights, nu) -> set:
-    """The set of nu' with V0(nu') in V0(theta0) (x) V0(nu), where
-    ``weights`` is ``theta0_weights(spec)``: one Klimyk sum serves every
-    nu'."""
-    mults = klimyk_tensor_with(spec.l0type, spec.l, weights, nu)
+def contains_in_theta_tensor(rho, weights, nu) -> set:
+    """The set of 2*nu' with V0(nu') in V0(theta0) (x) V0(nu), given
+    rho = 2*rho0 and nu as 2*nu (int tuples), where ``weights`` is
+    ``theta0_weights(spec)``: one Klimyk sum serves every nu'."""
+    mults = klimyk_tensor_with(rho, weights, nu)
     if any(m < 0 for m in mults.values()):
         raise BranchingError("negative Klimyk multiplicity")
     return set(mults)

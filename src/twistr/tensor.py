@@ -184,8 +184,9 @@ def classical_parity_signs(rep: Representation):
     spec = rep.spec
     # the weights 2 * mu in Klimyk's doubled coordinates, 4 * mu
     squares = Counter(tuple(2 * a for a in doubled(mu)) for mu in rep.weights)
-    signs = branching.klimyk_tensor_with(spec.l0type, spec.l, squares,
-                                         (0,) * spec.l)
+    signs = {tuple(Q(a, 2) for a in nu): c
+             for nu, c in branching.klimyk_tensor_with(
+                 doubled(spec.rho0), squares, (0,) * spec.l).items()}
     for nu, c in signs.items():
         if c not in (1, -1):
             raise DecompositionError(

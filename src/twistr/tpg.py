@@ -11,7 +11,9 @@ in {+1, -1} and the L-parent identifier.  Two nodes are joined by an edge iff
 Parities are constant on L-parent classes and flip across every containment
 edge between different classes, so they are found by one breadth-first pass
 from the top component (parity +1) over the containment pairs, whose tree
-edges the graph keeps.
+edges the graph keeps.  Containment runs on doubled integer weights: the
+node index and Klimyk's keys are the int tuples 2*nu, while the nodes,
+edges, tree and exports keep nu in Fractions.
 
 Eigenvalues rho_nu(u) follow from the edge recursion
 
@@ -39,7 +41,7 @@ from fractions import Fraction
 from . import branching
 from .branching import (closed_form_table, contains_in_theta_tensor,
                         decompose_tensor_closed_form, theta0_weights)
-from .liealg import FamilySpec, casimir_eigenvalue
+from .liealg import FamilySpec, casimir_eigenvalue, doubled
 from .scalars import BracketProduct, QSample, RatFun, format_scalar
 
 
@@ -74,13 +76,14 @@ class TPGraph:
 def build_graph(spec: FamilySpec, params) -> TPGraph:
     comps = decompose_tensor_closed_form(spec, params)
     nus = [c.nu for c in comps]
-    index = {nu: i for i, nu in enumerate(nus)}
+    index = {doubled(nu): i for i, nu in enumerate(nus)}
     top = branching.top_weight(spec, params)
-    if top not in index:
+    start = index.get(doubled(top))
+    if start is None:
         raise GraphError(f"top weight {top} missing from the decomposition")
 
     pairs = _contained_pairs(spec, index)
-    parity, tree = _traverse(index[top], [c.parent for c in comps], pairs)
+    parity, tree = _traverse(start, [c.parent for c in comps], pairs)
     edges = tuple(((nus[a], nus[b]), parity[a] * parity[b]) for a, b in pairs)
     nodes = tuple(TPGNode(c.nu, casimir_eigenvalue(spec, c.nu), parity[i],
                           c.parent, c.dim)
@@ -90,14 +93,16 @@ def build_graph(spec: FamilySpec, params) -> TPGraph:
 
 
 def _contained_pairs(spec: FamilySpec, index):
-    """The node index pairs (i, j), i < j in ``index`` ({nu: i}), with
-    V0(nu_j) in V0(theta0) (x) V0(nu_i), from one Klimyk sum per node.
-    theta0 is self-dual, so the relation is symmetric and each pair is
-    listed once.  Sorted descending, i.e. by ascending (nu_i, nu_j)."""
+    """The node index pairs (i, j), i < j in ``index`` ({2*nu: i}, doubled
+    int keys), with V0(nu_j) in V0(theta0) (x) V0(nu_i), from one Klimyk
+    sum per node.  theta0 is self-dual, so the relation is symmetric and
+    each pair is listed once.  Sorted descending, i.e. by ascending
+    (nu_i, nu_j)."""
     weights = theta0_weights(spec)
+    rho = doubled(spec.rho0)
     pairs = []
     for nu, i in index.items():
-        inside = contains_in_theta_tensor(spec, weights, nu)
+        inside = contains_in_theta_tensor(rho, weights, nu)
         pairs += [(i, j) for j in (index.get(nup, -1) for nup in inside)
                   if j > i]
     return sorted(pairs, reverse=True)

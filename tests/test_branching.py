@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistr import branching
+from twistr import branching, tpg
 from twistr.branching import (BranchingError, contains_in_theta_tensor,
                               decompose_tensor_closed_form, input_weight,
                               klimyk_tensor_with, theta0_weights, top_weight)
-from twistr.liealg import family_spec, weyl_dim
+from twistr.liealg import doubled, family_spec, weyl_dim
 
 from conftest import CLOSED_FORM_GRID
 from oracles import brute_force_tensor, parent_classes, weight_multiset
 
 Q = Fraction
+
+
+def doubled_keys(mults):
+    """{nu: m} over Fraction weights -> {2*nu: m} over int tuples."""
+    return {doubled(nu): m for nu, m in mults.items()}
 
 
 def small_dominant(l0type, l):
@@ -82,9 +87,10 @@ class TestKlimyk:
     def test_matches_brute_force(self, family, l, nu):
         spec = family_spec(family, l)
         nu = tuple(Q(x) for x in nu)
-        got = klimyk_tensor_with(spec.l0type, l, theta0_weights(spec), nu)
+        got = klimyk_tensor_with(doubled(spec.rho0), theta0_weights(spec),
+                                 doubled(nu))
         want = brute_force_tensor(spec.l0type, l, spec.theta0, nu)
-        assert got == want
+        assert got == doubled_keys(want)
 
     def test_matches_brute_force_on_grid_nodes(self):
         """On doubled integer coordinates Klimyk's sum gives theta0 (x) nu
@@ -96,26 +102,55 @@ class TestKlimyk:
         assert len(nodes) == 71
         for family, l, nu in sorted(nodes):
             spec = family_spec(family, l)
-            got = klimyk_tensor_with(spec.l0type, l, theta0_weights(spec), nu)
-            assert got == brute_force_tensor(spec.l0type, l, spec.theta0, nu)
+            got = klimyk_tensor_with(doubled(spec.rho0), theta0_weights(spec),
+                                     doubled(nu))
+            assert got == doubled_keys(
+                brute_force_tensor(spec.l0type, l, spec.theta0, nu))
 
     def test_containment_predicate(self):
         spec = family_spec("a2even", 2)
         # 2*lambda1 (x) theta0 = 2*lambda1 contains lambda2 and 0-component? no:
         # V0(2l1) x V0(2l1) contains V0(l1+l2) etc.; spot-check both answers
-        inside = contains_in_theta_tensor(spec, theta0_weights(spec),
-                                          (Q(2), Q(0)))
-        assert (Q(1), Q(1)) in inside
-        assert (Q(1), Q(0)) not in inside
-        assert inside == set(brute_force_tensor(spec.l0type, 2, spec.theta0,
-                                                (Q(2), Q(0))))
+        inside = contains_in_theta_tensor(doubled(spec.rho0),
+                                          theta0_weights(spec), (4, 0))
+        assert (2, 2) in inside
+        assert (2, 0) not in inside
+        assert inside == set(doubled_keys(brute_force_tensor(
+            spec.l0type, 2, spec.theta0, (Q(2), Q(0)))))
 
     def test_negative_multiplicity_raises(self, monkeypatch):
         spec = family_spec("a2even", 2)
         monkeypatch.setattr(branching, "klimyk_tensor_with",
-                            lambda *args: {(Q(1), Q(1)): 1, (Q(0), Q(0)): -1})
+                            lambda *args: {(2, 2): 1, (0, 0): -1})
         with pytest.raises(BranchingError):
-            contains_in_theta_tensor(spec, theta0_weights(spec), (Q(2), Q(0)))
+            contains_in_theta_tensor(doubled(spec.rho0), theta0_weights(spec),
+                                     (4, 0))
+
+    def test_containment_builds_no_fraction(self, monkeypatch):
+        """Klimyk's sum on one node of d2 l=6 (3, 3), and the containment
+        pairs of its whole graph, run on doubled ints: no Fraction is built,
+        as a halving of Klimyk's keys back to eps would build one per
+        coordinate."""
+        spec = family_spec("d2", 6)
+        graph = tpg.build_graph(spec, (3, 3))
+        assert len(graph.nodes) == 84
+        index = {doubled(n.nu): i for i, n in enumerate(graph.nodes)}
+        rho, weights = doubled(spec.rho0), theta0_weights(spec)
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        mults = klimyk_tensor_with(rho, weights, doubled(graph.top))
+        pairs = tpg._contained_pairs(spec, index)
+        monkeypatch.undo()
+        assert built == []
+        assert mults and all(isinstance(a, int) for nu in mults for a in nu)
+        assert [e for e, _ in graph.edges] == [
+            (graph.nodes[i].nu, graph.nodes[j].nu) for i, j in pairs]
 
 
 class TestClosedFormTables:

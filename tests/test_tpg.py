@@ -7,7 +7,7 @@ import pytest
 from twistr import tpg
 from twistr.branching import (decompose_tensor_closed_form, klimyk_tensor_with,
                               theta0_weights)
-from twistr.liealg import family_spec
+from twistr.liealg import doubled, family_spec
 from twistr.scalars import QSample, RatFun, bracket
 
 import oracles
@@ -118,11 +118,11 @@ class TestContainment:
         fast = tpg.build_graph(spec, params)
 
         def pairwise(spec, index):
-            nus = list(index)
+            nus = list(index)       # the doubled int keys 2*nu
             out = []
             for i, nu in enumerate(nus):
                 for j in range(i + 1, len(nus)):
-                    mults = klimyk_tensor_with(spec.l0type, spec.l,
+                    mults = klimyk_tensor_with(doubled(spec.rho0),
                                                theta0_weights(spec), nu)
                     if mults.get(nus[j], 0) > 0:
                         out.append((i, j))
