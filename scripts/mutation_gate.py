@@ -105,9 +105,10 @@ MUTATIONS = [
      "        ok = spectrum == graph_parities",
      "parity stage: classical psi^2 signs"),
     ("cli.py",
-     "        for w, _, _ in samples:",
-     "        for w, _, _ in samples[:1]:",
-     "relations stage: quantum relations at every sampled w"),
+     '        failures = [r["relation"] for r in classical + quantum '
+     'if not r["ok"]]',
+     '        failures = [r["relation"] for r in classical if not r["ok"]]',
+     "relations stage: the failures of the quantum relations"),
     ("cli.py",
      '        return {"ok": found == expected,',
      '        return {"ok": True,',
@@ -121,21 +122,22 @@ MUTATIONS = [
      "                pass",
      "contravariant form on V: f_i = g^-1 e_i^T g"),
     ("qrep.py",
-     "    return relation_entry(name, total, d * scale)",
-     "    return relation_entry(name, {}, d * scale)",
-     "q-Serre relations"),
+     "                                          _serre_witness(words),",
+     "                                          {},",
+     "q-Serre: the Serre witness, the first nonzero pair sum"),
     ("qrep.py",
-     "                           if any(words) else relation_entry(name, {}))",
-     "                           if all(words) else relation_entry(name, {}))",
-     "q-Serre: a sum skipped only when every word is zero"),
+     "                                          ((-1) ** m, words[m - k]))):",
+     "                                          (-1, words[m - k]))):",
+     "q-Serre: the pair sign (-1)^m"),
     ("qrep.py",
-     "    qints = _q_integers(qs, (*(groups or h), m))",
-     "    qints = _q_integers(QSample(Q(2)), (*(groups or h), m))",
-     "[e_i,f_i] target at the sampled q"),
+     "    for k in range(m // 2 + 1):",
+     "    for k in range((m + 1) // 2):",
+     "q-Serre: the middle word of an even degree"),
     ("qrep.py",
-     "    if groups is not None and all(gauge * c == scale * qints[x]",
-     "    if groups is not None and all(True or gauge * c == scale * qints[x]",
-     "[e_i,f_i]: one comparison per group of the diagonal"),
+     "                 (-scale, target)))",
+     "                 (-sh, linalg.sparse_commutator(e, f) "
+     "if i == j else {})))",
+     "[e_i,f_i]: s [e_i,f_i] - s h_i, the comparison with h_i"),
     ("qrep.py",
      "                    if tuple(map(sub, wt[p], wt[c])) != shift])",
      "                    if False])",
@@ -149,17 +151,9 @@ MUTATIONS = [
      "            pass",
      "classical Serre relations of F"),
     ("qrep.py",
-     "                    abs(x) in (0, m) and c == scale * x",
-     "                    abs(x) in (0, m) and True",
-     "[e_i,f_i] for all q: c = s x in every group"),
-    ("qrep.py",
-     "                    abs(x) in (0, m) and c == scale * x",
-     "                    True and c == scale * x",
-     "[e_i,f_i] for all q: |x| in {0, m} in every group"),
-    ("qrep.py",
-     "                        name, linalg.sparse_commutator(xi, xj), scale))",
-     "                        name, {}, scale))",
-     "q-Serre of degree 1: finished once as the commutator"),
+     "                    if abs(x) not in (0, m):",
+     "                    if False:",
+     "[e_i,f_i]: the magnitude witness, |h_i(p)| in {0, m}"),
     ("linalg.py",
      "                    acc[j] = acc.get(j, 0) - x * y",
      "                    acc[j] = acc.get(j, 0) + x * y",

@@ -11,21 +11,16 @@ The generators are built, stored and read as ``linalg`` sparse matrices,
 from the Kac matrices and the fermion products to the relation checker,
 the coproducts and the rep export.
 
-Undeformedness is a claim under test: build_seed_rep runs the checker at a
-sample w and aborts if any relation fails.  The relations of a
-Representation are one tuple of report entries, built once, on its first
-check (``Representation.relations``).  An entry that does not depend on q
-is finished there: the weight shifts, the [e_i, f_j] for i != j, an
-[e_i, f_i] whose diagonal groups (x, c) all have |x| in {0, m} and
-c = s * x, which holds at every q by substitution, and a q-Serre sum of
-degree m = 1 (coefficients +-1 at every q) or with every word 0.  Every
-other entry is a function of the sample; on the seeds there is none, so
-a sample only lists the finished entries.  Every product is built in
-integers, from s * x with s the lcm of the denominators of the generator
-x, and kept with its scale, the product of the s it reads; a residual is
-divided back by its scale only when it is not empty.  A weight shift
-[h_i, x_j] is one weight test per nonzero of x_j, exact because h_i(p) =
-(wt_p, alpha_i).
+Undeformedness is a claim under test: build_seed_rep runs the checker and
+aborts if any relation fails.  The relations of a Representation are one
+tuple of report entries, built once, on its first check
+(``Representation.relations``), each decided identically in q: the
+generators are q-independent, so a relation holds for all q or fails with
+a nonzero witness.  Every product is built in integers, from
+s * x with s the lcm of the denominators of the generator x, and kept with
+its scale, the product of the s it reads; a witness is divided back by its
+scale only when it is not empty.  A weight shift [h_i, x_j] is one weight
+test per nonzero of x_j, exact because h_i(p) = (wt_p, alpha_i).
 
 Each Representation also keeps the q-independent skeleton of V (x) V that
 every decomposition reads (``Representation.square``): the weight blocks,
@@ -43,16 +38,14 @@ product.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import sub
 
 from . import liealg, linalg
 from .liealg import (FamilySpec, doubled, inner, is_dominant, relation_entry,
                      wadd)
-from .scalars import QSample, qfactorial
 
 Q = Fraction
 
@@ -147,8 +140,8 @@ class Representation:
     @cached_property
     def relations(self):
         """The entries of the quantum relations in report order, each
-        finished or taking the sample (``_relation_data``), built on first
-        read and kept for every later sample."""
+        decided for all q (``_relation_data``), built on first read and
+        kept for every later check."""
         return _relation_data(self)
 
     @cached_property
@@ -205,7 +198,7 @@ def build_seed_rep(spec: FamilySpec) -> Representation:
         lam, e, f, weights = _build_spinor(spec)
     rep = Representation(spec, lam, len(weights), tuple(e), tuple(f), weights,
                          gens)
-    report = check_quantum_relations(rep, QSample(Q(2)))
+    report = check_quantum_relations(rep)
     bad = [r["relation"] for r in report if not r["ok"]]
     if bad:
         raise RepresentationError(f"seed rep violates quantum relations: {bad[:3]}")
@@ -272,43 +265,42 @@ def _weight_shift_failures(rep, xs, sign):
     return out
 
 
-def _diagonal_groups(h, comm):
-    """The diagonal of comm = s * [e_i, f_i] grouped by the value of h_i:
-    {h: c} when comm is diagonal and comm[p][p] = c at every p with
-    h_i(p) = h, else None.  At a sample the residual of [e_i, f_i] is then
-    empty exactly when gauge * c = s * [h]_q for every group."""
-    if any(r.keys() != {p} for p, r in comm.items()):
-        return None
-    groups = {}
-    for p, x in enumerate(h):
-        c = comm.get(p, {}).get(p, 0)
-        if groups.setdefault(x, c) != c:
-            return None
-    return groups
+def _serre_witness(words):
+    """The first nonzero pair sum W_k + (-1)^m W_(m-k), k = 0..m/2, of the
+    words W_0..W_m of a q-Serre sum of degree m, else {}.  The Gaussian
+    binomials [m k]_q, k <= m/2, have the distinct top degrees k (m - k)
+    and [m k]_q = [m m-k]_q, so sum (-1)^k [m k]_q W_k is 0 for all q
+    exactly when every pair sum is 0; the pair sum of the middle word of an
+    even m is 2 W_(m/2)."""
+    m = len(words) - 1
+    for k in range(m // 2 + 1):
+        if pair := linalg.sparse_lincomb(((1, words[k]),
+                                          ((-1) ** m, words[m - k]))):
+            return pair
+    return {}
 
 
 def _relation_data(rep: Representation) -> tuple:
     """The report entries of the quantum relations of rep, in report order:
-    the weight shifts [h_i, x_j], every [e_i, f_j], then every q-Serre sum.
-    An entry that does not depend on q is a finished ``relation_entry``;
-    any other is a ``functools.partial`` of ``_bracket_at`` or
-    ``_serre_at`` that takes the sample last.  Every product is built in
-    integers from ``Representation.integer_generators`` and kept with its
-    scale, the product of the scales s of the generators it multiplies.
+    the weight shifts [h_i, x_j], every [e_i, f_j], then every q-Serre sum,
+    each decided for all q at once.  Every product is built in integers
+    from ``Representation.integer_generators`` and kept with its scale,
+    the product of the scales s of the generators it multiplies.
 
     The weight shift [h_i, x_j] = sign (alpha_i, alpha_j) x_j is computed
     per i only at the nonzeros of x_j that fail the weight test of
-    ``_weight_shift_failures``.  [e_i, f_j] with i != j is finished.  The
-    gauge of [e_i, f_i] is [m]_q / m, m the gauge magnitude of h_i, so
-    the relation reads gauge * c = s * [x]_q on each group (x, c) of
-    ``_diagonal_groups``; it is finished when every group has |x| in
-    {0, m} and c = s * x, for [+-m]_q = +-[m]_q and [0]_q = 0.  A q-Serre
-    sum of x_i, x_j (x = e or f) has degree m = 1 - a_ij and the words
-    s_i^m s_j x_i^(m-k) x_j x_i^k, k = 0..m, over the scale s_i^m s_j; its
-    coefficients read q_i = q^d_i, d_i = (alpha_i, alpha_i) / 2.  It is
-    finished when m = 1, as the commutator s_i s_j [x_i, x_j] (the
-    coefficients are +-1 at every q), or when every word is 0.  Raises
-    FamilyError on a non-integer Cartan entry (``liealg.cartan_entry``)."""
+    ``_weight_shift_failures``.  The gauge of [e_i, f_i] is [m]_q / m, m the
+    gauge magnitude of h_i, and its target [h_i]_q is diagonal; as the
+    q-integers [n]_q of distinct n > 0 are linearly independent, the
+    relation holds for all q exactly when [e_i, f_i] = h_i and every
+    |h_i(p)| is in {0, m}.  Its witness, over the scale s (with the lcm
+    of the denominators of h_i as a factor), is s [e_i, f_i] - s h_i, with
+    the diagonal entry s h_i(p) at each p of another magnitude; [e_i, f_j]
+    with i != j has the target 0.  A q-Serre sum of x_i, x_j (x = e or f)
+    has degree m = 1 - a_ij and the words s_i^m s_j x_i^(m-k) x_j x_i^k,
+    k = 0..m, over the scale s_i^m s_j, decided by their pair sums
+    (``_serre_witness``).  Raises FamilyError on a non-integer Cartan entry
+    (``liealg.cartan_entry``)."""
     spec, h, gens = rep.spec, rep.h, rep.integer_generators
     l, gram = spec.l, liealg.doubled_gram(spec)
     failures = {"e": _weight_shift_failures(rep, rep.e, 1),
@@ -331,25 +323,23 @@ def _relation_data(rep: Representation) -> tuple:
     # homogeneous in each f_i, so the gauge factor is the faithful target.
     for i in range(l + 1):
         se, e = gens["e", i]
+        sh, hi = liealg.integral({p: {p: x} for p, x in enumerate(h[i]) if x})
         mags = {abs(x) for x in h[i]} - {0}
         m = max(mags) if len(mags) == 1 else Q(1)
         for j in range(l + 1):
             sf, f = gens["f", j]
-            scale, comm = se * sf, linalg.sparse_commutator(e, f)
-            if i != j:
-                out.append(relation_entry(f"[e{i},f{j}]", comm, scale))
-                continue
-            name = f"[e{i},f{i}] (gauge [{m}]/{m})"
-            groups = _diagonal_groups(h[i], comm)
-            if groups is not None and all(
-                    abs(x) in (0, m) and c == scale * x
-                    for x, c in groups.items()):
-                out.append(relation_entry(name, {}))
-            else:
-                out.append(partial(_bracket_at, name, h[i], m, groups, scale,
-                                   comm))
+            scale, target = se * sf, hi if i == j else {}
+            residual = linalg.sparse_lincomb(
+                ((sh, linalg.mat_mul(e, f)), (-sh, linalg.mat_mul(f, e)),
+                 (-scale, target)))
+            name = f"[e{i},f{j}]"
+            if i == j:
+                name += f" (gauge [{m}]/{m})"
+                for p, x in enumerate(h[i]):
+                    if abs(x) not in (0, m):
+                        residual.setdefault(p, {})[p] = scale * hi[p][p]
+            out.append(relation_entry(name, residual, scale * sh))
     for i in range(l + 1):
-        di = Q(gram[i][i], 8)
         powers = {tag: [None, gens[tag, i][1]] for tag in "ef"}
         for j in range(l + 1):
             if i == j:
@@ -357,11 +347,6 @@ def _relation_data(rep: Representation) -> tuple:
             m = 1 - liealg.cartan_entry(gram, i, j)
             for tag in "ef":
                 (si, xi), (sj, xj) = gens[tag, i], gens[tag, j]
-                name, scale = f"q-Serre {tag}{i},{tag}{j}", si ** m * sj
-                if m == 1:
-                    out.append(relation_entry(
-                        name, linalg.sparse_commutator(xi, xj), scale))
-                    continue
                 pw = powers[tag]
                 while len(pw) <= m:
                     pw.append(linalg.mat_mul(xi, pw[-1]))
@@ -369,60 +354,22 @@ def _relation_data(rep: Representation) -> tuple:
                                 for k in range(1, m + 1)]
                 words = [linalg.mat_mul(pw[m - k], r) if k < m else r
                          for k, r in enumerate(right)]
-                out.append(partial(_serre_at, name, m, di, scale, words)
-                           if any(words) else relation_entry(name, {}))
+                out.append(relation_entry(f"q-Serre {tag}{i},{tag}{j}",
+                                          _serre_witness(words),
+                                          si ** m * sj))
     return tuple(out)
 
 
-def _q_integers(qs: QSample, hs):
-    """{h: [h]_q} for the distinct values h of hs, one q-power per |h|."""
-    out = {}
-    for a in {abs(h) for h in hs}:
-        p = qs.q_pow(a)
-        out[a] = (p - 1 / p) / (qs.q - 1 / qs.q)
-        out[-a] = -out[a]
-    return out
-
-
-def _bracket_at(name, h, m, groups, scale, comm, qs):
-    """The entry of [e_i, f_i] at qs: the residual gauge * [e_i, f_i] -
-    [h_i]_q, h = h_i, comm = scale * [e_i, f_i], first as one comparison
-    per group of the diagonal, built in full only when one fails."""
-    qints = _q_integers(qs, (*(groups or h), m))
-    gauge = qints[m] / m
-    if groups is not None and all(gauge * c == scale * qints[x]
-                                  for x, c in groups.items()):
-        residual = {}
-    else:
-        tgt = {p: {p: qints[x]} for p, x in enumerate(h) if x}
-        residual = linalg.sparse_lincomb(((gauge, comm), (-scale, tgt)))
-    return relation_entry(name, residual, scale)
-
-
-def _serre_at(name, m, di, scale, words, qs):
-    """The entry of a q-Serre sum of degree m at qs: its words summed with
-    the q_i-divided coefficients, q_i = q^di, scaled to integers."""
-    qi = qs.q_pow(di)
-    fact = [qfactorial(k, qi) for k in range(m + 1)]
-    cs = [Q((-1) ** k) / (fact[m - k] * fact[k]) for k in range(m + 1)]
-    d = math.lcm(*(c.denominator for c in cs))
-    cs = [c.numerator * (d // c.denominator) for c in cs]
-    total = linalg.sparse_lincomb(zip(cs, words))
-    return relation_entry(name, total, d * scale)
-
-
-def check_quantum_relations(rep: Representation, qs: QSample):
-    """Exact check of all defining relations of U_q at the sample q = w**4.
+def check_quantum_relations(rep: Representation):
+    """Exact check of all defining relations of U_q, for all q.
 
     Covers Cartan commutators (as weight shifts), the [e_i, f_j] relation and
-    the quantum Serre relations with q-divided powers, each as a sparse
-    residual that is empty exactly when the relation holds.  A relation
-    computed in integers, times the scale of its products, is divided back
-    by that scale only when its residual is not empty.
+    the quantum Serre relations, each decided identically in q from integer
+    products (``_relation_data``) with a sparse witness that is empty
+    exactly when the relation holds.  A witness computed in integers is
+    divided back by its scale only when it is not empty.
 
     Returns a fresh list of the entries of ``Representation.relations``,
-    with each one that depends on q evaluated at qs; the finished entries
-    are shared by every sample and not copied.  On the seeds every entry is
-    finished, so a sample computes no q-integer and no product.
+    which are built once per rep and shared, not copied.
     """
-    return [r(qs) if callable(r) else r for r in rep.relations]
+    return list(rep.relations)

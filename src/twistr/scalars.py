@@ -1,5 +1,6 @@
-"""Exact scalar arithmetic: rationals, the rational-function field Q(u), q-integers,
-the elementary bracket factor and signed products of brackets.
+"""Exact scalar arithmetic: rationals, the q-samples q = w**4, the
+rational-function field Q(u), the elementary bracket factor and signed
+products of brackets.
 
 Everything downstream works over one of two scalar modes:
 
@@ -66,20 +67,6 @@ class QSample:
         if e.denominator != 1:
             raise ValueError(f"q**{a} is not an integer power of w")
         return self.w ** int(e)
-
-
-def qint(k: int, q):
-    """The q-integer [k]_q = (q**k - q**-k) / (q - q**-1)."""
-    if q in (0, 1, -1):
-        raise DegenerateParameterError(f"q = {q}")
-    return (q**k - q**-k) / (q - q**-1)
-
-
-def qfactorial(k: int, q):
-    out = q**0
-    for n in range(1, k + 1):
-        out *= qint(n, q)
-    return out
 
 
 def bracket(a, sign: int, u, qs: QSample):
@@ -416,6 +403,9 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction (``__eq__``), so it hashes as one
+        if len(self.num) <= 1 and self.den == (1,):
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def __bool__(self):

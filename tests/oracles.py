@@ -3,7 +3,8 @@ dimension closed forms, the trace pairing, the Freudenthal weight multisets
 with the brute-force tensor and symmetric-square decompositions, the
 L-parent classes of a branching table, the swap, the opposite coproduct and
 the R-form three-site Yang-Baxter product, the spinor's affine pair by
-constraint solve, the dense classical and quantum relation checkers, the
+constraint solve, the dense classical and quantum relation checkers (the
+quantum one at a sampled q, with q-integers and q-factorials), the
 component scalars in Fractions, and a bracket product expanded by
 gcd-reducing field arithmetic, with RatFun evaluation at a rational point.
 It also holds the dense matrix arithmetic in Fractions that these compute
@@ -21,7 +22,7 @@ from twistr.branching import BranchingError
 from twistr.jimbo import SolveError
 from twistr.liealg import (eps, inner, is_dominant, wadd, weyl_vector, wscale,
                            wsub)
-from twistr.scalars import RatFun, bracket, qfactorial
+from twistr.scalars import DegenerateParameterError, RatFun, bracket
 from twistr.tensor import DecompositionError
 
 Q = Fraction
@@ -468,9 +469,26 @@ def check_classical_relations(gens, spec):
     return report
 
 
+def qint(k: int, q):
+    """The q-integer [k]_q = (q**k - q**-k) / (q - q**-1)."""
+    if q in (0, 1, -1):
+        raise DegenerateParameterError(f"q = {q}")
+    return (q**k - q**-k) / (q - q**-1)
+
+
+def qfactorial(k: int, q):
+    out = q**0
+    for n in range(1, k + 1):
+        out *= qint(n, q)
+    return out
+
+
 def check_quantum_relations(rep, qs):
-    """Dense reference for ``qrep.check_quantum_relations``, on the dense
-    forms of the representation's sparse generators."""
+    """Dense reference for ``qrep.check_quantum_relations`` at the sample
+    qs, on the dense forms of the representation's sparse generators: each
+    relation evaluated at q = w**4 with its q-integer target and q-divided
+    Serre coefficients.  On q-independent generators a relation holds at a
+    generic q exactly when it holds for all q."""
     spec = rep.spec
     l, dim = spec.l, rep.dim
     q = qs.q

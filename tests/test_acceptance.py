@@ -1,6 +1,7 @@
 """Acceptance suite: one test (or parametrized group) per acceptance criterion.
 
-1. Relation suites pass exactly on the full family/rank grid at >= 5 random w.
+1. Relation suites pass exactly on the full family/rank grid, the quantum
+   relations for all q and, in the dense oracle, at >= 5 random w.
 2. Yang-Baxter holds with zero residual at >= 3 random (w, u, v) per seed case.
 3. Unitarity Rcheck(u) Rcheck(1/u) = I for every solved case.
 4. Spectral oracle equivalence: direct solve == graph recursion spectrum.
@@ -26,6 +27,7 @@ from twistr.cli import main
 from twistr.liealg import family_spec
 from twistr.scalars import QSample, RatFun
 
+import oracles
 from conftest import GRID, YBE_CASES, seed_rep, seed_shared
 from oracles import brute_force_tensor
 
@@ -45,10 +47,13 @@ def test_criterion_1_relation_suites(family, l):
     assert all(r["ok"] for r in classical), \
         [r["relation"] for r in classical if not r["ok"]]
     rep = seed_rep(family, l)
+    report = qrep.check_quantum_relations(rep)
+    bad = [r["relation"] for r in report if not r["ok"]]
+    assert not bad, bad
     rng = rational_stream(101)
     for _ in range(5):
         w = jimbo.sample_w(rng)
-        report = qrep.check_quantum_relations(rep, QSample(w))
+        report = oracles.check_quantum_relations(rep, QSample(w))
         bad = [r["relation"] for r in report if not r["ok"]]
         assert not bad, (w, bad)
 

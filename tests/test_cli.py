@@ -248,37 +248,45 @@ class TestVerify:
         assert len(stages["decomposition"]["components"]) == (
             2 if change == "dropped" else 3)
 
-    def test_quantum_relations_failing_at_second_w_fail_the_stage(
-            self, tmp_path, monkeypatch):
-        """The relations stage checks the quantum relations at every sampled
-        w: a failure at the second sample's w alone fails it.  A second
-        sample adds one call to a one-sample run, and that call fails."""
-        real = qrep.check_quantum_relations
-        calls, fail_at = [], []
+    def test_quantum_relation_failure_fails_the_stage(self, tmp_path,
+                                                      monkeypatch):
+        """The relations stage checks the quantum relations once, for all
+        q: a failing entry of that one report fails the stage and is listed
+        once, however many samples the run draws.  relations_checked still
+        counts the quantum relations once per sample."""
+        real, calls = qrep.check_quantum_relations, []
 
-        def counted(rep, qs):
-            calls.append(qs.w)
-            report = real(rep, qs)
-            if len(calls) in fail_at:
+        def failing(rep):
+            calls.append(rep)
+            report = real(rep)
+            if len(calls) == 2:   # the first check is build_seed_rep's
                 report.append({"relation": "injected", "ok": False})
             return report
 
-        monkeypatch.setattr(qrep, "check_quantum_relations", counted)
         args = ["verify", "--family", "a2even", "--l", "1", "--seed", "7"]
-        assert run(tmp_path, *args, "--samples", "1")[0] == 0
-        fail_at.append(len(calls) + 1)
-        calls.clear()
+        counts = []
+        for samples in ("1", "3"):
+            code, out = run(tmp_path, *args, "--samples", samples)
+            stages = {s["stage"]: s
+                      for s in json.loads(out.read_text())["stages"]}
+            counts.append(stages["relations"]["relations_checked"])
+            assert code == 0
+        rep = qrep.build_seed_rep(liealg.family_spec("a2even", 1))
+        quantum = len(real(rep))
+        assert counts[1] - counts[0] == 2 * quantum
+        monkeypatch.setattr(qrep, "check_quantum_relations", failing)
         code, out = run(tmp_path, *args, "--samples", "2")
         stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
-        assert code == 1 and stages["relations"]["failures"] == ["injected"]
+        assert code == 1 and len(calls) == 2
+        assert stages["relations"]["failures"] == ["injected"]
         assert all(s["ok"] for name, s in stages.items() if name != "relations")
 
     @pytest.mark.parametrize("samples", ["1", "3"])
     def test_relation_data_built_once_per_verify(self, tmp_path, monkeypatch,
                                                  samples):
-        """The q-independent relation data is built once per verify, at the
-        seed rep's own check, however many samples the relations stage
-        checks: each sample reuses it, with one more checker call."""
+        """The relation data is built once per verify, at the seed rep's
+        own check, and the relations stage reads it with one more checker
+        call, however many samples the run draws."""
         built, checked = [], []
         build, check = qrep._relation_data, qrep.check_quantum_relations
 
@@ -286,16 +294,16 @@ class TestVerify:
             built.append(rep)
             return build(rep)
 
-        def counted_check(rep, qs):
+        def counted_check(rep):
             checked.append(rep)
-            return check(rep, qs)
+            return check(rep)
 
         monkeypatch.setattr(qrep, "_relation_data", counted_build)
         monkeypatch.setattr(qrep, "check_quantum_relations", counted_check)
         code, _ = run(tmp_path, "verify", "--family", "a2odd", "--l", "3",
                       "--seed", "7", "--samples", samples)
         assert code == 0
-        assert len(checked) == 1 + int(samples)
+        assert len(checked) == 2
         assert len(built) == 1 and all(r is built[0] for r in checked)
 
     @pytest.mark.parametrize("family,l", [("a2even", 1), ("a2odd", 3),

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from twistr.scalars import (BracketProduct, DegenerateParameterError,
                             PoleError, QSample, RatFun, bracket, format_scalar,
-                            poly_divmod, poly_gcd, poly_mul, qfactorial, qint)
+                            poly_divmod, poly_gcd, poly_mul)
 
 import oracles
+from oracles import qfactorial, qint
 
 Q = Fraction
 
@@ -229,6 +230,22 @@ class TestRatFun:
         u = RatFun.var()
         assert u**3 == u * u * u
         assert (u**-2) * u * u == RatFun.const(1)
+
+    @pytest.mark.parametrize("c", [Q(3), Q(-5, 4), Q(0), 7],
+                             ids=["3", "-5_4", "0", "int-7"])
+    def test_constant_hashes_as_its_fraction(self, c):
+        """A constant equals its Fraction or int, so dict and set lookups
+        find it under either."""
+        r = RatFun.const(c)
+        assert r == c and hash(r) == hash(c)
+        assert r in {Q(c)} and {Q(c): "x"}[r] == "x" and c in {r}
+
+    @given(a=ratfun(), b=ratfun())
+    @settings(max_examples=40)
+    def test_equal_values_hash_equal(self, a, b):
+        for x, y in ((a, b), (a * b, b * a), (a + b - b, a)):
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 class TestPolynomials:
