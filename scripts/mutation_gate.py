@@ -42,11 +42,29 @@ LAST = ("test_golden.py", "test_scripts.py")
 
 MUTATIONS = [
     ("jimbo.py",
-     "        _is_module_map(shared, qs, n) for n in ns.values())",
-     "        True for n in ns.values())",
-     "check_ybe premise: each N a module map"),
+     "    if not _is_module_map(probe, dec.rep.square.block, G, dec.fixed[:l]):",
+     "    if False:",
+     "components at w: the probe a module map"),
     ("jimbo.py",
-     "        ok = all(_product(g, lhs, d) == _product(g, rhs, d) for g in gs)",
+     "    t = {n: n + 1 for n in range(system.ncomp)}",
+     "    t = {n: 1 for n in range(system.ncomp)}",
+     "components at w: the probe's t_nu distinct"),
+    ("jimbo.py",
+     '    for name, m in (("X", x), ("Y", y)):',
+     '    for name, m in (("Y", y),):',
+     "components at w: X commutes with every D(f_i)"),
+    ("jimbo.py",
+     '    for name, m in (("X", x), ("Y", y)):',
+     '    for name, m in (("X", x),):',
+     "components at w: Y commutes with every D(f_i)"),
+    ("jimbo.py",
+     "            if linalg.sparse_lincomb((xy[i], {0: b}) for b, xy in rows) "
+     "!= \\",
+     "            if False and linalg.sparse_lincomb((xy[i], {0: b}) "
+     "for b, xy in rows) != \\",
+     "components at w: the small system's rows complete"),
+    ("jimbo.py",
+     "        ok = all(side(g, lhs) == side(g, rhs) for g in gs)",
      "        ok = True",
      "check_ybe comparison on the cyclic vectors"),
     ("jimbo.py",
@@ -54,32 +72,37 @@ MUTATIONS = [
      "    if not low:",
      "v_low certified unique"),
     ("jimbo.py",
-     "    return all(linalg.products_equal(n, m, m, n)",
-     "    return True or all(linalg.products_equal(n, m, m, n)",
-     "solve_rmatrix fixed-subalgebra equations: the e-half"),
+     "    return all(linalg.products_equal(n, m, m, n) for m in raising)",
+     "    return True",
+     "module map: the e-half, N D(e_i) = D(e_i) N"),
     ("jimbo.py",
      "        if not same:",
      "        if False:",
      "contravariant form at w: D(f_i) = c_i G^-1 D(e_i)^T G"),
     ("jimbo.py",
-     "    if any(block[p] != block[j] for p, row in n.items() for j in row):",
-     "    if False and any(block[p] != block[j] for p, row in n.items() "
-     "for j in row):",
+     "            if block[p] != block[j]:",
+     "            if False:",
      "module map: N preserves weight"),
     ("jimbo.py",
-     "    if any(G[p] * y != G[j] * n.get(j, {}).get(p, 0)",
-     "    if False and any(G[p] * y != G[j] * "
-     "n.get(j, {}).get(p, 0)",
+     "            if G[p] * y != G[j] * n.get(j, {}).get(p, 0):",
+     "            if False:",
      "module map: N is G-symmetric"),
     ("jimbo.py",
-     "    ok = linalg.mat_mul(a.N, b.N) == linalg.sparse_identity(",
-     "    ok = True or linalg.mat_mul(a.N, b.N) == linalg.sparse_identity(",
-     "unitarity"),
+     "    ok = all(a.get(n, 0) * b.get(n, 0) == a[0] * b[0]",
+     "    ok = all(True",
+     "unitarity: c_nu(u) c_nu(1/u) = c_top(u) c_top(1/u)"),
     ("jimbo.py",
-     "        ok = b.N == linalg.sparse_identity(shared.rep.dim ** 2, b.D) "
-     "and all(",
-     "        ok = all(",
-     "spectral agreement: N(1) = D_1 I"),
+     "    ok = all(b.get(n, 0) == b[0] for n in range(len(names))) and all(",
+     "    ok = all(",
+     "spectral agreement: c(1) constant"),
+    ("jimbo.py",
+     "        a.get(n, 0) == a[0] * rho[nu] for n, nu in enumerate(names))",
+     "        True for n, nu in enumerate(names))",
+     "spectral agreement: c_nu(u) = c_top(u) rho_nu(u)"),
+    ("jimbo.py",
+     "        out[comp.nu] = 1 if c[n] > 0 else -1",
+     "        out[comp.nu] = 1",
+     "parity: the sign of each c_nu(0)"),
     ("jimbo.py",
      "    if len(kern) != 1:",
      "    if False:",

@@ -26,14 +26,14 @@ from .scalars import QSample, format_scalar
 SCHEMA = "twistr-report/1"
 
 # The largest two-site dimension T = d**2 of a seed verify measured to pass:
-# d2 l=6, d = 64, T = 4,096, 12.7-14.3 s and 138 MB peak for --seed 7
+# d2 l=7, d = 128, T = 16,384, 30-34 s and 333 MB peak for --seed 7
 # --samples 3 (Python 3.11.7, one process on a 2-CPU host).  Yang-Baxter
 # reads the three-site space on one cyclic vector per component only,
 # whether it passes or fails, so the cost is the work on V (x) V at each
-# sampled w (the decomposition, the component system, the solves), which
-# grows with T.
-# The next size, d2 l=7 at T = 16,384, is refused before any work.
-MAX_TWO_SITE = 4_096
+# sampled w (the decomposition and the component system with its
+# certificate; each solve is then a small system), which grows with T.
+# The next size, d2 l=8 at T = 65,536, is refused before any work.
+MAX_TWO_SITE = 16_384
 
 
 def _sparse_triplets(m):

@@ -83,11 +83,6 @@ def scaled(v, d):
     return {j: x.numerator * (d // x.denominator) for j, x in v.items()}
 
 
-def sparse_identity(n, c=Q(1)):
-    """c times the n x n identity."""
-    return {i: {i: c} for i in range(n)}
-
-
 def sparse_vec_mul(v, b):
     """The sparse row vector v times the sparse matrix b."""
     acc = {}

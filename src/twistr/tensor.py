@@ -1,22 +1,21 @@
 """The tensor square V (x) V of a seed representation V: coproduct actions,
-isotypic decomposition into fixed-subalgebra components, component scalars
-and the classical parity oracle.
+isotypic decomposition into fixed-subalgebra components and the classical
+parity oracle.
 
 Each component V0(nu) is encoded only by its adapted basis: the highest
-weight vector followed by its independent lowerings.  All components grow
-their bases in one shared row space, so reaching rank dim V ** 2 certifies
-that the bases together form a basis of V (x) V.  An operator M then equals
-sum(c_nu * P_nu) over the projectors of that basis exactly when M acts on
-every adapted basis vector of V0(nu) as c_nu, which ``component_scalars``
-checks without forming a projector or an inverse.  V (x) V at a sample w
-is in integers from the coproducts on: ``decompose`` keeps the integer
-numerators of D(e_i), D(f_i) (i >= 1) and the adapted basis as primitive
-integer vectors, each lowering divided by its content gcd (P_nu does not
-depend on how the basis vectors are scaled); the solve and the checks read
-that one form.  What no sample changes is built once per V, by
-``Representation.square``: the weight blocks, the block number of each
-index, the dominant blocks in descending order and the integer exponents
-2 h_i that ``coproduct_action`` reads.  So a decomposition at w does only
+weight vector followed by its independent lowerings, each a word in the
+D(f_i) applied to it.  All components grow their bases in one shared row
+space, so reaching rank dim V ** 2 certifies that the bases together form a
+basis of V (x) V, and with it the projectors P_nu of each component along
+the others, which ``jimbo`` certifies once per w and reads as n scalars.
+V (x) V at a sample w is in integers from the coproducts on: ``decompose``
+keeps the integer numerators of D(e_i), D(f_i) (i >= 1) and the adapted
+basis as primitive integer vectors, each lowering divided by its content
+gcd (P_nu does not depend on how the basis vectors are scaled); the solve
+and the checks read that one form.  What no sample changes is built once
+per V, by ``Representation.square``: the weight blocks, the block number of
+each index, the dominant blocks in descending order and the integer
+exponents 2 h_i that ``coproduct_action`` reads.  So a decomposition at w does only
 w-dependent integer work, and it reads weights as block numbers.
 The coproduct numerators are sparse ``linalg`` matrices {row: {col: x}},
 built from the nonzeros of V's generators; adapted basis vectors are sparse
@@ -146,30 +145,6 @@ def decompose(rep: Representation, qs: QSample) -> IsotypicDecomposition:
         raise DecompositionError(
             f"adapted bases span dimension {space.dim}, expected {dim}")
     return IsotypicDecomposition(rep, components, fixed)
-
-
-def component_scalars(dec: IsotypicDecomposition, M):
-    """{nu: c} where the sparse operator M acts on every adapted basis vector
-    of V0(nu) as the scalar c; raises DecompositionError if M is not scalar
-    on a component.  The adapted basis vectors are integers, so for an
-    integer M the work is in ints: M v == (a / b) v is tested as
-    b * (M v) == a * v, and each c is one Fraction a / b."""
-    cols = linalg.sparse_transpose(M)
-    out = {}
-    for comp in dec.components:
-        a = None
-        for v in comp.basis:
-            image = linalg.mat_vec(cols, v)
-            if a is None:
-                p = min(v)
-                a, b = image.get(p, 0), v[p]
-            scalar = (image.keys() == v.keys() and all(
-                b * image[j] == a * x for j, x in v.items())) if a else not image
-            if not scalar:
-                raise DecompositionError(
-                    f"operator is not scalar on component {comp.nu}")
-        out[comp.nu] = Q(a, b)
-    return out
 
 
 def classical_parity_signs(rep: Representation):

@@ -387,6 +387,11 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def sparse_identity(n, c=Q(1)):
+    """c times the n x n identity, as a sparse matrix."""
+    return {i: {i: c} for i in range(n)}
+
+
 def dense(m, n):
     """The n x n dense form of the sparse matrix m."""
     return [[m.get(i, {}).get(j, Q(0)) for j in range(n)] for i in range(n)]
@@ -546,8 +551,10 @@ def check_quantum_relations(rep, qs):
 # ---------------------------------------------------------------------------
 
 def component_scalars(dec, M):
-    """Fraction reference for ``tensor.component_scalars``: M applied to
-    the adapted basis vectors as stored, each image compared with c * v."""
+    """{nu: c} where the sparse M acts on every adapted basis vector of
+    V0(nu) as the scalar c, in Fractions: M applied to the adapted basis
+    vectors as stored, each image compared with c * v.  Raises
+    DecompositionError if M is not scalar on a component."""
     cols = linalg.sparse_transpose(M)
     out = {}
     for comp in dec.components:
@@ -630,9 +637,9 @@ def solve_scalars(system, u):
     c_mu (u x + y) - c_nu (x + u y) in Fractions, their null space from
     ``kernel_basis``, certified one-dimensional, normalized to c_top = 1."""
     rows = []
-    for mu, nu, x, y in system.e0_rows:
+    for k, nu, x, y in system.e0_rows:
         row = [Q(0)] * system.ncomp
-        row[mu] += u * x + y
+        row[system.terms[k][0]] += u * x + y
         row[nu] -= x + u * y
         rows.append(row)
     kern = kernel_basis(rows, system.ncomp)

@@ -168,33 +168,33 @@ class TestVerify:
 
     def test_certificate_failure_fails_the_stage_at_once(self, tmp_path,
                                                          monkeypatch):
-        """A refused substitution is no failure of the sample: with the e0
-        split corrupted at the first sample's w, every stage that reads a
-        solve fails after one solve attempt with the certificate's message,
-        instead of retrying at fresh samples, which would pass."""
+        """A refused certificate is no failure of the sample: with one entry
+        of X changed at the first sample's w, so that X no longer commutes
+        with D(f_1), every stage that reads a solve fails after one solve
+        attempt with the certificate's message, instead of retrying at
+        fresh samples, which would pass."""
         w0 = jimbo.sample_w(random.Random(3))
-        real_system, real_solve = jimbo.component_system, jimbo.solve_rmatrix
+        real_split, real_solve = jimbo._e0_split, jimbo.solve_rmatrix
         solves = []
 
-        def corrupted_at_w0(shared, qs):
-            system = real_system(shared, qs)
+        def changed_at_w0(rep, qs):
+            x, y = real_split(rep, qs)
             if qs.w == w0:
-                x, y = system.e0_split
                 p = min(x)
-                system.e0_split = (bump(x, p, min(x[p])), y)
-            return system
+                x = bump(x, p, min(x[p]))
+            return x, y
 
         def counted(shared, qs, u):
             solves.append(qs.w)
             return real_solve(shared, qs, u)
 
-        monkeypatch.setattr(jimbo, "component_system", corrupted_at_w0)
+        monkeypatch.setattr(jimbo, "_e0_split", changed_at_w0)
         monkeypatch.setattr(jimbo, "solve_rmatrix", counted)
         code, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
                         "--seed", "3", "--samples", "1")
         assert code == 1
         stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
-        error = "CertificateError: Rcheck fails the intertwining equations"
+        error = "CertificateError: X does not commute with D(f_1)"
         readers = ["solve", "yang-baxter", "unitarity", "parity",
                    "spectral-agreement"]
         for name in readers:
@@ -205,21 +205,22 @@ class TestVerify:
     def test_decomposition_error_fails_the_stage(self, tmp_path,
                                                  monkeypatch):
         """A DecompositionError is no failure of the sample: raised once
-        while the parity stage reads N(0), it fails that stage, with the
-        error in the report, instead of being retried at a fresh sample."""
-        real = jimbo.component_scalars
+        while the parity stage reads Rcheck(0), it fails that stage, with
+        the error in the report, instead of being retried at a fresh
+        sample."""
+        real = jimbo.parity_spectrum
         calls = []
 
-        def fails_once(dec, m):
+        def fails_once(shared, qs):
             calls.append(1)
             if len(calls) == 1:
                 raise DecompositionError("injected")
-            return real(dec, m)
+            return real(shared, qs)
 
-        monkeypatch.setattr(jimbo, "component_scalars", fails_once)
+        monkeypatch.setattr(jimbo, "parity_spectrum", fails_once)
         code, out = run(tmp_path, "verify", "--family", "a2even", "--l", "1",
                         "--seed", "3", "--samples", "1")
-        assert code == 1
+        assert code == 1 and len(calls) == 1
         stages = {s["stage"]: s for s in json.loads(out.read_text())["stages"]}
         assert stages["parity"] == {"stage": "parity", "ok": False,
                                     "error": "DecompositionError: injected"}
@@ -447,12 +448,13 @@ class TestVerify:
         assert a.read_bytes() != b.read_bytes()
 
     def test_verify_builds_no_fraction_rmatrix(self, tmp_path, monkeypatch):
-        """The checks read the integer N / D only: a verify passes with the
-        Fraction forms of R and Rcheck made unreadable."""
+        """The checks read the c_nu of each solve only: a verify passes with
+        the integer form N / D and the Fraction forms of R and Rcheck made
+        unreadable, so no verify builds a full Rcheck."""
         def unreadable(self):
-            raise AssertionError("Fraction R-matrix built in verify")
+            raise AssertionError("R-matrix built in verify")
 
-        for name in ("R", "Rcheck"):
+        for name in ("R", "Rcheck", "N", "D"):
             monkeypatch.setattr(jimbo.RMatrixResult, name,
                                 property(unreadable))
         code, out = run(tmp_path, "verify", "--family", "d2", "--l", "2",
@@ -461,38 +463,38 @@ class TestVerify:
 
     def test_oversized_seed_verify_refused_before_any_work(self, capsys,
                                                            monkeypatch):
-        """d2 l=7 (two-site dimension 128**2) exits 2 with its size
+        """d2 l=8 (two-site dimension 256**2) exits 2 with its size
         estimate before a Shared, which every stage reads, is built."""
         def no_work(*args, **kwargs):
             raise AssertionError("verify started work")
 
         monkeypatch.setattr(jimbo, "Shared", no_work)
-        assert main(["verify", "--family", "d2", "--l", "7"]) == 2
+        assert main(["verify", "--family", "d2", "--l", "8"]) == 2
         err = capsys.readouterr().err
-        assert ("d^3 = 2,097,152 (d = 128), T = d^2 = 16,384, 8 components"
+        assert ("d^3 = 16,777,216 (d = 256), T = d^2 = 65,536, 9 components"
                 in err)
 
     def test_oversized_rmatrix_export_refused_before_any_work(
             self, capsys, monkeypatch):
-        """An rmatrix export of d2 l=7 exits 2 with the verify's size
+        """An rmatrix export of d2 l=8 exits 2 with the verify's size
         estimate before the Shared of its solve is built."""
         def no_work(*args, **kwargs):
             raise AssertionError("export started work")
 
         monkeypatch.setattr(jimbo, "Shared", no_work)
-        assert main(["export", "rmatrix", "--family", "d2", "--l", "7"]) == 2
+        assert main(["export", "rmatrix", "--family", "d2", "--l", "8"]) == 2
         err = capsys.readouterr().err
-        assert ("d^3 = 2,097,152 (d = 128), T = d^2 = 16,384, 8 components"
+        assert ("d^3 = 16,777,216 (d = 256), T = d^2 = 65,536, 9 components"
                 in err)
 
     def test_size_guard_bounds(self):
-        """The largest size measured to pass, d2 l=6, is accepted, and a
+        """The largest size measured to pass, d2 l=7, is accepted, and a
         non-seed pair, which skips the stages on V (x) V, is never
         refused."""
-        d2_6, d2_7 = (liealg.family_spec("d2", l) for l in (6, 7))
-        assert cli._size_refusal(d2_6, (1, 1)) is None
-        assert cli._size_refusal(d2_7, (1, 2)) is None
-        assert cli._size_refusal(d2_7, (1, 1)) is not None
+        d2_7, d2_8 = (liealg.family_spec("d2", l) for l in (7, 8))
+        assert cli._size_refusal(d2_7, (1, 1)) is None
+        assert cli._size_refusal(d2_8, (1, 2)) is None
+        assert cli._size_refusal(d2_8, (1, 1)) is not None
 
 
 class TestExport:

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -66,7 +65,7 @@ class TestSolve:
         """With the symmetric coproduct, P itself intertwines at u = 1."""
         shared = seed_shared(*ybe_case)
         res = jimbo.solve_rmatrix(shared, qs, Q(1))
-        assert res.Rcheck == linalg.sparse_identity(shared.rep.dim ** 2)
+        assert res.Rcheck == oracles.sparse_identity(shared.rep.dim ** 2)
 
     def test_kernel_needs_exactly_one_free_column(self):
         space = linalg.RowSpace()
@@ -89,18 +88,20 @@ class TestSolve:
 
 class TestCertificates:
     """Each certificate of the component solve refuses: a degenerate small
-    system raises SolveError, a failed substitution CertificateError."""
+    system raises SolveError, and the certificate of the components at w
+    (the probe, the commutations of X and Y with every D(f_i) and the
+    completeness of the small system's rows) CertificateError."""
 
     def test_small_system_nullity_two_raises(self):
         # two components and no e0 rows: nothing ties c_1 to c_0
-        system = jimbo.ComponentSystem(2, 1, [], [], ({}, {}), G=[])
+        system = jimbo.ComponentSystem(2, 1, [], [])
         with pytest.raises(jimbo.SolveError, match="nullity 2"):
             jimbo._solve_scalars(system, Q(2, 3))
 
     def test_zero_top_coefficient_raises(self):
         # X v_top = b_0, Y v_top = 0: (u - 1) c_0 = 0 leaves only c_1 free
-        system = jimbo.ComponentSystem(2, 1, [], [(0, 0, Q(1), Q(0))],
-                                        ({}, {}), G=[])
+        system = jimbo.ComponentSystem(2, 1, [(0, {}, {})],
+                                       [(0, 0, Q(1), Q(0))])
         with pytest.raises(jimbo.SolveError, match="top weight vector"):
             jimbo._solve_scalars(system, Q(2, 3))
 
@@ -119,10 +120,10 @@ class TestCertificates:
         assert c == {k: c[0] * x for k, x in
                      enumerate(oracles.solve_scalars(system, u)) if x}
 
-    def test_substitution_detects_corrupted_coefficient(self, qs,
-                                                       monkeypatch):
-        """Mutation: one wrong c_nu still gives an Rcheck that commutes with
-        the fixed subalgebra, and the e0 substitution must refuse it."""
+    def test_corrupted_coefficient_fails_every_check(self, qs, monkeypatch):
+        """Mutation: one c_nu changed by one at every u is still a module map
+        sum(c_nu P_nu), and Yang-Baxter, unitarity and spectral agreement
+        must each refuse it."""
         real = jimbo._solve_scalars
 
         def corrupted(system, u):
@@ -130,40 +131,93 @@ class TestCertificates:
             last = system.ncomp - 1
             return {**c, last: c.get(last, 0) + 1}
 
-        jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))  # unmutated
+        u, v = Q(3, 5), Q(-2, 7)
+        shared = seed_shared("a2even", 2)
+        checks = (lambda: jimbo.check_ybe(shared, qs, u, v),
+                  lambda: jimbo.check_unitarity(shared, qs, u),
+                  lambda: jimbo.spectral_compare(shared, qs, u))
+        assert all(check()["ok"] for check in checks)  # unmutated
+        shared = seed_shared("a2even", 2)
         monkeypatch.setattr(jimbo, "_solve_scalars", corrupted)
-        with pytest.raises(jimbo.CertificateError,
-                           match="intertwining equations"):
-            jimbo.solve_rmatrix(seed_shared("a2even", 2), qs, Q(3, 5))
+        assert not any(check()["ok"] for check in checks)
 
-    def test_substitution_detects_corrupted_e0_split(self, qs):
-        """Mutation: one wrong entry of X, made after the small system's rows
-        were read from X, leaves the c_nu right; the e0 substitution must
-        still refuse the solve."""
-        shared = seed_shared("a2even", 2)
-        jimbo.solve_rmatrix(shared, qs, Q(3, 5))  # unmutated
-        system = shared.components(qs)
-        x, y = system.e0_split
-        p = min(x)
-        system.e0_split = (bump(x, p, min(x[p])), y)
-        with pytest.raises(jimbo.CertificateError,
-                           match="intertwining equations"):
-            jimbo.solve_rmatrix(shared, qs, Q(3, 5))
+    @staticmethod
+    def moved_vector(monkeypatch):
+        """Wrap ``jimbo.decompose`` so that the last adapted basis vector of
+        the largest component after the top one is moved to the top
+        component's basis: the adapted bases still form a basis of V (x) V,
+        but the top component's basis holds a vector of another."""
+        real = jimbo.decompose
 
-    def test_substitution_detects_fixed_operator_rcheck_misses(self, qs):
-        """Mutation: one D(x) (i >= 1) of the decomposition changed after the
-        components were built from it, which the small system never reads,
-        leaves the c_nu right; the fixed-subalgebra substitution must refuse
-        the solve."""
+        def moved(rep, qs):
+            dec = real(rep, qs)
+            comps = dec.components
+            src = max(comps[1:], key=lambda comp: len(comp.basis))
+            comps[0].basis.append(src.basis.pop())
+            return dec
+
+        monkeypatch.setattr(jimbo, "decompose", moved)
+
+    @pytest.mark.parametrize("family,l", [("a2even", 2), ("d2", 2)],
+                             ids=["a2even-l2", "d2-l2"])
+    def test_probe_refuses_a_vector_of_another_component(
+            self, family, l, qs, monkeypatch):
+        """One component's basis holding a vector of another still spans
+        V (x) V with rows that list every coordinate of X v_nu and Y v_nu,
+        so only the probe refuses it: its eigenspaces are then no modules.
+        With all t_nu equal the probe would be a multiple of the identity
+        and pass."""
+        self.moved_vector(monkeypatch)
+        with pytest.raises(jimbo.CertificateError, match="no module map"):
+            seed_shared(family, l).solve(qs, Q(3, 5))
+
+    def test_probe_refuses_a_changed_raising_operator(self, qs):
+        """Mutation: one entry of D(e_1) and its mirror in D(f_1) doubled
+        before the components are built keeps the contravariant form at w,
+        and the probe's e-half must refuse the components."""
         shared = seed_shared("a2even", 2)
-        jimbo.solve_rmatrix(shared, qs, Q(3, 5))  # unmutated
         dec = shared.decomposition(qs)
-        m = dec.fixed[0]
-        p = min(m)
-        dec.fixed[0] = bump(m, p, min(m[p]))
+        l = shared.rep.spec.l
+        e, f = dec.fixed[0], dec.fixed[l]
+        p = min(e)
+        j = min(e[p])
+        dec.fixed[0] = bump(e, p, j, e[p][j])
+        dec.fixed[l] = bump(f, j, p, f[j][p])
+        with pytest.raises(jimbo.CertificateError, match="no module map"):
+            shared.solve(qs, Q(3, 5))
+
+    @pytest.mark.parametrize("which", ["X", "Y"])
+    def test_commutation_refuses_a_changed_e0(self, qs, monkeypatch, which):
+        """Mutation: one entry of X (or of Y) changed before the small
+        system's rows are read from it keeps the rows complete, and the
+        commutation with the D(f_i) must refuse the components."""
+        real = jimbo._e0_split
+
+        def changed(rep, qs):
+            x, y = real(rep, qs)
+            m = x if which == "X" else y
+            p = min(m)
+            m = bump(m, p, min(m[p]), min(m[p].values()))
+            return (m, y) if which == "X" else (x, m)
+
+        monkeypatch.setattr(jimbo, "_e0_split", changed)
         with pytest.raises(jimbo.CertificateError,
-                           match="intertwining equations"):
-            jimbo.solve_rmatrix(shared, qs, Q(3, 5))
+                           match=f"{which} does not commute with D"):
+            seed_shared("a2even", 2).solve(qs, Q(3, 5))
+
+    def test_dropped_row_refused(self, qs, monkeypatch):
+        """Mutation: one row of the small system dropped leaves a
+        coordinate of X v_nu or Y v_nu unlisted, and the completeness of the
+        rows must refuse the components."""
+        real = jimbo._certify
+
+        def dropped(dec, G, system, x, y):
+            system.e0_rows.pop()
+            return real(dec, G, system, x, y)
+
+        monkeypatch.setattr(jimbo, "_certify", dropped)
+        with pytest.raises(jimbo.CertificateError, match="misses a row"):
+            seed_shared("a2even", 2).solve(qs, Q(3, 5))
 
     @pytest.mark.parametrize("u", [Q(0), Q(3, 5), Q(-8, 9)],
                              ids=["zero", "3_5", "-8_9"])
@@ -190,7 +244,7 @@ class TestCertificates:
             linalg.sparse_lincomb(((u, x), (1, y)))
         assert conj(opposite_coproduct(rep, "e", 0, qs, u=u)) == \
             linalg.sparse_lincomb(((1, x), (u, y)))
-        xs, ys = shared.components(qs).e0_split
+        xs, ys = jimbo._e0_split(rep, qs)
         p = min(x)
         j = min(x[p])
         d = xs[p][j] / x[p][j]
@@ -198,16 +252,32 @@ class TestCertificates:
         assert (xs, ys) == tuple(linalg.sparse_lincomb(((d, m),))
                                  for m in (x, y))
 
+    @pytest.mark.parametrize("family,l", [("a2even", 3), ("d2", 4)],
+                             ids=["a2even-l3", "d2-l4"])
+    def test_each_component_certified_once_per_w(self, family, l, qs,
+                                                 monkeypatch):
+        """Solves at several u and every check at one w certify the
+        components once: one probe, and no solve or check builds N."""
+        real, calls = jimbo._certify, []
 
-def fake_shared(block, fixed, g):
-    """A stand-in for ``jimbo.Shared`` that holds only what
-    ``_is_module_map`` reads at any w: a label of each index's weight block
-    (``block[p]``), the integer D(e_i), D(f_i) and G = g (x) g."""
-    rep = SimpleNamespace(square=SimpleNamespace(block=block))
-    dec = SimpleNamespace(fixed=fixed)
-    system = SimpleNamespace(G=[x * y for x in g for y in g])
-    return SimpleNamespace(rep=rep, decomposition=lambda qs: dec,
-                           components=lambda qs: system)
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        def unreadable(self):
+            raise AssertionError("N built in a check")
+
+        monkeypatch.setattr(jimbo, "_certify", counted)
+        for name in ("N", "D"):
+            monkeypatch.setattr(jimbo.RMatrixResult, name,
+                                property(unreadable))
+        shared = seed_shared(family, l)
+        u, v = Q(3, 5), Q(-2, 7)
+        assert jimbo.check_ybe(shared, qs, u, v)["ok"]
+        assert jimbo.check_unitarity(shared, qs, u)["ok"]
+        assert jimbo.spectral_compare(shared, qs, u)["ok"]
+        assert jimbo.parity_spectrum(shared, qs)
+        assert len(calls) == 1
 
 
 def g_symmetric(n, g):
@@ -221,8 +291,8 @@ def g_symmetric(n, g):
 
 class TestContravariantForm:
     """The f-half of the module-map certificate: V's form g, certified at
-    each w as D(f_i) = c_i G^-1 D(e_i)^T G, and N certified G-symmetric in
-    place of the products N D(f_i) = D(f_i) N."""
+    each w as D(f_i) = c_i G^-1 D(e_i)^T G, and the probe certified
+    G-symmetric in place of the products M D(f_i) = D(f_i) M."""
 
     def test_seed_reps_have_the_form(self, ybe_case):
         """f_i = g^-1 e_i^T g on every seed V, in Fractions."""
@@ -263,7 +333,8 @@ class TestContravariantForm:
         m = dec.fixed[l]
         p = min(m)
         dec.fixed[l] = bump(m, p, min(m[p]))
-        with pytest.raises(jimbo.CertificateError, match=r"D\(f_1\)"):
+        with pytest.raises(jimbo.CertificateError,
+                           match=r"D\(f_1\) is not c G\^-1"):
             jimbo.solve_rmatrix(shared, qs, Q(3, 5))
 
     def test_one_ratio_per_generator(self, qs):
@@ -275,7 +346,8 @@ class TestContravariantForm:
         l = shared.rep.spec.l
         dec.fixed[l] = linalg.sparse_lincomb(((3, dec.fixed[l]),))
         g = shared.rep.g
-        assert shared.components(qs).G == [x * y for x in g for y in g]
+        assert jimbo.contravariant_form(shared, qs) == \
+            [x * y for x in g for y in g]
         assert jimbo.solve_rmatrix(shared, qs, Q(3, 5)).N == want.N
 
     def test_refuses_a_module_map_that_is_not_g_symmetric(self, qs):
@@ -297,16 +369,17 @@ class TestContravariantForm:
         weights = [tuple(x + y for x, y in zip(a, b)) for a in rep.weights
                    for b in rep.weights]
         g = (1,) + w.g
-        shared = fake_shared(weights, fixed, g)
+        G = [x * y for x in g for y in g]
+        raising = fixed[:w.spec.l]
         d = rep.dim
         copy = {b * d: {b: 1} for b in range(1, d)}   # 1 (x) w -> w (x) 1
         assert all(linalg.mat_mul(copy, m) == linalg.mat_mul(m, copy)
                    for m in fixed)
         assert not g_symmetric(copy, g)
-        assert not jimbo._is_module_map(shared, qs, copy)
+        assert not jimbo._is_module_map(copy, weights, G, raising)
         both = linalg.sparse_lincomb(
             ((1, copy), (1, linalg.sparse_transpose(copy))))
-        assert jimbo._is_module_map(shared, qs, both)
+        assert jimbo._is_module_map(both, weights, G, raising)
 
     def test_refuses_a_g_symmetric_map_across_weight_blocks(self, qs):
         """With no D(e_i) to commute with and G = 1, the swap of indices 0
@@ -314,32 +387,52 @@ class TestContravariantForm:
         weight clause refuses it while the two lie in different weight
         blocks; in one block it passes."""
         swap = {0: {1: 1}, 1: {0: 1}}
-        apart = fake_shared([0, 1, 2, 3], [], (1, 1))
-        assert not jimbo._is_module_map(apart, qs, swap)
-        assert jimbo._is_module_map(fake_shared([0] * 4, [], (1, 1)), qs, swap)
+        assert not jimbo._is_module_map(swap, [0, 1, 2, 3], [1] * 4, [])
+        assert jimbo._is_module_map(swap, [0] * 4, [1] * 4, [])
+
+    def test_refuses_a_diagonal_change_that_misses_the_raising(self, qs):
+        """The probe with one diagonal entry changed still preserves weight
+        and is G-symmetric, so only the e-half refuses it."""
+        shared = seed_shared("a2even", 2)
+        system, dec = shared.components(qs), shared.decomposition(qs)
+        probe = jimbo._outer_sum(system.terms,
+                                 {n: n + 1 for n in range(system.ncomp)})
+        args = (shared.rep.square.block, jimbo.contravariant_form(shared, qs),
+                dec.fixed[:shared.rep.spec.l])
+        assert jimbo._is_module_map(probe, *args)
+        p = min(probe)
+        assert not jimbo._is_module_map(bump(probe, p, p), *args)
 
     def test_one_helper_and_no_lowering_product(self, qs, monkeypatch):
-        """The solve and the Yang-Baxter premise both go through
-        ``_is_module_map``, and no product reads a D(f_i)."""
+        """The probe is the one map that goes through ``_is_module_map``,
+        once per w, and none of its products reads a D(f_i); the
+        commutations read each D(f_i) twice, for X and Y, and no solve or
+        check multiplies a matrix at all."""
         shared = seed_shared("d2", 2)
         dec = shared.decomposition(qs)
-        lowering = {id(m) for m in dec.fixed[shared.rep.spec.l:]}
-        real = linalg.products_equal
-        seen = []
+        l = shared.rep.spec.l
+        lowering = {id(m) for m in dec.fixed[l:]}
+        products, module_maps = linalg.products_equal, jimbo._is_module_map
+        seen, maps = [], []
 
         def recorded(*factors):
             seen.append(bool(set(map(id, factors)) & lowering))
-            return real(*factors)
+            return products(*factors)
+
+        def counted(*args):
+            maps.append(1)
+            return module_maps(*args)
 
         with monkeypatch.context() as m:
             m.setattr(linalg, "products_equal", recorded)
+            m.setattr(jimbo, "_is_module_map", counted)
             assert jimbo.check_ybe(shared, qs, Q(3, 5), Q(-2, 7))["ok"]
-        assert seen and not any(seen)
+            assert jimbo.check_unitarity(shared, qs, Q(3, 5))["ok"]
+        assert len(maps) == 1
+        assert seen.count(False) == l and seen.count(True) == 2 * l
         monkeypatch.setattr(jimbo, "_is_module_map", lambda *args: False)
-        with pytest.raises(jimbo.CertificateError,
-                           match="intertwining equations"):
-            jimbo.solve_rmatrix(shared, qs, Q(1, 3))
-        assert not jimbo.check_ybe(shared, qs, Q(3, 5), Q(-2, 7))["ok"]
+        with pytest.raises(jimbo.CertificateError, match="no module map"):
+            jimbo.solve_rmatrix(seed_shared("d2", 2), qs, Q(1, 3))
 
 
 class TestChecks:
@@ -399,18 +492,16 @@ class TestChecks:
                            match="missing from the graph"):
             jimbo.spectral_compare(seed_shared("a2even", 2), qs, Q(3, 7))
 
-    def test_parity_refuses_vanishing_component(self, qs, monkeypatch):
-        """Negative control: Rcheck(0) zero on one component carries no
-        parity, and the stage refuses it."""
-        scalars = jimbo.component_scalars
-
-        def vanishing(dec, M):
-            out = scalars(dec, M)
-            return {**out, min(out): 0}
-
-        monkeypatch.setattr(jimbo, "component_scalars", vanishing)
+    def test_parity_refuses_vanishing_component(self, qs):
+        """Negative control: Rcheck(0) zero on one component, its c_nu(0)
+        left out, carries no parity, and the stage refuses it."""
+        shared = seed_shared("a2even", 2)
+        res = shared.solve(qs, Q(0))
+        last = res.system.ncomp - 1
+        shared._memo[("solve", qs.w, Q(0))] = dataclasses.replace(
+            res, c={n: x for n, x in res.c.items() if n != last})
         with pytest.raises(jimbo.CertificateError, match="vanishes on"):
-            jimbo.parity_spectrum(seed_shared("a2even", 2), qs)
+            jimbo.parity_spectrum(shared, qs)
 
     def test_parity_matches_graph_and_classical(self, ybe_case, qs):
         rep = seed_rep(*ybe_case)
@@ -427,65 +518,57 @@ class TestChecks:
 
 
 def corrupt_solve(shared, qs, x):
-    """Replace R(w, x) in the memo of ``shared`` by a copy whose numerator N
-    has D added to its top diagonal entry and an entry D in the first column
-    where the top row was zero, so that Rcheck and R alike gain 1 at both
-    (the swap fixes the top index, so R = P * Rcheck still holds)."""
+    """Replace R(w, x) in the memo of ``shared`` by a copy whose c_nu on
+    the last component is changed by one: still a module map
+    sum(c_nu P_nu), but no longer the solve."""
     res = shared.solve(qs, x)
-    p0 = top_index(shared.rep)
-    N = {p: dict(row) for p, row in res.N.items()}
-    q = min(set(range(shared.rep.dim ** 2)) - set(N[p0]))
-    N[p0][p0] += res.D
-    N[p0][q] = res.D
-    shared._memo[("solve", qs.w, x)] = dataclasses.replace(res, N=N)
-
-
-def scalars_or_error(scalars, dec, m):
-    """scalars(dec, m), or the message of the DecompositionError it raises."""
-    try:
-        return scalars(dec, m)
-    except DecompositionError as exc:
-        return str(exc)
+    last = res.system.ncomp - 1
+    shared._memo[("solve", qs.w, x)] = dataclasses.replace(
+        res, c={**res.c, last: res.c.get(last, 0) + 1})
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
 def test_component_scalars_match_fraction_reference(ybe_case, qs, corrupt):
-    """The integer component scalars agree with the Fraction reference on
-    N(0) and N(u), clean and corrupted by ``corrupt_solve``: the same dict,
-    or the same refusal."""
+    """The c_nu / c_top of the solves at u = 0 and 3/7 are the scalars by
+    which the full solve's Rcheck (``full_solve``, an elimination over every
+    entry of R that reads no component) acts on each component, read in
+    Fractions; with one c_nu changed by one (``corrupt_solve``) they are
+    not."""
     shared = seed_shared(*ybe_case)
     dec = shared.decomposition(qs)
     for x in (Q(0), Q(3, 7)):
         if corrupt:
             corrupt_solve(shared, qs, x)
-        n = shared.solve(qs, x).N
-        got = scalars_or_error(tensor.component_scalars, dec, n)
-        assert got == scalars_or_error(oracles.component_scalars, dec, n)
-        assert isinstance(got, str) == corrupt
+        c = shared.solve(qs, x).c
+        got = {comp.nu: Q(c.get(n, 0), c[0])
+               for n, comp in enumerate(dec.components)}
+        _, rcheck = full_solve(shared.rep, qs, x)
+        assert (got == oracles.component_scalars(dec, rcheck)) != corrupt
 
 
 def rescale_solve(shared, qs, x, k):
-    """Replace R(w, x) in the memo of ``shared`` by k N / k D, the same
-    Rcheck over another denominator."""
+    """Replace R(w, x) in the memo of ``shared`` by its c_nu times k, the
+    same Rcheck sum(k c_nu P_nu) / (k c_top)."""
     res = shared.solve(qs, x)
     shared._memo[("solve", qs.w, x)] = dataclasses.replace(
-        res, N={p: {j: k * y for j, y in row.items()}
-                for p, row in res.N.items()}, D=k * res.D)
+        res, c={n: k * y for n, y in res.c.items()})
 
 
 def test_one_integer_form_per_w(ybe_case, qs):
     """After a solve at w, V (x) V at w is held once, in ints: every adapted
     basis vector, every D(e_i), D(f_i) of the decomposition, every scaled
-    dual vector, X and Y and the c_nu are integer, and each b_k of the
-    component system is the decomposition's own vector, not a copy."""
+    dual vector, X and Y, the small system's rows and the c_nu are integer,
+    and each b_k of the component system is the decomposition's own
+    vector, not a copy."""
     shared = seed_shared(*ybe_case)
     shared.solve(qs, Q(3, 7))
     dec, system = shared.decomposition(qs), shared.components(qs)
     basis = [v for comp in dec.components for v in comp.basis]
     rows = basis + [row for m in dec.fixed for row in m.values()] + \
         [d for _, _, d in system.terms] + \
-        [row for m in system.e0_split for row in m.values()]
+        [row for m in jimbo._e0_split(shared.rep, qs) for row in m.values()]
     assert all(type(x) is int for row in rows for x in row.values())
+    assert all(type(x) is int for r in system.e0_rows for x in r)
     assert type(system.scale) is int
     assert all(type(c) is int
                for c in jimbo._solve_scalars(system, Q(3, 7)).values())
@@ -495,7 +578,8 @@ def test_one_integer_form_per_w(ybe_case, qs):
 
 
 class TestIntegerForm:
-    """The checks read Rcheck as N / D: negative controls on N and D."""
+    """The checks read Rcheck as its primitive integer c_nu, c_top > 0:
+    negative controls on the c_nu."""
 
     U, V = Q(3, 5), Q(-2, 7)
 
@@ -509,8 +593,8 @@ class TestIntegerForm:
     @pytest.mark.parametrize("corrupt", [False, True],
                              ids=["clean", "corrupt"])
     def test_common_factor_leaves_verdicts(self, qs, corrupt):
-        """k N / k D for every solve a check reads gives the same verdicts
-        as N / D, with R(u) corrupted or not."""
+        """k c for every solve a check reads gives the same verdicts as c,
+        with R(u) corrupted or not."""
         u, v = self.U, self.V
         results = []
         for k in (1, 6):
@@ -532,7 +616,8 @@ class TestIntegerForm:
         assert not jimbo.check_unitarity(shared, qs, self.U)["ok"]
 
     def test_parity_refuses_nonpositive_denominator(self, qs):
-        """-N / -D is the same Rcheck(0), but its signs would be flipped."""
+        """-c is the same Rcheck(0) = sum(c_nu P_nu) / c_top, but the signs
+        of its c_nu would be flipped."""
         shared = seed_shared("a2even", 2)
         rescale_solve(shared, qs, Q(0), -1)
         with pytest.raises(jimbo.CertificateError, match="denominator"):
@@ -589,32 +674,41 @@ class TestYangBaxterOracle:
 
 class TestCyclicVectors:
     """check_ybe compares the braid sides on g_nu = v_nu (x) v_low only,
-    under a premise it certifies itself: each N preserves weight and
-    commutes with D(e_i), D(f_i) (i >= 1).  Negative controls of both."""
+    under the premise certified once per w: every sum(c_nu P_nu) is a
+    module map, as the probe is.  Negative controls of both."""
 
     QS, U, V = QSample(Q(-7, 5)), Q(3, 5), Q(-2, 7)
 
-    @pytest.mark.parametrize("family,l,entry,residual", [
-        ("d2", 2, (5, 5), 24), ("a2even", 2, (13, 17), 50),
-        ("a2odd", 3, (16, 26), 60)], ids=["d2-l2", "a2even-l2", "a2odd-l3"])
+    @pytest.mark.parametrize("family,l,mix,residual", [
+        ("a2even", 2, (0, 9, 1, 7), 226), ("a2odd", 3, (0, 12, 1, 9), 340)],
+        ids=["a2even-l2", "a2odd-l3"])
     def test_premise_refuses_what_cyclic_vectors_miss(
-            self, family, l, entry, residual, monkeypatch):
-        """D added to one weight-preserving entry of N(u) passes every
-        cyclic vector, so only the premise refuses it, rightly: the R-form
-        sides then differ in ``residual`` entries."""
+            self, family, l, mix, residual, monkeypatch):
+        """Basis vector i of component m replaced by its sum with vector j
+        of component n, of the same weight: the adapted bases still form a
+        basis of V (x) V, and with the probe passed over the braid sides
+        agree on every cyclic vector, though the R-form sides differ in
+        ``residual`` entries.  The probe refuses these components, rightly."""
         qs, u, v = self.QS, self.U, self.V
+        m, i, n, j = mix
+        real = jimbo.decompose
+
+        def mixed(rep, qs):
+            dec = real(rep, qs)
+            b, c = dec.components[m].basis[i], dec.components[n].basis[j]
+            dec.components[m].basis[i] = {
+                p: z for p in b.keys() | c.keys()
+                if (z := b.get(p, 0) + c.get(p, 0))}
+            return dec
+
+        monkeypatch.setattr(jimbo, "decompose", mixed)
+        with pytest.raises(jimbo.CertificateError, match="no module map"):
+            seed_shared(family, l).solve(qs, u)
+        monkeypatch.setattr(jimbo, "_is_module_map", lambda *args: True)
         shared = seed_shared(family, l)
-        res = shared.solve(qs, u)
-        block = shared.rep.square.block
-        assert block[entry[0]] == block[entry[1]]
-        shared._memo[("solve", qs.w, u)] = dataclasses.replace(
-            res, N=bump(res.N, *entry, res.D))
+        assert jimbo.check_ybe(shared, qs, u, v)["ok"]
         Rs = [shared.solve(qs, x).R for x in (u, u * v, v)]
         assert ybe_residual_entries(*Rs, shared.rep.dim) == residual
-        assert not jimbo.check_ybe(shared, qs, u, v)["ok"]
-        with monkeypatch.context() as m:
-            m.setattr(jimbo, "_is_module_map", lambda *args: True)
-            assert jimbo.check_ybe(shared, qs, u, v)["ok"]
 
     def test_lowest_vector_certified_unique(self):
         """v_low is the one basis vector every f_i (i >= 1) kills, and only
@@ -631,37 +725,37 @@ class TestCyclicVectors:
                                           ("a2odd", 3)],
                              ids=["d2-l2", "a2even-l2", "a2odd-l3"])
     def test_wrong_solve_fails_on_cyclic_vectors(self, family, l):
-        """Rcheck(uv) replaced by the solve at uv + 1/11 satisfies the
-        premise, and the braid relation must still fail."""
+        """Rcheck(uv) replaced by the solve at uv + 1/11 is a module map
+        sum(c_nu P_nu), and the braid relation must still fail."""
         qs, u, v = self.QS, self.U, self.V
         shared = seed_shared(family, l)
         wrong = shared.solve(qs, u * v + Q(1, 11))
-        assert jimbo._is_module_map(shared, qs, wrong.N)
         shared._memo[("solve", qs.w, u * v)] = wrong
         out = jimbo.check_ybe(shared, qs, u, v)
         assert not out["ok"]
 
     def test_failed_certificate_reads_no_three_site_rows(self, qs,
                                                          monkeypatch):
-        """At d2 l=4 (d**3 = 4,096) with R(uv) corrupted, a failed premise
-        applies no factor to a three-site vector, and a wrong solve that
-        meets the premise at most the six factors of each cyclic vector."""
+        """At d2 l=4 (d**3 = 4,096), components refused at w apply no factor
+        to a three-site vector, and a wrong solve at most the six factors of
+        each cyclic vector."""
         u, v = self.U, self.V
-        shared = seed_shared("d2", 4)
-        real = jimbo._apply_on_legs
+        real = jimbo._apply_rcheck
         calls = []
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(jimbo, "_apply_on_legs", counted)
-        corrupt_solve(shared, qs, u * v)
-        assert not jimbo.check_ybe(shared, qs, u, v)["ok"]
+        monkeypatch.setattr(jimbo, "_apply_rcheck", counted)
+        with monkeypatch.context() as m:
+            TestCertificates.moved_vector(m)
+            with pytest.raises(jimbo.CertificateError, match="no module map"):
+                jimbo.check_ybe(seed_shared("d2", 4), qs, u, v)
         assert not calls
-        wrong = shared.solve(qs, u * v + Q(1, 11))
-        assert jimbo._is_module_map(shared, qs, wrong.N)
-        shared._memo[("solve", qs.w, u * v)] = wrong
+        shared = seed_shared("d2", 4)
+        shared._memo[("solve", qs.w, u * v)] = shared.solve(
+            qs, u * v + Q(1, 11))
         assert not jimbo.check_ybe(shared, qs, u, v)["ok"]
         ncomp = len(shared.decomposition(qs).components)
         assert 0 < len(calls) <= 6 * ncomp

@@ -183,7 +183,7 @@ class TestQuantumRelations:
         witness the diagonal entries h_i(p) of the other magnitudes alone,
         and the dense oracle gives the same verdicts at every w."""
         rep = seed_rep("a2even", 1)
-        n, eye = rep.dim, linalg.sparse_identity(rep.dim)
+        n, eye = rep.dim, oracles.sparse_identity(rep.dim)
 
         def kron(a, b):
             return {i * n + k: {j * n + t: x * y for j, x in ra.items()
